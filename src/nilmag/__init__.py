@@ -23,12 +23,10 @@ an independent numerical integrator:
 
 from .algebra import MetricNilAlgebra, SingularityKind, SingularityReport
 from .closedform import (
-    CentralKernelSolution,
     ExactShiftSolution,
     InitialCondition,
     SkewSpectrum,
     TypeISolution,
-    solve_central_kernel,
     solve_exact,
     solve_type1,
     spectral_decompose,
@@ -102,12 +100,10 @@ __all__ = [
     "InitialCondition",
     "TypeISolution",
     "ExactShiftSolution",
-    "CentralKernelSolution",
     "SkewSpectrum",
     "spectral_decompose",
     "solve_type1",
     "solve_exact",
-    "solve_central_kernel",
     "Type2TrajectoryH3",
     "TransportedType2",
     "Branch",

@@ -471,6 +471,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     scn = _load_scenario(args.scenario)
     alg = scn.algebra
     sing = alg.classify_singularity()
+    injective, sigma = alg.j_injective_on_commutator()
     report: dict[str, Any] = {
         "scenario": scn.canonical(),
         "algebra": {
@@ -483,7 +484,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "singularity": sing.kind.value,
             "singularity_exhaustive": bool(sing.exhaustive),
             "h_type": bool(alg.is_h_type()),
-            "j_injective_on_commutator": bool(alg.j_injective_on_commutator()),
+            "j_injective_on_commutator": bool(injective),
+            "j_injective_sigma": float(sigma),
         },
     }
     if scn.force_spec is not None:
@@ -614,6 +616,8 @@ def _check(name: str, worst: float, tol: float, failures: list[str]) -> None:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from scipy.linalg import expm
+
     rng = np.random.default_rng(args.seed)
     failures: list[str] = []
     tol = 1e-10
@@ -694,10 +698,12 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             sol = solve_type1(
                 alg, force, InitialCondition(v0=v0, z0=z0, charge=1.0)
             )
-            for part in sol.parts:
+            for th, xi, jxi in zip(sol.rates, sol.xi, sol.jxi):
                 f0 = None
                 for t in np.linspace(0.0, 8.0, 9):
-                    ft = sol._wedge(part.exp(t), part.exp_jinv(t))
+                    rot = expm(t * sol.spectrum.matrix)  # [e^{tJ} xi, e^{tJ} J^{-1} xi]
+                    pair = alg.bracket(alg.embed_v(rot @ xi), alg.embed_v(rot @ (-jxi / th**2)))
+                    ft = alg.z_part(pair)
                     if f0 is None:
                         f0 = ft
                     worst = max(worst, float(np.max(np.abs(ft - f0))))

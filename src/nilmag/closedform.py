@@ -29,6 +29,16 @@ term; the pair terms integrate in closed form because
 equals (th_r^2 - th_p^2) [e^{tJ} xi_p, e^{tJ} J^{-1} xi_r], and the diagonal
 quantities [e^{tJ} xi_p, e^{tJ} J^{-1} xi_p] are conserved.
 
+Evaluation is tabulated.  J maps span{xi_p, J xi_p} to itself, with
+e^{tJ} xi_p = cos(th_p t) xi_p + sin(th_p t)/th_p J xi_p, so every bracket
+above combines the fixed brackets pair[p, a, r, b] = [b_pa, b_rb] and
+cross[p, a] = [X1, b_pa] of the basis b_p0 = xi_p, b_p1 = J xi_p.  Each
+c_pr(t) is a bilinear form in (cos th_p t, sin th_p t) and
+(cos th_r t, sin th_r t) with table coefficients; every other term is linear
+in cos, sin and 1 - cos of th_p t.  The tables are built once from the
+structure tensor, and sample(ts) contracts (T, P, 2) trig coefficient arrays
+with them.
+
 Special cases: an exact force F = j(Z~) (+) 0 shifts a geodesic (the
 velocity equals a geodesic velocity minus q Z~, the position picks up -t q Z~);
 a force with F_z = 0 has velocity e^{t(j(Z0) + q F_v)} X0 + Z0.
@@ -52,10 +62,8 @@ __all__ = [
     "spectral_decompose",
     "TypeISolution",
     "ExactShiftSolution",
-    "CentralKernelSolution",
     "solve_type1",
     "solve_exact",
-    "solve_central_kernel",
 ]
 
 _MERGE_TOL = 1e-9
@@ -167,51 +175,29 @@ def spectral_decompose(j_matrix: np.ndarray, merge_tol: float = _MERGE_TOL) -> S
     return SkewSpectrum(kernel=kernel, planes=tuple(planes), matrix=j_matrix)
 
 
-class _RotatingPart:
-    """Evaluation helper: one initial component on a single-rate subspace."""
+def _rotating_parts(spec: SkewSpectrum, x: np.ndarray, mat: np.ndarray, scale: float):
+    """Rates (P,), components xi_p (P, n) of x on the planes of spec, and mat xi_p.
 
-    def __init__(self, rate: float, comp: np.ndarray, mat: np.ndarray):
-        self.rate = rate
-        self.xi = comp
-        self.jxi = mat @ comp  # J xi; J^{-1} xi = -jxi / rate^2
+    Components that are numerically zero are dropped (keeps pair sums clean).
+    """
+    kept = [(pl.rate, spec.project(pl, x)) for pl in spec.planes]
+    kept = [(rate, c) for rate, c in kept if np.linalg.norm(c) > 1e-14 * scale]
+    comps = np.array([c for _, c in kept]).reshape(len(kept), x.shape[0])
+    return np.array([rate for rate, _ in kept]), comps, comps @ mat.T
 
-    def exp(self, t: float) -> np.ndarray:
-        """e^{tJ} xi."""
-        th = self.rate
-        return np.cos(th * t) * self.xi + (np.sin(th * t) / th) * self.jxi
 
-    def exp_j(self, t: float) -> np.ndarray:
-        """e^{tJ} J xi."""
-        th = self.rate
-        return np.cos(th * t) * self.jxi - th * np.sin(th * t) * self.xi
-
-    def exp_jinv(self, t: float) -> np.ndarray:
-        """e^{tJ} J^{-1} xi."""
-        th = self.rate
-        return (np.sin(th * t) / th) * self.xi - (np.cos(th * t) / th**2) * self.jxi
-
-    def int_exp(self, t: float) -> np.ndarray:
-        """(e^{tJ} - Id) J^{-1} xi = integral of e^{sJ} xi."""
-        th = self.rate
-        one_minus_cos = 2.0 * np.sin(0.5 * th * t) ** 2
-        return (np.sin(th * t) / th) * self.xi + (one_minus_cos / th**2) * self.jxi
-
-    def jinv(self) -> np.ndarray:
-        return -self.jxi / self.rate**2
-
-    def jinv2_exp_minus_id(self, t: float) -> np.ndarray:
-        """J^{-2}(e^{tJ} - Id) xi = -((e^{tJ} - Id) xi) / rate^2."""
-        th = self.rate
-        one_minus_cos = 2.0 * np.sin(0.5 * th * t) ** 2
-        return (one_minus_cos * self.xi - (np.sin(th * t) / th) * self.jxi) / th**2
+def _coeffs(on_xi: np.ndarray, on_jxi: np.ndarray) -> np.ndarray:
+    """(T, P) coefficients of xi_p and J xi_p as (T, 2P) rows, ordered (p, xi | J xi)."""
+    return np.stack([on_xi, on_jxi], axis=2).reshape(on_xi.shape[0], 2 * on_xi.shape[1])
 
 
 class TypeISolution:
     """Closed-form solution for a closed type-I force.
 
-    velocity(t) is the left-trivialized velocity; position(t) the group curve
-    in exponential coordinates with position(0) = 0.  sample(ts) evaluates a
-    whole grid into CurveSamples for comparison with the numerical oracle.
+    sample(ts) evaluates a whole grid into CurveSamples as array products with
+    bracket tables built once at construction; velocity(t) (left-trivialized)
+    and position(t) (exponential coordinates, position(0) = 0) are its rows
+    at a single time.
     """
 
     def __init__(self, alg: MetricNilAlgebra, force: LorentzForce, ic: InitialCondition):
@@ -221,114 +207,107 @@ class TypeISolution:
         self.ic = ic
         q = ic.charge
         dv, dz = alg.dim_v, alg.dim_z
-
-        self.z0_comm, z0_flat = alg.decompose_center(np.asarray(ic.z0, float))
-
-        j_total = alg.j_map(np.asarray(ic.z0, float)) + q * force.block_vv
-        self.spectrum = spectral_decompose(j_total) if dv else SkewSpectrum(
-            kernel=np.zeros((0, 0)), planes=(), matrix=np.zeros((0, 0))
-        )
         v0 = np.asarray(ic.v0, float)
-        self.x1 = self.spectrum.project_kernel(v0) if dv else v0.copy()
-        self.parts = [
-            _RotatingPart(pl.rate, self.spectrum.project(pl, v0), j_total)
-            for pl in self.spectrum.planes
-        ]
-        # drop components that are numerically zero (keeps pair sums clean)
-        v_scale = max(1.0, float(np.linalg.norm(v0)))
-        self.parts = [p for p in self.parts if np.linalg.norm(p.xi) > 1e-14 * v_scale]
+        z0 = np.asarray(ic.z0, float)
+        self.z0_comm, z0_flat = alg.decompose_center(z0)
 
+        j_total = alg.j_map(z0) + q * force.block_vv
+        self.spectrum = spectral_decompose(j_total)
+        self.x1 = self.spectrum.project_kernel(v0)
+        self.rates, self.xi, self.jxi = _rotating_parts(
+            self.spectrum, v0, j_total, max(1.0, float(np.linalg.norm(v0)))
+        )
         g_total = q * force.block_zz
-        self.flat_spectrum = spectral_decompose(g_total) if dz else SkewSpectrum(
-            kernel=np.zeros((0, 0)), planes=(), matrix=np.zeros((0, 0))
+        self.flat_spectrum = spectral_decompose(g_total)
+        self.z1_flat = self.flat_spectrum.project_kernel(z0_flat)
+        self.flat_rates, self.zeta, self.gzeta = _rotating_parts(
+            self.flat_spectrum, z0_flat, g_total, max(1.0, float(np.linalg.norm(z0)))
         )
-        self.z1_flat = self.flat_spectrum.project_kernel(z0_flat) if dz else z0_flat.copy()
-        z_scale = max(1.0, float(np.linalg.norm(ic.z0)))
-        self.flat_parts = [
-            fp
-            for fp in (
-                _RotatingPart(pl.rate, self.flat_spectrum.project(pl, z0_flat), g_total)
-                for pl in self.flat_spectrum.planes
-            )
-            if np.linalg.norm(fp.xi) > 1e-14 * z_scale
-        ]
 
-        # constant central ingredients
-        self._jinv_x2 = sum((p.jinv() for p in self.parts), np.zeros(dv))
-        self._f0_sum = sum(
-            (self._wedge(p.xi, p.jinv()) for p in self.parts), np.zeros(dz)
-        )
-        self._c0_pairs = [
-            (p, r, self._c_pair(p, r, 0.0)) for p in self.parts for r in self.parts if p is not r
-        ]
+        # bracket tables on the basis b_pa of {xi_p, J xi_p}:
+        # pair[p, a, r, b] = [b_pa, b_rb] and cross[p, a] = [X1, b_pa]
+        th = self.rates
+        n = th.shape[0]
+        basis = np.stack([self.xi, self.jxi], axis=1)
+        tensor = alg.structure[:dv, :dv, dv:]
+        self.pair = np.einsum("pajk,rbj->parbk", np.einsum("pai,ijk->pajk", basis, tensor), basis)
+        self.cross = basis @ np.einsum("i,ijk->jk", self.x1, tensor)
+        self._basis = basis.reshape(2 * n, dv)
+        flat_basis = np.stack([self.zeta, self.gzeta], axis=1)
+        self._flat_basis = flat_basis.reshape(2 * self.flat_rates.shape[0], dz)
 
-    # -- helpers ---------------------------------------------------------
+        # constant central ingredients, with J^{-1} xi_p = -J xi_p / th_p^2
+        inv2 = 1.0 / th**2
+        f0_sum = -inv2 @ self.pair[np.arange(n), 0, np.arange(n), 1]  # sum_p [xi_p, J^-1 xi_p]
+        x1_jinv_x2 = -inv2 @ self.cross[:, 1]  # [X1, J^-1 X2]
+        self._drift = 0.5 * (x1_jinv_x2 - f0_sum)
+        jinv_x2 = -np.einsum("park,r->pak", self.pair[:, :, :, 1], inv2)  # [b_pa, J^-1 X2]
+        self._jinv_x2 = jinv_x2.reshape(2 * n, dz)
 
-    def _wedge(self, a_v: np.ndarray, b_v: np.ndarray) -> np.ndarray:
-        """z-coordinates of [a, b] for v-vectors a, b."""
-        return self.alg.z_part(self.alg.bracket(self.alg.embed_v(a_v), self.alg.embed_v(b_v)))
-
-    def _c_pair(self, p: _RotatingPart, r: _RotatingPart, t: float) -> np.ndarray:
-        num = self._wedge(p.exp_j(t), r.exp_jinv(t)) - self._wedge(p.exp(t), r.exp(t))
-        return num / (r.rate**2 - p.rate**2)
+        # sum_{p != r} c_pr(t) as a bilinear form in u_p = (cos th_p t, sin th_p t):
+        # e^{tJ} J xi_p, e^{tJ} J^{-1} xi_p and e^{tJ} xi_p are u_p @ m_j, u_p @ m_i and
+        # u_p @ m_e in the coordinates (xi_p, J xi_p)
+        self._gap = th**2 - th[:, None] ** 2  # th_r^2 - th_p^2 at [p, r]
+        np.fill_diagonal(self._gap, np.inf)
+        weighted = self.pair / self._gap[:, None, :, None, None]
+        zero, one = np.zeros(n), np.ones(n)
+        m_j = np.array([[zero, one], [-th, zero]]).transpose(2, 0, 1)
+        m_i = np.array([[zero, -inv2], [1.0 / th, zero]]).transpose(2, 0, 1)
+        m_e = np.array([[one, zero], [zero, 1.0 / th]]).transpose(2, 0, 1)
+        table = np.einsum("pxa,ryb,parbk->pxryk", m_j, m_i, weighted)
+        table -= np.einsum("pxa,ryb,parbk->pxryk", m_e, m_e, weighted)
+        self._c0_sum = table[:, 0, :, 0].sum(axis=(0, 1))  # u_p(0) = (1, 0)
+        self._pair_table = table.reshape(2 * n, 2 * n * dz)
 
     # -- evaluation ------------------------------------------------------
 
-    def velocity(self, t: float) -> np.ndarray:
-        t = float(t)
-        xv = self.x1 + sum((p.exp(t) for p in self.parts), np.zeros(self.alg.dim_v))
-        xz = self.z0_comm + self.z1_flat + sum(
-            (fp.exp(t) for fp in self.flat_parts), np.zeros(self.alg.dim_z)
-        )
-        out = np.empty(self.alg.dim)
-        out[: self.alg.dim_v] = xv
-        out[self.alg.dim_v :] = xz
-        return out
-
-    def position(self, t: float) -> np.ndarray:
-        t = float(t)
-        dv, dz = self.alg.dim_v, self.alg.dim_z
-        x_t = t * self.x1 + sum((p.int_exp(t) for p in self.parts), np.zeros(dv))
-
-        # flat central part: t Z1f + (e^{tG} - Id) G^{-1} zeta
-        z_flat = t * self.z1_flat + sum(
-            (fp.int_exp(t) for fp in self.flat_parts), np.zeros(dz)
-        )
-
-        # commutator central part
-        exp_jinv_sum = sum((p.exp_jinv(t) for p in self.parts), np.zeros(dv))
-        lin = self.z0_comm.copy()
-        if self.parts:
-            lin += 0.5 * self._wedge(self.x1, exp_jinv_sum + self._jinv_x2) - 0.5 * self._f0_sum
-        z_comm = t * lin
-        if self.parts:
-            jinv2_sum = sum(
-                (p.jinv2_exp_minus_id(t) for p in self.parts), np.zeros(dv)
-            )
-            z_comm = z_comm - self._wedge(self.x1, jinv2_sum)
-            z_comm = z_comm + 0.5 * self._wedge(exp_jinv_sum, self._jinv_x2)
-            for p, r, c0 in self._c0_pairs:
-                z_comm = z_comm - 0.5 * (self._c_pair(p, r, t) - c0)
-
-        out = np.empty(self.alg.dim)
-        out[:dv] = x_t
-        out[dv:] = z_comm + z_flat
-        return out
-
-    def eval(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.position(t), self.velocity(t)
-
     def sample(self, ts: np.ndarray) -> CurveSamples:
         ts = np.asarray(ts, dtype=float)
-        xi = np.stack([self.position(t) for t in ts])
-        vel = np.stack([self.velocity(t) for t in ts])
+        n_t, dv, dz = ts.shape[0], self.alg.dim_v, self.alg.dim_z
+        th, mu = self.rates, self.flat_rates
+        arg = np.multiply.outer(ts, th)
+        c, s, omc = np.cos(arg), np.sin(arg), 2.0 * np.sin(0.5 * arg) ** 2  # omc = 1 - cos
+        exp_jinv = _coeffs(s / th, -c / th**2)  # e^{tJ} J^{-1} xi_p
+        u = _coeffs(c, s)
+        pairs = u @ self._pair_table
+        pair_sum = np.matmul(u[:, None, :], pairs.reshape(n_t, u.shape[1], dz))[:, 0]
+        cross = self.cross.reshape(u.shape[1], dz)
+        lin = self.z0_comm + self._drift + 0.5 * exp_jinv @ cross
+        z_comm = (
+            ts[:, None] * lin
+            - _coeffs(omc / th**2, -s / th**3) @ cross  # [X1, J^-2 (e^{tJ} - Id) X2]
+            + 0.5 * exp_jinv @ self._jinv_x2
+            - 0.5 * (pair_sum - self._c0_sum)
+        )
+        arg = np.multiply.outer(ts, mu)
+        fc, fs, fomc = np.cos(arg), np.sin(arg), 2.0 * np.sin(0.5 * arg) ** 2
+
+        vel = np.empty((n_t, dv + dz))
+        vel[:, :dv] = self.x1 + _coeffs(c, s / th) @ self._basis
+        vel[:, dv:] = self.z0_comm + self.z1_flat + _coeffs(fc, fs / mu) @ self._flat_basis
+        xi = np.empty_like(vel)
+        xi[:, :dv] = ts[:, None] * self.x1 + _coeffs(s / th, omc / th**2) @ self._basis
+        flat = _coeffs(fs / mu, fomc / mu**2) @ self._flat_basis
+        xi[:, dv:] = z_comm + ts[:, None] * self.z1_flat + flat
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
+
+    def velocity(self, t: float) -> np.ndarray:
+        return self.sample(np.array([float(t)])).velocity[0]
+
+    def position(self, t: float) -> np.ndarray:
+        return self.sample(np.array([float(t)])).xi[0]
+
+    def eval(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        one = self.sample(np.array([float(t)]))
+        return one.xi[0], one.velocity[0]
 
     # -- derived quantities ----------------------------------------------
 
     def speed(self) -> float:
         """The conserved speed |x(t)| = |x(0)|."""
-        return float(np.linalg.norm(self.velocity(0.0)))
+        x_v = self.x1 + self.xi.sum(axis=0)
+        x_z = self.z0_comm + self.z1_flat + self.zeta.sum(axis=0)
+        return float(np.linalg.norm(np.concatenate([x_v, x_z])))
 
     def linear_coefficient(self) -> np.ndarray:
         """Average central drift: the constant part of the t-linear coefficient.
@@ -338,10 +317,7 @@ class TypeISolution:
         against the rotating subspaces; this method reports the constant part
         Z0c + [X1, J^{-1} X2]/2 - sum_p [xi_p, J^{-1} xi_p]/2 (plus Z1f).
         """
-        lin = self.z0_comm + self.z1_flat
-        if self.parts:
-            lin = lin + 0.5 * self._wedge(self.x1, self._jinv_x2) - 0.5 * self._f0_sum
-        return lin
+        return self.z0_comm + self.z1_flat + self._drift
 
     def central_oscillation_bound(self) -> float:
         """Triangle-inequality bound for the bounded central oscillation.
@@ -352,20 +328,13 @@ class TypeISolution:
         so this constant bounds the non-growing remainder only.
         """
         lam = self._bracket_norm()
-        b = 0.0
-        norm_x1 = float(np.linalg.norm(self.x1))
-        sum_jinv = sum(np.linalg.norm(p.xi) / p.rate for p in self.parts)
-        for p in self.parts:
-            b += lam * norm_x1 * 2.0 * np.linalg.norm(p.xi) / p.rate**2
-        b += 0.5 * lam * sum_jinv * sum_jinv
-        for p, r, _ in self._c0_pairs:
-            amp = lam * (
-                p.rate * np.linalg.norm(p.xi) * np.linalg.norm(r.xi) / r.rate
-                + np.linalg.norm(p.xi) * np.linalg.norm(r.xi)
-            )
-            b += amp / abs(r.rate**2 - p.rate**2)  # (1/2) * 2 endpoints
-        for fp in self.flat_parts:
-            b += 2.0 * np.linalg.norm(fp.xi) / fp.rate
+        th = self.rates
+        nx = np.linalg.norm(self.xi, axis=1)
+        b = lam * float(np.linalg.norm(self.x1)) * 2.0 * (nx @ th**-2.0)
+        b += 0.5 * lam * (nx @ (1.0 / th)) ** 2
+        amp = lam * (np.outer(th * nx, nx / th) + np.outer(nx, nx))
+        b += np.sum(amp / np.abs(self._gap))  # (1/2) * 2 endpoints per pair
+        b += 2.0 * (np.linalg.norm(self.zeta, axis=1) @ (1.0 / self.flat_rates))
         return float(b)
 
     def _bracket_norm(self) -> float:
@@ -396,35 +365,6 @@ class ExactShiftSolution:
 
     def position_via_shift(self, t: float) -> np.ndarray:
         return self.geodesic.position(t) - float(t) * self.shift
-
-
-@dataclass(frozen=True)
-class CentralKernelSolution:
-    """Trajectory for a force vanishing on the center (F_z = 0).
-
-    The velocity admits the direct one-exponential form
-    e^{t (j(Z0) + q F_v)} X0 + Z0, evaluated here independently of the general
-    solver; full is the general solution (same trajectory) for positions.
-    """
-
-    full: TypeISolution
-    _vel_spectrum: SkewSpectrum
-    _vel_parts: tuple
-    _vel_kernel: np.ndarray
-    _z0: np.ndarray
-
-    def velocity(self, t: float) -> np.ndarray:
-        alg = self.full.alg
-        xv = self._vel_kernel + sum(
-            (p.exp(float(t)) for p in self._vel_parts), np.zeros(alg.dim_v)
-        )
-        out = np.empty(alg.dim)
-        out[: alg.dim_v] = xv
-        out[alg.dim_v :] = self._z0
-        return out
-
-    def position(self, t: float) -> np.ndarray:
-        return self.full.position(t)
 
 
 def _require_closed_type1(alg: MetricNilAlgebra, force) -> LorentzForce:
@@ -469,29 +409,3 @@ def solve_exact(alg: MetricNilAlgebra, force, ic: InitialCondition) -> ExactShif
     zero_force = LorentzForce(alg, np.zeros((alg.dim, alg.dim)))
     geodesic = TypeISolution(alg, zero_force, geo_ic)
     return ExactShiftSolution(solution=main, geodesic=geodesic, shift=shift)
-
-
-def solve_central_kernel(alg: MetricNilAlgebra, force, ic: InitialCondition) -> CentralKernelSolution:
-    """Solve a closed type-I force with F_z = 0 via the one-exponential velocity."""
-    f = _require_closed_type1(alg, force)
-    if alg.dim_z and float(np.max(np.abs(f.block_zz), initial=0.0)) > 1e-10 * max(
-        1.0, float(np.max(np.abs(f.matrix)))
-    ):
-        raise UnsupportedForceError("central-kernel solver needs F to vanish on the center")
-    ic.validate(alg)
-    full = TypeISolution(alg, f, ic)
-    m = alg.j_map(np.asarray(ic.z0, float)) + ic.charge * f.block_vv
-    spec = spectral_decompose(m)
-    v0 = np.asarray(ic.v0, float)
-    parts = tuple(
-        _RotatingPart(pl.rate, spec.project(pl, v0), m)
-        for pl in spec.planes
-        if np.linalg.norm(spec.project(pl, v0)) > 0.0
-    )
-    return CentralKernelSolution(
-        full=full,
-        _vel_spectrum=spec,
-        _vel_parts=parts,
-        _vel_kernel=spec.project_kernel(v0),
-        _z0=np.asarray(ic.z0, float).copy(),
-    )

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 
+from nilmag.algebra import MetricNilAlgebra
 from nilmag.cli import main, parse_scenario
 
 
@@ -193,6 +194,21 @@ def test_classify_quaternionic(tmp_path, capsys):
     assert doc["algebra"]["dim_z"] == 3
     assert doc["algebra"]["h_type"] is True
     assert "force" not in doc
+
+
+def test_classify_reports_j_injectivity_flag(tmp_path, capsys, monkeypatch):
+    """The injectivity field is the flag of the (flag, sigma) pair, not its truth value."""
+    path = write_scenario(tmp_path, {"algebra": "heisenberg(1)"})
+    code, doc = run_json(capsys, ["classify", "--scenario", path])
+    assert code == 0
+    assert doc["algebra"]["j_injective_on_commutator"] is True
+    assert doc["algebra"]["j_injective_sigma"] > 0.0
+
+    monkeypatch.setattr(MetricNilAlgebra, "j_injective_on_commutator", lambda self: (False, 0.0))
+    code, doc = run_json(capsys, ["classify", "--scenario", path])
+    assert code == 0
+    assert doc["algebra"]["j_injective_on_commutator"] is False
+    assert doc["algebra"]["j_injective_sigma"] == 0.0
 
 
 def test_classify_reports_nonclosed(tmp_path, capsys):

@@ -10,9 +10,7 @@ from scipy.linalg import expm
 import fdcheck
 from nilmag.algebra import MetricNilAlgebra
 from nilmag.closedform import (
-    CentralKernelSolution,
     InitialCondition,
-    solve_central_kernel,
     solve_exact,
     solve_type1,
     spectral_decompose,
@@ -54,6 +52,11 @@ def oracle_curve(alg, force, ic, ts, tol=1e-11):
     x0 = np.concatenate([ic.v0, ic.z0])
     cfg = IntegratorConfig(scheme="dopri45", tolerance=tol)
     return reconstruct_group(alg, force, ic.charge, x0, ts, cfg)
+
+
+def wedge(alg, a_v, b_v):
+    """z-coordinates of [a, b] for v-vectors a, b."""
+    return alg.z_part(alg.bracket(alg.embed_v(a_v), alg.embed_v(b_v)))
 
 
 # -- spectral decomposition -------------------------------------------------
@@ -149,6 +152,18 @@ def test_matches_numerical_oracle_on_presets():
         assert np.max(np.abs(got.xi - num.xi)) < 1e-6
 
 
+def kernel_cross_case(charge=1.0, omega=1.4):
+    """J = j(Z0) + q F_v rotates span(X, Y) only; its kernel (V, W) brackets against it."""
+    alg = qh7()
+    z0 = np.array([1.3, 0.0, 0.0])
+    p = np.zeros((4, 4))
+    p[0, 1], p[1, 0] = -omega, omega
+    m = np.zeros((7, 7))
+    m[:4, :4] = (p - alg.j_map(z0)) / charge
+    ic = InitialCondition(np.array([0.9, -0.4, 0.7, 0.3]), z0, charge=charge)
+    return alg, LorentzForce(alg, m), ic
+
+
 def test_kernel_cross_term_against_oracle():
     """Kernel velocity bracketing against the rotating part is reproduced.
 
@@ -158,25 +173,18 @@ def test_kernel_cross_term_against_oracle():
     is exactly the regime that separates correct and incorrect integrations
     of [x_v(t), X(t)].
     """
-    alg = qh7()
-    omega = 1.4
     for charge in (1.0, 0.8):
-        z0 = np.array([1.3, 0.0, 0.0])
-        p = np.zeros((4, 4))
-        p[0, 1], p[1, 0] = -omega, omega
-        m = np.zeros((7, 7))
-        m[:4, :4] = (p - alg.j_map(z0)) / charge
-        force = LorentzForce(alg, m)
-        ic = InitialCondition(v0=np.array([0.9, -0.4, 0.7, 0.3]), z0=z0, charge=charge)
+        alg, force, ic = kernel_cross_case(charge)
         sol = solve_type1(alg, force, ic)
 
         # preconditions: nontrivial kernel component that brackets nontrivially
         assert np.linalg.norm(sol.x1) > 0.5
-        assert len(sol.parts) == 1
-        cross = sol._wedge(sol.x1, sol.parts[0].xi)
+        assert len(sol.rates) == 1
+        cross = wedge(alg, sol.x1, sol.xi[0])
         assert np.linalg.norm(cross) > 0.5
-        # and the cross-term contribution itself is far above the tolerance
-        term = sol._wedge(sol.x1, sol.parts[0].jinv2_exp_minus_id(2.0))
+        # and the cross-term contribution [X1, J^{-2}(e^{2J} - Id) xi] is far above the tolerance
+        moved = (expm(2.0 * sol.spectrum.matrix) - np.eye(4)) @ sol.xi[0]
+        term = wedge(alg, sol.x1, -moved / sol.rates[0] ** 2)
         assert np.linalg.norm(term) > 1e-3
 
         ts = np.linspace(0.0, 8.0, 81)
@@ -202,7 +210,7 @@ def test_flat_central_rotation():
         v0=np.array([1.0, 0.5]), z0=np.array([0.8, 0.4, -0.3]), charge=charge
     )
     sol = solve_type1(alg, force, ic)
-    assert len(sol.flat_parts) == 1
+    assert len(sol.flat_rates) == 1
 
     g_full = charge * force.block_zz
     for t in (0.0, 0.7, 3.1):
@@ -249,12 +257,30 @@ def test_rotating_pair_quantities_are_conserved():
     for alg in (h5(), qh7()):
         force = random_closed_type1(alg, rng)
         sol = solve_type1(alg, force, random_ic(alg, rng))
-        assert sol.parts, "expected at least one rotating component"
-        for part in sol.parts:
-            f0 = sol._wedge(part.xi, part.jinv())
+        assert len(sol.rates), "expected at least one rotating component"
+        for th, xi, jxi in zip(sol.rates, sol.xi, sol.jxi):
+            jinv_xi = -jxi / th**2
+            f0 = wedge(alg, xi, jinv_xi)
             for t in (0.3, 1.9, 7.2):
-                ft = sol._wedge(part.exp(t), part.exp_jinv(t))
-                assert_allclose(ft, f0, atol=1e-12)
+                rot = expm(t * sol.spectrum.matrix)
+                assert_allclose(wedge(alg, rot @ xi, rot @ jinv_xi), f0, atol=1e-12)
+
+
+def test_bracket_tables_match_bracket():
+    """The tabulated brackets of X1, xi_p and J xi_p equal the algebra's bracket."""
+    rng = np.random.default_rng(59)
+    algs = (h5(), qh7(), h3_times_r2())
+    cases = [(a, random_closed_type1(a, rng), random_ic(a, rng)) for a in algs]
+    for alg, force, ic in cases + [kernel_cross_case()]:
+        sol = solve_type1(alg, force, ic)
+        basis = np.stack([sol.xi, sol.jxi], axis=1)
+        n = len(sol.rates)
+        assert sol.pair.shape == (n, 2, n, 2, alg.dim_z)
+        for p, a in np.ndindex(n, 2):
+            assert_allclose(sol.cross[p, a], wedge(alg, sol.x1, basis[p, a]), atol=1e-13)
+            for r, b in np.ndindex(n, 2):
+                want = wedge(alg, basis[p, a], basis[r, b])
+                assert_allclose(sol.pair[p, a, r, b], want, atol=1e-13)
 
 
 # -- explicit formulas on the 3-dimensional Heisenberg group ----------------
@@ -348,30 +374,136 @@ def test_solve_exact_rejects_inexact_force():
 # -- forces vanishing on the center -----------------------------------------
 
 
-def test_central_kernel_velocity_route():
-    """The one-exponential velocity agrees with the general solution and expm."""
+def test_zero_central_block_gives_one_exponential_velocity():
+    """With F_z = 0 the velocity is e^{t (j(Z0) + q F_v)} X0 + Z0."""
     alg = h5()
     rng = np.random.default_rng(67)
     a = rng.normal(size=(4, 4))
     m = np.zeros((5, 5))
     m[:4, :4] = 0.5 * (a - a.T)
     ic = InitialCondition(rng.normal(size=4), np.array([0.7]), charge=1.1)
-    sol = solve_central_kernel(alg, m, ic)
-    assert isinstance(sol, CentralKernelSolution)
+    sol = solve_type1(alg, m, ic)
     gen = alg.j_map(ic.z0) + ic.charge * m[:4, :4]
-    for t in (0.0, 0.9, 4.2):
-        vel = sol.velocity(t)
-        assert_allclose(vel, sol.full.velocity(t), atol=1e-12)
-        assert_allclose(vel[:4], expm(t * gen) @ ic.v0, atol=1e-10)
-        assert_allclose(vel[4], 0.7, atol=1e-13)
+    ts = np.array([0.0, 0.9, 4.2])
+    vel = sol.sample(ts).velocity
+    for t, row in zip(ts, vel):
+        assert_allclose(row[:4], expm(t * gen) @ ic.v0, atol=1e-10)
+        assert_allclose(row[4], 0.7, atol=1e-13)
 
 
-def test_central_kernel_rejects_flat_block():
-    alg = h3_times_r2()
+# -- batched evaluation ------------------------------------------------------
+
+
+def no_rotation_case():
+    """Zero force and a flat Z0: J = 0, so X0 lies in ker J and nothing rotates."""
+    ic = InitialCondition(np.array([1.0, 0.5]), np.array([0.0, 0.4, -0.3]))
+    return h3_times_r2(), np.zeros((5, 5)), ic
+
+
+def merged_plane_case():
+    """Zero force on an H-type algebra: J = j(Z0) has one 4-dimensional plane."""
+    ic = InitialCondition(np.array([0.9, -0.4, 0.7, 0.3]), np.array([1.1, -0.5, 0.3]), charge=1.3)
+    return qh7(), np.zeros((7, 7)), ic
+
+
+def flat_rotation_case():
+    """Rotations on v and on the flat central directions together."""
     m = np.zeros((5, 5))
+    m[0, 1], m[1, 0] = -0.6, 0.6
     m[3, 4], m[4, 3] = -0.9, 0.9
-    with pytest.raises(UnsupportedForceError):
-        solve_central_kernel(alg, m, InitialCondition(np.zeros(2), np.zeros(3)))
+    ic = InitialCondition(np.array([1.0, 0.5]), np.array([0.8, 0.4, -0.3]), charge=1.2)
+    return h3_times_r2(), m, ic
+
+
+def generic_case():
+    alg = qh7()
+    rng = np.random.default_rng(79)
+    return alg, random_closed_type1(alg, rng), random_ic(alg, rng, charge=0.8)
+
+
+BATCHED_CASES = {
+    "no_rotation": (no_rotation_case, 0, 0),
+    "merged_plane": (merged_plane_case, 1, 0),
+    "flat_rotation": (flat_rotation_case, 1, 1),
+    "generic": (generic_case, None, None),
+    "kernel_cross": (kernel_cross_case, 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_CASES))
+def test_sample_grids_match_oracle(name):
+    """Forward, negative, unsorted, single-time and empty grids against the oracle.
+
+    Negative times use time reversal: x(-t) negated solves the equation with
+    charge -q from -x0, and position(-t) is the group curve of that solution.
+    """
+    build, n_rates, n_flat = BATCHED_CASES[name]
+    alg, force, ic = build()
+    sol = solve_type1(alg, force, ic)
+    if n_rates is not None:
+        assert (len(sol.rates), len(sol.flat_rates)) == (n_rates, n_flat)
+    x0 = np.concatenate([ic.v0, ic.z0])
+    cfg = IntegratorConfig(scheme="dopri45", tolerance=1e-12)
+    ts = np.linspace(0.0, 6.0, 61)
+    fwd = reconstruct_group(alg, force, ic.charge, x0, ts, cfg)
+    back = reconstruct_group(alg, force, -ic.charge, -x0, ts, cfg)
+    times = np.concatenate([ts, -ts[1:]])
+    want_xi = np.concatenate([fwd.xi, back.xi[1:]])
+    want_vel = np.concatenate([fwd.velocity, -back.velocity[1:]])
+    order = np.random.default_rng(3).permutation(times.size)
+    for idx in (np.arange(ts.size), order, order[:1]):
+        got = sol.sample(times[idx])
+        assert_allclose(got.t, times[idx], rtol=0.0, atol=0.0)
+        assert np.max(np.abs(got.xi - want_xi[idx])) < 1e-8
+        assert np.max(np.abs(got.velocity - want_vel[idx])) < 1e-8
+    empty = sol.sample(np.array([]))
+    assert empty.xi.shape == empty.velocity.shape == (0, alg.dim)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_CASES))
+def test_scalar_calls_are_rows_of_sample(name):
+    """position, velocity and eval are the one-row sample; a longer grid agrees to rounding.
+
+    BLAS may take a different kernel (and summation order) for one row than
+    for many, so rows of a longer grid are compared at a few ulps of scale.
+    """
+    alg, force, ic = BATCHED_CASES[name][0]()
+    sol = solve_type1(alg, force, ic)
+    ts = np.array([0.0, 0.35, -1.2, 4.0, 2.5])
+    batch = sol.sample(ts)
+    tol = 8 * np.finfo(float).eps * (np.max(np.abs(batch.xi)) + np.max(np.abs(batch.velocity)))
+    for i, t in enumerate(ts):
+        one = sol.sample(np.array([t]))
+        pos, vel = sol.eval(t)
+        for got in (sol.position(t), pos):
+            np.testing.assert_array_equal(got, one.xi[0])
+        for got in (sol.velocity(t), vel):
+            np.testing.assert_array_equal(got, one.velocity[0])
+        assert np.max(np.abs(one.xi[0] - batch.xi[i])) <= tol
+        assert np.max(np.abs(one.velocity[0] - batch.velocity[i])) <= tol
+
+
+def test_sample_makes_no_bracket_calls(monkeypatch):
+    """sample is array products on precomputed tables, whatever the grid length."""
+    alg = MetricNilAlgebra.heisenberg(3)
+    rng = np.random.default_rng(89)
+    sol = solve_type1(alg, random_closed_type1(alg, rng), random_ic(alg, rng))
+    assert len(sol.rates) > 1
+    calls = []
+    bracket = MetricNilAlgebra.bracket
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(MetricNilAlgebra, "bracket", counting)
+    for n in (1, 11, 1001):
+        sol.sample(np.linspace(0.0, 10.0, n))
+    sol.position(0.7)
+    sol.velocity(0.7)
+    assert calls == []
+    alg.bracket(np.ones(alg.dim), np.arange(alg.dim, dtype=float))  # the counter does count
+    assert len(calls) == 1
 
 
 # -- derived quantities ------------------------------------------------------
