@@ -13,8 +13,9 @@ an independent numerical integrator:
   spectrum of the combined central + force operator.
 - `h3_type2`: trajectories of direction forces on the 3-dim Heisenberg group
   (Jacobi elliptic branches) and their lambda-periodicity trichotomy.
-- `h5_type1`: block rotations on the 5-dim Heisenberg group and constructive
-  periodic orbits at every prescribed energy.
+- `h5_type1`: j-commuting forces on the 5-dim Heisenberg group (trajectories
+  evaluated by `closedform`) and constructive periodic orbits at every
+  prescribed energy.
 - `specfun`: complete elliptic integrals and Jacobi elliptic functions.
 - `oracle`: adaptive Dormand-Prince / RK4 reference integrator and curve
   comparison utilities.

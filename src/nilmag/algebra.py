@@ -25,6 +25,7 @@ Left-invariant Levi-Civita connection on constant vector fields:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,9 +54,10 @@ class SingularityReport:
     """Outcome of classify_singularity.
 
     exhaustive is True when the verdict is a proof (exact polynomial root
-    analysis for dim z <= 2, the odd-dimensional-v argument, the h-type
-    shortcut, or a mixed pair of witnesses), False when it only reflects
-    quasi-random sampling of the central sphere.
+    analysis for dim z <= 2, the Pfaffian form for dim v = 4, the
+    odd-dimensional-v argument, the h-type shortcut, or a mixed pair of
+    witnesses), False when it only reflects quasi-random sampling of the
+    central sphere.
     """
 
     kind: SingularityKind
@@ -65,10 +67,12 @@ class SingularityReport:
     regular_direction: np.ndarray | None = None
 
 
-def _as_vector(x, dim: int, what: str) -> np.ndarray:
+def _as_vector(x, dim: int, what: str, rows: bool = False) -> np.ndarray:
+    """A finite vector (dim,), or with rows=True also a stack of them (n, dim)."""
     v = np.asarray(x, dtype=float)
-    if v.shape != (dim,):
-        raise ValueError(f"{what} must have shape ({dim},), got {v.shape}")
+    if v.shape[-1:] != (dim,) or v.ndim > (2 if rows else 1):
+        want = f"({dim},) or (n, {dim})" if rows else f"({dim},)"
+        raise ValueError(f"{what} must have shape {want}, got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{what} contains non-finite entries")
     return v
@@ -336,14 +340,18 @@ class MetricNilAlgebra:
         return np.einsum("i,j,ijk->k", x, y, self.structure)
 
     def group_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Group product in exponential coordinates: a + b + [a, b]/2."""
-        a = _as_vector(a, self.dim, "a")
-        b = _as_vector(b, self.dim, "b")
-        return a + b + 0.5 * self.bracket(a, b)
+        """Group product in exponential coordinates: a + b + [a, b]/2.
+
+        a and b are points (dim,) or stacks of points (n, dim); a single
+        point is multiplied with every row of a stack.
+        """
+        a = _as_vector(a, self.dim, "a", rows=True)
+        b = _as_vector(b, self.dim, "b", rows=True)
+        return a + b + 0.5 * np.einsum("...i,...j,ijk->...k", a, b, self.structure)
 
     def group_inv(self, a: np.ndarray) -> np.ndarray:
-        """Group inverse in exponential coordinates (just -a)."""
-        return -_as_vector(a, self.dim, "a")
+        """Group inverse in exponential coordinates (just -a), rowwise on stacks."""
+        return -_as_vector(a, self.dim, "a", rows=True)
 
     def j_map(self, z: np.ndarray) -> np.ndarray:
         """Central rotation map j(Z): v -> v for a central vector.
@@ -466,10 +474,11 @@ class MetricNilAlgebra:
         """Classify the invertibility pattern of j(Z) over the central sphere.
 
         Exact for dim z <= 2 (polynomial analysis of det j(Z), plus the
-        parity shortcut: skew maps on odd-dimensional v are always singular)
-        and for h-type algebras; otherwise deterministic quasi-random
-        sampling of `samples` central directions, with `exhaustive=False`
-        on all-regular / all-singular verdicts.
+        parity shortcut: skew maps on odd-dimensional v are always singular),
+        for dim v = 4 (the quadratic form Pf j(Z)) and for h-type algebras;
+        otherwise deterministic quasi-random sampling of `samples` central
+        directions, with `exhaustive=False` on all-regular / all-singular
+        verdicts.
         """
         dv, dz = self.dim_v, self.dim_z
         if dv == 0 or dz == 0:
@@ -504,6 +513,8 @@ class MetricNilAlgebra:
             )
         if dz == 2:
             return self._classify_dim_z2()
+        if dv == 4:
+            return self._classify_pfaffian()
         return self._classify_sampling(samples)
 
     def _sigma_ratio(self, zdir: np.ndarray) -> float:
@@ -592,6 +603,36 @@ class MetricNilAlgebra:
             singular_direction=singular_dirs[0] if singular_dirs else e1,
         )
 
+    def _classify_pfaffian(self) -> SingularityReport:
+        """Exact classification for dim v = 4 from Pf j(Z) = Z^T Q Z.
+
+        det j(Z) = Pf j(Z)^2, so j(Z) is singular exactly on the zero set of
+        this quadratic form: Q = 0 is singular, Q definite is nonsingular,
+        and anything else (indefinite, or semidefinite with a kernel) is
+        almost nonsingular.  For eigenpairs (lam-, e-), (lam+, e+) of
+        opposite signs, sqrt(|lam-|) e+ + sqrt(lam+) e- is a zero of the form.
+        Eigenvalues count as zero below _ZERO_TOL times the squared Frobenius
+        norm of the j-block, the scale of |Pf j(Z)| on the unit sphere.
+        """
+        c = self.structure[:4, :4, 4:]
+        q = np.outer(c[0, 1], c[2, 3]) - np.outer(c[0, 2], c[1, 3]) + np.outer(c[0, 3], c[1, 2])
+        w, vecs = np.linalg.eigh(0.5 * (q + q.T))
+        tol = _ZERO_TOL * float(np.sum(c * c))
+        singular = regular = None
+        if w[0] < -tol and w[-1] > tol:
+            singular = math.sqrt(-w[0]) * vecs[:, -1] + math.sqrt(w[-1]) * vecs[:, 0]
+            singular /= np.linalg.norm(singular)
+        elif np.min(np.abs(w)) <= tol:
+            singular = vecs[:, int(np.argmin(np.abs(w)))]
+        if np.max(np.abs(w)) > tol:
+            regular = vecs[:, int(np.argmax(np.abs(w)))]
+        kind = (
+            SingularityKind.SINGULAR if regular is None
+            else SingularityKind.NONSINGULAR if singular is None
+            else SingularityKind.ALMOST_NONSINGULAR
+        )
+        return SingularityReport(kind, True, "pfaffian_form", singular, regular)
+
     def _refine_singular_direction(self, zdir: np.ndarray) -> np.ndarray:
         """Polish a candidate singular direction by minimizing sigma_min on the circle."""
         theta = float(np.arctan2(zdir[1], zdir[0]))
@@ -611,15 +652,13 @@ class MetricNilAlgebra:
         return np.array([np.cos(t), np.sin(t)])
 
     def _classify_sampling(self, samples: int) -> SingularityReport:
-        """Quasi-random sphere sampling for dim z >= 3 (non-h-type).
+        """Quasi-random sphere sampling for dim z >= 3 and dim v >= 6 (non-h-type).
 
         Deterministic probes run first: flat central directions (j = 0 there,
         a guaranteed singular witness when ker j != 0), the coordinate axes,
         and the commutator basis.  Sobol sampling (balanced power-of-two
         count >= samples) then hunts for whichever witness is still missing.
         """
-        import math as _math
-
         from scipy.stats import norm, qmc
 
         dz = self.dim_z
@@ -627,7 +666,7 @@ class MetricNilAlgebra:
         probes.extend(self.commutator_z_basis())
         probes.extend(self.kernel_z_basis())
         eng = qmc.Sobol(d=dz, scramble=True, seed=20240817)
-        pts = eng.random_base2(max(1, _math.ceil(_math.log2(max(2, samples)))))
+        pts = eng.random_base2(max(1, math.ceil(math.log2(max(2, samples)))))
         gauss = norm.ppf(np.clip(pts, 1e-12, 1 - 1e-12))
         norms = np.linalg.norm(gauss, axis=1)
         keep = norms > 1e-8

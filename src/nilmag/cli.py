@@ -443,7 +443,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 
     xi = samples.xi
     if scn.start is not None:
-        xi = np.stack([alg.group_mul(scn.start, row) for row in xi])
+        xi = alg.group_mul(scn.start, xi)
 
     if args.format == "csv":
         if not args.out:
@@ -671,13 +671,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     worst = 0.0
     for alg in _selftest_algebras():
-        for _ in range(25):
-            a = rng.standard_normal(alg.dim)
-            b = rng.standard_normal(alg.dim)
-            c = rng.standard_normal(alg.dim)
-            lhs = alg.group_mul(alg.group_mul(a, b), c)
-            rhs = alg.group_mul(a, alg.group_mul(b, c))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        a, b, c = rng.standard_normal((3, 25, alg.dim))
+        lhs = alg.group_mul(alg.group_mul(a, b), c)
+        rhs = alg.group_mul(a, alg.group_mul(b, c))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     _check("group multiplication associativity", worst, tol, failures)
 
     h3 = MetricNilAlgebra.heisenberg(1)

@@ -273,8 +273,8 @@ class Type2TrajectoryH3:
 
     def sample(self, ts: np.ndarray) -> CurveSamples:
         ts = np.asarray(ts, dtype=float)
-        xi = np.stack([self.position(t) for t in ts])
-        vel = np.stack([self.velocity(t) for t in ts])
+        xi = np.array([self.position(t) for t in ts]).reshape(-1, 3)
+        vel = np.array([self.velocity(t) for t in ts]).reshape(-1, 3)
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
 
     def phi_image(self) -> tuple[float, float]:
@@ -345,7 +345,9 @@ class TransportedType2:
     With q = time_scale and the normalizing rotation r,
         velocity(t) = (1/q) * r^T-action of canonical velocity(t / q)
         position(t) =        r^T-action of canonical position(t / q)
-    where the rotation acts on the v-components only.
+    where the rotation acts on the v-components only.  sample(ts) applies
+    this once to the canonical samples at ts / q; position(t) and velocity(t)
+    are its rows at a single time.
     """
 
     def __init__(self, u, charge: float, x0):
@@ -359,27 +361,20 @@ class TransportedType2:
         self.u = np.asarray(u, dtype=float)[:2].copy()
         self.charge = float(charge)
 
-    def velocity(self, t: float) -> np.ndarray:
-        q = self.normalization.time_scale
-        v = self.inner.velocity(float(t) / q) / q
-        out = np.empty(3)
-        out[:2] = self.normalization.rotation.T @ v[:2]
-        out[2] = v[2]
-        return out
-
-    def position(self, t: float) -> np.ndarray:
-        q = self.normalization.time_scale
-        p = self.inner.position(float(t) / q)
-        out = np.empty(3)
-        out[:2] = self.normalization.rotation.T @ p[:2]
-        out[2] = p[2]
-        return out
-
     def sample(self, ts: np.ndarray) -> CurveSamples:
         ts = np.asarray(ts, dtype=float)
-        xi = np.stack([self.position(t) for t in ts])
-        vel = np.stack([self.velocity(t) for t in ts])
+        q, rot = self.normalization.time_scale, self.normalization.rotation
+        inner = self.inner.sample(ts / q)
+        vel, xi = inner.velocity / q, inner.xi
+        vel[:, :2] = vel[:, :2] @ rot
+        xi[:, :2] = xi[:, :2] @ rot
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
+
+    def velocity(self, t: float) -> np.ndarray:
+        return self.sample(np.array([float(t)])).velocity[0]
+
+    def position(self, t: float) -> np.ndarray:
+        return self.sample(np.array([float(t)])).xi[0]
 
     @property
     def branch(self) -> Branch:
@@ -424,13 +419,10 @@ class PeriodicityReport:
 
 
 def _verify_translation(traj, lam: np.ndarray, omega: float, n_checks: int) -> float:
-    alg = _h3_algebra()
-    worst = 0.0
-    for t in np.linspace(0.0, 2.0 * omega, n_checks):
-        lhs = traj.position(t + omega)
-        rhs = alg.group_mul(lam, traj.position(t))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    """Worst |sigma(t + omega) - lam * sigma(t)| over n_checks times in [0, 2 omega]."""
+    ts = np.linspace(0.0, 2.0 * omega, n_checks)
+    rhs = _h3_algebra().group_mul(lam, traj.sample(ts).xi)
+    return float(np.max(np.abs(traj.sample(ts + omega).xi - rhs)))
 
 
 def lambda_periodicity(traj, tol: float = 1e-9, n_checks: int = 10) -> PeriodicityReport:
@@ -444,25 +436,16 @@ def lambda_periodicity(traj, tol: float = 1e-9, n_checks: int = 10) -> Periodici
         inner_report = lambda_periodicity(traj.inner, tol=tol, n_checks=0)
         if inner_report.kind is PeriodicityKind.NON_PERIODIC:
             return inner_report
-        q, rot = traj.normalization.time_scale, traj.normalization.rotation
-        omega = q * inner_report.omega
-        lam = np.empty(3)
-        lam[:2] = rot.T @ inner_report.translation[:2]
-        lam[2] = inner_report.translation[2]
-        kind = (
-            PeriodicityKind.PERIODIC
-            if np.linalg.norm(lam) <= tol
-            else PeriodicityKind.LAMBDA_PERIODIC
-        )
-        residual = _verify_translation(traj, lam, omega, n_checks) if n_checks else None
-        return PeriodicityReport(kind=kind, omega=omega, translation=lam, residual=residual)
-
-    if traj.branch in (Branch.SECH_POS, Branch.SECH_NEG):
+        omega = traj.normalization.time_scale * inner_report.omega
+        lam = inner_report.translation.copy()
+        lam[:2] = traj.normalization.rotation.T @ lam[:2]
+    elif traj.branch in (Branch.SECH_POS, Branch.SECH_NEG):
         return PeriodicityReport(
             kind=PeriodicityKind.NON_PERIODIC, omega=None, translation=None, residual=None
         )
-    omega = 1.0 if traj.branch is Branch.LINEAR else traj.period
-    lam = traj.position(omega)
+    else:
+        omega = 1.0 if traj.branch is Branch.LINEAR else traj.period
+        lam = traj.position(omega)
     kind = (
         PeriodicityKind.PERIODIC
         if np.linalg.norm(lam) <= tol

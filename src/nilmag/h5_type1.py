@@ -8,8 +8,11 @@ Such an F_v is orthogonally conjugate, by a complex-unitary change of basis
 S that preserves j and the brackets, to diag(mu1 R, mu2 R) with real rates
 mu1 <= mu2.  The force is exact (a shifted geodesic) exactly when mu1 = mu2.
 
-In the S-coordinates the two blocks decouple into planar rotations with
-frequencies nu_i = z0 + charge * mu_i:
+H5Trajectory is closedform's TypeISolution for this force: J = j(z0) +
+charge F_v is diag(nu_1 R, nu_2 R) in the S-coordinates, with frequencies
+nu_i = z0 + charge * mu_i, and the general closed form is evaluated there.
+The block formulas below are its restriction to this case; they are written
+out only because they justify the certificate conditions:
 
     block velocity   W_i'(t) = Rot(nu_i t) V_i
     block position   (sin(nu_i t)/nu_i) V_i + ((1 - cos(nu_i t))/nu_i) R V_i
@@ -44,9 +47,9 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import MetricNilAlgebra
+from .closedform import InitialCondition, TypeISolution
 from .errors import ExactForceError, InputError, NoCertificateError, UnsupportedForceError
 from .lorentz import ForceType, LorentzForce
-from .oracle import CurveSamples
 
 __all__ = [
     "H5Force",
@@ -59,7 +62,6 @@ __all__ = [
 ]
 
 _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
-_RES_TOL = 1e-12
 _SEARCH_MAX_Q = 64
 _SEARCH_MAX_P = 64
 
@@ -136,9 +138,7 @@ class H5Force:
         h = -1j * a
         w, u = np.linalg.eigh(0.5 * (h + h.conj().T))
         frame = _realify(u.conj().T)
-        want = np.zeros((4, 4))
-        want[0:2, 0:2] = w[0] * _ROTATION
-        want[2:4, 2:4] = w[1] * _ROTATION
+        want = cls.from_rates(w[0], w[1]).matrix[:4, :4]
         if np.max(np.abs(frame @ fv @ frame.T - want)) > 1e-10 * scale:
             raise UnsupportedForceError("diagonalization of the v-block failed")
         return cls(mu1=float(w[0]), mu2=float(w[1]), frame=frame, matrix=f.matrix.copy())
@@ -159,8 +159,11 @@ class H5Branch(enum.Enum):
     FULLY_RESONANT = "fully-resonant"
 
 
-class H5Trajectory:
-    """Magnetic trajectory on H5 in the force's diagonalizing frame."""
+class H5Trajectory(TypeISolution):
+    """Magnetic trajectory on H5: the TypeISolution of the force's 5x5 matrix.
+
+    branch counts the resonant blocks, the rate-0 planes of J = j(z0) + charge F_v.
+    """
 
     def __init__(self, force: H5Force, v0: np.ndarray, z0: float, charge: float = 1.0):
         v0 = np.asarray(v0, dtype=float)
@@ -168,79 +171,17 @@ class H5Trajectory:
             raise InputError("initial v-velocity must have shape (4,)")
         if not (np.all(np.isfinite(v0)) and math.isfinite(z0) and math.isfinite(charge)):
             raise InputError("initial data must be finite")
-        self.force = force
-        self.v0 = v0.copy()
-        self.z0 = float(z0)
-        self.charge = float(charge)
-        self.nu = np.array(
-            [self.z0 + self.charge * force.mu1, self.z0 + self.charge * force.mu2]
-        )
-        tilde = force.frame @ v0
-        self.blocks = [tilde[0:2], tilde[2:4]]
-        scale = max(1.0, abs(self.z0), abs(self.charge) * max(abs(force.mu1), abs(force.mu2)))
-        self.resonant = [abs(n) <= _RES_TOL * scale for n in self.nu]
-        n_res = sum(self.resonant)
-        self.branch = (
-            H5Branch.BOTH_FREE
-            if n_res == 0
-            else H5Branch.ONE_RESONANT
-            if n_res == 1
-            else H5Branch.FULLY_RESONANT
-        )
+        alg = _h5_algebra()
+        ic = InitialCondition(v0, np.array([float(z0)]), float(charge))
+        super().__init__(alg, LorentzForce(alg, force.matrix), ic)
+        self.branch = list(H5Branch)[self.spectrum.kernel.shape[0] // 2]
 
     def energy(self) -> float:
-        return 0.5 * (float(self.v0 @ self.v0) + self.z0**2)
+        return 0.5 * self.speed() ** 2
 
     def drift(self) -> float:
         """Mean central velocity; the trajectory closes only when it is 0."""
-        out = self.z0
-        for vi, nu, res in zip(self.blocks, self.nu, self.resonant):
-            if not res:
-                out += float(vi @ vi) / (2.0 * nu)
-        return out
-
-    def velocity(self, t: float) -> np.ndarray:
-        t = float(t)
-        tilde = np.empty(4)
-        for i, (vi, nu, res) in enumerate(zip(self.blocks, self.nu, self.resonant)):
-            if res:
-                tilde[2 * i : 2 * i + 2] = vi
-            else:
-                c, s = math.cos(nu * t), math.sin(nu * t)
-                tilde[2 * i] = c * vi[0] - s * vi[1]
-                tilde[2 * i + 1] = s * vi[0] + c * vi[1]
-        out = np.empty(5)
-        out[:4] = self.force.frame.T @ tilde
-        out[4] = self.z0
-        return out
-
-    def position(self, t: float) -> np.ndarray:
-        t = float(t)
-        tilde = np.empty(4)
-        z = self.z0 * t
-        for i, (vi, nu, res) in enumerate(zip(self.blocks, self.nu, self.resonant)):
-            if res:
-                tilde[2 * i : 2 * i + 2] = t * vi
-                continue
-            s = math.sin(nu * t)
-            one_minus_cos = 2.0 * math.sin(0.5 * nu * t) ** 2
-            w = (s / nu) * vi + (one_minus_cos / nu) * (_ROTATION @ vi)
-            tilde[2 * i : 2 * i + 2] = w
-            n2 = float(vi @ vi)
-            z += (n2 / (2.0 * nu)) * t - (n2 / (2.0 * nu**2)) * s
-        out = np.empty(5)
-        out[:4] = self.force.frame.T @ tilde
-        out[4] = z
-        return out
-
-    def eval(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.position(t), self.velocity(t)
-
-    def sample(self, ts: np.ndarray) -> CurveSamples:
-        ts = np.asarray(ts, dtype=float)
-        xi = np.stack([self.position(t) for t in ts])
-        vel = np.stack([self.velocity(t) for t in ts])
-        return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
+        return float(self.linear_coefficient()[0])
 
 
 def solve_h5(force: H5Force, v0, z0: float, charge: float = 1.0) -> H5Trajectory:
@@ -357,10 +298,7 @@ def verify_periodic(
     exponential coordinates over the sample times.
     """
     alg = _h5_algebra()
-    worst = 0.0
-    for t in np.linspace(0.0, period, n_checks):
-        a = traj.position(t)
-        b = traj.position(t + period)
-        gap = alg.group_mul(alg.group_inv(a), b)
-        worst = max(worst, float(np.linalg.norm(gap)))
+    ts = np.linspace(0.0, period, n_checks)
+    gap = alg.group_mul(alg.group_inv(traj.sample(ts).xi), traj.sample(ts + period).xi)
+    worst = float(np.max(np.linalg.norm(gap, axis=1)))
     return worst <= tol, worst

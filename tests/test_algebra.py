@@ -243,24 +243,75 @@ def test_classification_sampling_path():
     """dim z = 3, non-h-type, singular directions exist: sampling must find both."""
     # two quaternionic blocks sharing only part of the center: take the
     # quaternionic structure and zero one central generator's brackets
-    alg = MetricNilAlgebra.from_structure(
-        7,
-        [
-            (1, 2, 5, 1.0),
-            (3, 4, 5, 1.0),
-            (1, 3, 6, 1.0),
-            (2, 4, 6, -1.0),
-            # e7 only couples the first pair: j(e7) has rank 2 only
-            (1, 2, 7, 1.0),
-        ],
-    )
+    brackets = [
+        (1, 2, 5, 1.0),
+        (3, 4, 5, 1.0),
+        (1, 3, 6, 1.0),
+        (2, 4, 6, -1.0),
+        # e7 only couples the first pair: j(e7) has rank 2 only
+        (1, 2, 7, 1.0),
+    ]
+    alg = MetricNilAlgebra.from_structure(7, brackets)
     assert alg.dim_z == 3 and not alg.is_h_type()
     rep = alg.classify_singularity(samples=4096)
-    # the axis probe hits Z = e7, where j has rank 2 < 4, so both witnesses exist
     assert rep.kind is SingularityKind.ALMOST_NONSINGULAR
     assert rep.exhaustive
     rep2 = alg.classify_singularity(samples=4096)
     assert rep.kind is rep2.kind  # deterministic
+    # the same brackets plus a pair (e5, e6), with the center moved to e7, e8, e9:
+    # dim v = 6 samples; the axis probe hits Z = e9, where j has rank 2 < 6
+    shifted = [(i, j, k + 2, c) for i, j, k, c in brackets]
+    alg6 = MetricNilAlgebra.from_structure(9, shifted + [(5, 6, 7, 1.0)])
+    assert (alg6.dim_v, alg6.dim_z) == (6, 3) and not alg6.is_h_type()
+    rep6 = alg6.classify_singularity(samples=4096)
+    assert rep6.method == "sampling"
+    assert rep6.kind is SingularityKind.ALMOST_NONSINGULAR and rep6.exhaustive
+
+
+def _metric(seed: int, dim: int) -> np.ndarray:
+    a = 0.3 * np.random.default_rng(seed).standard_normal((dim, dim))
+    return np.eye(dim) + a @ a.T
+
+
+PFAFFIAN_CASES = {
+    # Pf j(Z) = 0.9 z5 z6 vanishes on two planes, which no probe hits under this metric
+    "indefinite": (
+        [(1, 2, 5, 1.0), (3, 4, 6, 0.9), (1, 3, 7, 1.0)],
+        _metric(1, 7),
+        SingularityKind.ALMOST_NONSINGULAR,
+    ),
+    # Pf j(Z) = z5^2 + 4 z6^2 + 9 z7^2: quaternionic units with unequal weights
+    "definite": (
+        [(1, 2, 5, 1.0), (3, 4, 5, 1.0), (1, 3, 6, 2.0), (2, 4, 6, -2.0), (1, 4, 7, 3.0),
+         (2, 3, 7, 3.0)],
+        np.eye(7),
+        SingularityKind.NONSINGULAR,
+    ),
+    # every bracket involves e1, so every j(Z) has rank 2
+    "zero": ([(1, 2, 5, 1.0), (1, 3, 6, 1.0), (1, 4, 7, 1.0)], None, SingularityKind.SINGULAR),
+    # Pf j(Z) = z5^2 is semidefinite with a 2-dim kernel
+    "semidefinite": (
+        [(1, 2, 5, 1.0), (3, 4, 5, 1.0), (1, 3, 6, 1.0), (1, 3, 7, 0.5)],
+        _metric(2, 7),
+        SingularityKind.ALMOST_NONSINGULAR,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PFAFFIAN_CASES))
+def test_classification_pfaffian_form(name):
+    """dim v = 4, dim z = 3: the verdict is exact and the witnesses witness."""
+    brackets, metric, want = PFAFFIAN_CASES[name]
+    alg = MetricNilAlgebra.from_structure(7, brackets, metric=metric)
+    assert (alg.dim_v, alg.dim_z) == (4, 3) and not alg.is_h_type()
+    rep = alg.classify_singularity()
+    assert (rep.kind, rep.exhaustive, rep.method) == (want, True, "pfaffian_form")
+    if want is not SingularityKind.NONSINGULAR:
+        s = np.linalg.svd(alg.j_map(rep.singular_direction), compute_uv=False)
+        assert s[-1] <= 1e-12 * s[0]
+    if want is not SingularityKind.SINGULAR:
+        s = np.linalg.svd(alg.j_map(rep.regular_direction), compute_uv=False)
+        assert s[-1] > 1e-2 * s[0]
 
 
 def test_classification_abelian_vacuous():

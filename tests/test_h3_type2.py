@@ -13,6 +13,7 @@ from nilmag.algebra import MetricNilAlgebra
 from nilmag.errors import DegenerateForceError
 from nilmag.h3_type2 import (
     Branch,
+    _verify_translation,
     PeriodicityKind,
     lambda_kernel_check,
     lambda_periodicity,
@@ -236,3 +237,38 @@ def test_degenerate_directions_are_rejected():
         solve_h3_type2(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         solve_h3_type2(np.array([np.nan, 0.0, 0.0]))
+
+
+# -- the translation verifier ---------------------------------------------------
+
+
+def periodic_trajectories():
+    """Every canonical non-separatrix input, plus one transported trajectory."""
+    trajs = [
+        solve_h3_type2(ic)
+        for branch, ics in CANONICAL_ICS.items()
+        if branch not in (Branch.SECH_POS, Branch.SECH_NEG)
+        for ic in ics
+    ]
+    return trajs + [solve_type2_general(np.array([1.5, -2.0]), 0.7, np.array([0.9, -0.3, 1.1]))]
+
+
+def test_translation_residual_is_the_pointwise_definition():
+    """The batched residual is max |sigma(t + omega) - lam sigma(t)| over the check times."""
+    alg = h3()
+    for traj in periodic_trajectories():
+        report = lambda_periodicity(traj)
+        omega, lam = report.omega, report.translation
+        want = max(
+            float(np.max(np.abs(traj.position(t + omega) - alg.group_mul(lam, traj.position(t)))))
+            for t in np.linspace(0.0, 2.0 * omega, 10)
+        )
+        assert abs(report.residual - want) <= 1e-12, (traj.branch, report.residual, want)
+
+
+def test_perturbed_translation_fails_the_check():
+    for traj in periodic_trajectories():
+        report = lambda_periodicity(traj)
+        for k in range(3):
+            lam = report.translation + 1e-4 * np.eye(3)[k]
+            assert _verify_translation(traj, lam, report.omega, 10) > 1e-6, (traj.branch, k)

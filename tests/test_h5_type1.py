@@ -9,7 +9,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nilmag.algebra import MetricNilAlgebra
-from nilmag.closedform import InitialCondition, solve_type1
 from nilmag.errors import ExactForceError, InputError, UnsupportedForceError
 from nilmag.h5_type1 import (
     H5Branch,
@@ -34,19 +33,6 @@ def oracle_curve(force_matrix, charge, x0, ts, tol=1e-11):
     force = LorentzForce(alg, force_matrix)
     cfg = IntegratorConfig(scheme="dopri45", tolerance=tol)
     return reconstruct_group(alg, force, charge, np.asarray(x0, float), ts, cfg)
-
-
-def test_matches_general_type1_solver():
-    """Blockwise H5 formulas agree with the generic spectral solver."""
-    force = H5Force.from_rates(-1.3, 0.7)
-    v0 = np.array([0.9, -0.4, 0.6, 0.2])
-    z0 = 0.8
-    traj = solve_h5(force, v0, z0, charge=1.1)
-    ic = InitialCondition(v0=v0, z0=np.array([z0]), charge=1.1)
-    general = solve_type1(h5(), LorentzForce(h5(), force.matrix), ic)
-    for t in np.linspace(0.0, 7.0, 29):
-        assert_allclose(traj.velocity(t), general.velocity(t), atol=1e-10)
-        assert_allclose(traj.position(t), general.position(t), atol=1e-10)
 
 
 def test_matches_oracle():
@@ -296,3 +282,30 @@ def test_bad_initial_data():
         solve_h5(force, np.array([np.nan, 0.0, 0.0, 0.0]), 0.0)
     with pytest.raises(InputError):
         solve_h5(force, np.zeros(4), np.inf)
+
+
+CERTIFIED_ENERGIES = (0.1, 0.5, 2.0, 10.0, 100.0)
+
+
+def test_verify_periodic_rejects_a_wrong_period():
+    force = H5Force.from_rates(-1.0, 2.0)
+    for energy in CERTIFIED_ENERGIES:
+        cert = periodic_at_energy(force, energy)
+        ok, residual = verify_periodic(solve_h5(force, cert.v0, cert.z0), 0.9 * cert.period)
+        assert not ok and residual > 1e-3, (energy, residual)
+
+
+def test_verify_periodic_residual_is_the_group_gap():
+    """The batched residual is max |sigma(t)^-1 sigma(t + T)| over the check times."""
+    alg = h5()
+    force = H5Force.from_rates(-1.0, 2.0)
+    for energy in CERTIFIED_ENERGIES:
+        cert = periodic_at_energy(force, energy)
+        traj = solve_h5(force, cert.v0, cert.z0)
+        for period in (cert.period, 0.9 * cert.period):
+            want = max(
+                np.linalg.norm(alg.group_mul(alg.group_inv(traj.position(t)), traj.position(t + period)))
+                for t in np.linspace(0.0, period, 20)
+            )
+            _, residual = verify_periodic(traj, period)
+            assert abs(residual - want) <= 1e-12 * max(1.0, want), (energy, period)
