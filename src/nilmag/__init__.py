@@ -82,7 +82,7 @@ from .oracle import (
     integrate_velocity,
     reconstruct_group,
 )
-from .specfun import cn, complete_K, dn, inverse_cn, inverse_dn, jacobi, sn
+from .specfun import cn, complete_E, complete_K, dn, inverse_cn, inverse_dn, jacobi, sn
 
 __version__ = "0.1.0"
 
@@ -129,6 +129,7 @@ __all__ = [
     "reconstruct_group",
     "compare",
     "complete_K",
+    "complete_E",
     "jacobi",
     "sn",
     "cn",

@@ -54,7 +54,8 @@ class SingularityReport:
     """Outcome of classify_singularity.
 
     exhaustive is True when the verdict is a proof (exact polynomial root
-    analysis for dim z <= 2, the Pfaffian form for dim v = 4, the
+    analysis for dim z <= 2, the Pfaffian form for dim v = 4, the sign
+    change of the odd-degree Pfaffian for dim v = 2 (mod 4), the
     odd-dimensional-v argument, the h-type shortcut, or a mixed pair of
     witnesses), False when it only reflects quasi-random sampling of the
     central sphere.
@@ -65,6 +66,34 @@ class SingularityReport:
     method: str
     singular_direction: np.ndarray | None = None
     regular_direction: np.ndarray | None = None
+
+
+def _pfaffian(a: np.ndarray) -> float:
+    """Pfaffian of a real skew-symmetric matrix by Parlett-Reid elimination.
+
+    Step k swaps the largest entry of column k below the diagonal into row
+    k + 1 (a symmetric swap, which flips the sign), takes the pivot a[k, k+1]
+    as a factor, and clears the rest of row and column k by a unimodular
+    congruence, which keeps the Pfaffian.  Odd sizes give 0.
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    if n % 2:
+        return 0.0
+    pf = 1.0
+    for k in range(0, n - 1, 2):
+        p = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
+        if p != k + 1:
+            a[[k + 1, p]] = a[[p, k + 1]]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            pf = -pf
+        if a[k, k + 1] == 0.0:
+            return 0.0
+        pf *= a[k, k + 1]
+        tau = a[k, k + 2 :] / a[k, k + 1]
+        col = a[k + 2 :, k + 1].copy()
+        a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
+    return float(pf)
 
 
 def _as_vector(x, dim: int, what: str, rows: bool = False) -> np.ndarray:
@@ -475,10 +504,11 @@ class MetricNilAlgebra:
 
         Exact for dim z <= 2 (polynomial analysis of det j(Z), plus the
         parity shortcut: skew maps on odd-dimensional v are always singular),
-        for dim v = 4 (the quadratic form Pf j(Z)) and for h-type algebras;
-        otherwise deterministic quasi-random sampling of `samples` central
-        directions, with `exhaustive=False` on all-regular / all-singular
-        verdicts.
+        for dim v = 4 (the quadratic form Pf j(Z)), for dim v = 2 (mod 4)
+        (Pf j(Z) has odd degree, so it changes sign) and for h-type
+        algebras; otherwise deterministic quasi-random sampling of `samples`
+        central directions, with `exhaustive=False` on all-regular /
+        all-singular verdicts.
         """
         dv, dz = self.dim_v, self.dim_z
         if dv == 0 or dz == 0:
@@ -515,12 +545,20 @@ class MetricNilAlgebra:
             return self._classify_dim_z2()
         if dv == 4:
             return self._classify_pfaffian()
+        if dv % 4 == 2:
+            return self._classify_odd_pfaffian(samples)
         return self._classify_sampling(samples)
 
     def _sigma_ratio(self, zdir: np.ndarray) -> float:
         jm = self.j_map(zdir)
         s = np.linalg.svd(jm, compute_uv=False)
         return float(s[-1] / s[0]) if s[0] > 0 else 0.0
+
+    def _sigma_ratios(self, dirs: np.ndarray) -> np.ndarray:
+        """sigma_min / sigma_max of j(Z) for every row Z of dirs."""
+        jblock = self.structure[: self.dim_v, : self.dim_v, self.dim_v :]
+        svals = np.linalg.svd(np.einsum("abk,nk->nba", jblock, dirs), compute_uv=False)
+        return svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
 
     def _classify_dim_z2(self) -> SingularityReport:
         """Exact classification for a 2-dimensional center.
@@ -633,6 +671,51 @@ class MetricNilAlgebra:
         )
         return SingularityReport(kind, True, "pfaffian_form", singular, regular)
 
+    def _classify_odd_pfaffian(self, samples: int) -> SingularityReport:
+        """Exact classification for dim v = 2 (mod 4) and dim z >= 3.
+
+        Pf j(Z) is a form of odd degree dim_v / 2, so Pf j(-Z) = -Pf j(Z):
+        unless it vanishes identically, no algebra of this shape is
+        nonsingular.  From a regular direction Z, Pf changes sign along the
+        half great circle to -Z, and bisection on that sign converges to a
+        singular direction.  Z is the best-conditioned of the coordinate
+        axes, the commutator basis and 8 fixed random directions; if all of
+        them are singular, the sampling route decides.
+        """
+        dz = self.dim_z
+        gauss = np.random.default_rng(20240817).standard_normal((8, dz))
+        probes = np.vstack([np.eye(dz), self.commutator_z_basis(), gauss])
+        probes /= np.linalg.norm(probes, axis=1)[:, None]
+        ratios = self._sigma_ratios(probes)
+        best = int(np.argmax(ratios))
+        if ratios[best] <= 1e-8:
+            return self._classify_sampling(samples)
+        z = probes[best]
+        w = np.eye(dz)[int(np.argmin(np.abs(z)))]
+        w -= (w @ z) * z
+        w /= np.linalg.norm(w)
+        sign0 = _pfaffian(self.j_map(z)) > 0.0
+        lo, hi = 0.0, math.pi
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            pf = _pfaffian(self.j_map(math.cos(mid) * z + math.sin(mid) * w))
+            if pf == 0.0:
+                lo = hi = mid
+            elif (pf > 0.0) == sign0:
+                lo = mid
+            else:
+                hi = mid
+        theta = 0.5 * (lo + hi)
+        return SingularityReport(
+            SingularityKind.ALMOST_NONSINGULAR,
+            True,
+            "pfaffian_parity",
+            singular_direction=math.cos(theta) * z + math.sin(theta) * w,
+            regular_direction=z,
+        )
+
     def _refine_singular_direction(self, zdir: np.ndarray) -> np.ndarray:
         """Polish a candidate singular direction by minimizing sigma_min on the circle."""
         theta = float(np.arctan2(zdir[1], zdir[0]))
@@ -652,7 +735,11 @@ class MetricNilAlgebra:
         return np.array([np.cos(t), np.sin(t)])
 
     def _classify_sampling(self, samples: int) -> SingularityReport:
-        """Quasi-random sphere sampling for dim z >= 3 and dim v >= 6 (non-h-type).
+        """Quasi-random sphere sampling where no exact route applies.
+
+        That is dim z >= 3 with dim v = 0 (mod 4), dim v >= 8 and no h-type
+        structure, or dim v = 2 (mod 4) when every probe of the exact route
+        is singular.
 
         Deterministic probes run first: flat central directions (j = 0 there,
         a guaranteed singular witness when ker j != 0), the coordinate axes,
@@ -671,11 +758,7 @@ class MetricNilAlgebra:
         norms = np.linalg.norm(gauss, axis=1)
         keep = norms > 1e-8
         dirs = np.vstack([np.array(probes), gauss[keep] / norms[keep, None]])
-        jblock = self.structure[: self.dim_v, : self.dim_v, self.dim_v :]
-        mats = np.einsum("abk,nk->nba", jblock, dirs)
-        svals = np.linalg.svd(mats, compute_uv=False)
-        ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
-        singular_mask = ratios <= 1e-8
+        singular_mask = self._sigma_ratios(dirs) <= 1e-8
         n_sing = int(np.sum(singular_mask))
         if 0 < n_sing < len(dirs):
             return SingularityReport(

@@ -36,8 +36,11 @@ xi = (xi_x, xi_y, xi_z) the group curve from the identity,
     xi_z = z0 t + y1 I1 + z0 I2 + I3 / 2 - Phi(t) xi_y(t) / 2,
 
 the last line obtained by integrating the reconstruction bracket by parts.
-I_m are evaluated by one-period quadrature plus exact period folding on the
-oscillating branches and in elementary closed form on the separatrix.
+On the oscillating branches I_m is n whole velocity periods plus a
+remainder: the period integrals are closed forms in the AGM of (1, k'),
+and the remainder is a quadrature, skipped when it is empty.  On the separatrix I_m
+is elementary.  scipy's quad is imported on its first call, so loading this
+module, and every branch that never needs a remainder, costs no scipy import.
 
 A velocity with period w makes the group curve lam-periodic:
 sigma(t + w) = lam * sigma(t) with lam = sigma(w), because both sides share
@@ -50,15 +53,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .algebra import MetricNilAlgebra
 from .errors import DegenerateForceError
 from .oracle import CurveSamples
-from .specfun import complete_K, inverse_cn, inverse_dn, jacobi, sech
+from .specfun import agm_sequence, complete_K, inverse_cn, inverse_dn, jacobi, sech
 
 __all__ = [
     "Branch",
@@ -76,6 +78,13 @@ __all__ = [
 
 _BOUNDARY_TOL = 1e-12
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+
+
+def quad(func, a: float, b: float, **kwargs):
+    """scipy.integrate.quad, imported when first called rather than on load."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
 
 
 @lru_cache(maxsize=1)
@@ -217,9 +226,8 @@ class Type2TrajectoryH3:
         period = self.period
         n = math.floor(t / period)
         tau = t - n * period
-        per = self._period_integrals()
-        part = self._quad_integrals(tau)
-        return tuple(n * p + q for p, q in zip(per, part))
+        part = self._quad_integrals(tau) if tau else (0.0, 0.0, 0.0)
+        return tuple(n * p + q for p, q in zip(self._period_integrals, part))
 
     def _quad_integrals(self, tau: float) -> tuple[float, float, float]:
         out = []
@@ -228,12 +236,42 @@ class Type2TrajectoryH3:
             out.append(val)
         return tuple(out)
 
+    @cached_property
     def _period_integrals(self) -> tuple[float, float, float]:
-        cached = getattr(self, "_period_cache", None)
-        if cached is None:
-            cached = self._quad_integrals(self.period)
-            self._period_cache = cached
-        return cached
+        """(I1, I2, I3) over one velocity period, in closed form.
+
+        Phi is expanded about its period mean h, I1 = h T, I2 = (m2 + h^2) T,
+        I3 = (m3 + 3 h m2 + h^3) T, with m2, m3 the central moments of psi,
+        so that no terms of size |z0|^m cancel when |z0| >> sqrt(S).  The
+        moments come from the integrals of cn^j over 4K (4K, 0,
+        4(E - k'^2 K)/k^2, 0) and of dn^j over 2K (2K, pi, 2E, pi(2 - k^2)/2),
+        DLMF 22.14(iv), Byrd & Friedman 312, 314.  Written with the AGM
+        sequence (M, c_n) of specfun.agm_sequence, where K = pi/(2M), they
+        are free of cancellation:
+            <cn^2> = 1/2 - sum_{n>=1} 2^(n-1) c_n^2 / k^2,
+            <dn> = M = 1 - sum_{n>=1} c_n,
+            <(dn - M)^2> = sum_{n>=1} (3/2 - 2^(n-1)) c_n^2,
+            <(dn - M)^3> = 3 M sum_{n>=2} (2^(n-1) - 1) c_n^2.
+        """
+        a, period = self.amplitude, self.period
+        mean, cs = agm_sequence(self.modulus)
+        sq = [c * c for c in cs]
+        if self.branch is Branch.CN:
+            # a = 2 k rate, so a^2 <cn^2> = a^2/2 - 4 rate^2 sum_{n>=1} 2^(n-1) c_n^2
+            tail = sum(2.0 ** (n - 1) * sq[n] for n in range(1, len(sq)))
+            h, m2, m3 = -self.z0, 0.5 * a * a - 4.0 * self.rate**2 * tail, 0.0
+        else:
+            # h = sign (a M - |z0|) = sign ((a - |z0|) - a (1 - M)), where
+            # a - |z0| = 2 (S - y1) / (a + |z0|) and 1 - M = sum_{n>=1} c_n
+            s, y1 = self.v1_norm, self.y1
+            s_minus_y1 = self.x0 * self.x0 / (s + y1) if y1 > 0.0 else s - y1
+            gap = 2.0 * s_minus_y1 / (a + abs(self.z0)) - a * sum(cs[1:])
+            h = self.sign * gap
+            m2 = a * a * sum((1.5 - 2.0 ** (n - 1)) * sq[n] for n in range(1, len(sq)))
+            m3 = self.sign * 3.0 * mean * a**3 * sum(
+                (2.0 ** (n - 1) - 1.0) * sq[n] for n in range(2, len(sq))
+            )
+        return h * period, (m2 + h * h) * period, (m3 + 3.0 * h * m2 + h**3) * period
 
     def _sech_integrals(self, t: float) -> tuple[float, float, float]:
         """Exact I_m on the separatrix via antiderivatives of sech powers."""

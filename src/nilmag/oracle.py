@@ -14,6 +14,10 @@ reconstructed from
 Both are integrated here with either an adaptive Dormand-Prince 4(5) pair
 (scipy's RK45) or a fixed-step classical RK4, giving an oracle that shares
 no code with the closed-form solvers.
+
+scipy is imported by the adaptive integrator when it first runs, not when
+this module loads, so the closed-form solvers and CurveSamples (defined
+here) cost no scipy import.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .algebra import MetricNilAlgebra
 from .errors import GridMismatchError, IntegrationError
@@ -163,6 +166,8 @@ def _run_rk4(rhs, y0: np.ndarray, t_grid: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _run_dopri(rhs, y0: np.ndarray, t_grid: np.ndarray, tol: float) -> np.ndarray:
+    from scipy.integrate import solve_ivp
+
     try:
         sol = solve_ivp(
             rhs,

@@ -1,11 +1,12 @@
-"""Jacobi elliptic functions and the complete elliptic integral of the first kind.
+"""Jacobi elliptic functions and the complete elliptic integrals.
 
 Everything here uses the modulus convention k (not the parameter m = k^2):
 
     K(k)          = integral_0^{pi/2} dtheta / sqrt(1 - k^2 sin^2 theta)
+    E(k)          = integral_0^{pi/2} sqrt(1 - k^2 sin^2 theta) dtheta
     sn, cn, dn    = Jacobi functions with sn^2 + cn^2 = 1, dn^2 + k^2 sn^2 = 1
 
-K is computed by the arithmetic-geometric mean, sn/cn/dn by a descending
+K and E are computed by the arithmetic-geometric mean, sn/cn/dn by a descending
 Landen transformation (AGM phase recursion).  Both are quadratically
 convergent and accurate to ~1e-14 away from k = 1.  Inverses of cn and dn on
 their principal monotone branches are provided for phase-constant fitting.
@@ -17,6 +18,8 @@ import math
 
 __all__ = [
     "complete_K",
+    "complete_E",
+    "agm_sequence",
     "jacobi",
     "sn",
     "cn",
@@ -62,6 +65,38 @@ def complete_K(k: float) -> float:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (2.0 * a)
+
+
+def agm_sequence(k: float) -> tuple[float, list[float]]:
+    """The AGM of (1, k') for 0 <= k < 1: its limit M and [c_0, c_1, ...].
+
+    c_0 = k and c_{n+1} = (a_n - b_n)/2, computed as c_n^2 / (4 a_{n+1})
+    without the cancellation in a_n - b_n; the list runs until c_n
+    underflows (DLMF 19.8.1).  K = pi / (2M), 1 - M = sum_{n>=1} c_n, and
+    M is also the mean of dn over a period.
+    """
+    k = _check_modulus(k)
+    if k == 1.0:
+        raise ValueError("the AGM of (1, k') degenerates at k = 1")
+    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
+    cs = [k]
+    while cs[-1] > 0.0 and len(cs) < _MAX_AGM_ITER:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        cs.append(cs[-1] * cs[-1] / (4.0 * a))
+    return a, cs
+
+
+def complete_E(k: float) -> float:
+    """Complete elliptic integral of the second kind, E(k), by the AGM.
+
+    E = K (1 - sum_n 2^(n-1) c_n^2) (DLMF 19.8.6).  E(0) = pi/2, E is
+    decreasing, and E(1) = 1.
+    """
+    k = _check_modulus(k)
+    if k == 1.0:
+        return 1.0
+    mean, cs = agm_sequence(k)
+    return math.pi / (2.0 * mean) * (1.0 - sum(2.0 ** (n - 1) * c * c for n, c in enumerate(cs)))
 
 
 def jacobi(u: float, k: float) -> tuple[float, float, float]:

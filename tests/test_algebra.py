@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nilmag.algebra import MetricNilAlgebra, SingularityKind
+from nilmag.algebra import MetricNilAlgebra, SingularityKind, _pfaffian
 
 
 def h3():
@@ -259,13 +259,21 @@ def test_classification_sampling_path():
     rep2 = alg.classify_singularity(samples=4096)
     assert rep.kind is rep2.kind  # deterministic
     # the same brackets plus a pair (e5, e6), with the center moved to e7, e8, e9:
-    # dim v = 6 samples; the axis probe hits Z = e9, where j has rank 2 < 6
+    # dim v = 6 takes the exact odd-Pfaffian route
     shifted = [(i, j, k + 2, c) for i, j, k, c in brackets]
     alg6 = MetricNilAlgebra.from_structure(9, shifted + [(5, 6, 7, 1.0)])
     assert (alg6.dim_v, alg6.dim_z) == (6, 3) and not alg6.is_h_type()
     rep6 = alg6.classify_singularity(samples=4096)
-    assert rep6.method == "sampling"
+    assert rep6.method == "pfaffian_parity"
     assert rep6.kind is SingularityKind.ALMOST_NONSINGULAR and rep6.exhaustive
+    # plus two pairs (e5, e6), (e7, e8), with the center moved to e9, e10, e11:
+    # dim v = 8 samples; the axis probe hits Z = e11, where j has rank 2 < 8
+    shifted = [(i, j, k + 4, c) for i, j, k, c in brackets]
+    alg8 = MetricNilAlgebra.from_structure(11, shifted + [(5, 6, 9, 1.0), (7, 8, 9, 1.0)])
+    assert (alg8.dim_v, alg8.dim_z) == (8, 3) and not alg8.is_h_type()
+    rep8 = alg8.classify_singularity(samples=4096)
+    assert rep8.method == "sampling"
+    assert rep8.kind is SingularityKind.ALMOST_NONSINGULAR and rep8.exhaustive
 
 
 def _metric(seed: int, dim: int) -> np.ndarray:
@@ -312,6 +320,61 @@ def test_classification_pfaffian_form(name):
     if want is not SingularityKind.SINGULAR:
         s = np.linalg.svd(alg.j_map(rep.regular_direction), compute_uv=False)
         assert s[-1] > 1e-2 * s[0]
+
+
+def test_pfaffian_squares_to_the_determinant():
+    rng = np.random.default_rng(3)
+    for n in (2, 4, 6, 8, 10):
+        m = rng.standard_normal((n, n))
+        m -= m.T
+        assert_allclose(_pfaffian(m) ** 2, np.linalg.det(m), rtol=1e-12)
+    # block-diagonal quarter turns: the product of the blocks, with its sign
+    blocks = np.zeros((6, 6))
+    for i, val in enumerate((2.0, -3.0, 0.5)):
+        blocks[2 * i, 2 * i + 1], blocks[2 * i + 1, 2 * i] = val, -val
+    assert _pfaffian(blocks) == -3.0
+    perm = [1, 0, 2, 3, 4, 5]  # one transposition flips the sign
+    assert _pfaffian(blocks[np.ix_(perm, perm)]) == 3.0
+    assert _pfaffian(np.zeros((3, 3))) == 0.0
+
+
+# dim v = 6, dim z = 3: Pf j(Z) is a cubic form, so Pf j(-Z) = -Pf j(Z) and
+# no such algebra is nonsingular; sampling alone reported `nonsingular` here
+ODD_PFAFFIAN_BRACKETS = {
+    "pairs": [(1, 2, 7, 1.0), (3, 4, 7, 1.0), (1, 3, 8, 1.0), (2, 4, 8, -1.0), (1, 2, 9, 1.0),
+              (5, 6, 7, 1.0)],
+    "quaternionic_plus_pair": [(1, 2, 7, 1.0), (3, 4, 7, 1.0), (1, 3, 8, 1.0), (2, 4, 8, -1.0),
+                               (1, 4, 9, 1.0), (2, 3, 9, 1.0), (5, 6, 8, 0.7)],
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(ODD_PFAFFIAN_BRACKETS))
+def test_classification_odd_pfaffian(name, seed):
+    """dim v = 2 (mod 4), dim z = 3: almost nonsingular, proved, with witnesses."""
+    alg = MetricNilAlgebra.from_structure(9, ODD_PFAFFIAN_BRACKETS[name], metric=_metric(seed, 9))
+    assert (alg.dim_v, alg.dim_z) == (6, 3) and not alg.is_h_type()
+    rep = alg.classify_singularity()
+    assert (rep.kind, rep.exhaustive, rep.method) == (
+        SingularityKind.ALMOST_NONSINGULAR, True, "pfaffian_parity")
+    s = np.linalg.svd(alg.j_map(rep.singular_direction), compute_uv=False)
+    assert s[-1] <= 1e-12 * s[0]
+    s = np.linalg.svd(alg.j_map(rep.regular_direction), compute_uv=False)
+    assert s[-1] > 1e-2 * s[0]
+    assert abs(np.linalg.norm(rep.singular_direction) - 1.0) <= 1e-14
+
+
+def test_classification_odd_pfaffian_identically_zero():
+    """Every bracket involves e1 or e2, so j(Z) has rank <= 4 and Pf j(Z) = 0:
+    the probes find no regular direction and the sampling route reports
+    singular, unproved."""
+    alg = MetricNilAlgebra.from_structure(
+        9, [(1, 3, 7, 1.0), (1, 4, 8, 1.0), (1, 5, 9, 1.0), (2, 6, 7, 1.0), (2, 4, 9, 1.0),
+            (2, 5, 8, 1.0)]
+    )
+    assert (alg.dim_v, alg.dim_z) == (6, 3)
+    rep = alg.classify_singularity(samples=256)
+    assert (rep.kind, rep.exhaustive, rep.method) == (SingularityKind.SINGULAR, False, "sampling")
 
 
 def test_classification_abelian_vacuous():

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 import fdcheck
+from nilmag import h3_type2
 from nilmag.algebra import MetricNilAlgebra
 from nilmag.errors import DegenerateForceError
 from nilmag.h3_type2 import (
@@ -272,3 +275,77 @@ def test_perturbed_translation_fails_the_check():
         for k in range(3):
             lam = report.translation + 1e-4 * np.eye(3)[k]
             assert _verify_translation(traj, lam, report.omega, 10) > 1e-6, (traj.branch, k)
+
+
+def _ic_with_modulus(branch: str, k: float, x0: float = 0.6, y0: float = 0.3):
+    """Canonical initial velocity whose cn or dn branch has modulus k."""
+    s, y1 = math.hypot(x0, y0 + 1.0), y0 + 1.0
+    if branch == "cn":  # k = a / (2 sqrt(S)), a^2 = 2S - 2y1 + z0^2
+        return x0, y0, math.sqrt(4.0 * s * k * k - 2.0 * s + 2.0 * y1)
+    z0 = math.sqrt(4.0 * s / (k * k) - 2.0 * s + 2.0 * y1)  # k = 2 sqrt(S) / a
+    return x0, y0, z0 if branch == "dn+" else -z0
+
+
+@pytest.mark.parametrize("k", [0.35, 0.75, 0.99])
+@pytest.mark.parametrize("branch", ["cn", "dn+", "dn-"])
+def test_period_integrals_match_quadrature(branch, k):
+    """The closed-form I_m over one velocity period equal quad of Phi^m."""
+    traj = solve_h3_type2(_ic_with_modulus(branch, k))
+    assert traj.branch is (Branch.CN if branch == "cn" else Branch.DN)
+    assert abs(traj.modulus - k) <= 1e-12
+    want = [
+        quad(lambda s: traj.phi(s) ** m, 0.0, traj.period, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+        for m in (1, 2, 3)
+    ]
+    scale = max(abs(w) for w in want)
+    assert_allclose(traj._period_integrals, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_period_integrals_keep_their_digits_at_large_z0():
+    """dn branch with |z0| >> sqrt(S): positions over 3.3 periods agree with a
+    40-digit reference to 1e-12 of their size.  Expanding Phi^m about z0
+    instead of about its period mean loses about |z0|^2 eps here (3e-10)."""
+    traj = solve_h3_type2((0.7, -0.4, 1000.0))
+    assert traj.branch is Branch.DN
+    t = 3.3 * traj.period
+    with mpmath.workdps(40):
+        x0, y0, z0 = (mpmath.mpf(v) for v in (traj.x0, traj.y0, traj.z0))
+        y1 = y0 + 1
+        s = mpmath.sqrt(x0**2 + y1**2)
+        a = mpmath.sqrt(2 * s - 2 * y1 + z0**2)
+        m = 4 * s / a**2
+        period = 4 * mpmath.ellipk(m) / a
+        phase = mpmath.mpf(traj.phase)
+
+        def phi(u):
+            return a * mpmath.ellipfun("dn", phase - a * u / 2, m=m) - z0
+
+        n = int(mpmath.floor(t / period))
+        tau = mpmath.mpf(t) - n * period
+        i1, i2, i3 = (
+            n * mpmath.quad(lambda u: phi(u) ** j, mpmath.linspace(0, period, 5))
+            + mpmath.quad(lambda u: phi(u) ** j, [0, tau])
+            for j in (1, 2, 3)
+        )
+        xi_y = y0 * t + z0 * i1 + i2 / 2
+        xi_z = z0 * t + y1 * i1 + z0 * i2 + i3 / 2 - phi(t) * xi_y / 2
+        want = np.array([float(phi(t)), float(xi_y), float(xi_z)])
+    got = traj.position(t)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_whole_periods_make_no_quad_call(monkeypatch):
+    """position at 0 and at whole velocity periods, and lambda_periodicity's
+    translation, need no remainder quadrature; half a period needs three."""
+    calls = []
+    real = h3_type2.quad
+    monkeypatch.setattr(h3_type2, "quad", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for ic in CANONICAL_ICS[Branch.CN] + CANONICAL_ICS[Branch.DN]:
+        traj = solve_h3_type2(ic)
+        for t in (0.0, traj.period, 2.0 * traj.period):
+            traj.position(t)
+        lambda_periodicity(traj, n_checks=0)
+        assert not calls, ic
+        traj.position(0.5 * traj.period)
+        assert len(calls) == 3, ic
+        calls.clear()

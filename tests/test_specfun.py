@@ -11,7 +11,9 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from nilmag.specfun import (
+    agm_sequence,
     cn,
+    complete_E,
     complete_K,
     dn,
     inverse_cn,
@@ -72,6 +74,33 @@ def test_complete_K_against_quadrature():
     """AGM value agrees with adaptive quadrature of the defining integral."""
     for k in [0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999]:
         assert abs(complete_K(k) - _K_quadrature(k)) <= 1e-12, f"k={k}"
+
+
+def test_complete_E_against_quadrature():
+    """E(0) = pi/2, E(1) = 1, and the AGM value agrees with quadrature of the definition."""
+    assert abs(complete_E(0.0) - math.pi / 2) <= 1e-15
+    assert complete_E(1.0) == 1.0
+    for k in [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999]:
+        with warnings.catch_warnings():
+            # epsabs=1e-14 sits at the roundoff floor; quad warns but delivers
+            warnings.simplefilter("ignore", IntegrationWarning)
+            want, _ = quad(lambda th: math.sqrt(1.0 - (k * math.sin(th)) ** 2), 0.0, math.pi / 2,
+                           epsabs=1e-14, epsrel=1e-14, limit=200)
+        assert abs(complete_E(k) - want) <= 1e-13, f"k={k}"
+
+
+def test_agm_sequence_gives_K_and_the_mean_of_dn():
+    """K = pi/(2M), 1 - M = sum_{n>=1} c_n, and M is the mean of dn over [0, 2K]."""
+    for k in [1e-6, 0.3, 0.75, 0.99, 1.0 - 1e-12]:
+        mean, cs = agm_sequence(k)
+        big_k = complete_K(k)
+        assert abs(math.pi / (2.0 * mean) - big_k) <= 4e-16 * big_k
+        assert abs((1.0 - mean) - math.fsum(cs[1:])) <= 4e-16
+        if k < 0.999:
+            avg, _ = quad(lambda u: jacobi(u, k)[2], 0.0, 2.0 * big_k, epsabs=1e-13, epsrel=1e-13)
+            assert abs(avg / (2.0 * big_k) - mean) <= 1e-13, f"k={k}"
+    with pytest.raises(ValueError):
+        agm_sequence(1.0)
 
 
 def test_modulus_domain_errors():
