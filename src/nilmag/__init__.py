@@ -16,7 +16,8 @@ an independent numerical integrator:
 - `h5_type1`: j-commuting forces on the 5-dim Heisenberg group (trajectories
   evaluated by `closedform`) and constructive periodic orbits at every
   prescribed energy.
-- `specfun`: complete elliptic integrals and Jacobi elliptic functions.
+- `specfun`: complete and incomplete elliptic integrals and Jacobi elliptic
+  functions.
 - `oracle`: adaptive Dormand-Prince / RK4 reference integrator and curve
   comparison utilities.
 - `cli`: the `nilmag` command-line front end.

@@ -96,6 +96,11 @@ def _pfaffian(a: np.ndarray) -> float:
     return float(pf)
 
 
+def _circle(thetas: np.ndarray) -> np.ndarray:
+    """Unit vectors (cos theta, sin theta), stacked along the last axis."""
+    return np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+
+
 def _as_vector(x, dim: int, what: str, rows: bool = False) -> np.ndarray:
     """A finite vector (dim,), or with rows=True also a stack of them (n, dim)."""
     v = np.asarray(x, dtype=float)
@@ -549,11 +554,6 @@ class MetricNilAlgebra:
             return self._classify_odd_pfaffian(samples)
         return self._classify_sampling(samples)
 
-    def _sigma_ratio(self, zdir: np.ndarray) -> float:
-        jm = self.j_map(zdir)
-        s = np.linalg.svd(jm, compute_uv=False)
-        return float(s[-1] / s[0]) if s[0] > 0 else 0.0
-
     def _sigma_ratios(self, dirs: np.ndarray) -> np.ndarray:
         """sigma_min / sigma_max of j(Z) for every row Z of dirs."""
         jblock = self.structure[: self.dim_v, : self.dim_v, self.dim_v :]
@@ -579,7 +579,7 @@ class MetricNilAlgebra:
         n2 = np.linalg.norm(j2, 2)
         if n2 <= _ZERO_TOL * max(1.0, n1):
             # j2 = 0: behaves like a 1-dim center plus a flat direction
-            if self._sigma_ratio(e1) > 1e-8:
+            if self._sigma_ratios(e1[None])[0] > 1e-8:
                 return SingularityReport(
                     SingularityKind.ALMOST_NONSINGULAR,
                     True,
@@ -599,6 +599,7 @@ class MetricNilAlgebra:
         det_scale = float(np.max(np.abs(dets)))
 
         singular_dirs: list[np.ndarray] = []
+        candidates: list[np.ndarray] = []
         if det_scale <= 1e-12 * max(1.0, (n1 + radius * n2) ** dv):
             # det vanishes along the whole family z1 + s z2
             singular_dirs.append(e1)
@@ -608,19 +609,17 @@ class MetricNilAlgebra:
                 if abs(r.imag) > 1e-4 * (1.0 + abs(r.real)):
                     continue
                 cand = np.array([1.0, r.real])
-                cand = cand / np.linalg.norm(cand)
-                refined = self._refine_singular_direction(cand)
-                if self._sigma_ratio(refined) <= 1e-7:
-                    singular_dirs.append(refined)
-        # the direction at infinity (z2 alone)
-        if self._sigma_ratio(e2) <= 1e-7:
-            singular_dirs.append(e2)
+                candidates.append(self._refine_singular_direction(cand / np.linalg.norm(cand)))
+        candidates.append(e2)  # the direction at infinity (z2 alone)
+        ratios = self._sigma_ratios(np.array(candidates))
+        singular_dirs += [c for c, ratio in zip(candidates, ratios) if ratio <= 1e-7]
 
-        # regular witness: best sigma ratio over a coarse angular sweep
-        thetas = np.linspace(0.0, np.pi, 37, endpoint=False)
-        sweep = [(self._sigma_ratio(np.array([np.cos(t), np.sin(t)])), t) for t in thetas]
-        best_ratio, best_t = max(sweep)
-        regular = np.array([np.cos(best_t), np.sin(best_t)]) if best_ratio > 1e-7 else None
+        # regular witness: best sigma ratio over a coarse angular sweep, the
+        # last of equal maxima
+        sweep = _circle(np.linspace(0.0, np.pi, 37, endpoint=False))
+        ratios = self._sigma_ratios(sweep)
+        best = len(ratios) - 1 - int(np.argmax(ratios[::-1]))
+        regular = sweep[best] if ratios[best] > 1e-7 else None
 
         if not singular_dirs and regular is not None:
             return SingularityReport(
@@ -719,20 +718,16 @@ class MetricNilAlgebra:
     def _refine_singular_direction(self, zdir: np.ndarray) -> np.ndarray:
         """Polish a candidate singular direction by minimizing sigma_min on the circle."""
         theta = float(np.arctan2(zdir[1], zdir[0]))
-
-        def ratio(t: float) -> float:
-            return self._sigma_ratio(np.array([np.cos(t), np.sin(t)]))
-
         lo, hi = theta - 0.05, theta + 0.05
         for _ in range(60):  # golden-section-ish trisection; plenty for 1e-12
             m1 = lo + (hi - lo) / 3
             m2 = hi - (hi - lo) / 3
-            if ratio(m1) <= ratio(m2):
+            r1, r2 = self._sigma_ratios(_circle(np.array([m1, m2])))
+            if r1 <= r2:
                 hi = m2
             else:
                 lo = m1
-        t = 0.5 * (lo + hi)
-        return np.array([np.cos(t), np.sin(t)])
+        return _circle(np.array(0.5 * (lo + hi)))
 
     def _classify_sampling(self, samples: int) -> SingularityReport:
         """Quasi-random sphere sampling where no exact route applies.

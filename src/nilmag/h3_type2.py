@@ -19,7 +19,7 @@ which pins the whole velocity algebraically:
 The sign of disc = 2 (S + y1) - z0^2 selects the solution family for
 psi = Phi + z0:
 
-    disc > 0:  psi = a cn(C0 - sqrt(S) t, k),  a^2 = 2S - 2y1 + z0^2,
+    disc > 0:  psi = a cn(C0 - sqrt(S) t, k),  a^2 = 2(S - y1) + z0^2,
                k = a / (2 sqrt(S)),            period 4 K(k) / sqrt(S)
     disc < 0:  psi = sign(z0) a dn(C1 - (a/2) t, k),  k = 2 sqrt(S) / a,
                period 4 K(k) / a
@@ -36,11 +36,14 @@ xi = (xi_x, xi_y, xi_z) the group curve from the identity,
     xi_z = z0 t + y1 I1 + z0 I2 + I3 / 2 - Phi(t) xi_y(t) / 2,
 
 the last line obtained by integrating the reconstruction bracket by parts.
-On the oscillating branches I_m is n whole velocity periods plus a
-remainder: the period integrals are closed forms in the AGM of (1, k'),
-and the remainder is a quadrature, skipped when it is empty.  On the separatrix I_m
-is elementary.  scipy's quad is imported on its first call, so loading this
-module, and every branch that never needs a remainder, costs no scipy import.
+On the oscillating branches Phi is its period mean h plus a centred cn or
+dn multiple D, so I_m is <Phi^m> t plus integrals of D^j - <D^j> that are
+periodic and bounded.  The means are closed forms in the AGM of (1, k'); the
+periodic parts are exact antiderivatives of cn^j and dn^j in arcsin, the
+amplitude am = atan2(sn, cn) and the Jacobi zeta function, which comes from
+Carlson's R_D.  Each time point costs one jacobi call and no numerical
+integration, and no term of size |z0|^m cancels.  On the separatrix I_m is
+elementary.
 
 A velocity with period w makes the group curve lam-periodic:
 sigma(t + w) = lam * sigma(t) with lam = sigma(w), because both sides share
@@ -60,7 +63,7 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import DegenerateForceError
 from .oracle import CurveSamples
-from .specfun import agm_sequence, complete_K, inverse_cn, inverse_dn, jacobi, sech
+from .specfun import agm_sequence, carlson_rd, complete_K, inverse_cn, inverse_dn, jacobi, sech
 
 __all__ = [
     "Branch",
@@ -77,14 +80,6 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
-
-
-def quad(func, a: float, b: float, **kwargs):
-    """scipy.integrate.quad, imported when first called rather than on load."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(func, a, b, **kwargs)
 
 
 @lru_cache(maxsize=1)
@@ -126,6 +121,8 @@ class Type2TrajectoryH3:
         disc = 2.0 * (s + self.y1) - z0 * z0
         self.disc = disc
         self.boundary_margin = abs(disc) / max(1.0, s)
+        # S - y1 = x0^2 / (S + y1) without cancellation when y1 > 0
+        self._s_minus_y1 = self.x0 * self.x0 / (s + self.y1) if self.y1 > 0.0 else s - self.y1
 
         self.amplitude = 0.0
         self.modulus = 0.0
@@ -150,9 +147,9 @@ class Type2TrajectoryH3:
             self.phase = math.copysign(c2, self.sign * self.x0) if self.x0 else c2
             return
 
+        a = math.sqrt(2.0 * self._s_minus_y1 + z0 * z0)
         if disc > 0.0:
             self.branch = Branch.CN
-            a = math.sqrt(2.0 * s - 2.0 * self.y1 + z0 * z0)
             self.amplitude = a
             self.modulus = a / (2.0 * math.sqrt(s))
             self.rate = math.sqrt(s)
@@ -162,7 +159,6 @@ class Type2TrajectoryH3:
             return
 
         self.branch = Branch.DN
-        a = math.sqrt(2.0 * s - 2.0 * self.y1 + z0 * z0)
         self.amplitude = a
         self.modulus = 2.0 * math.sqrt(s) / a
         self.rate = 0.5 * a
@@ -176,72 +172,121 @@ class Type2TrajectoryH3:
         else:
             self.phase = c1 if self.x0 <= 0.0 else -c1
 
-    # -- scalar trajectory data -------------------------------------------
+    # -- trajectory data at one time ---------------------------------------
 
-    def _psi(self, t: float) -> tuple[float, float]:
-        """The z-velocity psi = Phi + z0 and its time derivative."""
+    def _point(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Position and velocity at t; one jacobi call on the cn/dn branches."""
         br = self.branch
+        z0 = self.z0
         if br is Branch.LINEAR:
-            return self.z0, 0.0
-        u = self.phase - self.rate * t
-        if br is Branch.CN:
+            psi, dpsi, (i1, i2, i3) = z0, 0.0, (0.0, 0.0, 0.0)
+        elif br is Branch.CN or br is Branch.DN:
+            u = self.phase - self.rate * t
             sn, cn, dn = jacobi(u, self.modulus)
-            psi = self.amplitude * cn
-            dpsi = self.amplitude * self.rate * sn * dn
-            return psi, dpsi
-        if br is Branch.DN:
-            sn, cn, dn = jacobi(u, self.modulus)
-            psi = self.sign * self.amplitude * dn
-            dpsi = self.sign * self.amplitude * self.rate * self.modulus**2 * sn * cn
-            return psi, dpsi
-        sech_u = sech(u)
-        tanh_u = math.tanh(u)
-        psi = self.sign * self.amplitude * sech_u
-        dpsi = self.sign * self.amplitude * self.rate * sech_u * tanh_u
-        return psi, dpsi
-
-    def phi(self, t: float) -> float:
-        """The shifted z-velocity Phi(t) = psi(t) - z0, with Phi(0) = 0."""
-        return self._psi(float(t))[0] - self.z0
-
-    def phi_prime(self, t: float) -> float:
-        return self._psi(float(t))[1]
+            ar = self.amplitude * self.rate
+            if br is Branch.CN:
+                psi, dpsi = self.amplitude * cn, ar * sn * dn
+            else:
+                psi = self.sign * self.amplitude * dn
+                dpsi = self.sign * ar * self.modulus**2 * sn * cn
+            i1, i2, i3 = self._power_integrals(t, u, sn, cn, dn)
+        else:
+            u = self.phase - self.rate * t
+            sech_u = sech(u)
+            psi = self.sign * self.amplitude * sech_u
+            dpsi = self.sign * self.amplitude * self.rate * sech_u * math.tanh(u)
+            i1, i2, i3 = self._sech_integrals(t)
+        phi = psi - z0
+        xi_y = self.y0 * t + z0 * i1 + 0.5 * i2
+        xi_z = z0 * t + self.y1 * i1 + z0 * i2 + 0.5 * i3 - 0.5 * phi * xi_y
+        vel = np.array([dpsi, self.y0 + z0 * phi + 0.5 * phi * phi, psi])
+        return np.array([phi, xi_y, xi_z]), vel
 
     def velocity(self, t: float) -> np.ndarray:
-        psi, dpsi = self._psi(float(t))
-        phi = psi - self.z0
-        return np.array(
-            [dpsi, self.y0 + self.z0 * phi + 0.5 * phi * phi, psi]
+        return self._point(float(t))[1]
+
+    def position(self, t: float) -> np.ndarray:
+        """Group curve in exponential coordinates, position(0) = 0."""
+        return self._point(float(t))[0]
+
+    def eval(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        return self._point(float(t))
+
+    def sample(self, ts: np.ndarray) -> CurveSamples:
+        ts = np.asarray(ts, dtype=float)
+        points = [self._point(t) for t in ts.tolist()]
+        xi = np.array([p[0] for p in points]).reshape(-1, 3)
+        vel = np.array([p[1] for p in points]).reshape(-1, 3)
+        return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
+
+    # -- power integrals on the oscillating branches ------------------------
+
+    def _power_integrals(self, t: float, u: float, sn: float, cn: float, dn: float):
+        """(I1, I2, I3) with I_m = integral of Phi^m over [0, t], u = phase - rate t.
+
+        With Phi = h + D, I_m is <Phi^m> t plus terms in J_j = integral of
+        D^j - <D^j> = (P_j(phase) - P_j(u)) / rate, P_j the antiderivatives below.
+        """
+        h, mean2, mean3 = self._means
+        start = self._start_antiderivatives
+        j1, j2, j3 = (
+            (p0 - p) / self.rate
+            for p0, p in zip(start, self._centred_antiderivatives(u, sn, cn, dn))
         )
-
-    # -- power integrals and positions -------------------------------------
-
-    def _power_integrals(self, t: float) -> tuple[float, float, float]:
-        """(I1, I2, I3) with I_m = integral of Phi^m over [0, t]."""
-        br = self.branch
-        if br is Branch.LINEAR:
-            return 0.0, 0.0, 0.0
-        if br in (Branch.SECH_POS, Branch.SECH_NEG):
-            return self._sech_integrals(t)
-        period = self.period
-        n = math.floor(t / period)
-        tau = t - n * period
-        part = self._quad_integrals(tau) if tau else (0.0, 0.0, 0.0)
-        return tuple(n * p + q for p, q in zip(self._period_integrals, part))
-
-    def _quad_integrals(self, tau: float) -> tuple[float, float, float]:
-        out = []
-        for m in (1, 2, 3):
-            val, _ = quad(lambda s: self.phi(s) ** m, 0.0, tau, **_QUAD_OPTS)
-            out.append(val)
-        return tuple(out)
+        i3 = mean3 * t + 3.0 * h * h * j1 + 3.0 * h * j2 + j3
+        return h * t + j1, mean2 * t + 2.0 * h * j1 + j2, i3
 
     @cached_property
-    def _period_integrals(self) -> tuple[float, float, float]:
-        """(I1, I2, I3) over one velocity period, in closed form.
+    def _start_antiderivatives(self) -> tuple[float, float, float]:
+        return self._centred_antiderivatives(self.phase, *jacobi(self.phase, self.modulus))
 
-        Phi is expanded about its period mean h, I1 = h T, I2 = (m2 + h^2) T,
-        I3 = (m3 + 3 h m2 + h^3) T, with m2, m3 the central moments of psi,
+    @cached_property
+    def _landen(self) -> tuple[float, float, float, list[float]]:
+        """(K, M, 1 - E/K, [c_0, c_1, ...]) from the AGM of (1, k'): K = pi/(2M)
+        and 1 - E/K = sum_{n>=0} 2^(n-1) c_n^2 (DLMF 19.8.6), a sum of positive
+        terms that keeps its relative accuracy as k -> 0."""
+        mean, cs = agm_sequence(self.modulus)
+        one_minus_ek = math.fsum(2.0 ** (n - 1) * c * c for n, c in enumerate(cs))
+        return math.pi / (2.0 * mean), mean, one_minus_ek, cs
+
+    def _centred_antiderivatives(self, u: float, sn: float, cn: float, dn: float):
+        """Antiderivatives P_j in u of D^j - <D^j>, j = 1, 2, 3, where D = psi - <psi>
+        is a cn or dn multiple and (sn, cn, dn) = jacobi(u, k).
+
+        With am the amplitude and Z(u) = E(am u) - (E/K) u the Jacobi zeta
+        function (DLMF 22.16.32, 22.14(iv); Byrd & Friedman 312, 314):
+            int dn = am,   int cn = arcsin(k sn)/k,   int (dn^2 - E/K) = Z,
+            k^2 int (cn^2 - <cn^2>) = Z,   int dn^3 = (k^2 sn cn + (2 - k^2) am)/2,
+            2 k^2 int cn^3 = sn dn - (1 - 2k^2) arcsin(k sn)/k.
+        am u - M u (M = pi/(2K), the mean of dn) and Z are taken at
+        u_r = u - 2K j, |u_r| <= K, where (sn, cn)(u_r) = (-1)^j (sn, cn)(u)
+        and am u_r = atan2 of those.  As F(am u_r) = u_r, DLMF 19.25.9 gives
+            Z = u_r (1 - E/K) - (k^2/3) sn(u_r)^3 R_D(cn^2, dn^2, 1),
+        free of the cancellation of O(1) terms in E(am u_r) - (E/K) u_r as k -> 0.
+        """
+        k = self.modulus
+        big_k, mean, one_minus_ek, _ = self._landen
+        j = math.floor(u / (2.0 * big_k) + 0.5)
+        u_r = u - 2.0 * big_k * j
+        sn_r, cn_r = (-sn, -cn) if j % 2 else (sn, cn)
+        zeta = u_r * one_minus_ek - k * k / 3.0 * sn_r**3 * carlson_rd(cn * cn, dn * dn, 1.0)
+        r = self.rate
+        if self.branch is Branch.CN:
+            # a = 2 k rate turns the 1/k^j factors into powers of the rate
+            asn = math.asin(k * sn)
+            cube = k * sn * dn - (1.0 - 2.0 * k * k) * asn
+            return 2.0 * r * asn, 4.0 * r * r * zeta, 4.0 * r**3 * cube
+        a, sign = self.amplitude, self.sign
+        w = math.atan2(sn_r, cn_r) - mean * u_r  # int (dn - M)
+        cube = 0.5 * k * k * sn * cn + 0.5 * (2.0 - k * k) * w - 3.0 * mean * zeta + 3.0 * mean * mean * w
+        return sign * a * w, a * a * (zeta - 2.0 * mean * w), sign * a**3 * cube
+
+    @cached_property
+    def _means(self) -> tuple[float, float, float]:
+        """Period means (h, <Phi^2>, <Phi^3>) of Phi, in closed form.
+
+        Phi is expanded about its period mean h, <Phi^2> = m2 + h^2 and
+        <Phi^3> = m3 + 3 h m2 + h^3, with m2, m3 the central moments of psi,
         so that no terms of size |z0|^m cancel when |z0| >> sqrt(S).  The
         moments come from the integrals of cn^j over 4K (4K, 0,
         4(E - k'^2 K)/k^2, 0) and of dn^j over 2K (2K, pi, 2E, pi(2 - k^2)/2),
@@ -253,8 +298,8 @@ class Type2TrajectoryH3:
             <(dn - M)^2> = sum_{n>=1} (3/2 - 2^(n-1)) c_n^2,
             <(dn - M)^3> = 3 M sum_{n>=2} (2^(n-1) - 1) c_n^2.
         """
-        a, period = self.amplitude, self.period
-        mean, cs = agm_sequence(self.modulus)
+        a = self.amplitude
+        _, mean, _, cs = self._landen
         sq = [c * c for c in cs]
         if self.branch is Branch.CN:
             # a = 2 k rate, so a^2 <cn^2> = a^2/2 - 4 rate^2 sum_{n>=1} 2^(n-1) c_n^2
@@ -263,15 +308,13 @@ class Type2TrajectoryH3:
         else:
             # h = sign (a M - |z0|) = sign ((a - |z0|) - a (1 - M)), where
             # a - |z0| = 2 (S - y1) / (a + |z0|) and 1 - M = sum_{n>=1} c_n
-            s, y1 = self.v1_norm, self.y1
-            s_minus_y1 = self.x0 * self.x0 / (s + y1) if y1 > 0.0 else s - y1
-            gap = 2.0 * s_minus_y1 / (a + abs(self.z0)) - a * sum(cs[1:])
+            gap = 2.0 * self._s_minus_y1 / (a + abs(self.z0)) - a * sum(cs[1:])
             h = self.sign * gap
             m2 = a * a * sum((1.5 - 2.0 ** (n - 1)) * sq[n] for n in range(1, len(sq)))
             m3 = self.sign * 3.0 * mean * a**3 * sum(
                 (2.0 ** (n - 1) - 1.0) * sq[n] for n in range(2, len(sq))
             )
-        return h * period, (m2 + h * h) * period, (m3 + 3.0 * h * m2 + h**3) * period
+        return h, m2 + h * h, m3 + 3.0 * h * m2 + h**3
 
     def _sech_integrals(self, t: float) -> tuple[float, float, float]:
         """Exact I_m on the separatrix via antiderivatives of sech powers."""
@@ -290,30 +333,6 @@ class Type2TrajectoryH3:
         i2 = a * a * s2 - 2.0 * a * z0 * s1 + z0 * z0 * t
         i3 = a**3 * s3 - 3.0 * a * a * z0 * s2 + 3.0 * a * z0 * z0 * s1 - z0**3 * t
         return i1, i2, i3
-
-    def position(self, t: float) -> np.ndarray:
-        """Group curve in exponential coordinates, position(0) = 0."""
-        t = float(t)
-        phi = self.phi(t)
-        i1, i2, i3 = self._power_integrals(t)
-        xi_y = self.y0 * t + self.z0 * i1 + 0.5 * i2
-        xi_z = (
-            self.z0 * t
-            + self.y1 * i1
-            + self.z0 * i2
-            + 0.5 * i3
-            - 0.5 * phi * xi_y
-        )
-        return np.array([phi, xi_y, xi_z])
-
-    def eval(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.position(t), self.velocity(t)
-
-    def sample(self, ts: np.ndarray) -> CurveSamples:
-        ts = np.asarray(ts, dtype=float)
-        xi = np.array([self.position(t) for t in ts]).reshape(-1, 3)
-        vel = np.array([self.velocity(t) for t in ts]).reshape(-1, 3)
-        return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
 
     def phi_image(self) -> tuple[float, float]:
         """Closure of the range of Phi."""

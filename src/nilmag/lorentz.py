@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,13 +32,10 @@ __all__ = [
     "ForceType",
     "LorentzForce",
     "ClosednessReport",
-    "CentralConstraintReport",
     "ExactnessResult",
     "check_closed",
-    "verify_central_constraints",
     "exactness_test",
     "type2_from_vector",
-    "conjugate_force",
     "random_closed_type1",
 ]
 
@@ -58,15 +56,6 @@ class ClosednessReport:
     max_residual: float
     worst_triple: tuple[int, int, int] | None
     frobenius_residual: float  # basis-independent norm of the full 3-tensor
-
-
-@dataclass(frozen=True)
-class CentralConstraintReport:
-    """Residuals of the two structural constraints of closed type-I forces."""
-
-    ok: bool
-    commutator_residual: float  # || F restricted to [n, n] ||
-    kernel_residual: float      # || component of F(z) outside ker j ||
 
 
 @dataclass(frozen=True)
@@ -162,6 +151,15 @@ def _as_force(alg: MetricNilAlgebra, f) -> LorentzForce:
     return LorentzForce(alg, f)
 
 
+@lru_cache(maxsize=None)
+def _strict_upper(d: int) -> np.ndarray:
+    """Read-only mask of the index triples i < j < k of a (d, d, d) array."""
+    idx = np.arange(d)
+    mask = (idx[:, None, None] < idx[None, :, None]) & (idx[None, :, None] < idx[None, None, :])
+    mask.flags.writeable = False
+    return mask
+
+
 def check_closed(alg: MetricNilAlgebra, force, tol: float = 1e-12) -> ClosednessReport:
     """Evaluate d omega on every basis triple i < j < k.
 
@@ -177,51 +175,18 @@ def check_closed(alg: MetricNilAlgebra, force, tol: float = 1e-12) -> Closedness
     # with omega([e_i, e_j], e_k) = <F [e_i, e_j], e_k> = sum_m c[i,j,m] F[k,m]
     t = np.einsum("ijm,km->ijk", alg.structure, f.matrix)
     resid = -(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1))
-    max_res = 0.0
-    worst = None
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                r = abs(resid[i, j, k])
-                if r > max_res:
-                    max_res = r
-                    worst = (i, j, k)
+    # argmax of the flat C-order array is the first worst triple in lexicographic order
+    masked = np.abs(resid) * _strict_upper(d)
+    flat = int(masked.argmax())
+    max_res = float(masked.flat[flat])
+    i, jk = divmod(flat, d * d)
+    worst = (i, *divmod(jk, d)) if max_res > 0.0 else None
     return ClosednessReport(
         closed=bool(max_res <= tol),
         max_residual=float(max_res),
         worst_triple=worst,
         frobenius_residual=float(np.linalg.norm(resid)),
     )
-
-
-def verify_central_constraints(alg: MetricNilAlgebra, force) -> CentralConstraintReport:
-    """Check the two structural identities of a closed type-I force.
-
-    (a) F vanishes on the commutator directions [n, n];
-    (b) F maps the center into the flat directions ker j.
-    A type-I force is closed exactly when (a) holds, and (a) plus skewness
-    implies (b); both residuals are reported.  Raises UnsupportedForceError
-    for non-type-I input.
-    """
-    f = _as_force(alg, force)
-    if f.force_type() is not ForceType.TYPE_I:
-        raise UnsupportedForceError("central constraints apply to type-I forces only")
-    comm = alg.commutator_z_basis()      # rows, z-coords
-    ker = alg.kernel_z_basis()
-    fz = f.block_zz
-    if comm.size:
-        comm_res = float(np.max(np.abs(fz @ comm.T)))
-    else:
-        comm_res = 0.0
-    # component of F(z) outside ker j = projection onto commutator directions
-    if comm.size:
-        kernel_res = float(np.max(np.abs(comm @ (fz @ np.eye(alg.dim_z)))))
-    else:
-        kernel_res = 0.0
-    ok = comm_res <= 1e-10 * max(1.0, float(np.max(np.abs(f.matrix)))) and kernel_res <= 1e-10 * max(
-        1.0, float(np.max(np.abs(f.matrix)))
-    )
-    return CentralConstraintReport(ok=ok, commutator_residual=comm_res, kernel_residual=kernel_res)
 
 
 def exactness_test(alg: MetricNilAlgebra, force, rel_tol: float = 1e-10) -> ExactnessResult:
@@ -283,32 +248,6 @@ def type2_from_vector(alg: MetricNilAlgebra, u: np.ndarray) -> LorentzForce:
     m[2, 0] = u[1]
     m[2, 1] = -u[0]
     return LorentzForce(alg, m)
-
-
-def conjugate_force(
-    alg: MetricNilAlgebra, force, phi: np.ndarray, r: float = 1.0, tol: float = 1e-10
-) -> LorentzForce:
-    """The transported force r * phi F phi^{-1} for an orthogonal automorphism phi.
-
-    phi must be orthogonal (phi^T phi = Id) and a Lie-algebra automorphism
-    ([phi x, phi y] = phi [x, y] on basis pairs) to within tol; otherwise
-    InvalidForceError is raised.
-    """
-    f = _as_force(alg, force)
-    phi = np.asarray(phi, dtype=float)
-    d = alg.dim
-    if phi.shape != (d, d):
-        raise InvalidForceError(f"automorphism must be ({d}, {d})")
-    if np.max(np.abs(phi.T @ phi - np.eye(d))) > tol:
-        raise InvalidForceError("phi is not orthogonal")
-    eye = np.eye(d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = alg.bracket(phi @ eye[i], phi @ eye[j])
-            rhs = phi @ alg.bracket(eye[i], eye[j])
-            if np.max(np.abs(lhs - rhs)) > tol * max(1.0, float(np.max(np.abs(rhs)))):
-                raise InvalidForceError("phi is not a Lie-algebra automorphism")
-    return LorentzForce(alg, float(r) * (phi @ f.matrix @ phi.T))
 
 
 def random_closed_type1(

@@ -1,15 +1,21 @@
-"""Jacobi elliptic functions and the complete elliptic integrals.
+"""Jacobi elliptic functions and the complete and incomplete elliptic integrals.
 
 Everything here uses the modulus convention k (not the parameter m = k^2):
 
     K(k)          = integral_0^{pi/2} dtheta / sqrt(1 - k^2 sin^2 theta)
     E(k)          = integral_0^{pi/2} sqrt(1 - k^2 sin^2 theta) dtheta
+    F(phi, k)     = integral_0^phi dtheta / sqrt(1 - k^2 sin^2 theta)
+    E(phi, k)     = integral_0^phi sqrt(1 - k^2 sin^2 theta) dtheta
     sn, cn, dn    = Jacobi functions with sn^2 + cn^2 = 1, dn^2 + k^2 sn^2 = 1
 
 K and E are computed by the arithmetic-geometric mean, sn/cn/dn by a descending
-Landen transformation (AGM phase recursion).  Both are quadratically
-convergent and accurate to ~1e-14 away from k = 1.  Inverses of cn and dn on
-their principal monotone branches are provided for phase-constant fitting.
+Landen transformation (AGM phase recursion), F(phi, k) and E(phi, k) from
+Carlson's symmetric integrals R_F and R_D by duplication (Carlson 1995,
+Numer. Algorithms 10; DLMF 19.36).  Each AGM and Landen step doubles the
+number of correct digits and each duplication step shrinks the argument
+spread fourfold; all are accurate to ~1e-14 away from k = 1.  The inverses
+of cn and dn on their principal monotone branches, used to pin phases, are
+values of F.
 """
 
 from __future__ import annotations
@@ -24,12 +30,16 @@ __all__ = [
     "sn",
     "cn",
     "dn",
+    "carlson_rf",
+    "carlson_rd",
+    "incomplete_F",
+    "incomplete_E",
     "inverse_cn",
     "inverse_dn",
     "sech",
 ]
 
-# AGM iterations converge quadratically; 2^40-fold error reduction in <= 8
+# each AGM iteration squares the relative gap; 2^40-fold error reduction in <= 8
 # steps for any k in [0, 1).
 _AGM_STOP = 1e-15
 _MAX_AGM_ITER = 60
@@ -157,96 +167,131 @@ def dn(u: float, k: float) -> float:
     return jacobi(u, k)[2]
 
 
-def _invert_decreasing(f, lo: float, hi: float, target: float, dfdu) -> float:
-    """Solve f(u) = target for f strictly decreasing on [lo, hi].
+# Carlson's duplication stops once the arguments agree to this relative size;
+# the truncated series is then exact to about _CARLSON_R (Carlson 1995).
+_CARLSON_R = 1e-16
 
-    Bisection bracket plus Newton polish; falls back to bisection whenever a
-    Newton step leaves the bracket.  Accurate to ~1e-14 relative.
+
+def carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's symmetric integral R_F(x, y, z) for x, y, z >= 0, at most one 0.
+
+    R_F = (1/2) integral_0^inf dt / sqrt((t + x)(t + y)(t + z)), computed by
+    the duplication theorem and a fifth-order series (DLMF 19.36.1).
     """
-    flo = f(lo) - target
-    fhi = f(hi) - target
-    if flo < 0.0:
-        return lo
-    if fhi > 0.0:
-        return hi
-    u = 0.5 * (lo + hi)
-    for _ in range(200):
-        fu = f(u) - target
-        if fu > 0.0:
-            lo = u
-        else:
-            hi = u
-        du = dfdu(u)
-        if du != 0.0:
-            step = u - fu / du
-            u_new = step if lo < step < hi else 0.5 * (lo + hi)
-        else:
-            u_new = 0.5 * (lo + hi)
-        if abs(u_new - u) <= 1e-15 * max(1.0, abs(u)):
-            return u_new
-        u = u_new
-        if hi - lo <= 1e-16 * max(1.0, abs(u)):
-            break
-    return u
+    a = (x + y + z) / 3.0
+    dx, dy = a - x, a - y
+    q = (3.0 * _CARLSON_R) ** (-1.0 / 6.0) * max(abs(dx), abs(dy), abs(a - z))
+    scale = 1.0
+    while q * scale >= abs(a):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        scale *= 0.25
+    X, Y = dx * scale / a, dy * scale / a
+    Z = -X - Y
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
+
+
+def carlson_rd(x: float, y: float, z: float) -> float:
+    """Carlson's R_D(x, y, z) = R_J(x, y, z, z) for x, y >= 0 (not both 0), z > 0.
+
+    R_D = (3/2) integral_0^inf dt / ((t + z) sqrt((t + x)(t + y)(t + z))),
+    by duplication and a seventh-order series (DLMF 19.36.2).
+    """
+    a = (x + y + 3.0 * z) / 5.0
+    dx, dy = a - x, a - y
+    q = (0.25 * _CARLSON_R) ** (-1.0 / 6.0) * max(abs(dx), abs(dy), abs(a - z))
+    scale, tail = 1.0, 0.0
+    while q * scale >= abs(a):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        tail += scale / (sz * (z + lam))
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        scale *= 0.25
+    X, Y = dx * scale / a, dy * scale / a
+    Z = -(X + Y) / 3.0
+    xy, z2 = X * Y, Z * Z
+    e2 = xy - 6.0 * z2
+    e3 = (3.0 * xy - 8.0 * z2) * Z
+    e4 = 3.0 * (xy - z2) * z2
+    e5 = xy * z2 * Z
+    series = 1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+    series = series - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0
+    return scale * series / (a * math.sqrt(a)) + 3.0 * tail
+
+
+def _legendre_reduce(phi: float, k: float) -> tuple[int, float, float, float]:
+    """phi = n pi + r with |r| <= pi/2; returns (n, sin r, cos r, Delta(r)^2)."""
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"amplitude must be finite, got {phi}")
+    n = round(phi / math.pi)
+    r = phi - n * math.pi
+    s, c = math.sin(r), math.cos(r)
+    return n, s, c, c * c + (1.0 - k) * (1.0 + k) * s * s
+
+
+def incomplete_F(phi: float, k: float) -> float:
+    """Incomplete elliptic integral of the first kind F(phi, k), any real phi.
+
+    F = sin r R_F(cos^2 r, Delta^2, 1) on |r| <= pi/2 (DLMF 19.25.5), with
+    Delta^2 = 1 - k^2 sin^2 r written as cos^2 r + k'^2 sin^2 r, and
+    F(n pi + r) = 2 n K + F(r).  F(phi, 0) = phi; F(phi, 1) is infinite once
+    |phi| >= pi/2.
+    """
+    k = _check_modulus(k)
+    n, s, c, d2 = _legendre_reduce(phi, k)
+    f = s * carlson_rf(c * c, d2, 1.0)
+    return f + 2.0 * n * complete_K(k) if n else f
+
+
+def incomplete_E(phi: float, k: float) -> float:
+    """Incomplete elliptic integral of the second kind E(phi, k), any real phi.
+
+    E = sin r R_F(cos^2 r, Delta^2, 1) - (k^2/3) sin^3 r R_D(cos^2 r, Delta^2, 1)
+    on |r| <= pi/2 (DLMF 19.25.9), and E(n pi + r) = 2 n E(k) + E(r).
+    """
+    k = _check_modulus(k)
+    n, s, c, d2 = _legendre_reduce(phi, k)
+    e = s * carlson_rf(c * c, d2, 1.0) - k * k * s**3 / 3.0 * carlson_rd(c * c, d2, 1.0)
+    return e + 2.0 * n * complete_E(k) if n else e
 
 
 def inverse_cn(x: float, k: float) -> float:
     """Principal inverse of cn: returns u in [0, 2K] with cn(u, k) = x.
 
     cn is strictly decreasing from 1 to -1 on [0, 2K], so the inverse is
-    defined for x in [-1, 1].  inverse_cn(0, k) = K(k), inverse_cn(1, k) = 0.
+    defined for x in [-1, 1]: u = F(arccos x, k).  inverse_cn(0, k) = K(k),
+    inverse_cn(1, k) = 0.
     """
     k = _check_modulus(k)
     x = float(x)
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"inverse_cn argument must lie in [-1, 1], got {x}")
-    if k == 1.0:
-        # cn = sech never reaches values <= 0 at finite u
-        if x <= 0.0:
-            raise ValueError("inverse_cn(x, 1) requires x > 0 (cn = sech > 0)")
-        return math.acosh(1.0 / x) if x < 1.0 else 0.0
-    if x == 1.0:
-        return 0.0
-    bigK = complete_K(k)
-    if x == -1.0:
-        return 2.0 * bigK
-
-    def f(u: float) -> float:
-        return jacobi(u, k)[1]
-
-    def df(u: float) -> float:
-        s, _, d = jacobi(u, k)
-        return -s * d
-
-    return _invert_decreasing(f, 0.0, 2.0 * bigK, x, df)
+    if k == 1.0 and x <= 0.0:
+        raise ValueError("inverse_cn(x, 1) requires x > 0 (cn = sech > 0)")
+    return incomplete_F(math.acos(x), k)
 
 
 def inverse_dn(x: float, k: float) -> float:
     """Principal inverse of dn: returns u in [0, K] with dn(u, k) = x.
 
     dn decreases from 1 to k' = sqrt(1 - k^2) on [0, K], so x must lie in
-    [k', 1].  For k = 1, dn = sech and the inverse is arcsech(x) for x in (0, 1].
+    [k', 1]; u = F(arcsin(sqrt(1 - x^2) / k), k).  For k = 1, dn = sech and
+    the inverse is arcsech(x) for x in (0, 1].
     """
     k = _check_modulus(k)
     x = float(x)
     if k == 1.0:
         if not 0.0 < x <= 1.0:
             raise ValueError(f"inverse_dn(x, 1) requires 0 < x <= 1, got {x}")
-        return math.acosh(1.0 / x) if x < 1.0 else 0.0
+        return math.acosh(1.0 / x)
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     if not kp - 1e-12 <= x <= 1.0 + 1e-15:
         raise ValueError(f"inverse_dn argument must lie in [k', 1] = [{kp}, 1], got {x}")
     if x >= 1.0:
         return 0.0
-    bigK = complete_K(k)
     if x <= kp:
-        return bigK
-
-    def f(u: float) -> float:
-        return jacobi(u, k)[2]
-
-    def df(u: float) -> float:
-        s, c, _ = jacobi(u, k)
-        return -k * k * s * c
-
-    return _invert_decreasing(f, 0.0, bigK, x, df)
+        return complete_K(k)
+    return incomplete_F(math.asin(min(1.0, math.sqrt((1.0 - x) * (1.0 + x)) / k)), k)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
@@ -11,7 +12,6 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import fdcheck
-from nilmag import h3_type2
 from nilmag.algebra import MetricNilAlgebra
 from nilmag.errors import DegenerateForceError
 from nilmag.h3_type2 import (
@@ -61,18 +61,18 @@ def test_branch_classification():
 
 
 def test_speed_and_energy_conservation():
-    """|velocity| and the Phi' / augmented-potential invariant are constant."""
+    """|velocity| and the Phi' / augmented-potential invariant are constant;
+    Phi = v_z - z0 and Phi' = v_x are velocity columns."""
     ts = np.linspace(0.0, 12.0, 120)
     for ic in all_ics():
         traj = solve_h3_type2(ic)
         speed0 = np.linalg.norm(np.asarray(ic))
         s2 = traj.v1_norm**2
-        for t in ts:
-            vel = traj.velocity(t)
-            assert abs(np.linalg.norm(vel) - speed0) < 1e-9
-            phi = traj.phi(t)
-            w = 0.5 * phi**2 + traj.z0 * phi + traj.y1
-            assert abs(traj.phi_prime(t) ** 2 + w**2 - s2) < 1e-9
+        vel = traj.sample(ts).velocity
+        assert np.max(np.abs(np.linalg.norm(vel, axis=1) - speed0)) < 1e-9
+        phi, phi_prime = vel[:, 2] - traj.z0, vel[:, 0]
+        w = 0.5 * phi**2 + traj.z0 * phi + traj.y1
+        assert np.max(np.abs(phi_prime**2 + w**2 - s2)) < 1e-9
 
 
 def test_solution_satisfies_equations_of_motion():
@@ -148,7 +148,7 @@ def test_unit_modulus_edge_case():
     assert traj.rate == pytest.approx(1.0, abs=1e-15)
     for t in (0.0, 0.4, 1.7, 5.2):
         _, cn, _ = jacobi(t, 0.5)
-        assert_allclose(traj.phi(t), cn - 1.0, atol=1e-12)
+        assert_allclose(traj.velocity(t)[2] - traj.z0, cn - 1.0, atol=1e-12)
 
 
 def test_phi_stays_in_its_image():
@@ -156,7 +156,7 @@ def test_phi_stays_in_its_image():
     for ic in all_ics():
         traj = solve_h3_type2(ic)
         lo, hi = traj.phi_image()
-        vals = np.array([traj.phi(t) for t in ts])
+        vals = traj.sample(ts).velocity[:, 2] - traj.z0
         assert np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9)
 
 
@@ -278,74 +278,89 @@ def test_perturbed_translation_fails_the_check():
 
 
 def _ic_with_modulus(branch: str, k: float, x0: float = 0.6, y0: float = 0.3):
-    """Canonical initial velocity whose cn or dn branch has modulus k."""
+    """Canonical initial velocity whose cn or dn branch has modulus k.
+
+    k = a / (2 sqrt(S)) on cn and 2 sqrt(S) / a on dn, a^2 = 2 (S - y1) + z0^2;
+    a cn modulus below sqrt((S - y1) / (2 S)) needs a smaller x0."""
     s, y1 = math.hypot(x0, y0 + 1.0), y0 + 1.0
-    if branch == "cn":  # k = a / (2 sqrt(S)), a^2 = 2S - 2y1 + z0^2
-        return x0, y0, math.sqrt(4.0 * s * k * k - 2.0 * s + 2.0 * y1)
-    z0 = math.sqrt(4.0 * s / (k * k) - 2.0 * s + 2.0 * y1)  # k = 2 sqrt(S) / a
+    s_minus_y1 = x0 * x0 / (s + y1)
+    if branch == "cn":
+        return x0, y0, math.sqrt(4.0 * s * k * k - 2.0 * s_minus_y1)
+    z0 = math.sqrt(4.0 * s / (k * k) - 2.0 * s_minus_y1)
     return x0, y0, z0 if branch == "dn+" else -z0
 
 
 @pytest.mark.parametrize("k", [0.35, 0.75, 0.99])
 @pytest.mark.parametrize("branch", ["cn", "dn+", "dn-"])
 def test_period_integrals_match_quadrature(branch, k):
-    """The closed-form I_m over one velocity period equal quad of Phi^m."""
+    """The closed-form I_m over one velocity period equal quad of Phi^m,
+    with Phi = v_z - z0 read from the velocity."""
     traj = solve_h3_type2(_ic_with_modulus(branch, k))
     assert traj.branch is (Branch.CN if branch == "cn" else Branch.DN)
     assert abs(traj.modulus - k) <= 1e-12
+
+    def phi(s):
+        return traj.velocity(s)[2] - traj.z0
+
     want = [
-        quad(lambda s: traj.phi(s) ** m, 0.0, traj.period, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+        quad(lambda s: phi(s) ** m, 0.0, traj.period, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
         for m in (1, 2, 3)
     ]
     scale = max(abs(w) for w in want)
-    assert_allclose(traj._period_integrals, want, rtol=1e-12, atol=1e-12 * scale)
+    got = [traj.period * mean for mean in traj._means]
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
-def test_period_integrals_keep_their_digits_at_large_z0():
-    """dn branch with |z0| >> sqrt(S): positions over 3.3 periods agree with a
-    40-digit reference to 1e-12 of their size.  Expanding Phi^m about z0
-    instead of about its period mean loses about |z0|^2 eps here (3e-10)."""
-    traj = solve_h3_type2((0.7, -0.4, 1000.0))
-    assert traj.branch is Branch.DN
-    t = 3.3 * traj.period
+def _mpmath_position(traj, t: float) -> np.ndarray:
+    """40-digit position at t on a cn or dn branch: I_m by mpmath quadrature
+    over whole velocity periods and the remainder, from the same phase."""
     with mpmath.workdps(40):
         x0, y0, z0 = (mpmath.mpf(v) for v in (traj.x0, traj.y0, traj.z0))
         y1 = y0 + 1
         s = mpmath.sqrt(x0**2 + y1**2)
         a = mpmath.sqrt(2 * s - 2 * y1 + z0**2)
-        m = 4 * s / a**2
-        period = 4 * mpmath.ellipk(m) / a
         phase = mpmath.mpf(traj.phase)
+        if traj.branch is Branch.CN:
+            m, rate, fun, sign = a**2 / (4 * s), mpmath.sqrt(s), "cn", 1
+        else:
+            m, rate, fun, sign = 4 * s / a**2, a / 2, "dn", 1 if traj.z0 > 0 else -1
+        period = 4 * mpmath.ellipk(m) / rate
 
+        @functools.lru_cache(maxsize=None)  # the three powers share their nodes
         def phi(u):
-            return a * mpmath.ellipfun("dn", phase - a * u / 2, m=m) - z0
+            return sign * a * mpmath.ellipfun(fun, phase - rate * u, m=m) - z0
 
+        t = mpmath.mpf(t)
         n = int(mpmath.floor(t / period))
-        tau = mpmath.mpf(t) - n * period
+        tau = t - n * period
         i1, i2, i3 = (
-            n * mpmath.quad(lambda u: phi(u) ** j, mpmath.linspace(0, period, 5))
-            + mpmath.quad(lambda u: phi(u) ** j, [0, tau])
+            n * mpmath.quad(lambda u: phi(u) ** j, [0, period / 2, period], method="gauss-legendre")
+            + mpmath.quad(lambda u: phi(u) ** j, [0, tau], method="gauss-legendre")
             for j in (1, 2, 3)
         )
         xi_y = y0 * t + z0 * i1 + i2 / 2
         xi_z = z0 * t + y1 * i1 + z0 * i2 + i3 / 2 - phi(t) * xi_y / 2
-        want = np.array([float(phi(t)), float(xi_y), float(xi_z)])
-    got = traj.position(t)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        return np.array([float(phi(t)), float(xi_y), float(xi_z)])
 
 
-def test_whole_periods_make_no_quad_call(monkeypatch):
-    """position at 0 and at whole velocity periods, and lambda_periodicity's
-    translation, need no remainder quadrature; half a period needs three."""
-    calls = []
-    real = h3_type2.quad
-    monkeypatch.setattr(h3_type2, "quad", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    for ic in CANONICAL_ICS[Branch.CN] + CANONICAL_ICS[Branch.DN]:
+def test_period_integrals_keep_their_digits_at_large_z0():
+    """Positions at 3.3 velocity periods agree with a 40-digit reference to
+    1e-12 of their size: on the dn branch with |z0| >> sqrt(S), and on cn
+    (k = 1e-6, 0.5, 0.99) and dn+/dn- at moderate and large moduli.
+    Expanding Phi^m about z0 instead of about its period mean loses about
+    |z0|^2 eps at z0 = 1000 (3e-10), and so does a zeta function taken as
+    E(am u) - (E/K) u (8e-11)."""
+    ics = [
+        (0.7, -0.4, 1000.0),
+        (0.7, -0.4, -1000.0),
+        _ic_with_modulus("cn", 1e-6, x0=1e-6),
+        _ic_with_modulus("cn", 0.5),
+        _ic_with_modulus("cn", 0.99),
+    ] + [_ic_with_modulus(b, k) for b in ("dn+", "dn-") for k in (0.5, 0.99)]
+    for ic in ics:
         traj = solve_h3_type2(ic)
-        for t in (0.0, traj.period, 2.0 * traj.period):
-            traj.position(t)
-        lambda_periodicity(traj, n_checks=0)
-        assert not calls, ic
-        traj.position(0.5 * traj.period)
-        assert len(calls) == 3, ic
-        calls.clear()
+        assert traj.branch in (Branch.CN, Branch.DN)
+        t = 3.3 * traj.period
+        want = _mpmath_position(traj, t)
+        got = traj.position(t)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (ic, got - want)

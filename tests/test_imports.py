@@ -1,8 +1,8 @@
 """scipy stays unloaded until a routine that needs it runs.
 
-Closed-form use (type-I trajectories, classification, H5 certificates) must
-start with numpy only; the oracle and the H3 remainder quadrature load scipy
-on first use.  Each check runs in a fresh interpreter.
+Closed-form use (type-I and H3 trajectories, classification, H3 and H5
+periodicity) must start with numpy only; the oracle loads scipy on first
+use.  Each check runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -12,10 +12,7 @@ import os
 import subprocess
 import sys
 
-import numpy as np
-
 import nilmag
-from nilmag import h3_type2
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nilmag.__file__)))
 
@@ -43,17 +40,29 @@ def test_closed_form_cli_runs_load_no_scipy(tmp_path):
         "initial": {"velocity": [0.9, -0.4, 0.5]},
         "time": {"t_max": 3.0, "samples": 31},
     }
+    h3 = {
+        "algebra": "h3",
+        "force": {"type2_U": [0.8, -0.6]},
+        "charge": 1.2,
+        "initial": {"velocity": [0.9, -0.4, 0.5]},  # the cn branch
+        "time": {"t_max": 7.3, "samples": 31},
+    }
     (tmp_path / "type1.json").write_text(json.dumps(type1))
     (tmp_path / "q1.json").write_text(json.dumps({"algebra": "quaternionic(1)"}))
+    (tmp_path / "h3.json").write_text(json.dumps(h3))
     runs = [
         ["trajectory", "--scenario", str(tmp_path / "type1.json"), "--out", str(tmp_path / "a")],
         ["classify", "--scenario", str(tmp_path / "q1.json"), "--out", str(tmp_path / "b")],
         ["h5-periodic", "--rates", "-1.3", "0.7", "--energy", "2.0", "--out", str(tmp_path / "c")],
+        ["trajectory", "--scenario", str(tmp_path / "h3.json"), "--out", str(tmp_path / "d")],
+        ["periodicity", "--scenario", str(tmp_path / "h3.json"), "--out", str(tmp_path / "e")],
     ]
-    code = f"from nilmag.cli import main\nassert [main(argv) for argv in {runs!r}] == [0, 0, 0]"
+    code = f"from nilmag.cli import main\nassert [main(argv) for argv in {runs!r}] == [0] * 5"
     assert _scipy_modules_after(code) == []
-    for name in ("a/trajectory.json", "b/classify.json", "c/h5_certificate.json"):
+    for name in ("a/trajectory.json", "b/classify.json", "c/h5_certificate.json",
+                 "d/trajectory.json", "e/periodicity.json"):
         assert (tmp_path / name).exists()
+    assert json.loads((tmp_path / "e/periodicity.json").read_text())["branch"] == "Cn"
 
 
 def test_oracle_loads_scipy_on_first_use():
@@ -64,14 +73,3 @@ def test_oracle_loads_scipy_on_first_use():
         " np.array([1.0, 0.0, 0.2]), np.linspace(0.0, 1.0, 3))"
     )
     assert "scipy.integrate" in _scipy_modules_after(code)
-
-
-def test_patched_quad_counts_cn_sampling(monkeypatch):
-    """h3_type2.quad stays a patchable module name that cn sampling calls."""
-    calls = []
-    real = h3_type2.quad
-    monkeypatch.setattr(h3_type2, "quad", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    traj = h3_type2.solve_h3_type2((1.3, -0.4, 0.8))
-    assert traj.branch is h3_type2.Branch.CN
-    traj.sample(np.linspace(0.1, 2.5 * traj.period, 7))  # no whole periods
-    assert len(calls) == 3 * 7

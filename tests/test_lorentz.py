@@ -1,4 +1,5 @@
-"""Tests for force classification, closedness, exactness, and conjugation."""
+"""Tests for force classification, closedness, exactness, and invariance of
+closedness under conjugation by automorphisms."""
 
 from __future__ import annotations
 
@@ -12,11 +13,9 @@ from nilmag.lorentz import (
     ForceType,
     LorentzForce,
     check_closed,
-    conjugate_force,
     exactness_test,
     random_closed_type1,
     type2_from_vector,
-    verify_central_constraints,
 )
 
 
@@ -75,6 +74,7 @@ def test_every_2form_on_h3_is_closed_with_zero_residual():
         rep = check_closed(alg, m)
         assert rep.closed
         assert rep.max_residual == 0.0
+        assert rep.worst_triple is None
         assert rep.frobenius_residual == 0.0
 
 
@@ -89,31 +89,57 @@ def test_nonclosed_form_on_h5_reports_violating_triple():
     assert abs(rep.max_residual - 1.0) <= 1e-15
 
 
+def _central_constraint_residuals(alg, f):
+    """|F on the commutator directions| and |component of F(z) along them|."""
+    comm, fz = alg.commutator_z_basis(), f.block_zz
+    return float(np.max(np.abs(fz @ comm.T))), float(np.max(np.abs(comm @ fz)))
+
+
+def test_worst_triple_is_the_first_maximum_in_lexicographic_order():
+    """check_closed agrees with a loop over i < j < k that keeps the first
+    strict maximum, on integer forms whose residuals tie."""
+    rng = np.random.default_rng(11)
+    for alg in [h5(), MetricNilAlgebra.quaternionic(1), h3_times_r2()]:
+        d = alg.dim
+        for _ in range(10):
+            a = rng.integers(-1, 2, size=(d, d)).astype(float)
+            m = a - a.T
+            t = np.einsum("ijm,km->ijk", alg.structure, m)
+            resid = np.abs(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1))
+            best, worst = 0.0, None
+            for i in range(d):
+                for j in range(i + 1, d):
+                    for k in range(j + 1, d):
+                        if resid[i, j, k] > best:
+                            best, worst = resid[i, j, k], (i, j, k)
+            rep = check_closed(alg, m)
+            assert rep.max_residual == best and rep.worst_triple == worst
+
+
 def test_type1_closed_iff_vanishes_on_commutator():
-    alg = h3_times_r2()
+    """A closed type-I force vanishes on the commutator directions [n, n] and
+    maps the center into the flat directions ker j; check_closed sees both."""
     rng = np.random.default_rng(5)
-    # closed: skew on v + skew on ker j only
-    f = random_closed_type1(alg, rng)
-    assert f.force_type() is ForceType.TYPE_I
-    assert check_closed(alg, f).closed
-    rep = verify_central_constraints(alg, f)
-    assert rep.ok
-    assert rep.commutator_residual <= 1e-14
-    assert rep.kernel_residual <= 1e-14
+    for alg in [h3(), h5(), MetricNilAlgebra.quaternionic(1), h3_times_r2()]:
+        for _ in range(3):
+            f = random_closed_type1(alg, rng)
+            assert f.force_type() is ForceType.TYPE_I
+            assert check_closed(alg, f).closed
+            comm_res, kernel_res = _central_constraint_residuals(alg, f)
+            assert comm_res <= 1e-14 and kernel_res <= 1e-14
+            image = f.block_zz @ np.eye(alg.dim_z)
+            ker = alg.kernel_z_basis()
+            assert_allclose(ker.T @ (ker @ image), image, atol=1e-14)
 
     # not closed: F_z rotates the commutator direction into a flat one
+    alg = h3_times_r2()
     m = np.zeros((5, 5))
     m[2, 3], m[3, 2] = -1.0, 1.0  # e3 (commutator) <-> e4 (flat)
     fbad = LorentzForce(alg, m)
     assert fbad.force_type() is ForceType.TYPE_I
     assert not check_closed(alg, fbad).closed
-    assert not verify_central_constraints(alg, fbad).ok
-
-
-def test_verify_central_constraints_rejects_type2():
-    alg = h3()
-    with pytest.raises(UnsupportedForceError):
-        verify_central_constraints(alg, type2_from_vector(alg, [1.0, 0.0]))
+    comm_res, kernel_res = _central_constraint_residuals(alg, fbad)
+    assert comm_res == 1.0 and kernel_res == 1.0
 
 
 def test_exactness_recognizes_central_derivative_forces():
@@ -189,60 +215,59 @@ def test_type2_from_vector_matrix_and_errors():
         type2_from_vector(alg, [1.0, 0.0, 0.5])  # central component not allowed
 
 
+def _is_automorphism(alg, phi) -> bool:
+    """phi [e_i, e_j] = [phi e_i, phi e_j] on every basis pair."""
+    lhs = np.einsum("ia,jb,abm->ijm", phi.T, phi.T, alg.structure)
+    rhs = np.einsum("ijm,km->ijk", alg.structure, phi)
+    return bool(np.max(np.abs(lhs - rhs)) <= 1e-14)
+
+
 def test_conjugate_force_by_rotation_automorphism():
     """Rotations of v (+) matching central action are automorphisms of H3."""
     alg = h3()
     theta = 0.73
     c, s = np.cos(theta), np.sin(theta)
     phi = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    assert _is_automorphism(alg, phi)
     # rotations commute with j(e3), so conjugating the exact force is neutral
     m = np.zeros((3, 3))
     m[:2, :2] = alg.j_map(np.array([0.9]))
-    g = conjugate_force(alg, m, phi)
-    assert_allclose(g.matrix, m, atol=1e-14)
+    assert_allclose(phi @ m @ phi.T, m, atol=1e-14)
     # conjugating a type-II force rotates its direction vector
     u = np.array([1.0, -0.5])
-    f = type2_from_vector(alg, u)
-    g2 = conjugate_force(alg, f, phi)
-    u_rot = phi[:2, :2] @ u
-    assert_allclose(g2.matrix, type2_from_vector(alg, u_rot).matrix, atol=1e-14)
-    # closedness is invariant under automorphism conjugation
-    assert check_closed(alg, g2).closed
-
-
-def test_conjugate_force_scaling_and_validation():
-    alg = h3()
-    f = type2_from_vector(alg, [1.0, 1.0])
-    g = conjugate_force(alg, f, np.eye(3), r=2.5)
-    assert_allclose(g.matrix, 2.5 * f.matrix, atol=0)
-    with pytest.raises(InvalidForceError):
-        conjugate_force(alg, f, 2.0 * np.eye(3))  # not orthogonal
-    # orthogonal but not an automorphism: swap e1 <-> e3
-    swap = np.eye(3)[[2, 1, 0]]
-    with pytest.raises(InvalidForceError):
-        conjugate_force(alg, f, swap)
+    g = LorentzForce(alg, phi @ type2_from_vector(alg, u).matrix @ phi.T)
+    assert_allclose(g.matrix, type2_from_vector(alg, phi[:2, :2] @ u).matrix, atol=1e-14)
+    assert check_closed(alg, g).closed
 
 
 def test_conjugation_preserves_closedness_residuals_for_basis_permutation():
-    """Exact residual equality for an automorphism that permutes basis vectors."""
+    """Closedness residuals of LorentzForce(alg, phi m phi^T) for automorphisms phi:
+    the max and the worst triple move with a basis permutation, and the
+    Frobenius residual is invariant under any orthogonal automorphism."""
     alg = h5()
     # swap the two symplectic pairs: (X1,Y1) <-> (X2,Y2); fixes Z
-    phi = np.eye(5)[[2, 3, 0, 1, 4]].T
-    m = np.zeros((5, 5))
-    m[4, 0], m[0, 4] = 1.0, -1.0
-    rep = check_closed(alg, m)
-    g = conjugate_force(alg, m, phi)
-    rep2 = check_closed(alg, g)
-    assert rep.max_residual == rep2.max_residual
-    assert rep.closed == rep2.closed
-    # frobenius residual is invariant under any orthogonal automorphism
+    swap = np.eye(5)[[2, 3, 0, 1, 4]].T
     theta = 0.4
     c, s = np.cos(theta), np.sin(theta)
     rot = np.eye(5)
     rot[:2, :2] = [[c, -s], [s, c]]
-    g3 = conjugate_force(alg, m, rot)
-    rep3 = check_closed(alg, g3)
+    assert _is_automorphism(alg, swap) and _is_automorphism(alg, rot)
+    assert not _is_automorphism(alg, np.eye(5)[[4, 1, 2, 3, 0]])  # e1 <-> Z is not one
+    m = np.zeros((5, 5))
+    m[4, 0], m[0, 4] = 1.0, -1.0
+    rep = check_closed(alg, m)
+    rep2 = check_closed(alg, LorentzForce(alg, swap @ m @ swap.T))
+    assert rep.max_residual == rep2.max_residual
+    assert rep.closed == rep2.closed
+    assert rep2.worst_triple == (0, 1, 2)  # (e1, e3, e4) moved to (e3, e1, e2), sorted
+    rep3 = check_closed(alg, LorentzForce(alg, rot @ m @ rot.T))
     assert abs(rep3.frobenius_residual - rep.frobenius_residual) <= 1e-12
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        f = random_closed_type1(alg, rng)
+        for phi in (swap, rot):
+            conj = check_closed(alg, LorentzForce(alg, phi @ f.matrix @ phi.T))
+            assert conj.closed and conj.frobenius_residual <= 1e-14
 
 
 def test_random_closed_type1_is_closed_across_presets():

@@ -101,7 +101,6 @@ def test_exported_names_resolve():
 
 
 def test_h3_type2_keeps_its_patchable_names():
-    """benchmarks/spans.py counts calls by patching h3_type2.quad and .jacobi by name,
-    and skips a missing name silently, so both must stay module attributes."""
-    assert callable(h3_type2.quad)
+    """benchmarks/spans.py counts calls by patching h3_type2.jacobi by name,
+    and skips a missing name silently, so it must stay a module attribute."""
     assert callable(h3_type2.jacobi)
