@@ -48,7 +48,6 @@ from .h3_type2 import (
     Branch,
     PeriodicityKind,
     PeriodicityReport,
-    TransportedType2,
     Type2TrajectoryH3,
     lambda_kernel_check,
     lambda_periodicity,
@@ -107,7 +106,6 @@ __all__ = [
     "solve_type1",
     "solve_exact",
     "Type2TrajectoryH3",
-    "TransportedType2",
     "Branch",
     "PeriodicityKind",
     "PeriodicityReport",

@@ -509,6 +509,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- periodicity ---------------------------------------------------------------
 
 
+def _h5_force(scn: Scenario) -> H5Force:
+    """The scenario's H5 force with its charge folded in: a trajectory of
+    (F, charge) is one of (charge F, 1), the charge periodic_at_energy uses."""
+    return H5Force.from_matrix(scn.charge * _build_force(scn).matrix)
+
+
 def _h5_certificate_doc(force: H5Force, energy: float) -> tuple[dict, int]:
     cert = periodic_at_energy(force, energy)
     traj = solve_h5(force, cert.v0, cert.z0)
@@ -565,8 +571,7 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
     if ftype is ForceType.TYPE_I and _is_h5(alg):
         if scn.energy is None:
             raise InputError("periodicity on the 5-dim Heisenberg group needs 'energy'")
-        h5f = H5Force.from_matrix(force.matrix)
-        doc, status = _h5_certificate_doc(h5f, scn.energy)
+        doc, status = _h5_certificate_doc(_h5_force(scn), scn.energy)
         doc["scenario"] = scn.canonical()
         _emit_json(doc, args.out, "periodicity.json")
         return status
@@ -584,7 +589,7 @@ def cmd_h5_periodic(args: argparse.Namespace) -> int:
             raise UnsupportedForceError("h5-periodic needs the 5-dim Heisenberg group")
         if scn.energy is None:
             raise InputError("h5-periodic needs an 'energy' field in the scenario")
-        force = H5Force.from_matrix(_build_force(scn).matrix)
+        force = _h5_force(scn)
         energy = scn.energy
     else:
         if args.rates is None or args.energy is None:

@@ -125,9 +125,6 @@ class SkewSpectrum:
             return np.zeros_like(x)
         return self.kernel.T @ (self.kernel @ x)
 
-    def project(self, plane: InvariantPlane, x: np.ndarray) -> np.ndarray:
-        return plane.basis.T @ (plane.basis @ x)
-
     def reassembled(self) -> np.ndarray:
         """Sum of the blockwise restrictions; equals the matrix up to rounding."""
         n = self.matrix.shape[0]
@@ -180,7 +177,7 @@ def _rotating_parts(spec: SkewSpectrum, x: np.ndarray, mat: np.ndarray, scale: f
 
     Components that are numerically zero are dropped (keeps pair sums clean).
     """
-    kept = [(pl.rate, spec.project(pl, x)) for pl in spec.planes]
+    kept = [(pl.rate, pl.basis.T @ (pl.basis @ x)) for pl in spec.planes]
     kept = [(rate, c) for rate, c in kept if np.linalg.norm(c) > 1e-14 * scale]
     comps = np.array([c for _, c in kept]).reshape(len(kept), x.shape[0])
     return np.array([rate for rate, _ in kept]), comps, comps @ mat.T

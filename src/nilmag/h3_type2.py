@@ -3,8 +3,9 @@
 On the 3-dimensional Heisenberg group the non-splitting closed force is
 F_u(V + Z) = [V, u] + j(Z) u for a nonzero u in v.  Every (u, charge) pair
 reduces to the canonical u = e2, charge = 1 by a rotation of v and a time
-rescaling, so the solver below handles the canonical case and a transport
-wrapper restores the general one.
+rescaling (normalize_force).  Type2TrajectoryH3 solves the canonical case for
+the rotated, rescaled initial velocity, and its sample(ts) maps the result
+back to the trajectory's own frame and time.
 
 Canonical case, initial velocity (x0, y0, z0).  The z-velocity psi(t)
 (shifted as Phi = psi - z0, so Phi(0) = 0, Phi'(0) = x0) obeys
@@ -63,7 +64,7 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import DegenerateForceError
 from .oracle import CurveSamples
-from .specfun import agm_sequence, carlson_rd, complete_K, inverse_cn, inverse_dn, jacobi, sech
+from .specfun import agm_sequence, carlson_rd, inverse_cn, inverse_dn, jacobi, sech
 
 __all__ = [
     "Branch",
@@ -71,7 +72,6 @@ __all__ = [
     "solve_h3_type2",
     "NormalizedType2",
     "normalize_force",
-    "TransportedType2",
     "solve_type2_general",
     "PeriodicityKind",
     "PeriodicityReport",
@@ -102,18 +102,67 @@ def _gd(x: float) -> float:
     return 2.0 * math.atan(math.tanh(0.5 * x))
 
 
-class Type2TrajectoryH3:
-    """Canonical H3 trajectory for F_{e2} with charge 1.
+# -- reduction of the general vector force to the canonical one --------------
 
-    Exposes the branch data (modulus, amplitude, phase, rate, period), the
-    algebraic velocity, and the reconstructed group curve.  Instances are
-    produced by solve_h3_type2.
+
+@dataclass(frozen=True)
+class NormalizedType2:
+    """Reduction data: trajectory time runs at canonical time / time_scale.
+
+    rotation maps the effective unit force direction to e2; unit_direction
+    is that direction (charge sign absorbed).
     """
 
-    def __init__(self, x0: float, y0: float, z0: float):
-        if not all(math.isfinite(v) for v in (x0, y0, z0)):
+    time_scale: float
+    rotation: np.ndarray
+    unit_direction: np.ndarray
+
+
+def normalize_force(u, charge: float) -> NormalizedType2:
+    """Rotation and time rescaling taking (u, charge) to (e2, 1)."""
+    u = np.asarray(u, dtype=float)
+    if u.shape == (3,):
+        if abs(u[2]) > 1e-14:
+            raise ValueError("force direction must lie in v (third component 0)")
+        u = u[:2]
+    if u.shape != (2,):
+        raise ValueError("force direction must have shape (2,) or (3,)")
+    w = float(charge) * u
+    rho = float(np.linalg.norm(w))
+    if not math.isfinite(rho) or rho < 1e-14:
+        raise DegenerateForceError("vector-type force needs charge * u nonzero")
+    w_hat = w / rho
+    rotation = np.array([[w_hat[1], -w_hat[0]], [w_hat[0], w_hat[1]]])
+    return NormalizedType2(time_scale=1.0 / rho, rotation=rotation, unit_direction=w_hat)
+
+
+class Type2TrajectoryH3:
+    """H3 trajectory for the vector force F_u with the given charge.
+
+    normalize_force(u, charge) gives a rotation r of v and a time scale q
+    taking (u, charge) to (e2, 1).  The canonical trajectory starts from
+    q (r x0_v, x0_z), and at time t this trajectory is the canonical one at
+    t / q with velocities divided by q and planar components turned back by
+    r^T.  sample(ts) evaluates that map once per grid; position, velocity and
+    eval are its rows at a single time.
+
+    period is in this trajectory's own time.  Every other attribute (branch,
+    disc, amplitude, modulus, rate, phase, and x0/y0/z0, the canonical
+    initial velocity) and phi_image() describe the canonical trajectory.
+    For the default (e2, 1) the rotation is the identity and q = 1, so the
+    two frames coincide.
+    """
+
+    def __init__(self, x0, u=(0.0, 1.0), charge: float = 1.0):
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (3,):
+            raise ValueError("initial velocity must have shape (3,)")
+        if not np.all(np.isfinite(x0)):
             raise ValueError("initial velocity contains non-finite entries")
-        self.x0, self.y0, self.z0 = float(x0), float(y0), float(z0)
+        self.normalization = normalize_force(u, charge)
+        q, rot = self.normalization.time_scale, self.normalization.rotation
+        canonical_v = q * (rot @ x0[:2])
+        self.x0, self.y0, self.z0 = float(canonical_v[0]), float(canonical_v[1]), float(q * x0[2])
         self.y1 = self.y0 + 1.0
         self.v1_norm = math.hypot(self.x0, self.y1)  # S above
         s = self.v1_norm
@@ -153,7 +202,7 @@ class Type2TrajectoryH3:
             self.amplitude = a
             self.modulus = a / (2.0 * math.sqrt(s))
             self.rate = math.sqrt(s)
-            self.period = 4.0 * complete_K(self.modulus) / self.rate
+            self.period = q * (4.0 * self._landen[0] / self.rate)
             c0 = inverse_cn(float(np.clip(z0 / a, -1.0, 1.0)), self.modulus)
             self.phase = c0 if self.x0 >= 0.0 else -c0
             return
@@ -162,7 +211,7 @@ class Type2TrajectoryH3:
         self.amplitude = a
         self.modulus = 2.0 * math.sqrt(s) / a
         self.rate = 0.5 * a
-        self.period = 4.0 * complete_K(self.modulus) / a
+        self.period = q * (4.0 * self._landen[0] / a)
         self.sign = 1.0 if z0 > 0 else -1.0
         kp = math.sqrt((1.0 - self.modulus) * (1.0 + self.modulus))
         ratio = float(np.clip(abs(z0) / a, kp, 1.0))
@@ -202,22 +251,27 @@ class Type2TrajectoryH3:
         vel = np.array([dpsi, self.y0 + z0 * phi + 0.5 * phi * phi, psi])
         return np.array([phi, xi_y, xi_z]), vel
 
+    def sample(self, ts: np.ndarray) -> CurveSamples:
+        """Velocity and group curve (exponential coordinates, position(0) = 0)
+        on the grid ts: the canonical points at ts / q, mapped back once."""
+        ts = np.asarray(ts, dtype=float)
+        q, rot = self.normalization.time_scale, self.normalization.rotation
+        points = [self._point(t) for t in (ts / q).tolist()]
+        xi = np.array([p[0] for p in points]).reshape(-1, 3)
+        vel = np.array([p[1] for p in points]).reshape(-1, 3) / q
+        vel[:, :2] = vel[:, :2] @ rot
+        xi[:, :2] = xi[:, :2] @ rot
+        return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
+
     def velocity(self, t: float) -> np.ndarray:
-        return self._point(float(t))[1]
+        return self.sample(np.array([float(t)])).velocity[0]
 
     def position(self, t: float) -> np.ndarray:
-        """Group curve in exponential coordinates, position(0) = 0."""
-        return self._point(float(t))[0]
+        return self.sample(np.array([float(t)])).xi[0]
 
     def eval(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self._point(float(t))
-
-    def sample(self, ts: np.ndarray) -> CurveSamples:
-        ts = np.asarray(ts, dtype=float)
-        points = [self._point(t) for t in ts.tolist()]
-        xi = np.array([p[0] for p in points]).reshape(-1, 3)
-        vel = np.array([p[1] for p in points]).reshape(-1, 3)
-        return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
+        one = self.sample(np.array([float(t)]))
+        return one.xi[0], one.velocity[0]
 
     # -- power integrals on the oscillating branches ------------------------
 
@@ -356,98 +410,12 @@ def solve_h3_type2(x0) -> Type2TrajectoryH3:
 
     x0 is the initial left-trivialized velocity (x, y, z components).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (3,):
-        raise ValueError("initial velocity must have shape (3,)")
-    return Type2TrajectoryH3(x0[0], x0[1], x0[2])
+    return Type2TrajectoryH3(x0)
 
 
-# -- reduction of the general vector force to the canonical one --------------
-
-
-@dataclass(frozen=True)
-class NormalizedType2:
-    """Reduction data: trajectory time runs at canonical time / time_scale.
-
-    rotation maps the effective unit force direction to e2; unit_direction
-    is that direction (charge sign absorbed).
-    """
-
-    time_scale: float
-    rotation: np.ndarray
-    unit_direction: np.ndarray
-
-
-def normalize_force(u, charge: float) -> NormalizedType2:
-    """Rotation and time rescaling taking (u, charge) to (e2, 1)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape == (3,):
-        if abs(u[2]) > 1e-14:
-            raise ValueError("force direction must lie in v (third component 0)")
-        u = u[:2]
-    if u.shape != (2,):
-        raise ValueError("force direction must have shape (2,) or (3,)")
-    w = float(charge) * u
-    rho = float(np.linalg.norm(w))
-    if not math.isfinite(rho) or rho < 1e-14:
-        raise DegenerateForceError("vector-type force needs charge * u nonzero")
-    w_hat = w / rho
-    rotation = np.array([[w_hat[1], -w_hat[0]], [w_hat[0], w_hat[1]]])
-    return NormalizedType2(time_scale=1.0 / rho, rotation=rotation, unit_direction=w_hat)
-
-
-class TransportedType2:
-    """General-(u, charge) trajectory expressed through the canonical one.
-
-    With q = time_scale and the normalizing rotation r,
-        velocity(t) = (1/q) * r^T-action of canonical velocity(t / q)
-        position(t) =        r^T-action of canonical position(t / q)
-    where the rotation acts on the v-components only.  sample(ts) applies
-    this once to the canonical samples at ts / q; position(t) and velocity(t)
-    are its rows at a single time.
-    """
-
-    def __init__(self, u, charge: float, x0):
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (3,):
-            raise ValueError("initial velocity must have shape (3,)")
-        self.normalization = normalize_force(u, charge)
-        q, rot = self.normalization.time_scale, self.normalization.rotation
-        inner_v = q * (rot @ x0[:2])
-        self.inner = Type2TrajectoryH3(inner_v[0], inner_v[1], q * x0[2])
-        self.u = np.asarray(u, dtype=float)[:2].copy()
-        self.charge = float(charge)
-
-    def sample(self, ts: np.ndarray) -> CurveSamples:
-        ts = np.asarray(ts, dtype=float)
-        q, rot = self.normalization.time_scale, self.normalization.rotation
-        inner = self.inner.sample(ts / q)
-        vel, xi = inner.velocity / q, inner.xi
-        vel[:, :2] = vel[:, :2] @ rot
-        xi[:, :2] = xi[:, :2] @ rot
-        return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
-
-    def velocity(self, t: float) -> np.ndarray:
-        return self.sample(np.array([float(t)])).velocity[0]
-
-    def position(self, t: float) -> np.ndarray:
-        return self.sample(np.array([float(t)])).xi[0]
-
-    @property
-    def branch(self) -> Branch:
-        return self.inner.branch
-
-    @property
-    def period(self) -> float | None:
-        """Velocity period in the outer time variable (inner period times q)."""
-        if self.inner.period is None:
-            return None
-        return self.normalization.time_scale * self.inner.period
-
-
-def solve_type2_general(u, charge: float, x0) -> TransportedType2:
+def solve_type2_general(u, charge: float, x0) -> Type2TrajectoryH3:
     """Trajectory for the vector force F_u with an arbitrary charge."""
-    return TransportedType2(u, charge, x0)
+    return Type2TrajectoryH3(x0, u, charge)
 
 
 # -- lambda-periodicity -------------------------------------------------------
@@ -483,26 +451,19 @@ def _verify_translation(traj, lam: np.ndarray, omega: float, n_checks: int) -> f
 
 
 def lambda_periodicity(traj, tol: float = 1e-9, n_checks: int = 10) -> PeriodicityReport:
-    """Classify a canonical or transported trajectory as periodic,
-    lambda-periodic, or non-periodic, with the translation element.
+    """Classify a trajectory as periodic, lambda-periodic, or non-periodic,
+    with the translation element.
 
-    The translation is sigma(omega) where omega is the velocity period
-    (omega = 1 for the straight-line branch, whose velocity is constant).
+    The translation is sigma(omega) where omega is the velocity period.  The
+    straight-line branch has a constant velocity; its omega is canonical
+    time 1, which is time_scale in the trajectory's own time.
     """
-    if isinstance(traj, TransportedType2):
-        inner_report = lambda_periodicity(traj.inner, tol=tol, n_checks=0)
-        if inner_report.kind is PeriodicityKind.NON_PERIODIC:
-            return inner_report
-        omega = traj.normalization.time_scale * inner_report.omega
-        lam = inner_report.translation.copy()
-        lam[:2] = traj.normalization.rotation.T @ lam[:2]
-    elif traj.branch in (Branch.SECH_POS, Branch.SECH_NEG):
+    if traj.branch in (Branch.SECH_POS, Branch.SECH_NEG):
         return PeriodicityReport(
             kind=PeriodicityKind.NON_PERIODIC, omega=None, translation=None, residual=None
         )
-    else:
-        omega = 1.0 if traj.branch is Branch.LINEAR else traj.period
-        lam = traj.position(omega)
+    omega = traj.normalization.time_scale if traj.branch is Branch.LINEAR else traj.period
+    lam = traj.position(omega)
     kind = (
         PeriodicityKind.PERIODIC
         if np.linalg.norm(lam) <= tol

@@ -96,9 +96,6 @@ class LorentzForce:
     def dim(self) -> int:
         return self.alg.dim
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float)
-
     # block views (v-rows/cols first)
     @property
     def block_vv(self) -> np.ndarray:
@@ -116,11 +113,6 @@ class LorentzForce:
         dv = self.alg.dim_v
         return self.matrix[:dv, dv:]
 
-    @property
-    def block_zv(self) -> np.ndarray:
-        dv = self.alg.dim_v
-        return self.matrix[dv:, :dv]
-
     def force_type(self, tol: float = _SKEW_TOL) -> ForceType:
         """Classify by which blocks vanish.
 
@@ -137,10 +129,6 @@ class LorentzForce:
         if diag_zero:
             return ForceType.TYPE_II
         return ForceType.MIXED
-
-    def omega(self, x: np.ndarray, y: np.ndarray) -> float:
-        """The 2-form omega(x, y) = <F x, y>."""
-        return float((self.matrix @ np.asarray(x, float)) @ np.asarray(y, float))
 
 
 def _as_force(alg: MetricNilAlgebra, f) -> LorentzForce:

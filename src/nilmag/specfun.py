@@ -5,17 +5,16 @@ Everything here uses the modulus convention k (not the parameter m = k^2):
     K(k)          = integral_0^{pi/2} dtheta / sqrt(1 - k^2 sin^2 theta)
     E(k)          = integral_0^{pi/2} sqrt(1 - k^2 sin^2 theta) dtheta
     F(phi, k)     = integral_0^phi dtheta / sqrt(1 - k^2 sin^2 theta)
-    E(phi, k)     = integral_0^phi sqrt(1 - k^2 sin^2 theta) dtheta
     sn, cn, dn    = Jacobi functions with sn^2 + cn^2 = 1, dn^2 + k^2 sn^2 = 1
 
 K and E are computed by the arithmetic-geometric mean, sn/cn/dn by a descending
-Landen transformation (AGM phase recursion), F(phi, k) and E(phi, k) from
-Carlson's symmetric integrals R_F and R_D by duplication (Carlson 1995,
-Numer. Algorithms 10; DLMF 19.36).  Each AGM and Landen step doubles the
-number of correct digits and each duplication step shrinks the argument
-spread fourfold; all are accurate to ~1e-14 away from k = 1.  The inverses
-of cn and dn on their principal monotone branches, used to pin phases, are
-values of F.
+Landen transformation (AGM phase recursion), F(phi, k) from Carlson's
+symmetric integral R_F by duplication (Carlson 1995, Numer. Algorithms 10;
+DLMF 19.36); R_D, by the same duplication, gives the H3 solver its Jacobi
+zeta function.  Each AGM and Landen step doubles the number of correct
+digits and each duplication step shrinks the argument spread fourfold; all
+are accurate to ~1e-14 away from k = 1.  The inverses of cn and dn on their
+principal monotone branches, used to pin phases, are values of F.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "carlson_rf",
     "carlson_rd",
     "incomplete_F",
-    "incomplete_E",
     "inverse_cn",
     "inverse_dn",
     "sech",
@@ -61,20 +59,15 @@ def sech(x: float) -> float:
 
 
 def complete_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, K(k), by the AGM.
+    """Complete elliptic integral of the first kind, K(k) = pi / (2M) with M
+    the AGM of (1, k') (agm_sequence).
 
     K(0) = pi/2, K is increasing, and K(1) = +inf (returned as math.inf).
     """
     k = _check_modulus(k)
     if k == 1.0:
         return math.inf
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))  # k' without cancellation
-    for _ in range(_MAX_AGM_ITER):
-        if abs(a - b) <= _AGM_STOP * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * agm_sequence(k)[0])
 
 
 def agm_sequence(k: float) -> tuple[float, list[float]]:
@@ -118,8 +111,8 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
     phi_N = 2^N a_N u and recover phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n))/2.
     Then sn = sin phi_0, cn = cos phi_0, dn = sqrt(k'^2 + k^2 cn^2).
 
-    u is reduced modulo the real period 4K first so large arguments do not
-    lose accuracy in the phase seed.
+    u is reduced modulo the real period 4K = 2 pi / a_N, read off the same
+    AGM, so large arguments do not lose accuracy in the phase seed.
     """
     k = _check_modulus(k)
     u = float(u)
@@ -128,10 +121,6 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
     if k == 1.0:
         s = sech(u)
         return math.tanh(u), s, s
-
-    bigK = complete_K(k)
-    period = 4.0 * bigK
-    u = u - period * math.floor(u / period + 0.5)  # now |u| <= 2K
 
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a, b, c = 1.0, kp, k
@@ -143,6 +132,9 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
         a_seq.append(a)
         c_seq.append(c)
         n += 1
+
+    period = 2.0 * math.pi / a  # 4K
+    u = u - period * math.floor(u / period + 0.5)  # now |u| <= 2K
 
     phi = (2.0**n) * a_seq[n] * u
     for m in range(n, 0, -1):
@@ -244,18 +236,6 @@ def incomplete_F(phi: float, k: float) -> float:
     n, s, c, d2 = _legendre_reduce(phi, k)
     f = s * carlson_rf(c * c, d2, 1.0)
     return f + 2.0 * n * complete_K(k) if n else f
-
-
-def incomplete_E(phi: float, k: float) -> float:
-    """Incomplete elliptic integral of the second kind E(phi, k), any real phi.
-
-    E = sin r R_F(cos^2 r, Delta^2, 1) - (k^2/3) sin^3 r R_D(cos^2 r, Delta^2, 1)
-    on |r| <= pi/2 (DLMF 19.25.9), and E(n pi + r) = 2 n E(k) + E(r).
-    """
-    k = _check_modulus(k)
-    n, s, c, d2 = _legendre_reduce(phi, k)
-    e = s * carlson_rf(c * c, d2, 1.0) - k * k * s**3 / 3.0 * carlson_rd(c * c, d2, 1.0)
-    return e + 2.0 * n * complete_E(k) if n else e
 
 
 def inverse_cn(x: float, k: float) -> float:

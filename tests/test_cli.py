@@ -6,9 +6,12 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from nilmag.algebra import MetricNilAlgebra
 from nilmag.cli import main, parse_scenario
+from nilmag.h5_type1 import H5Force
+from nilmag.oracle import IntegratorConfig, reconstruct_group
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -267,6 +270,23 @@ def test_periodicity_h5_certificate(tmp_path, capsys):
     assert doc["verify"]["ok"] is True
     assert doc["verify"]["residual"] < 1e-8
     assert abs(doc["drift"]) < 1e-12
+
+
+@pytest.mark.parametrize("command", ["periodicity", "h5-periodic"])
+def test_h5_certificate_uses_the_scenario_charge(tmp_path, capsys, command):
+    """The certified orbit closes under the scenario's own charge, checked
+    by the oracle over one period."""
+    doc_in = {"algebra": "heisenberg(2)", "force": {"rates": [-1, 2]}, "charge": 2, "energy": 3}
+    path = write_scenario(tmp_path, doc_in)
+    code, doc = run_json(capsys, [command, "--scenario", path])
+    assert code == 0 and doc["verify"]["ok"] is True
+    assert doc["rates"] == [-2.0, 4.0]
+    alg = MetricNilAlgebra.heisenberg(2)
+    force = H5Force.from_rates(-1.0, 2.0).matrix
+    x0 = np.append(doc["v0"], doc["z0"])
+    cfg = IntegratorConfig(tolerance=1e-12)
+    end = reconstruct_group(alg, force, 2.0, x0, [0.0, doc["period"]], cfg).xi[-1]
+    assert np.max(np.abs(end)) <= 1e-8, end
 
 
 def test_periodicity_h5_needs_energy(tmp_path, capsys):

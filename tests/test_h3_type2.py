@@ -219,14 +219,28 @@ def test_transported_lambda_periodicity():
     u, charge = np.array([1.5, -2.0]), 0.7
     x0 = np.array([0.9, -0.3, 1.1])
     trans = solve_type2_general(u, charge, x0)
-    inner_report = lambda_periodicity(trans.inner)
+    norm = normalize_force(u, charge)
+    q, rot = norm.time_scale, norm.rotation
+    canonical = lambda_periodicity(solve_h3_type2(np.append(q * (rot @ x0[:2]), q * x0[2])))
     report = lambda_periodicity(trans)
-    assert report.kind is inner_report.kind
-    assert report.omega == pytest.approx(
-        trans.normalization.time_scale * inner_report.omega
-    )
+    assert report.kind is canonical.kind is PeriodicityKind.LAMBDA_PERIODIC
+    assert abs(report.omega - q * canonical.omega) <= 1e-13 * report.omega
+    want = np.append(rot.T @ canonical.translation[:2], canonical.translation[2])
+    assert np.max(np.abs(report.translation - want)) <= 1e-13 * np.max(np.abs(want))
     assert report.residual < 1e-8
     assert lambda_kernel_check(u, report.translation)
+
+
+@pytest.mark.parametrize("branch", list(CANONICAL_ICS), ids=lambda b: b.value)
+def test_canonical_force_is_the_identity_reduction(branch):
+    """For (e2, 1) the rotation is the identity and the time scale 1, so the
+    general constructor gives the canonical samples bit for bit."""
+    ts = np.linspace(-2.0, 9.0, 23)
+    for ic in CANONICAL_ICS[branch]:
+        canonical = solve_h3_type2(ic).sample(ts)
+        general = solve_type2_general((0.0, 1.0), 1.0, ic).sample(ts)
+        np.testing.assert_array_equal(general.xi, canonical.xi)
+        np.testing.assert_array_equal(general.velocity, canonical.velocity)
 
 
 def test_degenerate_directions_are_rejected():

@@ -203,9 +203,9 @@ def test_type2_from_vector_matrix_and_errors():
         via_def = alg.bracket(alg.embed_v(x[:2]), alg.embed_v(u)) + alg.embed_v(
             alg.j_map(x[2:]) @ u
         )
-        assert_allclose(f(x), via_def, atol=1e-14)
+        assert_allclose(f.matrix @ x, via_def, atol=1e-14)
     # kernel of F is spanned by u itself
-    assert_allclose(f(alg.embed_v(u)), np.zeros(3), atol=0)
+    assert_allclose(f.matrix @ alg.embed_v(u), np.zeros(3), atol=0)
 
     with pytest.raises(DegenerateForceError):
         type2_from_vector(alg, [0.0, 0.0])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,8 @@ SOLVERS = {
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_sample_is_the_evaluation_primitive(name):
-    """An empty grid gives (0, dim) arrays; position and velocity are rows of sample."""
+    """An empty grid gives (0, dim) arrays; position, velocity and eval are
+    rows of sample."""
     traj, dim = SOLVERS[name]()
     empty = traj.sample(np.array([]))
     assert empty.t.shape == (0,)
@@ -44,6 +47,9 @@ def test_sample_is_the_evaluation_primitive(name):
         one = traj.sample(np.array([t]))
         np.testing.assert_array_equal(traj.position(t), one.xi[0])
         np.testing.assert_array_equal(traj.velocity(t), one.velocity[0])
+        xi, vel = traj.eval(t)
+        np.testing.assert_array_equal(xi, traj.position(t))
+        np.testing.assert_array_equal(vel, traj.velocity(t))
 
 
 class CountingTrajectory:
@@ -98,6 +104,34 @@ def test_exported_names_resolve():
         module = importlib.import_module(f"nilmag.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"nilmag.{info.name}.{name}"
+
+
+def _resolves(module: str, name: str) -> bool:
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_benchmark_imports_resolve():
+    """Every `from nilmag... import name` in benchmarks/*.py names something
+    that exists; the suite does not run the benchmark, so a removed public
+    name would otherwise break it unnoticed.  The files are only parsed."""
+    files = sorted((Path(__file__).resolve().parents[1] / "benchmarks").glob("*.py"))
+    assert files
+    imported = [
+        (node.module, alias.name, path.name)
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nilmag"
+        for alias in node.names
+    ]
+    assert imported
+    missing = [f"{f}: from {m} import {n}" for m, n, f in imported if not _resolves(m, n)]
+    assert not missing, missing
 
 
 def test_h3_type2_keeps_its_patchable_names():

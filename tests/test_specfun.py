@@ -17,7 +17,6 @@ from nilmag.specfun import (
     complete_E,
     complete_K,
     dn,
-    incomplete_E,
     incomplete_F,
     inverse_cn,
     inverse_dn,
@@ -195,26 +194,23 @@ def test_jacobi_derivatives_by_central_difference():
 
 @pytest.mark.parametrize("k", [0.0, 1e-8, 0.5, 0.99, 1.0 - 1e-12])
 def test_incomplete_integrals_against_mpmath(k):
-    """F(phi, k) and E(phi, k) from Carlson's R_F, R_D match 40-digit mpmath
-    values for |phi| up to 3 pi, across the reduction phi = n pi + r."""
+    """F(phi, k) from Carlson's R_F matches 40-digit mpmath values for |phi|
+    up to 3 pi, across the reduction phi = n pi + r."""
     phis = [0.0, 1e-9, 0.3, 1.0, math.pi / 2, 2.0, 3.0, 5.0, 7.5, 9.0, -2.3, -9.4, 3 * math.pi]
     with mpmath.workdps(40):
         m = mpmath.mpf(k) ** 2
         for phi in phis:
             want_f = float(mpmath.ellipf(mpmath.mpf(phi), m))
-            want_e = float(mpmath.ellipe(mpmath.mpf(phi), m))
             assert abs(incomplete_F(phi, k) - want_f) <= 1e-15 * max(1.0, abs(want_f)), (phi, k)
-            assert abs(incomplete_E(phi, k) - want_e) <= 1e-14 * max(1.0, abs(want_e)), (phi, k)
-    assert incomplete_F(0.0, k) == 0.0 and incomplete_E(0.0, k) == 0.0
+    assert incomplete_F(0.0, k) == 0.0
     assert abs(incomplete_F(math.pi, k) - 2.0 * complete_K(k)) <= 1e-15 * complete_K(k)
-    assert abs(incomplete_E(-math.pi, k) + 2.0 * complete_E(k)) <= 1e-15
 
 
 def test_incomplete_integral_domain_errors():
     with pytest.raises(ValueError):
         incomplete_F(0.3, 1.5)
     with pytest.raises(ValueError):
-        incomplete_E(math.inf, 0.5)
+        incomplete_F(math.inf, 0.5)
     assert incomplete_F(2.0, 1.0) == math.inf
 
 
