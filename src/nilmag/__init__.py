@@ -18,8 +18,8 @@ an independent numerical integrator:
   prescribed energy.
 - `specfun`: complete and incomplete elliptic integrals and Jacobi elliptic
   functions.
-- `oracle`: adaptive Dormand-Prince / RK4 reference integrator and curve
-  comparison utilities.
+- `oracle`: numpy-only adaptive Dormand-Prince / fixed-step RK4 reference
+  integrator.
 - `cli`: the `nilmag` command-line front end.
 """
 
@@ -36,7 +36,6 @@ from .closedform import (
 from .errors import (
     DegenerateForceError,
     ExactForceError,
-    GridMismatchError,
     InputError,
     IntegrationError,
     InvalidForceError,
@@ -75,10 +74,9 @@ from .lorentz import (
     type2_from_vector,
 )
 from .oracle import (
-    ComparisonReport,
     CurveSamples,
     IntegratorConfig,
-    compare,
+    IntegratorStats,
     integrate_velocity,
     reconstruct_group,
 )
@@ -122,11 +120,10 @@ __all__ = [
     "periodic_at_energy",
     "verify_periodic",
     "IntegratorConfig",
+    "IntegratorStats",
     "CurveSamples",
-    "ComparisonReport",
     "integrate_velocity",
     "reconstruct_group",
-    "compare",
     "complete_K",
     "complete_E",
     "jacobi",
@@ -143,6 +140,5 @@ __all__ = [
     "ExactForceError",
     "NoCertificateError",
     "IntegrationError",
-    "GridMismatchError",
     "__version__",
 ]

@@ -153,6 +153,9 @@ class MetricNilAlgebra:
         self.structure[dim_v:, :, :] = 0.0
         self.structure[:, dim_v:, :] = 0.0
         self.structure[:, :, :dim_v] = 0.0
+        # bracket and geodesic drift as (dim, dim^2) matrices on outer(x, y).ravel()
+        self._bracket_matrix = self.structure.transpose(2, 0, 1).reshape(dim, dim * dim)
+        self._geodesic_matrix = self.structure.transpose(1, 2, 0).reshape(dim, dim * dim)
         # change of basis back to the user's coordinates (identity for presets)
         self.input_basis = np.eye(dim) if input_basis is None else np.asarray(input_basis, float)
         self.input_metric = np.eye(dim) if input_metric is None else np.asarray(input_metric, float)
@@ -368,10 +371,18 @@ class MetricNilAlgebra:
     # ------------------------------------------------------------------
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Lie bracket [x, y] (always a central vector)."""
-        x = _as_vector(x, self.dim, "x")
-        y = _as_vector(y, self.dim, "y")
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
+        """Lie bracket [x, y]_k = sum_ij x_i y_j c_ijk (always a central vector).
+
+        Like geodesic_term it runs in the oracle's inner loop, so it checks
+        the shape (ValueError) but not finiteness.
+        """
+        return self._bracket_matrix @ self._outer(x, y)
+
+    def _outer(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        xy = np.outer(x, y)
+        if xy.shape != (self.dim, self.dim):
+            raise ValueError(f"vectors must have shape ({self.dim},)")
+        return xy.ravel()
 
     def group_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Group product in exponential coordinates: a + b + [a, b]/2.
@@ -409,8 +420,7 @@ class MetricNilAlgebra:
         j(x_z) x_v embedded in v.  Computed directly from the structure
         tensor (independently of j_map) so the two routes can cross-check.
         """
-        x = _as_vector(x, self.dim, "x")
-        return np.einsum("m,i,ikm->k", x, x, self.structure)
+        return self._geodesic_matrix @ self._outer(x, x)
 
     def levi_civita(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Levi-Civita connection on constant (left-invariant) fields.

@@ -75,7 +75,7 @@ from .lorentz import (
     random_closed_type1,
     type2_from_vector,
 )
-from .oracle import IntegratorConfig, reconstruct_group
+from .oracle import IntegratorConfig, IntegratorStats, reconstruct_group
 
 __all__ = ["main", "parse_scenario", "Scenario"]
 
@@ -408,9 +408,9 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
             "the curve was integrated numerically"
         )
         log.warning("%s", meta["warning"])
-        samples = reconstruct_group(
-            alg, force, scn.charge, scn.velocity0, ts, IntegratorConfig(tolerance=1e-11)
-        )
+        cfg = IntegratorConfig(tolerance=1e-11)
+        samples = reconstruct_group(alg, force, scn.charge, scn.velocity0, ts, cfg)
+        meta["integrator"] = _integrator_meta(cfg, samples.stats)
 
     speeds = np.linalg.norm(samples.velocity, axis=1)
     meta["speed"] = float(speeds[0])
@@ -432,6 +432,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
             "max_position_deviation": dev_x,
             "tolerance": scn.tolerance,
             "passed": passed,
+            "integrator": _integrator_meta(cfg, ref.stats),
         }
         if not passed:
             print(
@@ -462,6 +463,12 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         }
         _emit_json(doc, args.out, "trajectory.json")
     return status
+
+
+def _integrator_meta(cfg: IntegratorConfig, stats: IntegratorStats) -> dict[str, Any]:
+    """Scheme, step control and work counts of one oracle run."""
+    tol = cfg.tolerance if cfg.scheme == "dopri45" else None
+    return {"scheme": cfg.scheme, "tolerance": tol, "dt": cfg.dt, **dataclasses.asdict(stats)}
 
 
 # -- classify ------------------------------------------------------------------

@@ -33,7 +33,3 @@ class NoCertificateError(NilmagError, RuntimeError):
 
 class IntegrationError(NilmagError, RuntimeError):
     """The numerical integrator failed (step underflow, non-finite state)."""
-
-
-class GridMismatchError(NilmagError, ValueError):
-    """Two sampled curves were compared on different time grids."""

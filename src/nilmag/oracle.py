@@ -11,13 +11,12 @@ reconstructed from
     xi_v' = x_v,
     xi_z' = x_z - (1/2) [x_v, xi_v].
 
-Both are integrated here with either an adaptive Dormand-Prince 4(5) pair
-(scipy's RK45) or a fixed-step classical RK4, giving an oracle that shares
-no code with the closed-form solvers.
-
-scipy is imported by the adaptive integrator when it first runs, not when
-this module loads, so the closed-form solvers and CurveSamples (defined
-here) cost no scipy import.
+Both are integrated here, with numpy alone, by an adaptive Dormand-Prince
+5(4) pair or a fixed-step classical RK4 through one explicit Runge-Kutta
+stage helper, giving an oracle that shares no code with the closed-form
+solvers.  The adaptive pair (Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.4-II.6) takes the same steps as scipy's RK45: tableau, dense output,
+error norm, step controller and initial step.
 """
 
 from __future__ import annotations
@@ -27,19 +26,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import MetricNilAlgebra
-from .errors import GridMismatchError, IntegrationError
+from .errors import IntegrationError
 from .lorentz import LorentzForce
 
-__all__ = [
-    "IntegratorConfig",
-    "CurveSamples",
-    "ComparisonReport",
-    "integrate_velocity",
-    "reconstruct_group",
-    "compare",
-]
+__all__ = ["IntegratorConfig", "IntegratorStats", "CurveSamples", "integrate_velocity",
+           "reconstruct_group"]
 
 _TOL_RANGE = (1e-14, 1e-3)
+
+# Explicit tableaux (A, B, C); Dormand-Prince adds error weights E and Shampine's dense output P
+_RK4 = (np.array([[0, 0, 0], [1 / 2, 0, 0], [0, 1 / 2, 0], [0, 0, 1]]),
+        np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]), np.array([0, 1 / 2, 1 / 2, 1]))
+_DOPRI = (np.array([[0, 0, 0, 0, 0], [1 / 5, 0, 0, 0, 0], [3 / 40, 9 / 40, 0, 0, 0],
+                    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+                    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+                    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]]),
+           np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+           np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1]))
+_DOPRI_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_DOPRI_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
 
 @dataclass(frozen=True)
@@ -63,9 +75,17 @@ class IntegratorConfig:
             raise ValueError(
                 f"tolerance must lie in ({_TOL_RANGE[0]}, {_TOL_RANGE[1]}), got {self.tolerance}"
             )
-        if self.scheme == "rk4":
-            if self.dt is None or not np.isfinite(self.dt) or self.dt <= 0.0:
-                raise ValueError("rk4 needs a positive fixed step dt")
+        if self.scheme == "rk4" and (self.dt is None or not np.isfinite(self.dt) or self.dt <= 0.0):
+            raise ValueError("rk4 needs a positive fixed step dt")
+
+
+@dataclass(frozen=True)
+class IntegratorStats:
+    """Work of one integration: right-hand-side evaluations and steps taken."""
+
+    nfev: int
+    accepted_steps: int
+    rejected_steps: int
 
 
 @dataclass
@@ -75,12 +95,13 @@ class CurveSamples:
     velocity rows are the left-trivialized velocity x(t); xi rows are the
     group curve in exponential coordinates (None when only the velocity was
     integrated).  speed is the pointwise norm of the velocity, constant along
-    genuine magnetic trajectories.
+    genuine magnetic trajectories.  stats is set on integrated curves only.
     """
 
     t: np.ndarray
     velocity: np.ndarray
     xi: np.ndarray | None = None
+    stats: IntegratorStats | None = None
 
     @property
     def speed(self) -> np.ndarray:
@@ -94,15 +115,6 @@ class CurveSamples:
         return float(np.max(np.abs(s - s[0])) / s0)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Pointwise comparison of two trajectories on a shared grid."""
-
-    max_velocity_deviation: float
-    max_position_deviation: float | None
-    speed_drift: float  # worst of either curve
-
-
 def _rhs_velocity(alg: MetricNilAlgebra, fmat: np.ndarray, q: float):
     def rhs(_t, x):
         return alg.geodesic_term(x) + q * (fmat @ x)
@@ -111,13 +123,13 @@ def _rhs_velocity(alg: MetricNilAlgebra, fmat: np.ndarray, q: float):
 
 
 def _rhs_combined(alg: MetricNilAlgebra, fmat: np.ndarray, q: float):
-    d, dv = alg.dim, alg.dim_v
+    d = alg.dim
 
     def rhs(_t, y):
         x, xi = y[:d], y[d:]
         dx = alg.geodesic_term(x) + q * (fmat @ x)
-        dxi = x - 0.5 * alg.bracket(alg.embed_v(x[:dv]), alg.embed_v(xi[:dv]))
-        return np.concatenate([dx, dxi])
+        # structure vanishes outside v x v -> z, so [x, xi] is already [x_v, xi_v]
+        return np.concatenate([dx, x - 0.5 * alg.bracket(x, xi)])
 
     return rhs
 
@@ -139,55 +151,93 @@ def _check_inputs(alg: MetricNilAlgebra, x0: np.ndarray, t_grid: np.ndarray):
         raise ValueError("time grid must start at t = 0")
 
 
-def _run_rk4(rhs, y0: np.ndarray, t_grid: np.ndarray, dt: float) -> np.ndarray:
+def _rk_step(rhs, t: float, y: np.ndarray, f: np.ndarray, h: float, tableau, k: np.ndarray):
+    """One explicit Runge-Kutta step from y with f = rhs(t, y); the stages fill k."""
+    a, b, c = tableau
+    k[0] = f
+    for s in range(1, c.size):
+        k[s] = rhs(t + c[s] * h, y + np.dot(k[:s].T, a[s, :s]) * h)
+    return y + h * np.dot(k[: b.size].T, b)
+
+
+def _run_rk4(rhs, y0: np.ndarray, t_grid: np.ndarray, dt: float):
     out = np.empty((t_grid.size, y0.size))
-    out[0] = y0
-    y = y0.astype(float).copy()
-    t = float(t_grid[0])
+    out[0] = y = y0
+    k = np.empty((4, y0.size))
+    steps = 0
     for idx in range(1, t_grid.size):
+        t = float(t_grid[idx - 1])
         span = float(t_grid[idx]) - t
         nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
         h = span / nsteps
         for _ in range(nsteps):
-            try:
-                k1 = rhs(t, y)
-                k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-                k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-                k4 = rhs(t + h, y + h * k3)
-            except ValueError as exc:  # overflowed stage values
-                raise IntegrationError(f"rk4 produced non-finite state at t = {t}") from exc
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y = _rk_step(rhs, t, y, rhs(t, y), h, _RK4, k)
             t += h
             if not np.all(np.isfinite(y)):
                 raise IntegrationError(f"rk4 produced non-finite state at t = {t}")
-        t = float(t_grid[idx])
+        steps += nsteps
         out[idx] = y
-    return out
+    return out, IntegratorStats(4 * steps, steps, 0)
 
 
-def _run_dopri(rhs, y0: np.ndarray, t_grid: np.ndarray, tol: float) -> np.ndarray:
-    from scipy.integrate import solve_ivp
-
-    try:
-        sol = solve_ivp(
-            rhs,
-            (float(t_grid[0]), float(t_grid[-1])),
-            y0,
-            method="RK45",
-            t_eval=t_grid,
-            rtol=tol,
-            atol=tol,
-        )
-    except ValueError as exc:  # overflowed stage values
-        raise IntegrationError("adaptive integration produced non-finite state") from exc
-    if not sol.success:
-        raise IntegrationError(f"adaptive integration failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
-        raise IntegrationError("adaptive integration produced non-finite values")
-    return sol.y.T
+def _norm(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size**0.5  # RMS
 
 
-def _integrate(rhs, y0: np.ndarray, t_grid: np.ndarray, config: IntegratorConfig) -> np.ndarray:
+def _initial_step(rhs, t: float, y: np.ndarray, f: np.ndarray, span: float, tol, rtol) -> float:
+    """Hairer-Norsett-Wanner starting step for an error estimator of order 4."""
+    scale = tol + np.abs(y) * rtol
+    d0, d1 = _norm(y / scale), _norm(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _norm((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, span)
+
+
+def _run_dopri(rhs, y0: np.ndarray, t_grid: np.ndarray, tol: float):
+    """Adaptive Dormand-Prince 5(4), grid points taken from the dense output.
+
+    A step passes when the RMS of its error scaled by tol + rtol max(|y|, |y_new|)
+    is below 1; the next is 0.9 err^(-1/5) times larger, the factor clipped to
+    [0.2, 10] and to 1 after a rejection.  A step below 10 ulp of t raises
+    IntegrationError, and so does a non-finite error (scipy would shrink the step).
+    """
+    rtol = max(tol, 100 * np.finfo(float).eps)  # scipy's floor on the relative tolerance
+    t, t_end = float(t_grid[0]), float(t_grid[-1])
+    y, f = y0, rhs(t, y0)
+    h_abs = _initial_step(rhs, t, y, f, t_end - t, tol, rtol)
+    k = np.empty((7, y0.size))
+    out = np.empty((t_grid.size, y0.size))
+    done = accepted = rejected = 0
+    while t < t_end:
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        h_abs, retry = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"adaptive step size underflow at t = {t}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            y_new = _rk_step(rhs, t, y, f, h, _DOPRI, k)
+            k[6] = f_new = rhs(t_new, y_new)
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _norm(np.dot(k.T, _DOPRI_E) * h / scale)
+            if not np.isfinite(err):
+                raise IntegrationError(f"adaptive integration produced non-finite state at t = {t}")
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err**-0.2)
+                h_abs = h * (min(1, factor) if retry else factor)
+                break
+            h_abs, retry = h * max(0.2, 0.9 * err**-0.2), True
+            rejected += 1
+        accepted += 1
+        upto = np.searchsorted(t_grid, t_new, side="right")
+        p = np.cumprod(np.tile((t_grid[done:upto] - t) / h, (4, 1)), axis=0)
+        out[done:upto] = (h * np.dot(k.T.dot(_DOPRI_P), p) + y[:, None]).T
+        t, y, f, done = t_new, y_new, f_new, upto
+    return out, IntegratorStats(2 + 6 * (accepted + rejected), accepted, rejected)
+
+
+def _integrate(rhs, y0: np.ndarray, t_grid: np.ndarray, config: IntegratorConfig):
     if config.scheme == "rk4":
         return _run_rk4(rhs, y0, t_grid, float(config.dt))
     return _run_dopri(rhs, y0, t_grid, config.tolerance)
@@ -207,8 +257,8 @@ def integrate_velocity(
     t_grid = np.asarray(t_grid, dtype=float)
     _check_inputs(alg, x0, t_grid)
     fmat = _force_matrix(alg, force)
-    ys = _integrate(_rhs_velocity(alg, fmat, float(q)), x0, t_grid, config)
-    return CurveSamples(t=t_grid.copy(), velocity=ys)
+    ys, stats = _integrate(_rhs_velocity(alg, fmat, float(q)), x0, t_grid, config)
+    return CurveSamples(t=t_grid.copy(), velocity=ys, stats=stats)
 
 
 def reconstruct_group(
@@ -230,24 +280,5 @@ def reconstruct_group(
     _check_inputs(alg, x0, t_grid)
     fmat = _force_matrix(alg, force)
     y0 = np.concatenate([x0, np.zeros(alg.dim)])
-    ys = _integrate(_rhs_combined(alg, fmat, float(q)), y0, t_grid, config)
-    return CurveSamples(t=t_grid.copy(), velocity=ys[:, : alg.dim], xi=ys[:, alg.dim :])
-
-
-def compare(a: CurveSamples, b: CurveSamples) -> ComparisonReport:
-    """Max pointwise deviations of two sampled curves on the same grid.
-
-    Raises GridMismatchError when the time grids differ; position deviation
-    is None unless both curves carry group samples.
-    """
-    if a.t.shape != b.t.shape or not np.allclose(a.t, b.t, rtol=0.0, atol=1e-15):
-        raise GridMismatchError("curves were sampled on different time grids")
-    dv = float(np.max(np.linalg.norm(a.velocity - b.velocity, axis=1)))
-    dp = None
-    if a.xi is not None and b.xi is not None:
-        dp = float(np.max(np.linalg.norm(a.xi - b.xi, axis=1)))
-    return ComparisonReport(
-        max_velocity_deviation=dv,
-        max_position_deviation=dp,
-        speed_drift=max(a.speed_drift, b.speed_drift),
-    )
+    ys, stats = _integrate(_rhs_combined(alg, fmat, float(q)), y0, t_grid, config)
+    return CurveSamples(t=t_grid.copy(), velocity=ys[:, : alg.dim], xi=ys[:, alg.dim :], stats=stats)

@@ -132,6 +132,32 @@ def test_geodesic_term_matches_j_map_route():
             assert_allclose(direct, via_j, atol=1e-13)
 
 
+def test_bracket_and_geodesic_term_match_einsum_definitions():
+    """The matrix-product forms equal sum_ij x_i y_j c_ijk and sum_mi x_m x_i c_ikm.
+
+    The bound is 1e-15 of the same sums taken over absolute values, the scale
+    any summation order's rounding is measured against.
+    """
+    rng = np.random.default_rng(41)
+    a = rng.normal(size=(5, 5))
+    generic = MetricNilAlgebra.from_structure(
+        5, [(1, 2, 5, 1.0), (3, 4, 5, 1.0)], metric=a @ a.T + 5.0 * np.eye(5)
+    )
+    presets = [MetricNilAlgebra.heisenberg(n) for n in (1, 2, 8)]
+    presets += [MetricNilAlgebra.quaternionic(n) for n in (1, 4)]
+    for alg in [*presets, generic]:
+        c = alg.structure
+        for _ in range(50):
+            x, y = rng.normal(size=(2, alg.dim)) * rng.uniform(0.1, 100.0)
+            for got, spec, u, w in [
+                (alg.bracket(x, y), "i,j,ijk->k", x, y),
+                (alg.geodesic_term(x), "m,i,ikm->k", x, x),
+            ]:
+                want = np.einsum(spec, u, w, c)
+                scale = np.einsum(spec, np.abs(u), np.abs(w), np.abs(c))
+                assert np.all(np.abs(got - want) <= 1e-15 * scale), (alg.name, spec)
+
+
 def test_levi_civita_on_h3_basis():
     alg = h3()
     e1, e2, e3 = np.eye(3)

@@ -121,6 +121,34 @@ def test_trajectory_mixed_falls_back_to_oracle(tmp_path, capsys):
     assert "warning" in meta
 
 
+def _assert_integrator_stats(stats, scheme):
+    assert stats["scheme"] == scheme
+    for key in ("nfev", "accepted_steps"):
+        assert isinstance(stats[key], int) and stats[key] > 0
+    assert isinstance(stats["rejected_steps"], int) and stats["rejected_steps"] >= 0
+
+
+def test_trajectory_metadata_reports_integrator_work(tmp_path, capsys):
+    """Every oracle run, solver or check, writes its scheme and work counts."""
+    m = np.zeros((3, 3))
+    m[0, 1], m[1, 0], m[0, 2], m[2, 0] = -0.5, 0.5, 0.8, -0.8
+    mixed = {"algebra": "h3", "force": {"matrix": m.tolist()},
+             "initial": {"velocity": [0.5, 0.2, -0.1]}, "time": {"t_max": 2.0, "samples": 21}}
+    code, doc = run_json(capsys, ["trajectory", "--scenario", write_scenario(tmp_path, mixed), "--oracle"])
+    assert code == 0
+    meta = doc["metadata"]
+    _assert_integrator_stats(meta["integrator"], "dopri45")
+    assert meta["integrator"]["tolerance"] == 1e-11
+    _assert_integrator_stats(meta["oracle"]["integrator"], "rk4")
+    assert meta["oracle"]["integrator"]["dt"] > 0
+    out = tmp_path / "csv"
+    path = write_scenario(tmp_path, EXACT_H3, "exact.json")
+    assert main(["trajectory", "--scenario", path, "--oracle", "--format", "csv", "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert "integrator" not in meta  # the closed form did the work
+    _assert_integrator_stats(meta["oracle"]["integrator"], "dopri45")
+
+
 def test_trajectory_csv_round_trip(tmp_path, capsys):
     """CSV floats are written with enough digits to round-trip exactly."""
     path = write_scenario(tmp_path, TYPE2_H3)

@@ -1,8 +1,8 @@
 """scipy stays unloaded until a routine that needs it runs.
 
 Closed-form use (type-I and H3 trajectories, classification, H3 and H5
-periodicity) must start with numpy only; the oracle loads scipy on first
-use.  Each check runs in a fresh interpreter.
+periodicity) and the numerical oracle (both schemes, the CLI fallback and
+`--oracle`) run on numpy only.  Each check runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -65,11 +65,29 @@ def test_closed_form_cli_runs_load_no_scipy(tmp_path):
     assert json.loads((tmp_path / "e/periodicity.json").read_text())["branch"] == "Cn"
 
 
-def test_oracle_loads_scipy_on_first_use():
+def test_oracle_runs_load_no_scipy(tmp_path):
+    mixed = {
+        "algebra": "h3",
+        "force": {"matrix": [[0.0, 0.3, -0.5], [-0.3, 0.0, 0.8], [0.5, -0.8, 0.0]]},
+        "charge": 1.1,
+        "initial": {"velocity": [0.4, -0.2, 0.7]},
+        "time": {"t_max": 3.0, "samples": 31},
+    }
+    (tmp_path / "mixed.json").write_text(json.dumps(mixed))
+    runs = [
+        ["trajectory", "--scenario", str(tmp_path / "mixed.json"), "--out", str(tmp_path / "a")],
+        ["trajectory", "--scenario", str(tmp_path / "mixed.json"), "--oracle", "--out", str(tmp_path / "b")],
+    ]
     code = (
         "import numpy as np\n"
-        "from nilmag import MetricNilAlgebra, reconstruct_group\n"
-        "reconstruct_group(MetricNilAlgebra.heisenberg(1), np.zeros((3, 3)), 1.0,"
-        " np.array([1.0, 0.0, 0.2]), np.linspace(0.0, 1.0, 3))"
+        "from nilmag import IntegratorConfig, MetricNilAlgebra, reconstruct_group\n"
+        "from nilmag.cli import main\n"
+        "for cfg in (IntegratorConfig(), IntegratorConfig(scheme='rk4', dt=0.1)):\n"
+        "    reconstruct_group(MetricNilAlgebra.heisenberg(1), np.zeros((3, 3)), 1.0,"
+        " np.array([1.0, 0.0, 0.2]), np.linspace(0.0, 1.0, 3), cfg)\n"
+        f"assert [main(argv) for argv in {runs!r}] == [0, 0]"
     )
-    assert "scipy.integrate" in _scipy_modules_after(code)
+    assert _scipy_modules_after(code) == []
+    for name in ("a", "b"):
+        meta = json.loads((tmp_path / name / "trajectory.json").read_text())["metadata"]
+        assert meta["solver"] == "oracle"
