@@ -186,7 +186,6 @@ def test_dopri_matches_scipy_rk45(alg, tol):
         ref = solve_ivp(_rhs_combined(alg, m, 1.3), (0.0, 4.0), np.concatenate([x0, np.zeros(alg.dim)]),
                         method="RK45", rtol=tol, atol=tol, t_eval=grid)
         assert ref.success and got.stats.nfev == ref.nfev
-        assert got.stats.nfev == 2 + 6 * (got.stats.accepted_steps + got.stats.rejected_steps)
         dev = np.max(np.abs(np.hstack([got.velocity, got.xi]) - ref.y.T))
         assert dev <= 1e-12 * np.max(np.abs(ref.y))
 
