@@ -50,7 +50,6 @@ from .h3_type2 import (
     Type2TrajectoryH3,
     lambda_kernel_check,
     lambda_periodicity,
-    normalize_force,
     solve_h3_type2,
     solve_type2_general,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "Branch",
     "PeriodicityKind",
     "PeriodicityReport",
-    "normalize_force",
     "solve_h3_type2",
     "solve_type2_general",
     "lambda_periodicity",

@@ -37,7 +37,8 @@ __all__ = [
     "SingularityReport",
 ]
 
-# Relative singular-value threshold treating a direction as zero (rank cuts).
+# Relative singular-value threshold treating a direction as zero (rank cuts),
+# and the entrywise residual of the h-type identities.
 _ZERO_TOL = 1e-10
 
 
@@ -112,12 +113,12 @@ def _as_vector(x, dim: int, what: str, rows: bool = False) -> np.ndarray:
     return v
 
 
-def _orthonormal_rows(rows: np.ndarray, tol: float = _ZERO_TOL) -> np.ndarray:
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of `rows`."""
     if rows.size == 0:
         return np.zeros((0, rows.shape[1]))
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > tol * (s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > _ZERO_TOL * (s[0] if s.size else 1.0)))
     return vh[:rank]
 
 
@@ -494,23 +495,23 @@ class MetricNilAlgebra:
     # structural classification
     # ------------------------------------------------------------------
 
-    def is_h_type(self, tol: float = 1e-10) -> bool:
+    def is_h_type(self) -> bool:
         """True when j(Z)^2 = -|Z|^2 Id for every central Z.
 
-        Checked on the orthonormal central basis: j(z_i)^2 = -Id and the
-        anticommutators j(z_i) j(z_l) + j(z_l) j(z_i) = 0 for i != l; by
-        polarization this is equivalent to the definition.  Vacuously true
-        when v = {0} (abelian case).
+        Checked on the orthonormal central basis, entrywise to 1e-10:
+        j(z_i)^2 = -Id and the anticommutators j(z_i) j(z_l) + j(z_l) j(z_i)
+        = 0 for i != l; by polarization this is equivalent to the definition.
+        Vacuously true when v = {0} (abelian case).
         """
         if self.dim_v == 0:
             return True
         eye = np.eye(self.dim_v)
         js = [self.j_map(np.eye(self.dim_z)[i]) for i in range(self.dim_z)]
         for i, ji in enumerate(js):
-            if np.max(np.abs(ji @ ji + eye)) > tol:
+            if np.max(np.abs(ji @ ji + eye)) > _ZERO_TOL:
                 return False
             for jl in js[i + 1 :]:
-                if np.max(np.abs(ji @ jl + jl @ ji)) > tol:
+                if np.max(np.abs(ji @ jl + jl @ ji)) > _ZERO_TOL:
                     return False
         return True
 

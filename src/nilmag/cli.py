@@ -298,7 +298,7 @@ def _build_force(scn: Scenario) -> LorentzForce:
     if kind == "type2_U":
         return type2_from_vector(alg, np.asarray(payload, dtype=float))
     if kind == "rates":
-        if not (alg.dim == 5 and alg.dim_v == 4):
+        if not _is_h5(alg):
             raise UnsupportedForceError(
                 "rate-pair forces are defined on the 5-dimensional Heisenberg group"
             )
@@ -307,10 +307,8 @@ def _build_force(scn: Scenario) -> LorentzForce:
     raise InputError(f"unknown force kind {kind!r}")
 
 
-def _type2_direction(scn: Scenario, force: LorentzForce) -> np.ndarray:
-    kind, payload = next(iter(scn.force_spec.items()))
-    if kind == "type2_U":
-        return np.asarray(payload, dtype=float)
+def _type2_direction(force: LorentzForce) -> np.ndarray:
+    """The direction u of an H3 type-II force, read off its last row (u2, -u1, 0)."""
     m = force.matrix
     return np.array([-m[2, 1], m[2, 0]])
 
@@ -396,7 +394,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         samples = sol.sample(ts)
     elif ftype is ForceType.TYPE_II and _is_h3(alg):
         meta["solver"] = "closed-form-type-2"
-        traj = solve_type2_general(_type2_direction(scn, force), scn.charge, scn.velocity0)
+        traj = solve_type2_general(_type2_direction(force), scn.charge, scn.velocity0)
         meta["branch"] = _BRANCH_NAMES[traj.branch]
         meta["period"] = traj.period
         samples = traj.sample(ts)
@@ -555,7 +553,7 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
     if ftype is ForceType.TYPE_II and _is_h3(alg):
         if scn.velocity0 is None:
             raise InputError("periodicity on the 3-dim Heisenberg group needs 'initial'")
-        u = _type2_direction(scn, force)
+        u = _type2_direction(force)
         traj = solve_type2_general(u, scn.charge, scn.velocity0)
         report = lambda_periodicity(traj)
         doc: dict[str, Any] = {

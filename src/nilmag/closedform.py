@@ -125,22 +125,13 @@ class SkewSpectrum:
             return np.zeros_like(x)
         return self.kernel.T @ (self.kernel @ x)
 
-    def reassembled(self) -> np.ndarray:
-        """Sum of the blockwise restrictions; equals the matrix up to rounding."""
-        n = self.matrix.shape[0]
-        out = np.zeros((n, n))
-        for pl in self.planes:
-            proj = pl.basis.T @ pl.basis
-            out += proj @ self.matrix @ proj
-        return out
 
-
-def spectral_decompose(j_matrix: np.ndarray, merge_tol: float = _MERGE_TOL) -> SkewSpectrum:
+def spectral_decompose(j_matrix: np.ndarray) -> SkewSpectrum:
     """Split a skew matrix into its kernel and single-rate rotation subspaces.
 
     Rates are the positive square roots of the eigenvalues of -J^2 (a
-    symmetric PSD matrix); eigenspaces whose rates agree to merge_tol
-    (relative to the largest rate) are merged.
+    symmetric PSD matrix); eigenspaces whose rates agree to 1e-9 of the
+    largest rate are merged, and rates below that are the kernel.
     """
     j_matrix = np.asarray(j_matrix, dtype=float)
     n = j_matrix.shape[0]
@@ -157,13 +148,13 @@ def spectral_decompose(j_matrix: np.ndarray, merge_tol: float = _MERGE_TOL) -> S
     max_rate = float(rates[-1])
     if max_rate <= 0.0:
         return SkewSpectrum(kernel=np.eye(n), planes=(), matrix=j_matrix)
-    kernel_mask = rates <= merge_tol * max_rate
+    kernel_mask = rates <= _MERGE_TOL * max_rate
     kernel = vecs[:, kernel_mask].T
     idx = np.where(~kernel_mask)[0]
     planes: list[InvariantPlane] = []
     group: list[int] = []
     for i in idx:
-        if group and abs(rates[i] - rates[group[-1]]) > merge_tol * max_rate:
+        if group and abs(rates[i] - rates[group[-1]]) > _MERGE_TOL * max_rate:
             planes.append(InvariantPlane(float(np.mean(rates[group])), vecs[:, group].T.copy()))
             group = []
         group.append(int(i))

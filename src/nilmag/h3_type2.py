@@ -3,9 +3,9 @@
 On the 3-dimensional Heisenberg group the non-splitting closed force is
 F_u(V + Z) = [V, u] + j(Z) u for a nonzero u in v.  Every (u, charge) pair
 reduces to the canonical u = e2, charge = 1 by a rotation of v and a time
-rescaling (normalize_force).  Type2TrajectoryH3 solves the canonical case for
-the rotated, rescaled initial velocity, and its sample(ts) maps the result
-back to the trajectory's own frame and time.
+rescaling.  Type2TrajectoryH3 holds that reduction (rotation, time_scale),
+solves the canonical case for the rotated, rescaled initial velocity, and its
+sample(ts) maps the result back to the trajectory's own frame and time.
 
 Canonical case, initial velocity (x0, y0, z0).  The z-velocity psi(t)
 (shifted as Phi = psi - z0, so Phi(0) = 0, Phi'(0) = x0) obeys
@@ -63,15 +63,14 @@ import numpy as np
 
 from .algebra import MetricNilAlgebra
 from .errors import DegenerateForceError
+from .lorentz import _direction
 from .oracle import CurveSamples
-from .specfun import agm_sequence, carlson_rd, inverse_cn, inverse_dn, jacobi, sech
+from .specfun import carlson_rd, inverse_cn, inverse_dn, jacobi, landen, sech
 
 __all__ = [
     "Branch",
     "Type2TrajectoryH3",
     "solve_h3_type2",
-    "NormalizedType2",
-    "normalize_force",
     "solve_type2_general",
     "PeriodicityKind",
     "PeriodicityReport",
@@ -80,6 +79,12 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
+# |sigma(omega)| at or below which a curve counts as periodic
+_PERIODIC_TOL = 1e-9
+# times in [0, 2 omega] on which lambda_periodicity verifies the translation
+_N_CHECKS = 10
+# relative distance of the translation's v-part from span(u) in the force kernel
+_KERNEL_TOL = 1e-12
 
 
 @lru_cache(maxsize=1)
@@ -102,55 +107,24 @@ def _gd(x: float) -> float:
     return 2.0 * math.atan(math.tanh(0.5 * x))
 
 
-# -- reduction of the general vector force to the canonical one --------------
-
-
-@dataclass(frozen=True)
-class NormalizedType2:
-    """Reduction data: trajectory time runs at canonical time / time_scale.
-
-    rotation maps the effective unit force direction to e2; unit_direction
-    is that direction (charge sign absorbed).
-    """
-
-    time_scale: float
-    rotation: np.ndarray
-    unit_direction: np.ndarray
-
-
-def normalize_force(u, charge: float) -> NormalizedType2:
-    """Rotation and time rescaling taking (u, charge) to (e2, 1)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape == (3,):
-        if abs(u[2]) > 1e-14:
-            raise ValueError("force direction must lie in v (third component 0)")
-        u = u[:2]
-    if u.shape != (2,):
-        raise ValueError("force direction must have shape (2,) or (3,)")
-    w = float(charge) * u
-    rho = float(np.linalg.norm(w))
-    if not math.isfinite(rho) or rho < 1e-14:
-        raise DegenerateForceError("vector-type force needs charge * u nonzero")
-    w_hat = w / rho
-    rotation = np.array([[w_hat[1], -w_hat[0]], [w_hat[0], w_hat[1]]])
-    return NormalizedType2(time_scale=1.0 / rho, rotation=rotation, unit_direction=w_hat)
-
-
 class Type2TrajectoryH3:
     """H3 trajectory for the vector force F_u with the given charge.
 
-    normalize_force(u, charge) gives a rotation r of v and a time scale q
-    taking (u, charge) to (e2, 1).  The canonical trajectory starts from
+    With w = charge u, the rotation r of v taking w / |w| to e2 and the time
+    scale q = 1 / |w| take (u, charge) to (e2, 1); they are the attributes
+    rotation and time_scale.  The canonical trajectory starts from
     q (r x0_v, x0_z), and at time t this trajectory is the canonical one at
     t / q with velocities divided by q and planar components turned back by
     r^T.  sample(ts) evaluates that map once per grid; position, velocity and
     eval are its rows at a single time.
 
-    period is in this trajectory's own time.  Every other attribute (branch,
-    disc, amplitude, modulus, rate, phase, and x0/y0/z0, the canonical
-    initial velocity) and phi_image() describe the canonical trajectory.
-    For the default (e2, 1) the rotation is the identity and q = 1, so the
-    two frames coincide.
+    u has shape (2,) or (3,) with a zero central part (InvalidForceError
+    otherwise) and must be finite with charge u nonzero (DegenerateForceError).
+    period and time_scale are in this trajectory's own time.  Every other
+    attribute (branch, disc, amplitude, modulus, rate, phase, and x0/y0/z0,
+    the canonical initial velocity) and phi_image() describe the canonical
+    trajectory.  For the default (e2, 1) the rotation is the identity and
+    q = 1, so the two frames coincide.
     """
 
     def __init__(self, x0, u=(0.0, 1.0), charge: float = 1.0):
@@ -159,8 +133,13 @@ class Type2TrajectoryH3:
             raise ValueError("initial velocity must have shape (3,)")
         if not np.all(np.isfinite(x0)):
             raise ValueError("initial velocity contains non-finite entries")
-        self.normalization = normalize_force(u, charge)
-        q, rot = self.normalization.time_scale, self.normalization.rotation
+        w = float(charge) * _direction(u)
+        rho = float(np.linalg.norm(w))
+        if not math.isfinite(rho) or rho < 1e-14:
+            raise DegenerateForceError("vector-type force needs charge * u nonzero")
+        w_hat = w / rho
+        self.rotation = rot = np.array([[w_hat[1], -w_hat[0]], [w_hat[0], w_hat[1]]])
+        self.time_scale = q = 1.0 / rho
         canonical_v = q * (rot @ x0[:2])
         self.x0, self.y0, self.z0 = float(canonical_v[0]), float(canonical_v[1]), float(q * x0[2])
         self.y1 = self.y0 + 1.0
@@ -255,7 +234,7 @@ class Type2TrajectoryH3:
         """Velocity and group curve (exponential coordinates, position(0) = 0)
         on the grid ts: the canonical points at ts / q, mapped back once."""
         ts = np.asarray(ts, dtype=float)
-        q, rot = self.normalization.time_scale, self.normalization.rotation
+        q, rot = self.time_scale, self.rotation
         points = [self._point(t) for t in (ts / q).tolist()]
         xi = np.array([p[0] for p in points]).reshape(-1, 3)
         vel = np.array([p[1] for p in points]).reshape(-1, 3) / q
@@ -296,12 +275,8 @@ class Type2TrajectoryH3:
 
     @cached_property
     def _landen(self) -> tuple[float, float, float, list[float]]:
-        """(K, M, 1 - E/K, [c_0, c_1, ...]) from the AGM of (1, k'): K = pi/(2M)
-        and 1 - E/K = sum_{n>=0} 2^(n-1) c_n^2 (DLMF 19.8.6), a sum of positive
-        terms that keeps its relative accuracy as k -> 0."""
-        mean, cs = agm_sequence(self.modulus)
-        one_minus_ek = math.fsum(2.0 ** (n - 1) * c * c for n, c in enumerate(cs))
-        return math.pi / (2.0 * mean), mean, one_minus_ek, cs
+        """(K, M, 1 - E/K, [c_0, c_1, ...]) of the modulus (specfun.landen)."""
+        return landen(self.modulus)
 
     def _centred_antiderivatives(self, u: float, sn: float, cn: float, dn: float):
         """Antiderivatives P_j in u of D^j - <D^j>, j = 1, 2, 3, where D = psi - <psi>
@@ -345,7 +320,7 @@ class Type2TrajectoryH3:
         moments come from the integrals of cn^j over 4K (4K, 0,
         4(E - k'^2 K)/k^2, 0) and of dn^j over 2K (2K, pi, 2E, pi(2 - k^2)/2),
         DLMF 22.14(iv), Byrd & Friedman 312, 314.  Written with the AGM
-        sequence (M, c_n) of specfun.agm_sequence, where K = pi/(2M), they
+        sequence (M, c_n) of specfun.landen, where K = pi/(2M), they
         are free of cancellation:
             <cn^2> = 1/2 - sum_{n>=1} 2^(n-1) c_n^2 / k^2,
             <dn> = M = 1 - sum_{n>=1} c_n,
@@ -443,43 +418,42 @@ class PeriodicityReport:
     residual: float | None
 
 
-def _verify_translation(traj, lam: np.ndarray, omega: float, n_checks: int) -> float:
-    """Worst |sigma(t + omega) - lam * sigma(t)| over n_checks times in [0, 2 omega]."""
-    ts = np.linspace(0.0, 2.0 * omega, n_checks)
+def _verify_translation(traj, lam: np.ndarray, omega: float) -> float:
+    """Worst |sigma(t + omega) - lam * sigma(t)| over _N_CHECKS times in [0, 2 omega]."""
+    ts = np.linspace(0.0, 2.0 * omega, _N_CHECKS)
     rhs = _h3_algebra().group_mul(lam, traj.sample(ts).xi)
     return float(np.max(np.abs(traj.sample(ts + omega).xi - rhs)))
 
 
-def lambda_periodicity(traj, tol: float = 1e-9, n_checks: int = 10) -> PeriodicityReport:
+def lambda_periodicity(traj) -> PeriodicityReport:
     """Classify a trajectory as periodic, lambda-periodic, or non-periodic,
     with the translation element.
 
-    The translation is sigma(omega) where omega is the velocity period.  The
-    straight-line branch has a constant velocity; its omega is canonical
-    time 1, which is time_scale in the trajectory's own time.
+    The translation is sigma(omega) where omega is the velocity period, and
+    PERIODIC means |sigma(omega)| <= 1e-9.  The straight-line branch has a
+    constant velocity; its omega is canonical time 1, which is time_scale in
+    the trajectory's own time.
     """
     if traj.branch in (Branch.SECH_POS, Branch.SECH_NEG):
         return PeriodicityReport(
             kind=PeriodicityKind.NON_PERIODIC, omega=None, translation=None, residual=None
         )
-    omega = traj.normalization.time_scale if traj.branch is Branch.LINEAR else traj.period
+    omega = traj.time_scale if traj.branch is Branch.LINEAR else traj.period
     lam = traj.position(omega)
     kind = (
         PeriodicityKind.PERIODIC
-        if np.linalg.norm(lam) <= tol
+        if np.linalg.norm(lam) <= _PERIODIC_TOL
         else PeriodicityKind.LAMBDA_PERIODIC
     )
-    residual = _verify_translation(traj, lam, omega, n_checks) if n_checks else None
+    residual = _verify_translation(traj, lam, omega)
     return PeriodicityReport(kind=kind, omega=omega, translation=lam, residual=residual)
 
 
-def lambda_kernel_check(u, translation: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether the translation's v-component lies in ker F_u = span(u)."""
-    u = np.asarray(u, dtype=float)[:2]
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
-        raise DegenerateForceError("kernel check needs a nonzero direction")
+def lambda_kernel_check(u, translation: np.ndarray) -> bool:
+    """Whether the translation's v-component lies in ker F_u = span(u), to
+    1e-12 relative; u is validated as in Type2TrajectoryH3."""
+    u = _direction(u)
     lam_v = np.asarray(translation, dtype=float)[:2]
-    u_hat = u / nu
+    u_hat = u / np.linalg.norm(u)
     residual = float(np.linalg.norm(lam_v - (lam_v @ u_hat) * u_hat))
-    return residual <= tol * max(1.0, float(np.linalg.norm(translation)))
+    return residual <= _KERNEL_TOL * max(1.0, float(np.linalg.norm(translation)))

@@ -64,6 +64,10 @@ __all__ = [
 _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 _SEARCH_MAX_Q = 64
 _SEARCH_MAX_P = 64
+# relative rate gap |mu2 - mu1| at or below which a force counts as exact
+_EXACT_TOL = 1e-12
+# sample times on which verify_periodic compares sigma(t) with sigma(t + period)
+_N_CHECKS = 20
 
 
 @lru_cache(maxsize=1)
@@ -147,10 +151,10 @@ class H5Force:
     def rates(self) -> tuple[float, float]:
         return self.mu1, self.mu2
 
-    def is_exact(self, rel_tol: float = 1e-12) -> bool:
-        """Exact forces are the shifted-geodesic ones: mu1 = mu2."""
+    def is_exact(self) -> bool:
+        """Exact forces are the shifted-geodesic ones: mu1 = mu2 (to 1e-12 relative)."""
         scale = max(1.0, abs(self.mu1), abs(self.mu2))
-        return abs(self.mu2 - self.mu1) <= rel_tol * scale
+        return abs(self.mu2 - self.mu1) <= _EXACT_TOL * scale
 
 
 class H5Branch(enum.Enum):
@@ -289,16 +293,14 @@ def periodic_at_energy(force: H5Force, energy: float) -> PeriodicCertificate:
     )
 
 
-def verify_periodic(
-    traj: H5Trajectory, period: float, n_checks: int = 20, tol: float = 1e-8
-) -> tuple[bool, float]:
+def verify_periodic(traj: H5Trajectory, period: float, tol: float = 1e-8) -> tuple[bool, float]:
     """Check sigma(t + period) = sigma(t) in the group, returning (ok, residual).
 
     The residual is the worst norm of sigma(t)^{-1} * sigma(t + period) in
-    exponential coordinates over the sample times.
+    exponential coordinates over _N_CHECKS sample times in [0, period].
     """
     alg = _h5_algebra()
-    ts = np.linspace(0.0, period, n_checks)
+    ts = np.linspace(0.0, period, _N_CHECKS)
     gap = alg.group_mul(alg.group_inv(traj.sample(ts).xi), traj.sample(ts + period).xi)
     worst = float(np.max(np.linalg.norm(gap, axis=1)))
     return worst <= tol, worst

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import MetricNilAlgebra
-from .errors import InvalidForceError, UnsupportedForceError
+from .errors import DegenerateForceError, InvalidForceError, UnsupportedForceError
 
 __all__ = [
     "ForceType",
@@ -39,7 +39,11 @@ __all__ = [
     "random_closed_type1",
 ]
 
+# Relative size below which a force's symmetric part, one of its blocks, or its
+# misfit by j(Z~) counts as zero.
 _SKEW_TOL = 1e-10
+# Largest cyclic-sum residual of d omega that counts as closed.
+_CLOSED_TOL = 1e-12
 
 
 class ForceType(Enum):
@@ -113,17 +117,17 @@ class LorentzForce:
         dv = self.alg.dim_v
         return self.matrix[:dv, dv:]
 
-    def force_type(self, tol: float = _SKEW_TOL) -> ForceType:
+    def force_type(self) -> ForceType:
         """Classify by which blocks vanish.
 
         The zero force preserves the splitting and is reported as TYPE_I.
         """
-        scale = max(1.0, float(np.max(np.abs(self.matrix))))
+        tol = _SKEW_TOL * max(1.0, float(np.max(np.abs(self.matrix))))
         diag_zero = (
-            np.max(np.abs(self.block_vv), initial=0.0) <= tol * scale
-            and np.max(np.abs(self.block_zz), initial=0.0) <= tol * scale
+            np.max(np.abs(self.block_vv), initial=0.0) <= tol
+            and np.max(np.abs(self.block_zz), initial=0.0) <= tol
         )
-        off_zero = np.max(np.abs(self.block_vz), initial=0.0) <= tol * scale
+        off_zero = np.max(np.abs(self.block_vz), initial=0.0) <= tol
         if off_zero:
             return ForceType.TYPE_I
         if diag_zero:
@@ -148,13 +152,13 @@ def _strict_upper(d: int) -> np.ndarray:
     return mask
 
 
-def check_closed(alg: MetricNilAlgebra, force, tol: float = 1e-12) -> ClosednessReport:
+def check_closed(alg: MetricNilAlgebra, force) -> ClosednessReport:
     """Evaluate d omega on every basis triple i < j < k.
 
     Returns the largest cyclic-sum residual, the triple attaining it
     (0-based internal indices), and the Frobenius norm of the full residual
     tensor (which, unlike the max, is invariant under orthogonal changes of
-    basis).  closed is max_residual <= tol.
+    basis).  closed is max_residual <= 1e-12.
     """
     f = _as_force(alg, force)
     d = alg.dim
@@ -170,14 +174,14 @@ def check_closed(alg: MetricNilAlgebra, force, tol: float = 1e-12) -> Closedness
     i, jk = divmod(flat, d * d)
     worst = (i, *divmod(jk, d)) if max_res > 0.0 else None
     return ClosednessReport(
-        closed=bool(max_res <= tol),
+        closed=bool(max_res <= _CLOSED_TOL),
         max_residual=float(max_res),
         worst_triple=worst,
         frobenius_residual=float(np.linalg.norm(resid)),
     )
 
 
-def exactness_test(alg: MetricNilAlgebra, force, rel_tol: float = 1e-10) -> ExactnessResult:
+def exactness_test(alg: MetricNilAlgebra, force) -> ExactnessResult:
     """Least-squares fit of F by j(Z~) on v (zero on z), Z~ in the commutator span.
 
     The fit solves min over Z~ of ||F_vv - j(Z~)||_F; the reported residual
@@ -191,7 +195,7 @@ def exactness_test(alg: MetricNilAlgebra, force, rel_tol: float = 1e-10) -> Exac
         z_full = np.zeros(alg.dim)
         resid = float(np.linalg.norm(f.matrix))
         rel = resid / max(1.0, float(np.linalg.norm(f.matrix)))
-        return ExactnessResult(is_exact=bool(rel <= rel_tol), z_tilde=z_full, residual=rel)
+        return ExactnessResult(is_exact=bool(rel <= _SKEW_TOL), z_tilde=z_full, residual=rel)
     basis_mats = np.stack([alg.j_map(row).ravel() for row in comm], axis=1)
     target = f.block_vv.ravel()
     coef, *_ = np.linalg.lstsq(basis_mats, target, rcond=None)
@@ -202,10 +206,28 @@ def exactness_test(alg: MetricNilAlgebra, force, rel_tol: float = 1e-10) -> Exac
     resid = float(np.linalg.norm(f.matrix - best))
     rel = resid / max(1.0, float(np.linalg.norm(f.matrix)))
     return ExactnessResult(
-        is_exact=bool(rel <= rel_tol),
+        is_exact=bool(rel <= _SKEW_TOL),
         z_tilde=alg.embed_z(z_coords),
         residual=rel,
     )
+
+
+def _direction(u) -> np.ndarray:
+    """The v-part (u1, u2) of an H3 force direction u given as (2,) or (3,).
+
+    A central part above 1e-14 or another shape raises InvalidForceError; a
+    zero or non-finite direction raises DegenerateForceError.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape == (3,):
+        if not abs(u[2]) <= 1e-14:
+            raise InvalidForceError("direction vector must lie in v (zero central part)")
+        u = u[:2]
+    if u.shape != (2,):
+        raise InvalidForceError(f"direction vector must have shape (2,) or (3,), got {u.shape}")
+    if not np.all(np.isfinite(u)) or float(np.linalg.norm(u)) == 0.0:
+        raise DegenerateForceError("type-II direction vector must be nonzero and finite")
+    return u
 
 
 def type2_from_vector(alg: MetricNilAlgebra, u: np.ndarray) -> LorentzForce:
@@ -215,21 +237,11 @@ def type2_from_vector(alg: MetricNilAlgebra, u: np.ndarray) -> LorentzForce:
     i.e. the matrix with F e3 = (-u2, u1, 0) and last row (u2, -u1, 0).
     Only defined on the 3-dimensional Heisenberg algebra.
     """
-    from .errors import DegenerateForceError
-
     if alg.dim != 3 or alg.dim_v != 2:
         raise UnsupportedForceError(
             "type-II direction forces are implemented on the 3-dim Heisenberg algebra only"
         )
-    u = np.asarray(u, dtype=float)
-    if u.shape == (3,):
-        if abs(u[2]) > 1e-14:
-            raise InvalidForceError("direction vector must lie in v (zero central part)")
-        u = u[:2]
-    if u.shape != (2,):
-        raise InvalidForceError(f"direction vector must have shape (2,), got {u.shape}")
-    if not np.all(np.isfinite(u)) or float(np.linalg.norm(u)) == 0.0:
-        raise DegenerateForceError("type-II direction vector must be nonzero and finite")
+    u = _direction(u)
     m = np.zeros((3, 3))
     m[0, 2] = -u[1]
     m[1, 2] = u[0]

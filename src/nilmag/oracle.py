@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import MetricNilAlgebra
 from .errors import IntegrationError
-from .lorentz import LorentzForce
+from .lorentz import _as_force
 
 __all__ = ["IntegratorConfig", "IntegratorStats", "CurveSamples", "integrate_velocity",
            "reconstruct_group"]
@@ -94,25 +94,13 @@ class CurveSamples:
 
     velocity rows are the left-trivialized velocity x(t); xi rows are the
     group curve in exponential coordinates (None when only the velocity was
-    integrated).  speed is the pointwise norm of the velocity, constant along
-    genuine magnetic trajectories.  stats is set on integrated curves only.
+    integrated).  stats is set on integrated curves only.
     """
 
     t: np.ndarray
     velocity: np.ndarray
     xi: np.ndarray | None = None
     stats: IntegratorStats | None = None
-
-    @property
-    def speed(self) -> np.ndarray:
-        return np.linalg.norm(self.velocity, axis=1)
-
-    @property
-    def speed_drift(self) -> float:
-        """Largest relative deviation of the speed from its initial value."""
-        s = self.speed
-        s0 = s[0] if s[0] > 0 else 1.0
-        return float(np.max(np.abs(s - s[0])) / s0)
 
 
 def _rhs_velocity(alg: MetricNilAlgebra, fmat: np.ndarray, q: float):
@@ -132,12 +120,6 @@ def _rhs_combined(alg: MetricNilAlgebra, fmat: np.ndarray, q: float):
         return np.concatenate([dx, x - 0.5 * alg.bracket(x, xi)])
 
     return rhs
-
-
-def _force_matrix(alg: MetricNilAlgebra, force) -> np.ndarray:
-    if isinstance(force, LorentzForce):
-        return force.matrix
-    return LorentzForce(alg, force).matrix  # validates skewness and shape
 
 
 def _check_inputs(alg: MetricNilAlgebra, x0: np.ndarray, t_grid: np.ndarray):
@@ -256,7 +238,7 @@ def integrate_velocity(
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     _check_inputs(alg, x0, t_grid)
-    fmat = _force_matrix(alg, force)
+    fmat = _as_force(alg, force).matrix
     ys, stats = _integrate(_rhs_velocity(alg, fmat, float(q)), x0, t_grid, config)
     return CurveSamples(t=t_grid.copy(), velocity=ys, stats=stats)
 
@@ -278,7 +260,7 @@ def reconstruct_group(
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     _check_inputs(alg, x0, t_grid)
-    fmat = _force_matrix(alg, force)
+    fmat = _as_force(alg, force).matrix
     y0 = np.concatenate([x0, np.zeros(alg.dim)])
     ys, stats = _integrate(_rhs_combined(alg, fmat, float(q)), y0, t_grid, config)
     return CurveSamples(t=t_grid.copy(), velocity=ys[:, : alg.dim], xi=ys[:, alg.dim :], stats=stats)

@@ -25,6 +25,7 @@ __all__ = [
     "complete_K",
     "complete_E",
     "agm_sequence",
+    "landen",
     "jacobi",
     "sn",
     "cn",
@@ -59,15 +60,14 @@ def sech(x: float) -> float:
 
 
 def complete_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, K(k) = pi / (2M) with M
-    the AGM of (1, k') (agm_sequence).
+    """Complete elliptic integral of the first kind, K(k) (landen).
 
     K(0) = pi/2, K is increasing, and K(1) = +inf (returned as math.inf).
     """
     k = _check_modulus(k)
     if k == 1.0:
         return math.inf
-    return math.pi / (2.0 * agm_sequence(k)[0])
+    return landen(k)[0]
 
 
 def agm_sequence(k: float) -> tuple[float, list[float]]:
@@ -89,17 +89,26 @@ def agm_sequence(k: float) -> tuple[float, list[float]]:
     return a, cs
 
 
-def complete_E(k: float) -> float:
-    """Complete elliptic integral of the second kind, E(k), by the AGM.
+def landen(k: float) -> tuple[float, float, float, list[float]]:
+    """(K, M, 1 - E/K, [c_0, c_1, ...]) from the AGM of (1, k') for 0 <= k < 1.
 
-    E = K (1 - sum_n 2^(n-1) c_n^2) (DLMF 19.8.6).  E(0) = pi/2, E is
-    decreasing, and E(1) = 1.
+    K = pi / (2M) and 1 - E/K = sum_{n>=0} 2^(n-1) c_n^2 (DLMF 19.8.6), a sum
+    of positive terms that keeps its relative accuracy as k -> 0.
+    """
+    mean, cs = agm_sequence(k)
+    one_minus_ek = math.fsum(2.0 ** (n - 1) * c * c for n, c in enumerate(cs))
+    return math.pi / (2.0 * mean), mean, one_minus_ek, cs
+
+
+def complete_E(k: float) -> float:
+    """Complete elliptic integral of the second kind, E(k) = K (1 - (1 - E/K))
+    (landen).  E(0) = pi/2, E is decreasing, and E(1) = 1.
     """
     k = _check_modulus(k)
     if k == 1.0:
         return 1.0
-    mean, cs = agm_sequence(k)
-    return math.pi / (2.0 * mean) * (1.0 - sum(2.0 ** (n - 1) * c * c for n, c in enumerate(cs)))
+    big_k, _, one_minus_ek, _ = landen(k)
+    return big_k * (1.0 - one_minus_ek)
 
 
 def jacobi(u: float, k: float) -> tuple[float, float, float]:

@@ -13,14 +13,13 @@ from scipy.integrate import quad
 
 import fdcheck
 from nilmag.algebra import MetricNilAlgebra
-from nilmag.errors import DegenerateForceError
+from nilmag.errors import DegenerateForceError, InvalidForceError
 from nilmag.h3_type2 import (
     Branch,
     _verify_translation,
     PeriodicityKind,
     lambda_kernel_check,
     lambda_periodicity,
-    normalize_force,
     solve_h3_type2,
     solve_type2_general,
 )
@@ -193,14 +192,15 @@ def test_lambda_periodicity_trichotomy():
 # -- general (u, charge) transport --------------------------------------------
 
 
-def test_normalize_force_geometry():
-    norm = normalize_force(np.array([1.5, -2.0]), 0.7)
-    assert norm.time_scale == pytest.approx(1.0 / 1.75)
-    assert_allclose(norm.rotation @ norm.unit_direction, [0.0, 1.0], atol=1e-14)
-    assert np.linalg.det(norm.rotation) == pytest.approx(1.0)
-    # negative charge flips the effective direction
-    flipped = normalize_force(np.array([1.5, -2.0]), -0.7)
-    assert_allclose(flipped.unit_direction, -norm.unit_direction, atol=1e-14)
+def test_reduction_geometry():
+    u, x0 = np.array([1.5, -2.0]), np.array([0.9, -0.3, 1.1])
+    traj = solve_type2_general(u, 0.7, x0)
+    assert traj.time_scale == pytest.approx(1.0 / 1.75)
+    assert_allclose(traj.rotation @ (0.7 * u / 1.75), [0.0, 1.0], atol=1e-14)
+    assert np.linalg.det(traj.rotation) == pytest.approx(1.0)
+    # negative charge flips the effective direction, rotation^T e2
+    flipped = solve_type2_general(u, -0.7, x0)
+    assert_allclose(flipped.rotation[1], -traj.rotation[1], atol=1e-14)
 
 
 def test_transported_trajectory_matches_oracle():
@@ -219,8 +219,7 @@ def test_transported_lambda_periodicity():
     u, charge = np.array([1.5, -2.0]), 0.7
     x0 = np.array([0.9, -0.3, 1.1])
     trans = solve_type2_general(u, charge, x0)
-    norm = normalize_force(u, charge)
-    q, rot = norm.time_scale, norm.rotation
+    q, rot = trans.time_scale, trans.rotation
     canonical = lambda_periodicity(solve_h3_type2(np.append(q * (rot @ x0[:2]), q * x0[2])))
     report = lambda_periodicity(trans)
     assert report.kind is canonical.kind is PeriodicityKind.LAMBDA_PERIODIC
@@ -244,16 +243,43 @@ def test_canonical_force_is_the_identity_reduction(branch):
 
 
 def test_degenerate_directions_are_rejected():
+    x0 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(DegenerateForceError):
-        normalize_force(np.array([0.0, 0.0]), 1.0)
+        solve_type2_general(np.array([0.0, 0.0]), 1.0, x0)
     with pytest.raises(DegenerateForceError):
-        solve_type2_general(np.array([1.0, 0.0]), 0.0, np.array([1.0, 0.0, 0.0]))
+        solve_type2_general(np.array([1.0, 0.0]), 0.0, x0)
     with pytest.raises(ValueError):
-        normalize_force(np.array([1.0, 0.0, 0.5]), 1.0)
+        solve_type2_general(np.array([1.0, 0.0, 0.5]), 1.0, x0)
     with pytest.raises(ValueError):
         solve_h3_type2(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         solve_h3_type2(np.array([np.nan, 0.0, 0.0]))
+
+
+BAD_DIRECTIONS = {
+    "central": ([1.0, 0.0, 0.5], InvalidForceError),
+    "shape4": ([1.0, 0.0, 0.0, 0.0], InvalidForceError),
+    "zero": ([0.0, 0.0], DegenerateForceError),
+    "nan": ([np.nan, 1.0], DegenerateForceError),
+    "inf": ([np.inf, 0.0], DegenerateForceError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DIRECTIONS))
+def test_direction_checks_agree(name):
+    """The force constructor, the trajectory and the kernel check reject a bad
+    direction u with the same exception class."""
+    u, error = BAD_DIRECTIONS[name]
+    raised = []
+    for call in (
+        lambda: type2_from_vector(h3(), np.array(u)),
+        lambda: solve_type2_general(np.array(u), 1.0, np.array([1.0, 0.0, 0.0])),
+        lambda: lambda_kernel_check(np.array(u), np.array([0.0, 1.0, 0.0])),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        raised.append(type(info.value))
+    assert raised == [error] * 3
 
 
 # -- the translation verifier ---------------------------------------------------
@@ -288,7 +314,7 @@ def test_perturbed_translation_fails_the_check():
         report = lambda_periodicity(traj)
         for k in range(3):
             lam = report.translation + 1e-4 * np.eye(3)[k]
-            assert _verify_translation(traj, lam, report.omega, 10) > 1e-6, (traj.branch, k)
+            assert _verify_translation(traj, lam, report.omega) > 1e-6, (traj.branch, k)
 
 
 def _ic_with_modulus(branch: str, k: float, x0: float = 0.6, y0: float = 0.3):

@@ -57,6 +57,12 @@ def test_grid_validation():
         integrate_velocity(alg, f, 1.0, np.zeros(3), np.array([0.5, 1.0]))
 
 
+def _speed_drift(velocity: np.ndarray) -> float:
+    """Largest relative deviation of the speed |x(t)| from its initial value."""
+    s = np.linalg.norm(velocity, axis=1)
+    return float(np.max(np.abs(s - s[0])) / (s[0] if s[0] > 0 else 1.0))
+
+
 def test_speed_is_conserved():
     """<x', x> = 0 exactly for the magnetic field equation."""
     alg = h3()
@@ -64,7 +70,7 @@ def test_speed_is_conserved():
     x0 = np.array([1.0, -0.4, 0.7])
     t = np.linspace(0.0, 10.0, 101)
     curve = integrate_velocity(alg, f, 1.3, x0, t)
-    assert curve.speed_drift <= 1e-10
+    assert _speed_drift(curve.velocity) <= 1e-10
 
 
 def test_velocity_against_analytic_rotation():
@@ -159,7 +165,7 @@ def test_rk4_and_dopri_group_curves_agree():
     b = reconstruct_group(alg, f, 1.0, x0, t, IntegratorConfig(scheme="rk4", dt=1e-3))
     assert np.max(np.linalg.norm(a.velocity - b.velocity, axis=1)) <= 1e-9
     assert np.max(np.linalg.norm(a.xi - b.xi, axis=1)) <= 1e-9
-    assert max(a.speed_drift, b.speed_drift) <= 1e-9
+    assert max(_speed_drift(a.velocity), _speed_drift(b.velocity)) <= 1e-9
     assert (b.stats.nfev, b.stats.accepted_steps, b.stats.rejected_steps) == (4000, 1000, 0)
     assert integrate_velocity(alg, f, 1.0, x0, t).xi is None
 

@@ -76,8 +76,8 @@ def _h5_verifier():
 
 def _translation_verifier(solver):
     traj = SOLVERS[solver]()[0]
-    report = lambda_periodicity(traj, n_checks=0)
-    return traj, lambda t: _verify_translation(t, report.translation, report.omega, 10)
+    report = lambda_periodicity(traj)
+    return traj, lambda t: _verify_translation(t, report.translation, report.omega)
 
 
 VERIFIERS = {
