@@ -23,120 +23,96 @@ an independent numerical integrator:
 - `cli`: the `nilmag` command-line front end.
 """
 
-from .algebra import MetricNilAlgebra, SingularityKind, SingularityReport
-from .closedform import (
-    ExactShiftSolution,
-    InitialCondition,
-    SkewSpectrum,
-    TypeISolution,
-    solve_exact,
-    solve_type1,
-    spectral_decompose,
-)
-from .errors import (
-    DegenerateForceError,
-    ExactForceError,
-    InputError,
-    IntegrationError,
-    InvalidForceError,
-    NilmagError,
-    NoCertificateError,
-    UnsupportedForceError,
-)
-from .h3_type2 import (
-    Branch,
-    PeriodicityKind,
-    PeriodicityReport,
-    Type2TrajectoryH3,
-    lambda_kernel_check,
-    lambda_periodicity,
-    solve_h3_type2,
-    solve_type2_general,
-)
-from .h5_type1 import (
-    H5Branch,
-    H5Force,
-    H5Trajectory,
-    PeriodicCertificate,
-    periodic_at_energy,
-    solve_h5,
-    verify_periodic,
-)
-from .lorentz import (
-    ClosednessReport,
-    ExactnessResult,
-    ForceType,
-    LorentzForce,
-    check_closed,
-    exactness_test,
-    random_closed_type1,
-    type2_from_vector,
-)
-from .oracle import (
-    CurveSamples,
-    IntegratorConfig,
-    IntegratorStats,
-    integrate_velocity,
-    reconstruct_group,
-)
-from .specfun import cn, complete_E, complete_K, dn, inverse_cn, inverse_dn, jacobi, sn
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MetricNilAlgebra",
-    "SingularityKind",
-    "SingularityReport",
-    "LorentzForce",
-    "ForceType",
-    "ClosednessReport",
-    "ExactnessResult",
-    "check_closed",
-    "exactness_test",
-    "type2_from_vector",
-    "random_closed_type1",
-    "InitialCondition",
-    "TypeISolution",
-    "ExactShiftSolution",
-    "SkewSpectrum",
-    "spectral_decompose",
-    "solve_type1",
-    "solve_exact",
-    "Type2TrajectoryH3",
-    "Branch",
-    "PeriodicityKind",
-    "PeriodicityReport",
-    "solve_h3_type2",
-    "solve_type2_general",
-    "lambda_periodicity",
-    "lambda_kernel_check",
-    "H5Force",
-    "H5Branch",
-    "H5Trajectory",
-    "PeriodicCertificate",
-    "solve_h5",
-    "periodic_at_energy",
-    "verify_periodic",
-    "IntegratorConfig",
-    "IntegratorStats",
-    "CurveSamples",
-    "integrate_velocity",
-    "reconstruct_group",
-    "complete_K",
-    "complete_E",
-    "jacobi",
-    "sn",
-    "cn",
-    "dn",
-    "inverse_cn",
-    "inverse_dn",
-    "NilmagError",
-    "InputError",
-    "InvalidForceError",
-    "DegenerateForceError",
-    "UnsupportedForceError",
-    "ExactForceError",
-    "NoCertificateError",
-    "IntegrationError",
-    "__version__",
-]
+# Public name table: submodule -> the names the package re-exports from it.
+# A name's submodule is imported on first access (PEP 562), so `import nilmag`
+# loads no submodule and each command loads only the modules it runs.
+_EXPORTS = {
+    "algebra": ("MetricNilAlgebra", "SingularityKind", "SingularityReport"),
+    "lorentz": (
+        "LorentzForce",
+        "ForceType",
+        "ClosednessReport",
+        "ExactnessResult",
+        "check_closed",
+        "exactness_test",
+        "type2_from_vector",
+        "random_closed_type1",
+    ),
+    "closedform": (
+        "InitialCondition",
+        "TypeISolution",
+        "ExactShiftSolution",
+        "SkewSpectrum",
+        "spectral_decompose",
+        "solve_type1",
+        "solve_exact",
+    ),
+    "h3_type2": (
+        "Type2TrajectoryH3",
+        "Branch",
+        "PeriodicityKind",
+        "PeriodicityReport",
+        "solve_h3_type2",
+        "solve_type2_general",
+        "lambda_periodicity",
+        "lambda_kernel_check",
+    ),
+    "h5_type1": (
+        "H5Force",
+        "H5Branch",
+        "H5Trajectory",
+        "PeriodicCertificate",
+        "solve_h5",
+        "periodic_at_energy",
+        "verify_periodic",
+    ),
+    "oracle": (
+        "IntegratorConfig",
+        "IntegratorStats",
+        "CurveSamples",
+        "integrate_velocity",
+        "reconstruct_group",
+    ),
+    "specfun": (
+        "complete_K",
+        "complete_E",
+        "jacobi",
+        "sn",
+        "cn",
+        "dn",
+        "inverse_cn",
+        "inverse_dn",
+    ),
+    "errors": (
+        "NilmagError",
+        "InputError",
+        "InvalidForceError",
+        "DegenerateForceError",
+        "UnsupportedForceError",
+        "ExactForceError",
+        "NoCertificateError",
+        "IntegrationError",
+    ),
+}
+_SUBMODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_SUBMODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    mod = _SUBMODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{mod}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -46,12 +46,11 @@ import logging
 import os
 import re
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .algebra import MetricNilAlgebra
-from .closedform import InitialCondition, solve_type1
 from .errors import (
     ExactForceError,
     InputError,
@@ -59,14 +58,6 @@ from .errors import (
     NoCertificateError,
     UnsupportedForceError,
 )
-from .h3_type2 import (
-    Branch,
-    PeriodicityKind,
-    lambda_kernel_check,
-    lambda_periodicity,
-    solve_type2_general,
-)
-from .h5_type1 import H5Force, periodic_at_energy, solve_h5, verify_periodic
 from .lorentz import (
     ForceType,
     LorentzForce,
@@ -75,7 +66,12 @@ from .lorentz import (
     random_closed_type1,
     type2_from_vector,
 )
-from .oracle import IntegratorConfig, IntegratorStats, reconstruct_group
+
+# The solver modules (closedform, h3_type2, h5_type1, oracle) are imported
+# where a command dispatches to them, so each process loads only what it runs.
+if TYPE_CHECKING:
+    from .h5_type1 import H5Force
+    from .oracle import IntegratorConfig, IntegratorStats
 
 __all__ = ["main", "parse_scenario", "Scenario"]
 
@@ -86,17 +82,18 @@ EXIT_NUMERIC = 4
 
 log = logging.getLogger("nilmag")
 
+# Output names of h3_type2.Branch and h3_type2.PeriodicityKind, by enum value.
 _BRANCH_NAMES = {
-    Branch.CN: "Cn",
-    Branch.DN: "Dn",
-    Branch.SECH_POS: "SechPos",
-    Branch.SECH_NEG: "SechNeg",
-    Branch.LINEAR: "Linear",
+    "cn": "Cn",
+    "dn": "Dn",
+    "sech+": "SechPos",
+    "sech-": "SechNeg",
+    "linear": "Linear",
 }
 _KIND_NAMES = {
-    PeriodicityKind.PERIODIC: "Periodic",
-    PeriodicityKind.LAMBDA_PERIODIC: "LambdaPeriodic",
-    PeriodicityKind.NON_PERIODIC: "NonPeriodic",
+    "periodic": "Periodic",
+    "lambda-periodic": "LambdaPeriodic",
+    "non-periodic": "NonPeriodic",
 }
 _PRESET_RE = re.compile(r"^(heisenberg|quaternionic)\((\d+)\)$")
 _PRESET_ALIASES = {"h3": "heisenberg(1)", "h5": "heisenberg(2)"}
@@ -253,9 +250,7 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(checks, dict):
         raise InputError("checks must be an object")
     oracle = bool(checks.get("oracle", False))
-    tolerance = float(checks.get("tolerance", 1e-6))
-    if not (np.isfinite(tolerance) and tolerance > 0.0):
-        raise InputError("checks.tolerance must be positive")
+    tolerance = _tolerance(checks.get("tolerance", 1e-6), "checks.tolerance")
 
     energy = None
     if "energy" in data:
@@ -276,6 +271,14 @@ def parse_scenario(data: dict) -> Scenario:
         tolerance=tolerance,
         energy=energy,
     )
+
+
+def _tolerance(value: Any, what: str) -> float:
+    """An oracle mismatch tolerance: a finite positive number."""
+    tol = float(value)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InputError(f"{what} must be positive")
+    return tol
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -302,6 +305,8 @@ def _build_force(scn: Scenario) -> LorentzForce:
             raise UnsupportedForceError(
                 "rate-pair forces are defined on the 5-dimensional Heisenberg group"
             )
+        from .h5_type1 import H5Force
+
         mu1, mu2 = (float(x) for x in payload)
         return LorentzForce(alg, H5Force.from_rates(mu1, mu2).matrix)
     raise InputError(f"unknown force kind {kind!r}")
@@ -364,7 +369,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     if args.oracle:
         scn.oracle = True
     if args.tol is not None:
-        scn.tolerance = float(args.tol)
+        scn.tolerance = _tolerance(args.tol, "--tol")
     if scn.velocity0 is None:
         raise InputError("trajectory needs an 'initial' field")
     alg = scn.algebra
@@ -384,6 +389,8 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     }
 
     if ftype is ForceType.TYPE_I:
+        from .closedform import InitialCondition, solve_type1
+
         ex = exactness_test(alg, force)
         meta["solver"] = "closed-form-type-1"
         meta["exact"] = bool(ex.is_exact)
@@ -393,12 +400,16 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         sol = solve_type1(alg, force, ic)
         samples = sol.sample(ts)
     elif ftype is ForceType.TYPE_II and _is_h3(alg):
+        from .h3_type2 import solve_type2_general
+
         meta["solver"] = "closed-form-type-2"
         traj = solve_type2_general(_type2_direction(force), scn.charge, scn.velocity0)
-        meta["branch"] = _BRANCH_NAMES[traj.branch]
+        meta["branch"] = _BRANCH_NAMES[traj.branch.value]
         meta["period"] = traj.period
         samples = traj.sample(ts)
     else:
+        from .oracle import IntegratorConfig, reconstruct_group
+
         meta["solver"] = "oracle"
         meta["closed_form"] = False
         meta["warning"] = (
@@ -416,6 +427,8 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 
     status = EXIT_OK
     if scn.oracle:
+        from .oracle import IntegratorConfig, reconstruct_group
+
         if meta["solver"] == "oracle":
             dt = scn.t_max / max(2000, 20 * scn.samples)
             cfg = IntegratorConfig(scheme="rk4", dt=dt)
@@ -517,10 +530,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _h5_force(scn: Scenario) -> H5Force:
     """The scenario's H5 force with its charge folded in: a trajectory of
     (F, charge) is one of (charge F, 1), the charge periodic_at_energy uses."""
+    from .h5_type1 import H5Force
+
     return H5Force.from_matrix(scn.charge * _build_force(scn).matrix)
 
 
 def _h5_certificate_doc(force: H5Force, energy: float) -> tuple[dict, int]:
+    from .h5_type1 import periodic_at_energy, solve_h5, verify_periodic
+
     cert = periodic_at_energy(force, energy)
     traj = solve_h5(force, cert.v0, cert.z0)
     ok, residual = verify_periodic(traj, cert.period)
@@ -553,13 +570,15 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
     if ftype is ForceType.TYPE_II and _is_h3(alg):
         if scn.velocity0 is None:
             raise InputError("periodicity on the 3-dim Heisenberg group needs 'initial'")
+        from .h3_type2 import lambda_kernel_check, lambda_periodicity, solve_type2_general
+
         u = _type2_direction(force)
         traj = solve_type2_general(u, scn.charge, scn.velocity0)
         report = lambda_periodicity(traj)
         doc: dict[str, Any] = {
             "scenario": scn.canonical(),
-            "kind": _KIND_NAMES[report.kind],
-            "branch": _BRANCH_NAMES[traj.branch],
+            "kind": _KIND_NAMES[report.kind.value],
+            "branch": _BRANCH_NAMES[traj.branch.value],
             "omega": report.omega,
             "translation": None
             if report.translation is None
@@ -599,6 +618,8 @@ def cmd_h5_periodic(args: argparse.Namespace) -> int:
     else:
         if args.rates is None or args.energy is None:
             raise InputError("h5-periodic needs either --scenario or --rates and --energy")
+        from .h5_type1 import H5Force
+
         force = H5Force.from_rates(args.rates[0], args.rates[1])
         energy = args.energy
     doc, status = _h5_certificate_doc(force, energy)
@@ -627,6 +648,8 @@ def _check(name: str, worst: float, tol: float, failures: list[str]) -> None:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     from scipy.linalg import expm
+
+    from .closedform import InitialCondition, solve_type1
 
     rng = np.random.default_rng(args.seed)
     failures: list[str] = []

@@ -136,9 +136,16 @@ class LorentzForce:
 
 
 def _as_force(alg: MetricNilAlgebra, f) -> LorentzForce:
+    """f as a force on alg; a LorentzForce of another algebra must share its
+    v/z split and structure tensor, since its block views use its own split."""
     if isinstance(f, LorentzForce):
-        if f.alg is not alg and f.alg.dim != alg.dim:
-            raise InvalidForceError("force belongs to an algebra of different dimension")
+        other = f.alg
+        if other is not alg and not (
+            other.dim_v == alg.dim_v
+            and other.dim_z == alg.dim_z
+            and np.array_equal(other.structure, alg.structure)
+        ):
+            raise InvalidForceError("force belongs to an algebra with a different structure")
         return f
     return LorentzForce(alg, f)
 

@@ -190,6 +190,17 @@ def test_trajectory_oracle_mismatch_exit_code(tmp_path, capsys):
     assert doc["metadata"]["oracle"]["passed"] is False
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_trajectory_tol_flag_follows_the_scenario_rule(tmp_path, capsys, tol):
+    """--tol takes the values checks.tolerance takes: finite and positive."""
+    path = write_scenario(tmp_path, EXACT_H3)
+    out = tmp_path / "out"
+    code = main(["trajectory", "--scenario", path, "--oracle", "--tol", tol, "--out", str(out)])
+    assert code == 2
+    assert "--tol must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trajectory_start_translation(tmp_path, capsys):
     """A start point left-translates the whole sampled curve."""
     doc_in = dict(EXACT_H3)
@@ -254,6 +265,16 @@ def test_classify_reports_nonclosed(tmp_path, capsys):
     assert doc["force"]["closed"] is False
     assert doc["force"]["max_residual"] > 0
     assert doc["force"]["worst_triple"] is not None
+
+
+def test_output_names_cover_every_enum_value():
+    """The CLI names branches and periodicity kinds by enum value, so that it
+    need not import h3_type2 at start; each value must have a name."""
+    from nilmag.cli import _BRANCH_NAMES, _KIND_NAMES
+    from nilmag.h3_type2 import Branch, PeriodicityKind
+
+    assert set(_BRANCH_NAMES) == {b.value for b in Branch}
+    assert set(_KIND_NAMES) == {k.value for k in PeriodicityKind}
 
 
 def test_periodicity_h3_oscillating(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""scipy stays unloaded until a routine that needs it runs.
+"""Each entry point loads only the modules it runs.
 
-Closed-form use (type-I and H3 trajectories, classification, H3 and H5
-periodicity) and the numerical oracle (both schemes, the CLI fallback and
-`--oracle`) run on numpy only.  Each check runs in a fresh interpreter.
+scipy stays unloaded until a routine that needs it runs: closed-form use
+(type-I and H3 trajectories, classification, H3 and H5 periodicity) and the
+numerical oracle (both schemes, the CLI fallback and `--oracle`) run on numpy
+only.  `import nilmag` loads no submodule, and each CLI command loads only the
+solver modules it dispatches to.  Each check runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -16,40 +18,73 @@ import nilmag
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nilmag.__file__)))
 
-LOADED_SCIPY = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+SOLVER_MODULES = {"closedform", "h3_type2", "h5_type1", "oracle", "specfun"}
 
 
-def _scipy_modules_after(code: str) -> list[str]:
+def _modules_after(code: str, prefix: str) -> list[str]:
+    """The loaded modules whose names start with prefix after running code."""
     env = dict(os.environ, PYTHONPATH=SRC)
+    loaded = f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     res = subprocess.run(
-        [sys.executable, "-c", f"import json, sys\n{code}\n{LOADED_SCIPY}"],
+        [sys.executable, "-c", f"import json, sys\n{code}\n{loaded}"],
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
     return json.loads(res.stdout.strip().splitlines()[-1])
 
 
+def _nilmag_modules_after(code: str) -> set[str]:
+    return {m.removeprefix("nilmag.") for m in _modules_after(code, "nilmag.")}
+
+
+def _cli_runs(runs: list) -> str:
+    return f"from nilmag.cli import main\nassert [main(argv) for argv in {runs!r}] == [0] * {len(runs)}"
+
+
 def test_import_loads_no_scipy():
-    assert _scipy_modules_after("import nilmag") == []
+    assert _modules_after("import nilmag", "scipy") == []
+
+
+def test_import_loads_no_submodule():
+    assert _nilmag_modules_after("import nilmag") == set()
+
+
+TYPE1 = {
+    "algebra": "heisenberg(1)",
+    "force": {"exact": {"Z": [0.7]}},
+    "charge": 1.3,
+    "initial": {"velocity": [0.9, -0.4, 0.5]},
+    "time": {"t_max": 3.0, "samples": 31},
+}
+H3 = {
+    "algebra": "h3",
+    "force": {"type2_U": [0.8, -0.6]},
+    "charge": 1.2,
+    "initial": {"velocity": [0.9, -0.4, 0.5]},  # the cn branch
+    "time": {"t_max": 7.3, "samples": 31},
+}
+
+
+def test_each_command_loads_only_its_solvers(tmp_path):
+    (tmp_path / "q1.json").write_text(json.dumps({"algebra": "quaternionic(1)"}))
+    (tmp_path / "type1.json").write_text(json.dumps(TYPE1))
+    (tmp_path / "h3.json").write_text(json.dumps(H3))
+
+    def scenario(command, name):
+        return [command, "--scenario", str(tmp_path / name), "--out", str(tmp_path / command / name)]
+
+    classify = [scenario("classify", "q1.json"), scenario("classify", "type1.json")]
+    assert _nilmag_modules_after(_cli_runs(classify)) & SOLVER_MODULES == set()
+    loaded = _nilmag_modules_after(_cli_runs([scenario("trajectory", "type1.json")]))
+    assert "closedform" in loaded and loaded & {"specfun", "h3_type2", "h5_type1"} == set()
+    h3 = [scenario("trajectory", "h3.json"), scenario("periodicity", "h3.json")]
+    loaded = _nilmag_modules_after(_cli_runs(h3))
+    assert "h3_type2" in loaded and loaded & {"closedform", "h5_type1"} == set()
 
 
 def test_closed_form_cli_runs_load_no_scipy(tmp_path):
-    type1 = {
-        "algebra": "heisenberg(1)",
-        "force": {"exact": {"Z": [0.7]}},
-        "charge": 1.3,
-        "initial": {"velocity": [0.9, -0.4, 0.5]},
-        "time": {"t_max": 3.0, "samples": 31},
-    }
-    h3 = {
-        "algebra": "h3",
-        "force": {"type2_U": [0.8, -0.6]},
-        "charge": 1.2,
-        "initial": {"velocity": [0.9, -0.4, 0.5]},  # the cn branch
-        "time": {"t_max": 7.3, "samples": 31},
-    }
-    (tmp_path / "type1.json").write_text(json.dumps(type1))
+    (tmp_path / "type1.json").write_text(json.dumps(TYPE1))
     (tmp_path / "q1.json").write_text(json.dumps({"algebra": "quaternionic(1)"}))
-    (tmp_path / "h3.json").write_text(json.dumps(h3))
+    (tmp_path / "h3.json").write_text(json.dumps(H3))
     runs = [
         ["trajectory", "--scenario", str(tmp_path / "type1.json"), "--out", str(tmp_path / "a")],
         ["classify", "--scenario", str(tmp_path / "q1.json"), "--out", str(tmp_path / "b")],
@@ -57,8 +92,7 @@ def test_closed_form_cli_runs_load_no_scipy(tmp_path):
         ["trajectory", "--scenario", str(tmp_path / "h3.json"), "--out", str(tmp_path / "d")],
         ["periodicity", "--scenario", str(tmp_path / "h3.json"), "--out", str(tmp_path / "e")],
     ]
-    code = f"from nilmag.cli import main\nassert [main(argv) for argv in {runs!r}] == [0] * 5"
-    assert _scipy_modules_after(code) == []
+    assert _modules_after(_cli_runs(runs), "scipy") == []
     for name in ("a/trajectory.json", "b/classify.json", "c/h5_certificate.json",
                  "d/trajectory.json", "e/periodicity.json"):
         assert (tmp_path / name).exists()
@@ -81,13 +115,12 @@ def test_oracle_runs_load_no_scipy(tmp_path):
     code = (
         "import numpy as np\n"
         "from nilmag import IntegratorConfig, MetricNilAlgebra, reconstruct_group\n"
-        "from nilmag.cli import main\n"
         "for cfg in (IntegratorConfig(), IntegratorConfig(scheme='rk4', dt=0.1)):\n"
         "    reconstruct_group(MetricNilAlgebra.heisenberg(1), np.zeros((3, 3)), 1.0,"
         " np.array([1.0, 0.0, 0.2]), np.linspace(0.0, 1.0, 3), cfg)\n"
-        f"assert [main(argv) for argv in {runs!r}] == [0, 0]"
+        + _cli_runs(runs)
     )
-    assert _scipy_modules_after(code) == []
+    assert _modules_after(code, "scipy") == []
     for name in ("a", "b"):
         meta = json.loads((tmp_path / name / "trajectory.json").read_text())["metadata"]
         assert meta["solver"] == "oracle"

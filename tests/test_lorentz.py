@@ -277,3 +277,26 @@ def test_random_closed_type1_is_closed_across_presets():
             f = random_closed_type1(alg, rng)
             assert f.force_type() is ForceType.TYPE_I
             assert check_closed(alg, f).closed
+
+
+
+def test_force_of_another_algebra_needs_the_same_structure():
+    """A LorentzForce built on another algebra is accepted only when that
+    algebra has the same v/z split and structure tensor."""
+    from nilmag.oracle import reconstruct_group
+
+    m = np.zeros((3, 3))
+    m[0, 1], m[1, 0] = -1.0, 1.0
+    x0, ts = np.array([0.3, -0.2, 0.5]), np.linspace(0.0, 1.0, 3)
+    calls = {
+        "check_closed": lambda alg, f: check_closed(alg, f).frobenius_residual,
+        "exactness_test": lambda alg, f: exactness_test(alg, f).z_tilde,
+        "reconstruct_group": lambda alg, f: reconstruct_group(alg, f, 1.0, x0, ts).xi,
+    }
+    abelian = LorentzForce(MetricNilAlgebra.from_structure(3, []), m)
+    twin = LorentzForce(h3(), m)  # equal algebra, another instance
+    for name, call in calls.items():
+        alg = h3()
+        with pytest.raises(InvalidForceError):
+            call(alg, abelian)
+        assert_allclose(call(alg, twin), call(alg, m), rtol=0.0, atol=0.0, err_msg=name)

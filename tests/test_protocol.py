@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,9 +100,22 @@ def test_verifiers_sample_each_grid_once(name):
 
 
 def test_exported_names_resolve():
-    """Every name in the package's and each module's __all__ exists."""
+    """Every name in the package's and each module's __all__ exists, and the
+    lazy package namespace lists, binds and rejects names like an eager one."""
     for name in nilmag.__all__:
         assert hasattr(nilmag, name), name
+    assert set(nilmag.__all__) <= set(dir(nilmag))
+    namespace: dict = {}
+    exec("from nilmag import *", namespace)
+    assert set(nilmag.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nilmag.no_such_name  # noqa: B018
+    # a submodule resolves as an attribute in an interpreter that has not imported it
+    code = "import nilmag, sys; assert 'nilmag.oracle' not in sys.modules; print(nilmag.oracle.__name__)"
+    src = str(Path(nilmag.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+    assert res.stdout.strip() == "nilmag.oracle"
     for info in pkgutil.iter_modules(nilmag.__path__):
         module = importlib.import_module(f"nilmag.{info.name}")
         for name in getattr(module, "__all__", ()):
