@@ -20,6 +20,8 @@ an independent numerical integrator:
   functions.
 - `oracle`: numpy-only adaptive Dormand-Prince / fixed-step RK4 reference
   integrator.
+- `samples`: `CurveSamples`, the sampled curve every solver returns, and the
+  oracle's `IntegratorStats`.
 - `cli`: the `nilmag` command-line front end.
 """
 
@@ -70,13 +72,8 @@ _EXPORTS = {
         "periodic_at_energy",
         "verify_periodic",
     ),
-    "oracle": (
-        "IntegratorConfig",
-        "IntegratorStats",
-        "CurveSamples",
-        "integrate_velocity",
-        "reconstruct_group",
-    ),
+    "oracle": ("IntegratorConfig", "integrate_velocity", "reconstruct_group"),
+    "samples": ("IntegratorStats", "CurveSamples"),
     "specfun": (
         "complete_K",
         "complete_E",

@@ -71,7 +71,8 @@ from .lorentz import (
 # where a command dispatches to them, so each process loads only what it runs.
 if TYPE_CHECKING:
     from .h5_type1 import H5Force
-    from .oracle import IntegratorConfig, IntegratorStats
+    from .oracle import IntegratorConfig
+    from .samples import IntegratorStats
 
 __all__ = ["main", "parse_scenario", "Scenario"]
 

@@ -53,7 +53,7 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import InvalidForceError, UnsupportedForceError
 from .lorentz import ForceType, LorentzForce, check_closed, exactness_test
-from .oracle import CurveSamples
+from .samples import CurveSamples
 
 __all__ = [
     "InitialCondition",

@@ -41,10 +41,11 @@ On the oscillating branches Phi is its period mean h plus a centred cn or
 dn multiple D, so I_m is <Phi^m> t plus integrals of D^j - <D^j> that are
 periodic and bounded.  The means are closed forms in the AGM of (1, k'); the
 periodic parts are exact antiderivatives of cn^j and dn^j in arcsin, the
-amplitude am = atan2(sn, cn) and the Jacobi zeta function, which comes from
-Carlson's R_D.  Each time point costs one jacobi call and no numerical
-integration, and no term of size |z0|^m cancels.  On the separatrix I_m is
-elementary.
+amplitude am = atan2(sn, cn) and the Jacobi zeta function, which the
+descending Landen recursion gives in the same pass as sn, cn and dn.  Each
+time point costs one such pass (_jacobi_zeta, on a table built once per
+trajectory) and no numerical integration, and no term of size |z0|^m
+cancels.  On the separatrix I_m is elementary.
 
 A velocity with period w makes the group curve lam-periodic:
 sigma(t + w) = lam * sigma(t) with lam = sigma(w), because both sides share
@@ -64,8 +65,8 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import DegenerateForceError
 from .lorentz import _direction
-from .oracle import CurveSamples
-from .specfun import carlson_rd, inverse_cn, inverse_dn, jacobi, landen, sech
+from .samples import CurveSamples
+from .specfun import _descent_table, _jacobi_zeta, inverse_cn, inverse_dn, landen, sech
 
 __all__ = [
     "Branch",
@@ -202,22 +203,23 @@ class Type2TrajectoryH3:
 
     # -- trajectory data at one time ---------------------------------------
 
-    def _point(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Position and velocity at t; one jacobi call on the cn/dn branches."""
+    def _point(self, t: float) -> tuple[float, float, float, float, float, float]:
+        """Position and velocity at t, as one row of six floats; one
+        _jacobi_zeta call on the cn/dn branches."""
         br = self.branch
         z0 = self.z0
         if br is Branch.LINEAR:
             psi, dpsi, (i1, i2, i3) = z0, 0.0, (0.0, 0.0, 0.0)
         elif br is Branch.CN or br is Branch.DN:
             u = self.phase - self.rate * t
-            sn, cn, dn = jacobi(u, self.modulus)
+            sn, cn, dn, zeta = _jacobi_zeta(u, self._descent)
             ar = self.amplitude * self.rate
             if br is Branch.CN:
                 psi, dpsi = self.amplitude * cn, ar * sn * dn
             else:
                 psi = self.sign * self.amplitude * dn
                 dpsi = self.sign * ar * self.modulus**2 * sn * cn
-            i1, i2, i3 = self._power_integrals(t, u, sn, cn, dn)
+            i1, i2, i3 = self._power_integrals(t, u, sn, cn, dn, zeta)
         else:
             u = self.phase - self.rate * t
             sech_u = sech(u)
@@ -227,17 +229,15 @@ class Type2TrajectoryH3:
         phi = psi - z0
         xi_y = self.y0 * t + z0 * i1 + 0.5 * i2
         xi_z = z0 * t + self.y1 * i1 + z0 * i2 + 0.5 * i3 - 0.5 * phi * xi_y
-        vel = np.array([dpsi, self.y0 + z0 * phi + 0.5 * phi * phi, psi])
-        return np.array([phi, xi_y, xi_z]), vel
+        return phi, xi_y, xi_z, dpsi, self.y0 + z0 * phi + 0.5 * phi * phi, psi
 
     def sample(self, ts: np.ndarray) -> CurveSamples:
         """Velocity and group curve (exponential coordinates, position(0) = 0)
         on the grid ts: the canonical points at ts / q, mapped back once."""
         ts = np.asarray(ts, dtype=float)
         q, rot = self.time_scale, self.rotation
-        points = [self._point(t) for t in (ts / q).tolist()]
-        xi = np.array([p[0] for p in points]).reshape(-1, 3)
-        vel = np.array([p[1] for p in points]).reshape(-1, 3) / q
+        rows = np.array([self._point(t) for t in (ts / q).tolist()], dtype=float).reshape(-1, 6)
+        xi, vel = rows[:, :3], rows[:, 3:] / q
         vel[:, :2] = vel[:, :2] @ rot
         xi[:, :2] = xi[:, :2] @ rot
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
@@ -254,57 +254,60 @@ class Type2TrajectoryH3:
 
     # -- power integrals on the oscillating branches ------------------------
 
-    def _power_integrals(self, t: float, u: float, sn: float, cn: float, dn: float):
+    def _power_integrals(self, t: float, u: float, sn: float, cn: float, dn: float, zeta: float):
         """(I1, I2, I3) with I_m = integral of Phi^m over [0, t], u = phase - rate t.
 
         With Phi = h + D, I_m is <Phi^m> t plus terms in J_j = integral of
         D^j - <D^j> = (P_j(phase) - P_j(u)) / rate, P_j the antiderivatives below.
         """
         h, mean2, mean3 = self._means
-        start = self._start_antiderivatives
-        j1, j2, j3 = (
-            (p0 - p) / self.rate
-            for p0, p in zip(start, self._centred_antiderivatives(u, sn, cn, dn))
-        )
+        s1, s2, s3 = self._start_antiderivatives
+        p1, p2, p3 = self._centred_antiderivatives(u, sn, cn, dn, zeta)
+        r = self.rate
+        j1, j2, j3 = (s1 - p1) / r, (s2 - p2) / r, (s3 - p3) / r
         i3 = mean3 * t + 3.0 * h * h * j1 + 3.0 * h * j2 + j3
         return h * t + j1, mean2 * t + 2.0 * h * j1 + j2, i3
 
     @cached_property
     def _start_antiderivatives(self) -> tuple[float, float, float]:
-        return self._centred_antiderivatives(self.phase, *jacobi(self.phase, self.modulus))
+        return self._centred_antiderivatives(self.phase, *_jacobi_zeta(self.phase, self._descent))
 
     @cached_property
     def _landen(self) -> tuple[float, float, float, list[float]]:
         """(K, M, 1 - E/K, [c_0, c_1, ...]) of the modulus (specfun.landen)."""
         return landen(self.modulus)
 
-    def _centred_antiderivatives(self, u: float, sn: float, cn: float, dn: float):
-        """Antiderivatives P_j in u of D^j - <D^j>, j = 1, 2, 3, where D = psi - <psi>
-        is a cn or dn multiple and (sn, cn, dn) = jacobi(u, k).
+    @cached_property
+    def _descent(self):
+        """The modulus's table for the per-point Landen recursion (specfun._jacobi_zeta)."""
+        return _descent_table(self.modulus)
 
-        With am the amplitude and Z(u) = E(am u) - (E/K) u the Jacobi zeta
-        function (DLMF 22.16.32, 22.14(iv); Byrd & Friedman 312, 314):
+    def _centred_antiderivatives(self, u: float, sn: float, cn: float, dn: float, zeta: float):
+        """Antiderivatives P_j in u of D^j - <D^j>, j = 1, 2, 3, where D = psi - <psi>
+        is a cn or dn multiple, (sn, cn, dn) are the Jacobi functions at u and
+        zeta = Z(u) = E(am u) - (E/K) u is the Jacobi zeta function.
+
+        By DLMF 22.16.32, 22.14(iv) and Byrd & Friedman 312, 314:
             int dn = am,   int cn = arcsin(k sn)/k,   int (dn^2 - E/K) = Z,
             k^2 int (cn^2 - <cn^2>) = Z,   int dn^3 = (k^2 sn cn + (2 - k^2) am)/2,
             2 k^2 int cn^3 = sn dn - (1 - 2k^2) arcsin(k sn)/k.
-        am u - M u (M = pi/(2K), the mean of dn) and Z are taken at
-        u_r = u - 2K j, |u_r| <= K, where (sn, cn)(u_r) = (-1)^j (sn, cn)(u)
-        and am u_r = atan2 of those.  As F(am u_r) = u_r, DLMF 19.25.9 gives
-            Z = u_r (1 - E/K) - (k^2/3) sn(u_r)^3 R_D(cn^2, dn^2, 1),
-        free of the cancellation of O(1) terms in E(am u_r) - (E/K) u_r as k -> 0.
+        Z comes from the Landen phases as sum_n c_n sin phi_n (specfun._jacobi_zeta),
+        free of the cancellation of O(1) terms in E(am u) - (E/K) u as k -> 0.
+        am u - M u (M = pi/(2K), the mean of dn) is taken at u_r = u - 2K j,
+        |u_r| <= K, where (sn, cn)(u_r) = (-1)^j (sn, cn)(u) and am u_r = atan2
+        of those.
         """
         k = self.modulus
-        big_k, mean, one_minus_ek, _ = self._landen
-        j = math.floor(u / (2.0 * big_k) + 0.5)
-        u_r = u - 2.0 * big_k * j
-        sn_r, cn_r = (-sn, -cn) if j % 2 else (sn, cn)
-        zeta = u_r * one_minus_ek - k * k / 3.0 * sn_r**3 * carlson_rd(cn * cn, dn * dn, 1.0)
         r = self.rate
         if self.branch is Branch.CN:
             # a = 2 k rate turns the 1/k^j factors into powers of the rate
             asn = math.asin(k * sn)
             cube = k * sn * dn - (1.0 - 2.0 * k * k) * asn
             return 2.0 * r * asn, 4.0 * r * r * zeta, 4.0 * r**3 * cube
+        big_k, mean, _, _ = self._landen
+        j = math.floor(u / (2.0 * big_k) + 0.5)
+        u_r = u - 2.0 * big_k * j
+        sn_r, cn_r = (-sn, -cn) if j % 2 else (sn, cn)
         a, sign = self.amplitude, self.sign
         w = math.atan2(sn_r, cn_r) - mean * u_r  # int (dn - M)
         cube = 0.5 * k * k * sn * cn + 0.5 * (2.0 - k * k) * w - 3.0 * mean * zeta + 3.0 * mean * mean * w

@@ -28,6 +28,7 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import IntegrationError
 from .lorentz import _as_force
+from .samples import CurveSamples, IntegratorStats
 
 __all__ = ["IntegratorConfig", "IntegratorStats", "CurveSamples", "integrate_velocity",
            "reconstruct_group"]
@@ -77,30 +78,6 @@ class IntegratorConfig:
             )
         if self.scheme == "rk4" and (self.dt is None or not np.isfinite(self.dt) or self.dt <= 0.0):
             raise ValueError("rk4 needs a positive fixed step dt")
-
-
-@dataclass(frozen=True)
-class IntegratorStats:
-    """Work of one integration: right-hand-side evaluations and steps taken."""
-
-    nfev: int
-    accepted_steps: int
-    rejected_steps: int
-
-
-@dataclass
-class CurveSamples:
-    """A trajectory sampled on a time grid.
-
-    velocity rows are the left-trivialized velocity x(t); xi rows are the
-    group curve in exponential coordinates (None when only the velocity was
-    integrated).  stats is set on integrated curves only.
-    """
-
-    t: np.ndarray
-    velocity: np.ndarray
-    xi: np.ndarray | None = None
-    stats: IntegratorStats | None = None
 
 
 def _rhs_velocity(alg: MetricNilAlgebra, fmat: np.ndarray, q: float):

@@ -1,0 +1,37 @@
+"""The sampled-curve record that every solver and the oracle return.
+
+It lives apart from the solvers so that a closed-form solver can build one
+without loading the numerical oracle.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = ["IntegratorStats", "CurveSamples"]
+
+
+@dataclass(frozen=True)
+class IntegratorStats:
+    """Work of one integration: right-hand-side evaluations and steps taken."""
+
+    nfev: int
+    accepted_steps: int
+    rejected_steps: int
+
+
+@dataclass
+class CurveSamples:
+    """A trajectory sampled on a time grid.
+
+    velocity rows are the left-trivialized velocity x(t); xi rows are the
+    group curve in exponential coordinates (None when only the velocity was
+    integrated).  stats is set on integrated curves only.
+    """
+
+    t: np.ndarray
+    velocity: np.ndarray
+    xi: np.ndarray | None = None
+    stats: IntegratorStats | None = None

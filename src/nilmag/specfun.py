@@ -6,20 +6,23 @@ Everything here uses the modulus convention k (not the parameter m = k^2):
     E(k)          = integral_0^{pi/2} sqrt(1 - k^2 sin^2 theta) dtheta
     F(phi, k)     = integral_0^phi dtheta / sqrt(1 - k^2 sin^2 theta)
     sn, cn, dn    = Jacobi functions with sn^2 + cn^2 = 1, dn^2 + k^2 sn^2 = 1
+    Z(u, k)       = E(am u, k) - (E/K) u, the Jacobi zeta function
 
 K and E are computed by the arithmetic-geometric mean, sn/cn/dn by a descending
 Landen transformation (AGM phase recursion), F(phi, k) from Carlson's
 symmetric integral R_F by duplication (Carlson 1995, Numer. Algorithms 10;
-DLMF 19.36); R_D, by the same duplication, gives the H3 solver its Jacobi
-zeta function.  Each AGM and Landen step doubles the number of correct
-digits and each duplication step shrinks the argument spread fourfold; all
-are accurate to ~1e-14 away from k = 1.  The inverses of cn and dn on their
-principal monotone branches, used to pin phases, are values of F.
+DLMF 19.36).  The phases of the Landen recursion also sum to the Jacobi
+zeta function, which the H3 solver takes from the same pass as sn, cn and
+dn.  Each AGM and Landen step doubles the number of correct digits and each
+duplication step shrinks the argument spread fourfold; all are accurate to
+~1e-14 away from k = 1.  The inverses of cn and dn on their principal
+monotone branches, used to pin phases, are values of F.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 __all__ = [
     "complete_K",
@@ -31,7 +34,6 @@ __all__ = [
     "cn",
     "dn",
     "carlson_rf",
-    "carlson_rd",
     "incomplete_F",
     "inverse_cn",
     "inverse_dn",
@@ -70,6 +72,25 @@ def complete_K(k: float) -> float:
     return landen(k)[0]
 
 
+def _agm(k: float, stop: float) -> tuple[list[float], list[float]]:
+    """The AGM of (1, k') for 0 <= k < 1 as lists [a_0, ..., a_N], [c_0, ..., c_N].
+
+    c_0 = k and c_{n+1} = (a_n - b_n)/2 is computed as c_n^2 / (4 a_{n+1}),
+    without the cancellation in a_n - b_n; N is the first index with
+    c_N <= stop a_N (stop = 0 runs until c_n underflows).
+    """
+    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    a_seq, c_seq = [a], [c]
+    for _ in range(_MAX_AGM_ITER - 1):
+        if c <= stop * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = c * c / (4.0 * a)
+        a_seq.append(a)
+        c_seq.append(c)
+    return a_seq, c_seq
+
+
 def agm_sequence(k: float) -> tuple[float, list[float]]:
     """The AGM of (1, k') for 0 <= k < 1: its limit M and [c_0, c_1, ...].
 
@@ -81,12 +102,8 @@ def agm_sequence(k: float) -> tuple[float, list[float]]:
     k = _check_modulus(k)
     if k == 1.0:
         raise ValueError("the AGM of (1, k') degenerates at k = 1")
-    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
-    cs = [k]
-    while cs[-1] > 0.0 and len(cs) < _MAX_AGM_ITER:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        cs.append(cs[-1] * cs[-1] / (4.0 * a))
-    return a, cs
+    a_seq, cs = _agm(k, 0.0)
+    return a_seq[-1], cs
 
 
 def landen(k: float) -> tuple[float, float, float, list[float]]:
@@ -98,6 +115,51 @@ def landen(k: float) -> tuple[float, float, float, list[float]]:
     mean, cs = agm_sequence(k)
     one_minus_ek = math.fsum(2.0 ** (n - 1) * c * c for n, c in enumerate(cs))
     return math.pi / (2.0 * mean), mean, one_minus_ek, cs
+
+
+class _DescentTable(NamedTuple):
+    """What the descending Landen recursion needs of a modulus 0 <= k < 1.
+
+    steps holds (c_n / a_n, c_n) for n = N, ..., 1, the order in which the
+    phases are recovered, with N the first index where c_N <= 1e-15 a_N;
+    period = 4K = 2 pi / a_N and seed = 2^N a_N.
+    """
+
+    k: float
+    kp: float
+    steps: tuple[tuple[float, float], ...]
+    period: float
+    seed: float
+
+
+def _descent_table(k: float) -> _DescentTable:
+    a_seq, c_seq = _agm(k, _AGM_STOP)
+    n, a_n = len(a_seq) - 1, a_seq[-1]
+    steps = tuple([(c / a, c) for a, c in zip(a_seq[:0:-1], c_seq[:0:-1])])
+    kp = math.sqrt((1.0 - k) * (1.0 + k))
+    return _DescentTable(k, kp, steps, 2.0 * math.pi / a_n, (2.0**n) * a_n)
+
+
+def _jacobi_zeta(u: float, table: _DescentTable) -> tuple[float, float, float, float]:
+    """(sn, cn, dn, Z) at u for the modulus of table, Z the Jacobi zeta function.
+
+    u is reduced modulo the period 4K, the phase seeded as phi_N = 2^N a_N u,
+    and phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n))/2 recovered down to
+    the amplitude phi_0 (A&S 16.4, DLMF 22.20(ii)); then sn = sin phi_0,
+    cn = cos phi_0 and dn = sqrt(k'^2 + k^2 cn^2).  The same phases give
+    Z = sum_{n>=1} c_n sin phi_n (A&S 17.6), summed smallest term first.
+    c_n < a_n for n >= 1, so the asin argument needs no clamp.
+    """
+    k, kp, steps, period, seed = table
+    u = u - period * math.floor(u / period + 0.5)  # now |u| <= 2K
+    phi = seed * u
+    zeta = 0.0
+    for ratio, c in steps:
+        s = math.sin(phi)
+        zeta += c * s
+        phi = 0.5 * (phi + math.asin(ratio * s))
+    cn_v = math.cos(phi)
+    return math.sin(phi), cn_v, math.sqrt(kp * kp + (k * cn_v) * (k * cn_v)), zeta
 
 
 def complete_E(k: float) -> float:
@@ -114,14 +176,12 @@ def complete_E(k: float) -> float:
 def jacobi(u: float, k: float) -> tuple[float, float, float]:
     """Jacobi elliptic functions (sn(u,k), cn(u,k), dn(u,k)) for real u.
 
-    Uses the descending Landen/AGM phase recursion: run the AGM
-    a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2
-    from (1, k', k) until |c_N| <= 1e-15 a_N, seed the phase
-    phi_N = 2^N a_N u and recover phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n))/2.
-    Then sn = sin phi_0, cn = cos phi_0, dn = sqrt(k'^2 + k^2 cn^2).
-
-    u is reduced modulo the real period 4K = 2 pi / a_N, read off the same
-    AGM, so large arguments do not lose accuracy in the phase seed.
+    Uses the descending Landen/AGM phase recursion of _jacobi_zeta: the AGM
+    of (1, k') runs until c_N <= 1e-15 a_N, u is reduced modulo the real
+    period 4K = 2 pi / a_N read off the same AGM (so large arguments keep
+    their accuracy in the phase seed), and the phases descend from
+    phi_N = 2^N a_N u to the amplitude phi_0.  k = 0 and k = 1 give the
+    circular and hyperbolic functions directly.
     """
     k = _check_modulus(k)
     u = float(u)
@@ -130,30 +190,7 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
     if k == 1.0:
         s = sech(u)
         return math.tanh(u), s, s
-
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    a, b, c = 1.0, kp, k
-    a_seq = [a]
-    c_seq = [c]
-    n = 0
-    while abs(c) > _AGM_STOP * a and n < _MAX_AGM_ITER:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        a_seq.append(a)
-        c_seq.append(c)
-        n += 1
-
-    period = 2.0 * math.pi / a  # 4K
-    u = u - period * math.floor(u / period + 0.5)  # now |u| <= 2K
-
-    phi = (2.0**n) * a_seq[n] * u
-    for m in range(n, 0, -1):
-        ratio = c_seq[m] / a_seq[m]
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, ratio * math.sin(phi)))))
-
-    sn_v = math.sin(phi)
-    cn_v = math.cos(phi)
-    dn_v = math.sqrt(kp * kp + (k * cn_v) * (k * cn_v))
-    return sn_v, cn_v, dn_v
+    return _jacobi_zeta(u, _descent_table(k))[:3]
 
 
 def sn(u: float, k: float) -> float:
@@ -192,34 +229,6 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     Z = -X - Y
     e2, e3 = X * Y - Z * Z, X * Y * Z
     return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
-
-
-def carlson_rd(x: float, y: float, z: float) -> float:
-    """Carlson's R_D(x, y, z) = R_J(x, y, z, z) for x, y >= 0 (not both 0), z > 0.
-
-    R_D = (3/2) integral_0^inf dt / ((t + z) sqrt((t + x)(t + y)(t + z))),
-    by duplication and a seventh-order series (DLMF 19.36.2).
-    """
-    a = (x + y + 3.0 * z) / 5.0
-    dx, dy = a - x, a - y
-    q = (0.25 * _CARLSON_R) ** (-1.0 / 6.0) * max(abs(dx), abs(dy), abs(a - z))
-    scale, tail = 1.0, 0.0
-    while q * scale >= abs(a):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        tail += scale / (sz * (z + lam))
-        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
-        scale *= 0.25
-    X, Y = dx * scale / a, dy * scale / a
-    Z = -(X + Y) / 3.0
-    xy, z2 = X * Y, Z * Z
-    e2 = xy - 6.0 * z2
-    e3 = (3.0 * xy - 8.0 * z2) * Z
-    e4 = 3.0 * (xy - z2) * z2
-    e5 = xy * z2 * Z
-    series = 1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
-    series = series - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0
-    return scale * series / (a * math.sqrt(a)) + 3.0 * tail
 
 
 def _legendre_reduce(phi: float, k: float) -> tuple[int, float, float, float]:

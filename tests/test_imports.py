@@ -62,6 +62,13 @@ H3 = {
     "initial": {"velocity": [0.9, -0.4, 0.5]},  # the cn branch
     "time": {"t_max": 7.3, "samples": 31},
 }
+MIXED = {
+    "algebra": "h3",
+    "force": {"matrix": [[0.0, 0.3, -0.5], [-0.3, 0.0, 0.8], [0.5, -0.8, 0.0]]},
+    "charge": 1.1,
+    "initial": {"velocity": [0.4, -0.2, 0.7]},
+    "time": {"t_max": 3.0, "samples": 31},
+}
 
 
 def test_each_command_loads_only_its_solvers(tmp_path):
@@ -75,10 +82,20 @@ def test_each_command_loads_only_its_solvers(tmp_path):
     classify = [scenario("classify", "q1.json"), scenario("classify", "type1.json")]
     assert _nilmag_modules_after(_cli_runs(classify)) & SOLVER_MODULES == set()
     loaded = _nilmag_modules_after(_cli_runs([scenario("trajectory", "type1.json")]))
-    assert "closedform" in loaded and loaded & {"specfun", "h3_type2", "h5_type1"} == set()
+    assert "closedform" in loaded and loaded & {"specfun", "h3_type2", "h5_type1", "oracle"} == set()
     h3 = [scenario("trajectory", "h3.json"), scenario("periodicity", "h3.json")]
     loaded = _nilmag_modules_after(_cli_runs(h3))
-    assert "h3_type2" in loaded and loaded & {"closedform", "h5_type1"} == set()
+    assert "h3_type2" in loaded and loaded & {"closedform", "h5_type1", "oracle"} == set()
+    h5 = [["h5-periodic", "--rates", "-1.3", "0.7", "--energy", "2.0", "--out", str(tmp_path / "h5")]]
+    loaded = _nilmag_modules_after(_cli_runs(h5))
+    assert "h5_type1" in loaded and loaded & {"specfun", "h3_type2", "oracle"} == set()
+    # the mixed H3 force falls back to the oracle, and --oracle asks for it
+    (tmp_path / "mixed.json").write_text(json.dumps(MIXED))
+    for extra in ([], ["--oracle"]):
+        run = scenario("trajectory", "mixed.json") + extra
+        assert "oracle" in _nilmag_modules_after(_cli_runs([run]))
+    run = scenario("trajectory", "type1.json") + ["--oracle"]
+    assert "oracle" in _nilmag_modules_after(_cli_runs([run]))
 
 
 def test_closed_form_cli_runs_load_no_scipy(tmp_path):
@@ -100,14 +117,7 @@ def test_closed_form_cli_runs_load_no_scipy(tmp_path):
 
 
 def test_oracle_runs_load_no_scipy(tmp_path):
-    mixed = {
-        "algebra": "h3",
-        "force": {"matrix": [[0.0, 0.3, -0.5], [-0.3, 0.0, 0.8], [0.5, -0.8, 0.0]]},
-        "charge": 1.1,
-        "initial": {"velocity": [0.4, -0.2, 0.7]},
-        "time": {"t_max": 3.0, "samples": 31},
-    }
-    (tmp_path / "mixed.json").write_text(json.dumps(mixed))
+    (tmp_path / "mixed.json").write_text(json.dumps(MIXED))
     runs = [
         ["trajectory", "--scenario", str(tmp_path / "mixed.json"), "--out", str(tmp_path / "a")],
         ["trajectory", "--scenario", str(tmp_path / "mixed.json"), "--oracle", "--out", str(tmp_path / "b")],

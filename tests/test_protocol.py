@@ -150,7 +150,25 @@ def test_benchmark_imports_resolve():
     assert not missing, missing
 
 
-def test_h3_type2_keeps_its_patchable_names():
-    """benchmarks/spans.py counts calls by patching h3_type2.jacobi by name,
-    and skips a missing name silently, so it must stay a module attribute."""
-    assert callable(h3_type2.jacobi)
+def test_h3_type2_keeps_its_patchable_names(monkeypatch):
+    """Call counters patch the per-point kernel h3_type2._jacobi_zeta by name,
+    so it stays a module attribute that sampling looks up on every call: one
+    call per time on the cn and dn branches once the trajectory's start
+    values are cached."""
+    assert callable(h3_type2._jacobi_zeta)
+    trajs = [solve_h3_type2(x0) for x0 in ([0.7, -0.4, 0.3], [0.7, -0.4, 3.0])]
+    assert [t.branch.value for t in trajs] == ["cn", "dn"]
+    for traj in trajs:
+        traj.sample(np.array([0.0]))
+    calls = []
+    kernel = h3_type2._jacobi_zeta
+
+    def counted(u, table):
+        calls.append(u)
+        return kernel(u, table)
+
+    monkeypatch.setattr(h3_type2, "_jacobi_zeta", counted)
+    for traj in trajs:
+        calls.clear()
+        traj.sample(np.linspace(0.0, 9.0, 17))
+        assert len(calls) == 17
