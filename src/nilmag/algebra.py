@@ -40,6 +40,9 @@ __all__ = [
 # Relative singular-value threshold treating a direction as zero (rank cuts),
 # and the entrywise residual of the h-type identities.
 _ZERO_TOL = 1e-10
+# Seed and count of the Gaussian probe directions in z of the random routes.
+_PROBE_SEED = 20240817
+_SAMPLES = 10_000
 
 
 class SingularityKind(Enum):
@@ -58,7 +61,7 @@ class SingularityReport:
     analysis for dim z <= 2, the Pfaffian form for dim v = 4, the sign
     change of the odd-degree Pfaffian for dim v = 2 (mod 4), the
     odd-dimensional-v argument, the h-type shortcut, or a mixed pair of
-    witnesses), False when it only reflects quasi-random sampling of the
+    witnesses), False when it only reflects seeded random sampling of the
     central sphere.
     """
 
@@ -515,14 +518,14 @@ class MetricNilAlgebra:
                     return False
         return True
 
-    def classify_singularity(self, samples: int = 10_000) -> SingularityReport:
+    def classify_singularity(self) -> SingularityReport:
         """Classify the invertibility pattern of j(Z) over the central sphere.
 
         Exact for dim z <= 2 (polynomial analysis of det j(Z), plus the
         parity shortcut: skew maps on odd-dimensional v are always singular),
         for dim v = 4 (the quadratic form Pf j(Z)), for dim v = 2 (mod 4)
         (Pf j(Z) has odd degree, so it changes sign) and for h-type
-        algebras; otherwise deterministic quasi-random sampling of `samples`
+        algebras; otherwise deterministic sampling of _SAMPLES seeded Gaussian
         central directions, with `exhaustive=False` on all-regular /
         all-singular verdicts.
         """
@@ -562,14 +565,25 @@ class MetricNilAlgebra:
         if dv == 4:
             return self._classify_pfaffian()
         if dv % 4 == 2:
-            return self._classify_odd_pfaffian(samples)
-        return self._classify_sampling(samples)
+            return self._classify_odd_pfaffian()
+        return self._classify_sampling()
 
     def _sigma_ratios(self, dirs: np.ndarray) -> np.ndarray:
         """sigma_min / sigma_max of j(Z) for every row Z of dirs."""
         jblock = self.structure[: self.dim_v, : self.dim_v, self.dim_v :]
         svals = np.linalg.svd(np.einsum("abk,nk->nba", jblock, dirs), compute_uv=False)
         return svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
+
+    def _probe_directions(self, n: int, flat: bool = False) -> np.ndarray:
+        """Unit probe directions in z, one per row: the axes, the commutator basis, the
+        flat basis when flat is set, then n Gaussian rows seeded with _PROBE_SEED."""
+        parts = [np.eye(self.dim_z), self.commutator_z_basis()]
+        if flat:
+            parts.append(self.kernel_z_basis())
+        parts.append(np.random.default_rng(_PROBE_SEED).standard_normal((n, self.dim_z)))
+        probes = np.vstack(parts)
+        probes /= np.linalg.norm(probes, axis=1)[:, None]
+        return probes
 
     def _classify_dim_z2(self) -> SingularityReport:
         """Exact classification for a 2-dimensional center.
@@ -681,7 +695,7 @@ class MetricNilAlgebra:
         )
         return SingularityReport(kind, True, "pfaffian_form", singular, regular)
 
-    def _classify_odd_pfaffian(self, samples: int) -> SingularityReport:
+    def _classify_odd_pfaffian(self) -> SingularityReport:
         """Exact classification for dim v = 2 (mod 4) and dim z >= 3.
 
         Pf j(Z) is a form of odd degree dim_v / 2, so Pf j(-Z) = -Pf j(Z):
@@ -693,13 +707,11 @@ class MetricNilAlgebra:
         them are singular, the sampling route decides.
         """
         dz = self.dim_z
-        gauss = np.random.default_rng(20240817).standard_normal((8, dz))
-        probes = np.vstack([np.eye(dz), self.commutator_z_basis(), gauss])
-        probes /= np.linalg.norm(probes, axis=1)[:, None]
+        probes = self._probe_directions(8)
         ratios = self._sigma_ratios(probes)
         best = int(np.argmax(ratios))
         if ratios[best] <= 1e-8:
-            return self._classify_sampling(samples)
+            return self._classify_sampling()
         z = probes[best]
         w = np.eye(dz)[int(np.argmin(np.abs(z)))]
         w -= (w @ z) * z
@@ -740,30 +752,19 @@ class MetricNilAlgebra:
                 lo = m1
         return _circle(np.array(0.5 * (lo + hi)))
 
-    def _classify_sampling(self, samples: int) -> SingularityReport:
-        """Quasi-random sphere sampling where no exact route applies.
+    def _classify_sampling(self) -> SingularityReport:
+        """Seeded Gaussian sphere sampling where no exact route applies.
 
         That is dim z >= 3 with dim v = 0 (mod 4), dim v >= 8 and no h-type
         structure, or dim v = 2 (mod 4) when every probe of the exact route
         is singular.
 
-        Deterministic probes run first: flat central directions (j = 0 there,
-        a guaranteed singular witness when ker j != 0), the coordinate axes,
-        and the commutator basis.  Sobol sampling (balanced power-of-two
-        count >= samples) then hunts for whichever witness is still missing.
+        Deterministic probes run first: the coordinate axes, the commutator
+        basis, and flat central directions (j = 0 there, a guaranteed
+        singular witness when ker j != 0).  _SAMPLES Gaussian directions then
+        hunt for whichever witness is still missing.
         """
-        from scipy.stats import norm, qmc
-
-        dz = self.dim_z
-        probes = [np.eye(dz)[i] for i in range(dz)]
-        probes.extend(self.commutator_z_basis())
-        probes.extend(self.kernel_z_basis())
-        eng = qmc.Sobol(d=dz, scramble=True, seed=20240817)
-        pts = eng.random_base2(max(1, math.ceil(math.log2(max(2, samples)))))
-        gauss = norm.ppf(np.clip(pts, 1e-12, 1 - 1e-12))
-        norms = np.linalg.norm(gauss, axis=1)
-        keep = norms > 1e-8
-        dirs = np.vstack([np.array(probes), gauss[keep] / norms[keep, None]])
+        dirs = self._probe_directions(_SAMPLES, flat=True)
         singular_mask = self._sigma_ratios(dirs) <= 1e-8
         n_sing = int(np.sum(singular_mask))
         if 0 < n_sing < len(dirs):

@@ -68,6 +68,7 @@ _SEARCH_MAX_P = 64
 _EXACT_TOL = 1e-12
 # sample times on which verify_periodic compares sigma(t) with sigma(t + period)
 _N_CHECKS = 20
+_VERIFY_TOL = 1e-8  # the largest group gap verify_periodic accepts
 
 
 @lru_cache(maxsize=1)
@@ -293,14 +294,15 @@ def periodic_at_energy(force: H5Force, energy: float) -> PeriodicCertificate:
     )
 
 
-def verify_periodic(traj: H5Trajectory, period: float, tol: float = 1e-8) -> tuple[bool, float]:
+def verify_periodic(traj: H5Trajectory, period: float) -> tuple[bool, float]:
     """Check sigma(t + period) = sigma(t) in the group, returning (ok, residual).
 
     The residual is the worst norm of sigma(t)^{-1} * sigma(t + period) in
-    exponential coordinates over _N_CHECKS sample times in [0, period].
+    exponential coordinates over _N_CHECKS sample times in [0, period], and
+    ok says that it is at most _VERIFY_TOL.
     """
     alg = _h5_algebra()
     ts = np.linspace(0.0, period, _N_CHECKS)
     gap = alg.group_mul(alg.group_inv(traj.sample(ts).xi), traj.sample(ts + period).xi)
     worst = float(np.max(np.linalg.norm(gap, axis=1)))
-    return worst <= tol, worst
+    return worst <= _VERIFY_TOL, worst

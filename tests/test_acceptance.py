@@ -306,8 +306,8 @@ def test_criterion_07_h5_periodic_at_every_energy():
         traj = solve_h5(force, cert.v0, cert.z0)
         assert abs(traj.energy() - energy) <= 1e-12, energy
         assert abs(traj.drift()) <= 1e-12, energy
-        ok, residual = verify_periodic(traj, cert.period, tol=1e-8)
-        assert ok, (energy, residual)
+        ok, residual = verify_periodic(traj, cert.period)
+        assert ok and residual <= 1e-8, (energy, residual)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s exceeds 5s"
 

@@ -279,17 +279,17 @@ def test_classification_sampling_path():
     ]
     alg = MetricNilAlgebra.from_structure(7, brackets)
     assert alg.dim_z == 3 and not alg.is_h_type()
-    rep = alg.classify_singularity(samples=4096)
+    rep = alg.classify_singularity()
     assert rep.kind is SingularityKind.ALMOST_NONSINGULAR
     assert rep.exhaustive
-    rep2 = alg.classify_singularity(samples=4096)
+    rep2 = alg.classify_singularity()
     assert rep.kind is rep2.kind  # deterministic
     # the same brackets plus a pair (e5, e6), with the center moved to e7, e8, e9:
     # dim v = 6 takes the exact odd-Pfaffian route
     shifted = [(i, j, k + 2, c) for i, j, k, c in brackets]
     alg6 = MetricNilAlgebra.from_structure(9, shifted + [(5, 6, 7, 1.0)])
     assert (alg6.dim_v, alg6.dim_z) == (6, 3) and not alg6.is_h_type()
-    rep6 = alg6.classify_singularity(samples=4096)
+    rep6 = alg6.classify_singularity()
     assert rep6.method == "pfaffian_parity"
     assert rep6.kind is SingularityKind.ALMOST_NONSINGULAR and rep6.exhaustive
     # plus two pairs (e5, e6), (e7, e8), with the center moved to e9, e10, e11:
@@ -297,9 +297,16 @@ def test_classification_sampling_path():
     shifted = [(i, j, k + 4, c) for i, j, k, c in brackets]
     alg8 = MetricNilAlgebra.from_structure(11, shifted + [(5, 6, 9, 1.0), (7, 8, 9, 1.0)])
     assert (alg8.dim_v, alg8.dim_z) == (8, 3) and not alg8.is_h_type()
-    rep8 = alg8.classify_singularity(samples=4096)
+    rep8 = alg8.classify_singularity()
     assert rep8.method == "sampling"
     assert rep8.kind is SingularityKind.ALMOST_NONSINGULAR and rep8.exhaustive
+    # the witnesses witness, and a second call returns them bit for bit
+    assert alg8._sigma_ratios(rep8.singular_direction[None])[0] <= 1e-8
+    assert alg8._sigma_ratios(rep8.regular_direction[None])[0] > 1e-3
+    again = alg8.classify_singularity()
+    for got, want in ((again.singular_direction, rep8.singular_direction),
+                      (again.regular_direction, rep8.regular_direction)):
+        assert got.tobytes() == want.tobytes()
 
 
 def _metric(seed: int, dim: int) -> np.ndarray:
@@ -399,7 +406,7 @@ def test_classification_odd_pfaffian_identically_zero():
             (2, 5, 8, 1.0)]
     )
     assert (alg.dim_v, alg.dim_z) == (6, 3)
-    rep = alg.classify_singularity(samples=256)
+    rep = alg.classify_singularity()
     assert (rep.kind, rep.exhaustive, rep.method) == (SingularityKind.SINGULAR, False, "sampling")
 
 

@@ -394,6 +394,31 @@ def test_selftest(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_exponential_matches_expm():
+    """The selftest's eigendecomposition-free e^A against scipy's expm, on random
+    skew matrices and on the cases a spectral shortcut gets wrong."""
+    from scipy.linalg import expm
+
+    from nilmag.cli import _expm
+
+    rng = np.random.default_rng(12)
+    cases = []
+    for n in rng.integers(2, 10, size=40):
+        a = rng.uniform(0.01, 5.0) * rng.standard_normal((n, n))
+        cases.append(a - a.T)
+    # quaternionic(1): j(Z)^2 = -|Z|^2 Id, all rates equal
+    cases.append(3.0 * MetricNilAlgebra.quaternionic(1).j_map(np.array([0.3, -0.5, 0.8])))
+    kernel = np.zeros((5, 5))  # rates 2 and 0.7 and a 1-dim kernel
+    kernel[0, 1], kernel[2, 3] = 2.0, 0.7
+    cases += [kernel - kernel.T, np.zeros((4, 4))]
+    big = rng.standard_normal((6, 6))
+    big -= big.T
+    cases.append(49.7 / np.linalg.norm(big, 1) * big)  # seven squarings
+    for a in cases:
+        want = expm(a)
+        assert np.linalg.norm(_expm(a) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_input_error_paths(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["classify", "--scenario", missing]) == 2

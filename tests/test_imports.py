@@ -1,14 +1,15 @@
 """Each entry point loads only the modules it runs.
 
-scipy stays unloaded until a routine that needs it runs: closed-form use
-(type-I and H3 trajectories, classification, H3 and H5 periodicity) and the
-numerical oracle (both schemes, the CLI fallback and `--oracle`) run on numpy
-only.  `import nilmag` loads no submodule, and each CLI command loads only the
-solver modules it dispatches to.  Each check runs in a fresh interpreter.
+The package runs on numpy alone: no module under `nilmag` imports scipy, and
+every CLI command runs with scipy imports made to fail.  `import nilmag` loads
+no submodule, and each CLI command loads only the solver modules it
+dispatches to.  Each check runs in a fresh interpreter.
 """
 
 from __future__ import annotations
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -134,3 +135,45 @@ def test_oracle_runs_load_no_scipy(tmp_path):
     for name in ("a", "b"):
         meta = json.loads((tmp_path / name / "trajectory.json").read_text())["metadata"]
         assert meta["solver"] == "oracle"
+
+
+def test_package_source_imports_no_scipy():
+    for path in sorted(glob.glob(os.path.join(SRC, "nilmag", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), (path, node.lineno)
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    """A None entry in sys.modules makes every scipy import raise ImportError."""
+    # dim v = 8, dim z = 3: classify takes the sampling route
+    brackets = [[1, 2, 9, 1.0], [3, 4, 9, 1.0], [1, 3, 10, 1.0], [2, 4, 10, -1.0], [1, 2, 11, 1.0],
+                [5, 6, 9, 1.0], [7, 8, 9, 1.0]]
+    (tmp_path / "v8.json").write_text(json.dumps({"algebra": {"dim": 11, "brackets": brackets}}))
+    for name, doc in (("type1.json", TYPE1), ("h3.json", H3), ("mixed.json", MIXED)):
+        (tmp_path / name).write_text(json.dumps(doc))
+
+    def scenario(command, name, *extra):
+        return [command, "--scenario", str(tmp_path / name), *extra, "--out", str(tmp_path / command / name)]
+
+    runs = [
+        ["selftest"],
+        scenario("classify", "v8.json"),
+        scenario("trajectory", "type1.json"),
+        scenario("trajectory", "h3.json"),
+        scenario("trajectory", "mixed.json"),
+        scenario("trajectory", "type1.json", "--oracle"),
+        scenario("periodicity", "h3.json"),
+        ["h5-periodic", "--rates", "-1.3", "0.7", "--energy", "2.0", "--out", str(tmp_path / "h5")],
+    ]
+    block = "sys.modules['scipy'] = None\n"
+    assert _modules_after(block + _cli_runs(runs), "scipy") == ["scipy"]  # the blocking entry only
+    algebra = json.loads((tmp_path / "classify/v8.json/classify.json").read_text())["algebra"]
+    assert (algebra["dim_v"], algebra["singularity"], algebra["singularity_exhaustive"]) == (8, "almost", True)
