@@ -8,7 +8,7 @@ an independent numerical integrator:
 - `algebra`: metric 2-step nilpotent Lie algebras, their j-maps, group law in
   exponential coordinates, and singularity/H-type classification.
 - `lorentz`: skew force tensors, splitting classification, closedness of the
-  associated 2-form, and exactness (shifted-geodesic) detection.
+  associated 2-form, exactness (shifted-geodesic) detection, and `solve`.
 - `closedform`: trajectories of splitting-preserving forces via the rotation
   spectrum of the combined central + force operator.
 - `h3_type2`: trajectories of direction forces on the 3-dim Heisenberg group
@@ -19,9 +19,9 @@ an independent numerical integrator:
 - `specfun`: complete and incomplete elliptic integrals and Jacobi elliptic
   functions.
 - `oracle`: numpy-only adaptive Dormand-Prince / fixed-step RK4 reference
-  integrator.
-- `samples`: `CurveSamples`, the sampled curve every solver returns, and the
-  oracle's `IntegratorStats`.
+  integrator, and `OracleTrajectory`, the fallback that `solve` returns.
+- `samples`: `CurveSamples`, the sampled curve every solver returns, the
+  oracle's `IntegratorStats`, and the solvers' base class `Trajectory`.
 - `cli`: the `nilmag` command-line front end.
 """
 
@@ -37,6 +37,7 @@ _EXPORTS = {
     "lorentz": (
         "LorentzForce",
         "ForceType",
+        "solve",
         "ClosednessReport",
         "ExactnessResult",
         "check_closed",
@@ -58,7 +59,6 @@ _EXPORTS = {
         "Branch",
         "PeriodicityKind",
         "PeriodicityReport",
-        "solve_h3_type2",
         "solve_type2_general",
         "lambda_periodicity",
         "lambda_kernel_check",
@@ -72,8 +72,8 @@ _EXPORTS = {
         "periodic_at_energy",
         "verify_periodic",
     ),
-    "oracle": ("IntegratorConfig", "integrate_velocity", "reconstruct_group"),
-    "samples": ("IntegratorStats", "CurveSamples"),
+    "oracle": ("IntegratorConfig", "integrate_velocity", "reconstruct_group", "OracleTrajectory"),
+    "samples": ("IntegratorStats", "CurveSamples", "Trajectory"),
     "specfun": (
         "complete_K",
         "complete_E",

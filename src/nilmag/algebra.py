@@ -340,6 +340,13 @@ class MetricNilAlgebra:
             raise ValueError("internal error: Gram-Schmidt lost rank")
         return np.array(chosen)
 
+    def same_structure(self, other: "MetricNilAlgebra") -> bool:
+        """Whether other has this v/z split and, bit for bit, this structure tensor
+        (in the adapted orthonormal basis, so a rescaled bracket or metric differs)."""
+        return other is self or (
+            (other.dim_v, other.dim_z) == (self.dim_v, self.dim_z)
+            and np.array_equal(other.structure, self.structure))
+
     # ------------------------------------------------------------------
     # vector bookkeeping
     # ------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Subcommands
 -----------
-trajectory    sample a magnetic trajectory from a scenario file, dispatching
-              to the closed-form solvers when possible and to the numerical
-              integrator otherwise (with a warning); optional oracle check.
+trajectory    sample a magnetic trajectory from a scenario file by the solver
+              lorentz.solve picks: a closed form, else the numerical
+              integrator (with a warning); optional oracle check.
 classify      report the algebra's singularity/H-type classification and the
               force's splitting type, closedness residual, and exactness.
 periodicity   lambda-periodicity trichotomy for vector forces on the
               3-dimensional Heisenberg group, or a constructive periodic
-              certificate at a prescribed energy on the 5-dimensional one.
+              certificate at a prescribed energy on the 5-dimensional one
+              (each group itself: a rescaled or re-metricised copy exits 3).
 h5-periodic   the energy-indexed periodic-orbit construction directly from
               a pair of rotation rates.
 selftest      structural identity suite on randomized inputs.
@@ -64,11 +65,12 @@ from .lorentz import (
     check_closed,
     exactness_test,
     random_closed_type1,
+    solve,
     type2_from_vector,
 )
 
-# The solver modules (closedform, h3_type2, h5_type1, oracle) are imported
-# where a command dispatches to them, so each process loads only what it runs.
+# The solver modules (closedform, h3_type2, h5_type1, oracle) are imported by
+# solve or where a command needs them, so each process loads only what it runs.
 if TYPE_CHECKING:
     from .h5_type1 import H5Force
     from .oracle import IntegratorConfig
@@ -302,7 +304,7 @@ def _build_force(scn: Scenario) -> LorentzForce:
     if kind == "type2_U":
         return type2_from_vector(alg, np.asarray(payload, dtype=float))
     if kind == "rates":
-        if not _is_h5(alg):
+        if alg.dim != 5 or alg.dim_v != 4:
             raise UnsupportedForceError(
                 "rate-pair forces are defined on the 5-dimensional Heisenberg group"
             )
@@ -311,12 +313,6 @@ def _build_force(scn: Scenario) -> LorentzForce:
         mu1, mu2 = (float(x) for x in payload)
         return LorentzForce(alg, H5Force.from_rates(mu1, mu2).matrix)
     raise InputError(f"unknown force kind {kind!r}")
-
-
-def _type2_direction(force: LorentzForce) -> np.ndarray:
-    """The direction u of an H3 type-II force, read off its last row (u2, -u1, 0)."""
-    m = force.matrix
-    return np.array([-m[2, 1], m[2, 0]])
 
 
 # -- output helpers ------------------------------------------------------------
@@ -357,14 +353,6 @@ def _write_csv(out_dir: str, filename: str, ts, xi, speeds) -> None:
 # -- trajectory ----------------------------------------------------------------
 
 
-def _is_h3(alg: MetricNilAlgebra) -> bool:
-    return alg.dim == 3 and alg.dim_v == 2
-
-
-def _is_h5(alg: MetricNilAlgebra) -> bool:
-    return alg.dim == 5 and alg.dim_v == 4
-
-
 def cmd_trajectory(args: argparse.Namespace) -> int:
     scn = _load_scenario(args.scenario)
     if args.oracle:
@@ -375,13 +363,12 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         raise InputError("trajectory needs an 'initial' field")
     alg = scn.algebra
     force = _build_force(scn)
-    ftype = force.force_type()
     ts = np.linspace(0.0, scn.t_max, scn.samples)
 
     meta: dict[str, Any] = {
         "scenario": scn.canonical(),
         "algebra": {"name": alg.name, "dim": alg.dim, "dim_v": alg.dim_v, "dim_z": alg.dim_z},
-        "force_type": ftype.value,
+        "force_type": force.force_type().value,
         "charge": scn.charge,
         "exact": False,
         "closed_form": True,
@@ -389,38 +376,25 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         "period": None,
     }
 
-    if ftype is ForceType.TYPE_I:
-        from .closedform import InitialCondition, solve_type1
-
+    traj = solve(alg, force, scn.charge, scn.velocity0)
+    samples = traj.sample(ts)
+    meta["solver"] = traj.solver
+    if traj.solver == "closed-form-type-1":
         ex = exactness_test(alg, force)
-        meta["solver"] = "closed-form-type-1"
         meta["exact"] = bool(ex.is_exact)
         if ex.is_exact:
             meta["exact_center"] = [float(x) for x in ex.z_tilde]
-        ic = InitialCondition.from_velocity(alg, scn.velocity0, scn.charge)
-        sol = solve_type1(alg, force, ic)
-        samples = sol.sample(ts)
-    elif ftype is ForceType.TYPE_II and _is_h3(alg):
-        from .h3_type2 import solve_type2_general
-
-        meta["solver"] = "closed-form-type-2"
-        traj = solve_type2_general(_type2_direction(force), scn.charge, scn.velocity0)
+    elif traj.solver == "closed-form-type-2":
         meta["branch"] = _BRANCH_NAMES[traj.branch.value]
         meta["period"] = traj.period
-        samples = traj.sample(ts)
     else:
-        from .oracle import IntegratorConfig, reconstruct_group
-
-        meta["solver"] = "oracle"
         meta["closed_form"] = False
         meta["warning"] = (
             "no closed-form solver covers this force class; "
             "the curve was integrated numerically"
         )
         log.warning("%s", meta["warning"])
-        cfg = IntegratorConfig(tolerance=1e-11)
-        samples = reconstruct_group(alg, force, scn.charge, scn.velocity0, ts, cfg)
-        meta["integrator"] = _integrator_meta(cfg, samples.stats)
+        meta["integrator"] = _integrator_meta(traj.config, samples.stats)
 
     speeds = np.linalg.norm(samples.velocity, axis=1)
     meta["speed"] = float(speeds[0])
@@ -430,7 +404,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     if scn.oracle:
         from .oracle import IntegratorConfig, reconstruct_group
 
-        if meta["solver"] == "oracle":
+        if traj.solver == "oracle":
             dt = scn.t_max / max(2000, 20 * scn.samples)
             cfg = IntegratorConfig(scheme="rk4", dt=dt)
         else:
@@ -568,13 +542,14 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
     force = _build_force(scn)
     ftype = force.force_type()
 
-    if ftype is ForceType.TYPE_II and _is_h3(alg):
+    traj = None
+    if ftype is ForceType.TYPE_II:
         if scn.velocity0 is None:
-            raise InputError("periodicity on the 3-dim Heisenberg group needs 'initial'")
-        from .h3_type2 import lambda_kernel_check, lambda_periodicity, solve_type2_general
+            raise InputError("periodicity of a type-II force needs 'initial'")
+        traj = solve(alg, force, scn.charge, scn.velocity0)
+    if traj is not None and traj.solver == "closed-form-type-2":
+        from .h3_type2 import lambda_kernel_check, lambda_periodicity
 
-        u = _type2_direction(force)
-        traj = solve_type2_general(u, scn.charge, scn.velocity0)
         report = lambda_periodicity(traj)
         doc: dict[str, Any] = {
             "scenario": scn.canonical(),
@@ -587,13 +562,14 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
             "residual": report.residual,
         }
         if report.translation is not None:
+            # row 1 of the rotation is charge u / |charge u|, which spans u's line
             doc["translation_in_force_kernel"] = bool(
-                lambda_kernel_check(u, report.translation)
+                lambda_kernel_check(traj.rotation[1], report.translation)
             )
         _emit_json(doc, args.out, "periodicity.json")
         return EXIT_OK
 
-    if ftype is ForceType.TYPE_I and _is_h5(alg):
+    if ftype is ForceType.TYPE_I and alg.same_structure(MetricNilAlgebra.heisenberg(2)):
         if scn.energy is None:
             raise InputError("periodicity on the 5-dim Heisenberg group needs 'energy'")
         doc, status = _h5_certificate_doc(_h5_force(scn), scn.energy)
@@ -610,7 +586,7 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
 def cmd_h5_periodic(args: argparse.Namespace) -> int:
     if args.scenario:
         scn = _load_scenario(args.scenario)
-        if not _is_h5(scn.algebra):
+        if not scn.algebra.same_structure(MetricNilAlgebra.heisenberg(2)):
             raise UnsupportedForceError("h5-periodic needs the 5-dim Heisenberg group")
         if scn.energy is None:
             raise InputError("h5-periodic needs an 'energy' field in the scenario")
@@ -659,8 +635,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from .closedform import InitialCondition, solve_type1
-
     rng = np.random.default_rng(args.seed)
     failures: list[str] = []
     tol = 1e-10
@@ -735,9 +709,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             force = random_closed_type1(alg, rng)
             v0 = rng.standard_normal(alg.dim_v)
             z0 = rng.standard_normal(alg.dim_z)
-            sol = solve_type1(
-                alg, force, InitialCondition(v0=v0, z0=z0, charge=1.0)
-            )
+            sol = solve(alg, force, 1.0, np.concatenate([v0, z0]))
             for th, xi, jxi in zip(sol.rates, sol.xi, sol.jxi):
                 f0 = None
                 for t in np.linspace(0.0, 8.0, 9):

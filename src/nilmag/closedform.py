@@ -53,7 +53,7 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import InvalidForceError, UnsupportedForceError
 from .lorentz import ForceType, LorentzForce, check_closed, exactness_test
-from .samples import CurveSamples
+from .samples import CurveSamples, Trajectory
 
 __all__ = [
     "InitialCondition",
@@ -179,14 +179,14 @@ def _coeffs(on_xi: np.ndarray, on_jxi: np.ndarray) -> np.ndarray:
     return np.stack([on_xi, on_jxi], axis=2).reshape(on_xi.shape[0], 2 * on_xi.shape[1])
 
 
-class TypeISolution:
+class TypeISolution(Trajectory):
     """Closed-form solution for a closed type-I force.
 
     sample(ts) evaluates a whole grid into CurveSamples as array products with
-    bracket tables built once at construction; velocity(t) (left-trivialized)
-    and position(t) (exponential coordinates, position(0) = 0) are its rows
-    at a single time.
+    bracket tables built once at construction.
     """
+
+    solver = "closed-form-type-1"
 
     def __init__(self, alg: MetricNilAlgebra, force: LorentzForce, ic: InitialCondition):
         ic.validate(alg)
@@ -278,16 +278,6 @@ class TypeISolution:
         flat = _coeffs(fs / mu, fomc / mu**2) @ self._flat_basis
         xi[:, dv:] = z_comm + ts[:, None] * self.z1_flat + flat
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
-
-    def velocity(self, t: float) -> np.ndarray:
-        return self.sample(np.array([float(t)])).velocity[0]
-
-    def position(self, t: float) -> np.ndarray:
-        return self.sample(np.array([float(t)])).xi[0]
-
-    def eval(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        one = self.sample(np.array([float(t)]))
-        return one.xi[0], one.velocity[0]
 
     # -- derived quantities ----------------------------------------------
 

@@ -65,13 +65,12 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import DegenerateForceError
 from .lorentz import _direction
-from .samples import CurveSamples
+from .samples import CurveSamples, Trajectory
 from .specfun import _descent_table, _jacobi_zeta, inverse_cn, inverse_dn, landen, sech
 
 __all__ = [
     "Branch",
     "Type2TrajectoryH3",
-    "solve_h3_type2",
     "solve_type2_general",
     "PeriodicityKind",
     "PeriodicityReport",
@@ -108,7 +107,7 @@ def _gd(x: float) -> float:
     return 2.0 * math.atan(math.tanh(0.5 * x))
 
 
-class Type2TrajectoryH3:
+class Type2TrajectoryH3(Trajectory):
     """H3 trajectory for the vector force F_u with the given charge.
 
     With w = charge u, the rotation r of v taking w / |w| to e2 and the time
@@ -116,8 +115,7 @@ class Type2TrajectoryH3:
     rotation and time_scale.  The canonical trajectory starts from
     q (r x0_v, x0_z), and at time t this trajectory is the canonical one at
     t / q with velocities divided by q and planar components turned back by
-    r^T.  sample(ts) evaluates that map once per grid; position, velocity and
-    eval are its rows at a single time.
+    r^T.  sample(ts) evaluates that map once per grid.
 
     u has shape (2,) or (3,) with a zero central part (InvalidForceError
     otherwise) and must be finite with charge u nonzero (DegenerateForceError).
@@ -127,6 +125,8 @@ class Type2TrajectoryH3:
     trajectory.  For the default (e2, 1) the rotation is the identity and
     q = 1, so the two frames coincide.
     """
+
+    solver = "closed-form-type-2"
 
     def __init__(self, x0, u=(0.0, 1.0), charge: float = 1.0):
         x0 = np.asarray(x0, dtype=float)
@@ -241,16 +241,6 @@ class Type2TrajectoryH3:
         vel[:, :2] = vel[:, :2] @ rot
         xi[:, :2] = xi[:, :2] @ rot
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
-
-    def velocity(self, t: float) -> np.ndarray:
-        return self.sample(np.array([float(t)])).velocity[0]
-
-    def position(self, t: float) -> np.ndarray:
-        return self.sample(np.array([float(t)])).xi[0]
-
-    def eval(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        one = self.sample(np.array([float(t)]))
-        return one.xi[0], one.velocity[0]
 
     # -- power integrals on the oscillating branches ------------------------
 
@@ -381,14 +371,6 @@ class Type2TrajectoryH3:
         if self.sign > 0:
             return -z0, a - z0
         return -a - z0, -z0
-
-
-def solve_h3_type2(x0) -> Type2TrajectoryH3:
-    """Canonical H3 trajectory (force direction e2, charge 1).
-
-    x0 is the initial left-trivialized velocity (x, y, z components).
-    """
-    return Type2TrajectoryH3(x0)
 
 
 def solve_type2_general(u, charge: float, x0) -> Type2TrajectoryH3:

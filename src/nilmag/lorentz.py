@@ -14,7 +14,8 @@ Closedness is evaluated through the left-invariant exterior differential
 
 whose cyclic sum must vanish on all basis triples.  For type-I forces this
 reduces to F([n, n]) = 0; skewness then forces F(z) into the flat central
-directions automatically.
+directions automatically.  solve(alg, force, charge, x0) is the one place that
+picks a solver for a force.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import DegenerateForceError, InvalidForceError, UnsupportedForceErr
 __all__ = [
     "ForceType",
     "LorentzForce",
+    "solve",
     "ClosednessReport",
     "ExactnessResult",
     "check_closed",
@@ -135,16 +137,33 @@ class LorentzForce:
         return ForceType.MIXED
 
 
+def solve(alg: MetricNilAlgebra, force, charge: float, x0):
+    """The trajectory of (force, charge) from the initial velocity x0, by force type
+    and structure tensor: closedform.TypeISolution for a closed type-I force,
+    h3_type2.Type2TrajectoryH3 for a type-II force on heisenberg(1)'s structure
+    tensor (not a rescaled, reoriented or re-metricised copy), else the numerical
+    oracle.OracleTrajectory.  Each solver module is imported when first needed."""
+    f = _as_force(alg, force)
+    ftype = f.force_type()
+    if ftype is ForceType.TYPE_I:
+        from .closedform import InitialCondition, solve_type1
+
+        return solve_type1(alg, f, InitialCondition.from_velocity(alg, x0, charge))
+    if ftype is ForceType.TYPE_II and alg.same_structure(MetricNilAlgebra.heisenberg(1)):
+        from .h3_type2 import Type2TrajectoryH3
+
+        # F_u has last row (u2, -u1, 0), see type2_from_vector
+        return Type2TrajectoryH3(x0, (-f.matrix[2, 1], f.matrix[2, 0]), charge)
+    from .oracle import OracleTrajectory
+
+    return OracleTrajectory(alg, f, charge, x0)
+
+
 def _as_force(alg: MetricNilAlgebra, f) -> LorentzForce:
     """f as a force on alg; a LorentzForce of another algebra must share its
     v/z split and structure tensor, since its block views use its own split."""
     if isinstance(f, LorentzForce):
-        other = f.alg
-        if other is not alg and not (
-            other.dim_v == alg.dim_v
-            and other.dim_z == alg.dim_z
-            and np.array_equal(other.structure, alg.structure)
-        ):
+        if not f.alg.same_structure(alg):
             raise InvalidForceError("force belongs to an algebra with a different structure")
         return f
     return LorentzForce(alg, f)

@@ -28,10 +28,10 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import IntegrationError
 from .lorentz import _as_force
-from .samples import CurveSamples, IntegratorStats
+from .samples import CurveSamples, IntegratorStats, Trajectory
 
 __all__ = ["IntegratorConfig", "IntegratorStats", "CurveSamples", "integrate_velocity",
-           "reconstruct_group"]
+           "reconstruct_group", "OracleTrajectory"]
 
 _TOL_RANGE = (1e-14, 1e-3)
 
@@ -241,3 +241,25 @@ def reconstruct_group(
     y0 = np.concatenate([x0, np.zeros(alg.dim)])
     ys, stats = _integrate(_rhs_combined(alg, fmat, float(q)), y0, t_grid, config)
     return CurveSamples(t=t_grid.copy(), velocity=ys[:, : alg.dim], xi=ys[:, alg.dim :], stats=stats)
+
+
+class OracleTrajectory(Trajectory):
+    """The numerical fallback of lorentz.solve: reconstruct_group at config
+    (adaptive Dormand-Prince at 1e-11).  Each sample(ts) call integrates the
+    sorted times {0} u ts afresh (0 and 1 when ts holds no other time), so a
+    grid that starts at 0 with two or more points is integrated as it is."""
+
+    solver = "oracle"
+    config = IntegratorConfig()
+
+    def __init__(self, alg: MetricNilAlgebra, force, charge: float, x0):
+        self.alg, self.force, self.charge = alg, _as_force(alg, force), float(charge)
+        self.x0 = np.array(x0, dtype=float)
+
+    def sample(self, ts: np.ndarray) -> CurveSamples:
+        ts = np.asarray(ts, dtype=float)
+        grid, back = np.unique(np.append(ts, 0.0), return_inverse=True)
+        grid = grid if grid.size > 1 else np.array([0.0, 1.0])
+        curve = reconstruct_group(self.alg, self.force, self.charge, self.x0, grid, self.config)
+        rows = back[: ts.size]
+        return CurveSamples(ts.copy(), curve.velocity[rows], curve.xi[rows], curve.stats)

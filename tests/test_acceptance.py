@@ -25,7 +25,7 @@ from nilmag.h3_type2 import (
     PeriodicityKind,
     lambda_kernel_check,
     lambda_periodicity,
-    solve_h3_type2,
+    Type2TrajectoryH3,
     solve_type2_general,
 )
 from nilmag.h5_type1 import H5Force, periodic_at_energy, solve_h5, verify_periodic
@@ -194,7 +194,7 @@ def test_criterion_04_h3_type2_table():
     cfg = IntegratorConfig(tolerance=1e-11)
     seen = set()
     for ic, want_branch in _TABLE_ICS:
-        traj = solve_h3_type2(np.array(ic))
+        traj = Type2TrajectoryH3(np.array(ic))
         assert traj.branch is want_branch, (ic, traj.branch)
         seen.add(want_branch)
 
@@ -259,7 +259,7 @@ def test_criterion_05_lambda_periodicity_trichotomy():
     """Verdicts match the designed suite; the translation identity holds to 1e-8."""
     alg = h3()
     for ic, want in _TRICHOTOMY_SUITE:
-        traj = solve_h3_type2(np.array(ic))
+        traj = Type2TrajectoryH3(np.array(ic))
         report = lambda_periodicity(traj)
         assert report.kind is want, (ic, report.kind)
         if report.kind is PeriodicityKind.NON_PERIODIC:
@@ -283,7 +283,7 @@ def test_criterion_06_translation_in_force_kernel():
     cases.append((np.array([0.6, 0.8]), -1.1, np.array([1.0, 0.0, 0.2])))
     for u, charge, ic in cases:
         traj = (
-            solve_h3_type2(ic)
+            Type2TrajectoryH3(ic)
             if charge == 1.0 and u[0] == 0.0 and u[1] == 1.0
             else solve_type2_general(u, charge, ic)
         )

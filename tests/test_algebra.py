@@ -456,6 +456,20 @@ def test_from_structure_preset_equivalence():
     assert (alg.dim_v, alg.dim_z) == (4, 1)
 
 
+def test_same_structure_is_bitwise_in_the_adapted_basis():
+    """Coordinate-aligned copies of H3 and H5 have the presets' structure tensor
+    bit for bit; a rescaled bracket, a flipped one or another metric does not."""
+    build = MetricNilAlgebra.from_structure
+    for brackets in ([(1, 2, 3, 1.0)], [(1, 3, 2, 1.0)]):
+        assert build(3, brackets).same_structure(h3()) and h3().same_structure(build(3, brackets))
+    assert build(5, [(1, 2, 5, 1.0), (3, 4, 5, 1.0)]).same_structure(h5())
+    others = [build(3, [(1, 2, 3, 2.0)]), build(3, [(1, 2, 3, -1.0)]),
+              build(3, [(1, 2, 3, 1.0)], metric=np.diag([2.0, 1.0, 1.0])), h5()]
+    for other in others:
+        assert not other.same_structure(h3()) and not h3().same_structure(other)
+    assert not build(5, [(1, 2, 5, 2.0), (3, 4, 5, 2.0)]).same_structure(h5())
+
+
 def test_from_structure_general_metric_invariants():
     """Random SPD metric on H5-like constants keeps the defining j identity."""
     rng = np.random.default_rng(31)

@@ -358,6 +358,77 @@ def test_periodicity_unsupported_combination(tmp_path, capsys):
     assert code == 3
 
 
+# A type-II force on an inline copy of H3.  The elliptic closed form solves
+# heisenberg(1) itself; the coordinate-aligned copies have its structure tensor
+# bit for bit, a rescaled, reoriented or re-metricised copy does not.
+H3_COPY = {
+    "force": {"type2_U": [0.3, 1.0]},
+    "initial": {"velocity": [0.7, -0.4, 0.3]},
+    "time": {"t_max": 4.0, "samples": 41},
+}
+OTHER_H3_STRUCTURES = {
+    "scaled": {"dim": 3, "brackets": [[1, 2, 3, 2.0]]},
+    "reoriented": {"dim": 3, "brackets": [[1, 2, 3, -1.0]]},
+    "metric": {"dim": 3, "brackets": [[1, 2, 3, 1.0]], "metric": np.diag([2.0, 1.0, 1.0]).tolist()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_H3_STRUCTURES))
+def test_type2_on_another_h3_structure_falls_back_to_oracle(tmp_path, capsys, caplog, name):
+    """The H3 closed form is chosen by structure tensor, not by dimensions:
+    these copies are integrated numerically (and agree with the check), and
+    periodicity, which needs the closed form, refuses them."""
+    path = write_scenario(tmp_path, dict(H3_COPY, algebra=OTHER_H3_STRUCTURES[name]))
+    code, doc = run_json(capsys, ["trajectory", "--scenario", path, "--oracle"])
+    assert code == 0
+    meta = doc["metadata"]
+    assert meta["solver"] == "oracle" and meta["closed_form"] is False
+    assert "no closed-form solver" in meta["warning"]
+    assert any(r.levelname == "WARNING" and "no closed-form solver" in r.getMessage() for r in caplog.records)
+    assert meta["oracle"]["passed"] is True
+    assert main(["periodicity", "--scenario", path]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("brackets", [[[1, 2, 3, 1.0]], [[1, 3, 2, 1.0]]])
+def test_type2_on_an_aligned_h3_copy_keeps_the_closed_form(tmp_path, capsys, brackets):
+    path = write_scenario(tmp_path, dict(H3_COPY, algebra={"dim": 3, "brackets": brackets}))
+    code, doc = run_json(capsys, ["trajectory", "--scenario", path])
+    assert code == 0 and doc["metadata"]["solver"] == "closed-form-type-2"
+    preset = write_scenario(tmp_path, dict(H3_COPY, algebra="h3"), "preset.json")
+    _, want = run_json(capsys, ["trajectory", "--scenario", preset])
+    assert json.dumps(doc["samples"]) == json.dumps(want["samples"])  # bit for bit, signed zeros too
+
+
+def test_h5_certificates_need_heisenberg2_itself(tmp_path, capsys):
+    """Rates build a type-I force on any algebra with dim 5 and dim v 4, and its
+    trajectory is a correct closed form there.  The certificate is constructed
+    and verified on heisenberg(2), though: on a copy with doubled brackets the
+    certified orbit does not close, so both certificate commands refuse it,
+    while the coordinate-aligned copy keeps its certificate."""
+    doc_in = {"force": {"rates": [-1, 2]}, "energy": 3,
+              "initial": {"velocity": [0.5, 0.2, -0.1, 0.3, 0.4]}, "time": {"t_max": 3.0, "samples": 31}}
+    scaled = {"dim": 5, "brackets": [[1, 2, 5, 2.0], [3, 4, 5, 2.0]]}
+    path = write_scenario(tmp_path, dict(doc_in, algebra=scaled))
+    assert main(["periodicity", "--scenario", path]) == 3
+    assert main(["h5-periodic", "--scenario", path]) == 3
+    capsys.readouterr()
+    code, doc = run_json(capsys, ["trajectory", "--scenario", path, "--oracle"])
+    assert code == 0
+    assert doc["metadata"]["solver"] == "closed-form-type-1" and doc["metadata"]["oracle"]["passed"] is True
+
+    aligned = {"dim": 5, "brackets": [[1, 2, 5, 1.0], [3, 4, 5, 1.0]]}
+    path = write_scenario(tmp_path, dict(doc_in, algebra=aligned), "aligned.json")
+    code, cert = run_json(capsys, ["h5-periodic", "--scenario", path])
+    assert code == 0 and cert["verify"]["ok"] is True
+    # the same orbit, integrated on the scaled copy, ends far from the identity
+    alg = MetricNilAlgebra.from_structure(5, scaled["brackets"])
+    x0 = np.append(cert["v0"], cert["z0"])
+    cfg = IntegratorConfig(tolerance=1e-12)
+    end = reconstruct_group(alg, H5Force.from_rates(-1.0, 2.0).matrix, 1.0, x0, [0.0, cert["period"]], cfg).xi[-1]
+    assert np.linalg.norm(end) > 1.0, end
+
+
 def test_h5_periodic_flags(capsys):
     code, doc = run_json(
         capsys, ["h5-periodic", "--rates", "-1", "2", "--energy", "0.3"]

@@ -20,7 +20,7 @@ from nilmag.h3_type2 import (
     PeriodicityKind,
     lambda_kernel_check,
     lambda_periodicity,
-    solve_h3_type2,
+    Type2TrajectoryH3,
     solve_type2_general,
 )
 from nilmag.lorentz import type2_from_vector
@@ -55,7 +55,7 @@ def oracle_curve(ic, ts, u=(0.0, 1.0), charge=1.0, tol=1e-11):
 def test_branch_classification():
     for branch, ics in CANONICAL_ICS.items():
         for ic in ics:
-            traj = solve_h3_type2(ic)
+            traj = Type2TrajectoryH3(ic)
             assert traj.branch is branch, f"{ic}: got {traj.branch}, want {branch}"
 
 
@@ -64,7 +64,7 @@ def test_speed_and_energy_conservation():
     Phi = v_z - z0 and Phi' = v_x are velocity columns."""
     ts = np.linspace(0.0, 12.0, 120)
     for ic in all_ics():
-        traj = solve_h3_type2(ic)
+        traj = Type2TrajectoryH3(ic)
         speed0 = np.linalg.norm(np.asarray(ic))
         s2 = traj.v1_norm**2
         vel = traj.sample(ts).velocity
@@ -79,7 +79,7 @@ def test_solution_satisfies_equations_of_motion():
     force = type2_from_vector(alg, np.array([0.0, 1.0]))
     ts = np.linspace(0.1, 4.9, 9)
     for ic in all_ics():
-        traj = solve_h3_type2(ic)
+        traj = Type2TrajectoryH3(ic)
         resid = fdcheck.max_ode_residual(
             alg, force, 1.0, traj.velocity, traj.position, ts
         )
@@ -89,7 +89,7 @@ def test_solution_satisfies_equations_of_motion():
 def test_matches_numerical_oracle():
     ts = np.linspace(0.0, 5.0, 51)
     for ic in all_ics():
-        traj = solve_h3_type2(ic)
+        traj = Type2TrajectoryH3(ic)
         num = oracle_curve(ic, ts)
         got = traj.sample(ts)
         assert np.max(np.abs(got.velocity - num.velocity)) < 1e-6, f"{ic}"
@@ -98,15 +98,15 @@ def test_matches_numerical_oracle():
 
 def test_initial_conditions_reproduced():
     for ic in all_ics():
-        traj = solve_h3_type2(ic)
+        traj = Type2TrajectoryH3(ic)
         assert_allclose(traj.velocity(0.0), np.asarray(ic), atol=1e-9)
         assert_allclose(traj.position(0.0), np.zeros(3), atol=1e-12)
 
 
 def test_periods_match_the_elliptic_formulas():
-    cn = solve_h3_type2((1.0, 0.0, 0.0))
+    cn = Type2TrajectoryH3((1.0, 0.0, 0.0))
     assert cn.period == pytest.approx(4.0 * complete_K(cn.modulus) / cn.rate)
-    dn = solve_h3_type2((1.0, 0.0, 3.0))
+    dn = Type2TrajectoryH3((1.0, 0.0, 3.0))
     assert dn.period == pytest.approx(4.0 * complete_K(dn.modulus) / dn.amplitude)
     assert dn.rate == pytest.approx(0.5 * dn.amplitude)
     # the two oscillating moduli are reciprocal in the shared-amplitude sense
@@ -115,7 +115,7 @@ def test_periods_match_the_elliptic_formulas():
 
 def test_velocity_period_is_exact_and_minimal():
     for ic in [(1.0, 0.0, 0.0), (1.0, 0.0, 3.0), (1.0, 0.0, -3.0)]:
-        traj = solve_h3_type2(ic)
+        traj = Type2TrajectoryH3(ic)
         period = traj.period
         ts = np.linspace(0.0, period, 37)
         shift = max(
@@ -130,8 +130,8 @@ def test_velocity_period_is_exact_and_minimal():
 
 
 def test_negative_x0_is_the_time_reflection():
-    plus = solve_h3_type2((1.0, 0.0, 0.0))
-    minus = solve_h3_type2((-1.0, 0.0, 0.0))
+    plus = Type2TrajectoryH3((1.0, 0.0, 0.0))
+    minus = Type2TrajectoryH3((-1.0, 0.0, 0.0))
     for t in (0.0, 0.3, 1.1, 2.9):
         vp, vm = plus.velocity(-t), minus.velocity(t)
         assert_allclose(vm[0], -vp[0], atol=1e-10)
@@ -140,7 +140,7 @@ def test_negative_x0_is_the_time_reflection():
 
 def test_unit_modulus_edge_case():
     """(0, 0, 1) gives Phi(t) = cn(t, 1/2) - 1 with rate and amplitude 1."""
-    traj = solve_h3_type2((0.0, 0.0, 1.0))
+    traj = Type2TrajectoryH3((0.0, 0.0, 1.0))
     assert traj.branch is Branch.CN
     assert traj.modulus == pytest.approx(0.5, abs=1e-15)
     assert traj.amplitude == pytest.approx(1.0, abs=1e-15)
@@ -153,7 +153,7 @@ def test_unit_modulus_edge_case():
 def test_phi_stays_in_its_image():
     ts = np.linspace(0.0, 20.0, 400)
     for ic in all_ics():
-        traj = solve_h3_type2(ic)
+        traj = Type2TrajectoryH3(ic)
         lo, hi = traj.phi_image()
         vals = traj.sample(ts).velocity[:, 2] - traj.z0
         assert np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9)
@@ -164,7 +164,7 @@ def test_phi_stays_in_its_image():
 
 def test_lambda_periodicity_of_oscillating_branches():
     for ic in [(1.0, 0.0, 0.0), (1.0, 0.0, 3.0), (1.3, -0.4, 0.8)]:
-        traj = solve_h3_type2(ic)
+        traj = Type2TrajectoryH3(ic)
         report = lambda_periodicity(traj)
         assert report.kind is PeriodicityKind.LAMBDA_PERIODIC
         assert report.omega == pytest.approx(traj.period)
@@ -175,17 +175,17 @@ def test_lambda_periodicity_of_oscillating_branches():
 
 
 def test_lambda_periodicity_trichotomy():
-    sech_report = lambda_periodicity(solve_h3_type2((0.0, 0.0, 2.0)))
+    sech_report = lambda_periodicity(Type2TrajectoryH3((0.0, 0.0, 2.0)))
     assert sech_report.kind is PeriodicityKind.NON_PERIODIC
     assert sech_report.omega is None and sech_report.translation is None
 
-    ray = lambda_periodicity(solve_h3_type2((0.0, 0.7, 0.0)))
+    ray = lambda_periodicity(Type2TrajectoryH3((0.0, 0.7, 0.0)))
     assert ray.kind is PeriodicityKind.LAMBDA_PERIODIC
     assert ray.omega == 1.0
     assert_allclose(ray.translation, [0.0, 0.7, 0.0], atol=1e-12)
     assert ray.residual < 1e-10
 
-    rest = lambda_periodicity(solve_h3_type2((0.0, 0.0, 0.0)))
+    rest = lambda_periodicity(Type2TrajectoryH3((0.0, 0.0, 0.0)))
     assert rest.kind is PeriodicityKind.PERIODIC
 
 
@@ -220,7 +220,7 @@ def test_transported_lambda_periodicity():
     x0 = np.array([0.9, -0.3, 1.1])
     trans = solve_type2_general(u, charge, x0)
     q, rot = trans.time_scale, trans.rotation
-    canonical = lambda_periodicity(solve_h3_type2(np.append(q * (rot @ x0[:2]), q * x0[2])))
+    canonical = lambda_periodicity(Type2TrajectoryH3(np.append(q * (rot @ x0[:2]), q * x0[2])))
     report = lambda_periodicity(trans)
     assert report.kind is canonical.kind is PeriodicityKind.LAMBDA_PERIODIC
     assert abs(report.omega - q * canonical.omega) <= 1e-13 * report.omega
@@ -236,7 +236,7 @@ def test_canonical_force_is_the_identity_reduction(branch):
     general constructor gives the canonical samples bit for bit."""
     ts = np.linspace(-2.0, 9.0, 23)
     for ic in CANONICAL_ICS[branch]:
-        canonical = solve_h3_type2(ic).sample(ts)
+        canonical = Type2TrajectoryH3(ic).sample(ts)
         general = solve_type2_general((0.0, 1.0), 1.0, ic).sample(ts)
         np.testing.assert_array_equal(general.xi, canonical.xi)
         np.testing.assert_array_equal(general.velocity, canonical.velocity)
@@ -251,9 +251,9 @@ def test_degenerate_directions_are_rejected():
     with pytest.raises(ValueError):
         solve_type2_general(np.array([1.0, 0.0, 0.5]), 1.0, x0)
     with pytest.raises(ValueError):
-        solve_h3_type2(np.array([1.0, 2.0]))
+        Type2TrajectoryH3(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        solve_h3_type2(np.array([np.nan, 0.0, 0.0]))
+        Type2TrajectoryH3(np.array([np.nan, 0.0, 0.0]))
 
 
 BAD_DIRECTIONS = {
@@ -288,7 +288,7 @@ def test_direction_checks_agree(name):
 def periodic_trajectories():
     """Every canonical non-separatrix input, plus one transported trajectory."""
     trajs = [
-        solve_h3_type2(ic)
+        Type2TrajectoryH3(ic)
         for branch, ics in CANONICAL_ICS.items()
         if branch not in (Branch.SECH_POS, Branch.SECH_NEG)
         for ic in ics
@@ -335,7 +335,7 @@ def _ic_with_modulus(branch: str, k: float, x0: float = 0.6, y0: float = 0.3):
 def test_period_integrals_match_quadrature(branch, k):
     """The closed-form I_m over one velocity period equal quad of Phi^m,
     with Phi = v_z - z0 read from the velocity."""
-    traj = solve_h3_type2(_ic_with_modulus(branch, k))
+    traj = Type2TrajectoryH3(_ic_with_modulus(branch, k))
     assert traj.branch is (Branch.CN if branch == "cn" else Branch.DN)
     assert abs(traj.modulus - k) <= 1e-12
 
@@ -398,7 +398,7 @@ def test_period_integrals_keep_their_digits_at_large_z0():
         _ic_with_modulus("cn", 0.99),
     ] + [_ic_with_modulus(b, k) for b in ("dn+", "dn-") for k in (0.5, 0.99)]
     for ic in ics:
-        traj = solve_h3_type2(ic)
+        traj = Type2TrajectoryH3(ic)
         assert traj.branch in (Branch.CN, Branch.DN)
         t = 3.3 * traj.period
         want = _mpmath_position(traj, t)

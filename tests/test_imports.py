@@ -72,6 +72,21 @@ MIXED = {
 }
 
 
+def test_solve_loads_each_solver_module_when_called():
+    """nilmag.solve resolves without loading a solver module, and a call loads
+    only the module of the solver it returns."""
+    assert _nilmag_modules_after("import nilmag\nnilmag.solve") & SOLVER_MODULES == set()
+    calls = {
+        "h3, np.array([[0, 0.7, 0], [-0.7, 0, 0], [0, 0, 0]])": {"closedform"},
+        "h3, type2_from_vector(h3, [0.8, -0.6])": {"h3_type2", "specfun"},
+        f"h3, np.array({MIXED['force']['matrix']})": {"oracle"},
+    }
+    for args, modules in calls.items():
+        code = ("import numpy as np\nimport nilmag\nfrom nilmag import MetricNilAlgebra, type2_from_vector\n"
+                f"h3 = MetricNilAlgebra.heisenberg(1)\nnilmag.solve({args}, 1.2, [0.9, -0.4, 0.5])")
+        assert _nilmag_modules_after(code) & SOLVER_MODULES == modules, args
+
+
 def test_each_command_loads_only_its_solvers(tmp_path):
     (tmp_path / "q1.json").write_text(json.dumps({"algebra": "quaternionic(1)"}))
     (tmp_path / "type1.json").write_text(json.dumps(TYPE1))

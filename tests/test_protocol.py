@@ -16,10 +16,13 @@ import pytest
 import nilmag
 from nilmag import h3_type2
 from nilmag.algebra import MetricNilAlgebra
-from nilmag.closedform import InitialCondition, solve_type1
-from nilmag.h3_type2 import _verify_translation, lambda_periodicity, solve_h3_type2, solve_type2_general
+from nilmag.closedform import InitialCondition, TypeISolution, solve_type1
+from nilmag.errors import InvalidForceError
+from nilmag.h3_type2 import _verify_translation, lambda_periodicity, Type2TrajectoryH3, solve_type2_general
 from nilmag.h5_type1 import H5Force, periodic_at_energy, solve_h5, verify_periodic
-from nilmag.lorentz import random_closed_type1
+from nilmag.lorentz import LorentzForce, random_closed_type1, solve, type2_from_vector
+from nilmag.oracle import OracleTrajectory
+from test_imports import MIXED
 
 
 def _type1():
@@ -29,11 +32,25 @@ def _type1():
     return solve_type1(alg, random_closed_type1(alg, rng), ic), alg.dim
 
 
+def _solve_type1():
+    alg = MetricNilAlgebra.quaternionic(1)
+    rng = np.random.default_rng(5)
+    return solve(alg, random_closed_type1(alg, rng), 0.8, rng.standard_normal(7)), alg.dim
+
+
+def _solve(alg, force, charge, x0):
+    return solve(alg, force, charge, x0), alg.dim
+
+
+H3 = MetricNilAlgebra.heisenberg(1)
 SOLVERS = {
     "type1": _type1,
+    "solve_type1": _solve_type1,
+    "solve_h3_cn": lambda: _solve(H3, type2_from_vector(H3, [1.5, -2.0]), 0.7, [1.3, -0.4, 0.8]),
+    "solve_oracle": lambda: _solve(H3, MIXED["force"]["matrix"], MIXED["charge"], MIXED["initial"]["velocity"]),
     "h5": lambda: (solve_h5(H5Force.from_rates(-1.3, 0.7), [0.9, -0.4, 0.6, 0.2], 0.8, 1.1), 5),
-    "h3_cn": lambda: (solve_h3_type2((1.3, -0.4, 0.8)), 3),
-    "h3_sech": lambda: (solve_h3_type2((0.0, 0.0, 2.0)), 3),
+    "h3_cn": lambda: (Type2TrajectoryH3((1.3, -0.4, 0.8)), 3),
+    "h3_sech": lambda: (Type2TrajectoryH3((0.0, 0.0, 2.0)), 3),
     "h3_general": lambda: (solve_type2_general([1.5, -2.0], 0.7, [0.9, -0.3, 1.1]), 3),
 }
 
@@ -53,6 +70,33 @@ def test_sample_is_the_evaluation_primitive(name):
         xi, vel = traj.eval(t)
         np.testing.assert_array_equal(xi, traj.position(t))
         np.testing.assert_array_equal(vel, traj.velocity(t))
+
+
+def test_solve_picks_the_solver_by_force_type_and_structure():
+    """solve returns a closed form where one covers the force on this very
+    structure tensor, else the oracle; each object names its solver."""
+    rng = np.random.default_rng(3)
+    q1 = MetricNilAlgebra.quaternionic(1)
+    scaled_h3 = MetricNilAlgebra.from_structure(3, [(1, 2, 3, 2.0)])
+    u, x0 = np.array([0.3, 1.0]), np.array([0.7, -0.4, 0.3])
+    cases = [
+        (q1, random_closed_type1(q1, rng), rng.standard_normal(7), TypeISolution, "closed-form-type-1"),
+        (H3, type2_from_vector(H3, u), x0, Type2TrajectoryH3, "closed-form-type-2"),
+        (scaled_h3, type2_from_vector(scaled_h3, u), x0, OracleTrajectory, "oracle"),
+        (H3, MIXED["force"]["matrix"], x0, OracleTrajectory, "oracle"),
+    ]
+    for alg, force, start, cls, solver in cases:
+        traj = solve(alg, force, 1.3, start)
+        assert type(traj) is cls and traj.solver == solver
+    # a force built on another structure is rejected, not reinterpreted
+    with pytest.raises(InvalidForceError, match="different structure"):
+        solve(H3, LorentzForce(scaled_h3, type2_from_vector(scaled_h3, u).matrix), 1.3, x0)
+    # on H3 the front door is the general-direction solver, bit for bit
+    ts = np.linspace(0.0, 9.0, 37)
+    got = solve(H3, type2_from_vector(H3, u), -1.3, x0).sample(ts)
+    want = solve_type2_general(u, -1.3, x0).sample(ts)
+    assert got.xi.tobytes() == want.xi.tobytes()
+    assert got.velocity.tobytes() == want.velocity.tobytes()
 
 
 class CountingTrajectory:
@@ -156,7 +200,7 @@ def test_h3_type2_keeps_its_patchable_names(monkeypatch):
     call per time on the cn and dn branches once the trajectory's start
     values are cached."""
     assert callable(h3_type2._jacobi_zeta)
-    trajs = [solve_h3_type2(x0) for x0 in ([0.7, -0.4, 0.3], [0.7, -0.4, 3.0])]
+    trajs = [Type2TrajectoryH3(x0) for x0 in ([0.7, -0.4, 0.3], [0.7, -0.4, 3.0])]
     assert [t.branch.value for t in trajs] == ["cn", "dn"]
     for traj in trajs:
         traj.sample(np.array([0.0]))
