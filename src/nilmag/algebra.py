@@ -472,21 +472,6 @@ class MetricNilAlgebra:
         _, s, vh = np.linalg.svd(comm)
         return vh[comm.shape[0] :]
 
-    def decompose_center(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a central vector into commutator and flat components.
-
-        Accepts z-coordinates (dim_z,) or a full vector (dim,); returns the
-        pair (z_commutator, z_flat) in z-coordinates, summing to the input.
-        """
-        z = np.asarray(z, dtype=float)
-        if z.shape == (self.dim,):
-            z = z[self.dim_v :]
-        elif z.shape != (self.dim_z,):
-            raise ValueError(f"central vector must be ({self.dim_z},) or ({self.dim},)")
-        comm = self.commutator_z_basis()
-        zc = comm.T @ (comm @ z) if comm.size else np.zeros_like(z)
-        return zc, z - zc
-
     def j_injective_on_commutator(self) -> tuple[bool, float]:
         """Whether Z |-> j(Z) is injective on the commutator directions.
 

@@ -243,7 +243,10 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(time, dict):
         raise InputError("time must be an object")
     t_max = float(time.get("t_max", 10.0))
-    samples = int(time.get("samples", 201))
+    samples = time.get("samples", 201)
+    if type(samples) not in (int, float) or samples % 1 != 0:  # a bool is not a count
+        raise InputError("time.samples must be an integer")
+    samples = int(samples)
     if not (np.isfinite(t_max) and t_max > 0.0):
         raise InputError("time.t_max must be positive")
     if samples < 2:
@@ -252,7 +255,9 @@ def parse_scenario(data: dict) -> Scenario:
     checks = data.get("checks", {})
     if not isinstance(checks, dict):
         raise InputError("checks must be an object")
-    oracle = bool(checks.get("oracle", False))
+    oracle = checks.get("oracle", False)
+    if not isinstance(oracle, bool):
+        raise InputError("checks.oracle must be true or false")
     tolerance = _tolerance(checks.get("tolerance", 1e-6), "checks.tolerance")
 
     energy = None
@@ -548,24 +553,25 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
             raise InputError("periodicity of a type-II force needs 'initial'")
         traj = solve(alg, force, scn.charge, scn.velocity0)
     if traj is not None and traj.solver == "closed-form-type-2":
-        from .h3_type2 import lambda_kernel_check, lambda_periodicity
+        from .h3_type2 import _verify_translation, lambda_kernel_check, lambda_periodicity
 
         report = lambda_periodicity(traj)
+        lam, residual = report.translation, report.residual
+        if lam is not None and scn.start is not None:
+            # the started curve g sigma(t) is translated by g lam g^-1 = lam + [g, lam]
+            lam = lam + alg.bracket(scn.start, lam)
+            residual = _verify_translation(traj, lam, report.omega, scn.start)
         doc: dict[str, Any] = {
             "scenario": scn.canonical(),
             "kind": _KIND_NAMES[report.kind.value],
             "branch": _BRANCH_NAMES[traj.branch.value],
             "omega": report.omega,
-            "translation": None
-            if report.translation is None
-            else [float(x) for x in report.translation],
-            "residual": report.residual,
+            "translation": None if lam is None else [float(x) for x in lam],
+            "residual": residual,
         }
-        if report.translation is not None:
+        if lam is not None:
             # row 1 of the rotation is charge u / |charge u|, which spans u's line
-            doc["translation_in_force_kernel"] = bool(
-                lambda_kernel_check(traj.rotation[1], report.translation)
-            )
+            doc["translation_in_force_kernel"] = bool(lambda_kernel_check(traj.rotation[1], lam))
         _emit_json(doc, args.out, "periodicity.json")
         return EXIT_OK
 
@@ -713,9 +719,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             for th, xi, jxi in zip(sol.rates, sol.xi, sol.jxi):
                 f0 = None
                 for t in np.linspace(0.0, 8.0, 9):
-                    rot = _expm(t * sol.spectrum.matrix)  # [e^{tJ} xi, e^{tJ} J^{-1} xi]
-                    pair = alg.bracket(alg.embed_v(rot @ xi), alg.embed_v(rot @ (-jxi / th**2)))
-                    ft = alg.z_part(pair)
+                    rot = _expm(t * sol.matrix)  # [e^{tA} xi, e^{tA} A^{-1} xi]
+                    ft = alg.z_part(alg.bracket(rot @ xi, rot @ (-jxi / th**2)))
                     if f0 is None:
                         f0 = ft
                     worst = max(worst, float(np.max(np.abs(ft - f0))))

@@ -1,47 +1,45 @@
 """Closed-form magnetic trajectories for splitting-preserving closed forces.
 
 For a closed type-I force F (skew on v, skew on the flat central directions,
-zero on the commutator directions) and charge q, the left-trivialized
-velocity x(t) and the exponential-coordinate group curve xi(t) are explicit.
-Write J = j(Z0) + q F_v on v and G = q F_z on the flat directions, split the
-initial v-velocity into the kernel part X1 of J plus rotating components
-xi_p on the invariant subspaces of J with rates th_p > 0, and split the
-initial central velocity into its commutator part Z0c, the G-kernel flat
-part Z1f, and rotating flat components zeta_p with rates mu_p.  Then
+zero on the commutator directions [n, n]) and charge q, the left-trivialized
+velocity obeys one linear equation x' = A x with A = j(Z0) + q F, j(Z0) acting
+on v: the commutator part Z0c of the central velocity is conserved, and
+closedness makes F vanish on [n, n].  Split x(0) into its part X1 in the
+kernel of A (which carries Z0c and the flat kernel part Z1f) plus rotating
+components xi_p on the invariant subspaces of A with rates th_p > 0.  Then the
+velocity and the exponential-coordinate group curve xi(t) = X(t) + Z(t) are
 
-    v-velocity:      x_v(t) = X1 + sum_p e^{tJ} xi_p
-    z-velocity:      x_z(t) = Z0c + Z1f + sum_p e^{tG} zeta_p
-    v-position:      X(t)   = t X1 + sum_p (e^{tJ} - Id) J^{-1} xi_p
-    flat position:   Zf(t)  = t Z1f + sum_p (e^{tG} - Id) G^{-1} zeta_p
-    commutator pos.: Zc(t)  = t ( Z0c + (1/2)[X1, (e^{tJ} + Id) J^{-1} X2]
-                                   - (1/2) sum_p [xi_p, J^{-1} xi_p] )
-                      - [X1, J^{-2}(e^{tJ} - Id) X2]
-                      + (1/2) [e^{tJ} J^{-1} X2, J^{-1} X2]
-                      - (1/2) sum_{p != r} (c_pr(t) - c_pr(0)),
+    velocity:   x(t) = X1 + sum_p e^{tA} xi_p
+    position:   X(t) + Z(t) = t X1 + sum_p (e^{tA} - Id) A^{-1} xi_p + Zc(t)
+    commutator: Zc(t) = t ( (1/2)[X1, (e^{tA} + Id) A^{-1} X2]
+                            - (1/2) sum_p [xi_p, A^{-1} xi_p] )
+                        - [X1, A^{-2}(e^{tA} - Id) X2]
+                        + (1/2) [e^{tA} A^{-1} X2, A^{-1} X2]
+                        - (1/2) sum_{p != r} (c_pr(t) - c_pr(0)),
 
-    c_pr(t) = ( [e^{tJ} J xi_p, e^{tJ} J^{-1} xi_r] - [e^{tJ} xi_p, e^{tJ} xi_r] )
+    c_pr(t) = ( [e^{tA} A xi_p, e^{tA} A^{-1} xi_r] - [e^{tA} xi_p, e^{tA} xi_r] )
               / (th_r^2 - th_p^2),        X2 = sum_p xi_p.
 
-All inverses act on the rotating subspaces only, where J^{-1} = -J / th^2.
-The commutator formula follows by integrating Zc' = Z0c - [x_v, X]/2 term by
+All inverses act on the rotating subspaces only, where A^{-1} = -A / th^2;
+brackets see v parts only, so the planes of the flat central block bracket to
+0.  The commutator formula follows by integrating Zc' = -[x, X]/2 term by
 term; the pair terms integrate in closed form because
-(d/dt)([e^{tJ} J xi_p, e^{tJ} J^{-1} xi_r] - [e^{tJ} xi_p, e^{tJ} xi_r])
-equals (th_r^2 - th_p^2) [e^{tJ} xi_p, e^{tJ} J^{-1} xi_r], and the diagonal
-quantities [e^{tJ} xi_p, e^{tJ} J^{-1} xi_p] are conserved.
+(d/dt)([e^{tA} A xi_p, e^{tA} A^{-1} xi_r] - [e^{tA} xi_p, e^{tA} xi_r])
+equals (th_r^2 - th_p^2) [e^{tA} xi_p, e^{tA} A^{-1} xi_r], and the diagonal
+quantities [e^{tA} xi_p, e^{tA} A^{-1} xi_p] are conserved.
 
-Evaluation is tabulated.  J maps span{xi_p, J xi_p} to itself, with
-e^{tJ} xi_p = cos(th_p t) xi_p + sin(th_p t)/th_p J xi_p, so every bracket
+Evaluation is tabulated.  A maps span{xi_p, A xi_p} to itself, with
+e^{tA} xi_p = cos(th_p t) xi_p + sin(th_p t)/th_p A xi_p, so every bracket
 above combines the fixed brackets pair[p, a, r, b] = [b_pa, b_rb] and
-cross[p, a] = [X1, b_pa] of the basis b_p0 = xi_p, b_p1 = J xi_p.  Each
+cross[p, a] = [X1, b_pa] of the basis b_p0 = xi_p, b_p1 = A xi_p.  Each
 c_pr(t) is a bilinear form in (cos th_p t, sin th_p t) and
 (cos th_r t, sin th_r t) with table coefficients; every other term is linear
 in cos, sin and 1 - cos of th_p t.  The tables are built once from the
 structure tensor, and sample(ts) contracts (T, P, 2) trig coefficient arrays
 with them.
 
-Special cases: an exact force F = j(Z~) (+) 0 shifts a geodesic (the
-velocity equals a geodesic velocity minus q Z~, the position picks up -t q Z~);
-a force with F_z = 0 has velocity e^{t(j(Z0) + q F_v)} X0 + Z0.
+Special case: an exact force F = j(Z~) (+) 0 shifts a geodesic (the velocity
+equals a geodesic velocity minus q Z~, the position picks up -t q Z~).
 """
 
 from __future__ import annotations
@@ -163,25 +161,26 @@ def spectral_decompose(j_matrix: np.ndarray) -> SkewSpectrum:
     return SkewSpectrum(kernel=kernel, planes=tuple(planes), matrix=j_matrix)
 
 
-def _rotating_parts(spec: SkewSpectrum, x: np.ndarray, mat: np.ndarray, scale: float):
-    """Rates (P,), components xi_p (P, n) of x on the planes of spec, and mat xi_p.
+def _rotating_parts(spec: SkewSpectrum, x: np.ndarray, scale: float):
+    """Rates (P,) and components xi_p (P, n) of x on the planes of spec.
 
     Components that are numerically zero are dropped (keeps pair sums clean).
     """
     kept = [(pl.rate, pl.basis.T @ (pl.basis @ x)) for pl in spec.planes]
     kept = [(rate, c) for rate, c in kept if np.linalg.norm(c) > 1e-14 * scale]
     comps = np.array([c for _, c in kept]).reshape(len(kept), x.shape[0])
-    return np.array([rate for rate, _ in kept]), comps, comps @ mat.T
+    return np.array([rate for rate, _ in kept]), comps
 
 
 def _coeffs(on_xi: np.ndarray, on_jxi: np.ndarray) -> np.ndarray:
-    """(T, P) coefficients of xi_p and J xi_p as (T, 2P) rows, ordered (p, xi | J xi)."""
+    """(T, P) coefficients of xi_p and A xi_p as (T, 2P) rows, ordered (p, xi | A xi)."""
     return np.stack([on_xi, on_jxi], axis=2).reshape(on_xi.shape[0], 2 * on_xi.shape[1])
 
 
 class TypeISolution(Trajectory):
     """Closed-form solution for a closed type-I force.
 
+    matrix is A = j(Z0) + q F; spectrum is the decomposition of its v block.
     sample(ts) evaluates a whole grid into CurveSamples as array products with
     bracket tables built once at construction.
     """
@@ -193,50 +192,54 @@ class TypeISolution(Trajectory):
         self.alg = alg
         self.force = force
         self.ic = ic
-        q = ic.charge
-        dv, dz = alg.dim_v, alg.dim_z
+        dv = alg.dim_v
         v0 = np.asarray(ic.v0, float)
         z0 = np.asarray(ic.z0, float)
-        self.z0_comm, z0_flat = alg.decompose_center(z0)
 
-        j_total = alg.j_map(z0) + q * force.block_vv
-        self.spectrum = spectral_decompose(j_total)
-        self.x1 = self.spectrum.project_kernel(v0)
-        self.rates, self.xi, self.jxi = _rotating_parts(
-            self.spectrum, v0, j_total, max(1.0, float(np.linalg.norm(v0)))
-        )
-        g_total = q * force.block_zz
-        self.flat_spectrum = spectral_decompose(g_total)
-        self.z1_flat = self.flat_spectrum.project_kernel(z0_flat)
-        self.flat_rates, self.zeta, self.gzeta = _rotating_parts(
-            self.flat_spectrum, z0_flat, g_total, max(1.0, float(np.linalg.norm(z0)))
-        )
+        # each block of A is decomposed on its own, so that its kernel cutoff is
+        # relative to its own rates; the planes of both go into one list
+        a = np.zeros((alg.dim, alg.dim))
+        a[:dv, :dv] = alg.j_map(z0) + ic.charge * force.block_vv
+        a[dv:, dv:] = ic.charge * force.block_zz
+        self.matrix = a
+        self.spectrum = spectral_decompose(a[:dv, :dv])
+        flat = spectral_decompose(a[dv:, dv:])
+        self.x1 = np.concatenate([self.spectrum.project_kernel(v0), flat.project_kernel(z0)])
+        rates_v, xi_v = _rotating_parts(self.spectrum, v0, max(1.0, float(np.linalg.norm(v0))))
+        rates_z, xi_z = _rotating_parts(flat, z0, max(1.0, float(np.linalg.norm(z0))))
+        self.rates = np.concatenate([rates_v, rates_z])
+        self.xi = np.zeros((self.rates.shape[0], alg.dim))
+        self.xi[: rates_v.shape[0], :dv] = xi_v
+        self.xi[rates_v.shape[0] :, dv:] = xi_z
+        self.jxi = self.xi @ a.T
 
-        # bracket tables on the basis b_pa of {xi_p, J xi_p}:
-        # pair[p, a, r, b] = [b_pa, b_rb] and cross[p, a] = [X1, b_pa]
+        # bracket tables on the basis b_pa of {xi_p, A xi_p}:
+        # pair[p, a, r, b] = [b_pa, b_rb] and cross[p, a] = [X1, b_pa]; brackets read
+        # the v parts only, so every entry of a flat plane is exactly 0
         th = self.rates
         n = th.shape[0]
         basis = np.stack([self.xi, self.jxi], axis=1)
+        self._basis = basis.reshape(2 * n, alg.dim)
+        basis = basis[:, :, :dv]
         tensor = alg.structure[:dv, :dv, dv:]
         self.pair = np.einsum("pajk,rbj->parbk", np.einsum("pai,ijk->pajk", basis, tensor), basis)
-        self.cross = basis @ np.einsum("i,ijk->jk", self.x1, tensor)
-        self._basis = basis.reshape(2 * n, dv)
-        flat_basis = np.stack([self.zeta, self.gzeta], axis=1)
-        self._flat_basis = flat_basis.reshape(2 * self.flat_rates.shape[0], dz)
+        self.cross = basis @ np.einsum("i,ijk->jk", self.x1[:dv], tensor)
 
-        # constant central ingredients, with J^{-1} xi_p = -J xi_p / th_p^2
+        # constant central ingredients, with A^{-1} xi_p = -A xi_p / th_p^2
         inv2 = 1.0 / th**2
-        f0_sum = -inv2 @ self.pair[np.arange(n), 0, np.arange(n), 1]  # sum_p [xi_p, J^-1 xi_p]
-        x1_jinv_x2 = -inv2 @ self.cross[:, 1]  # [X1, J^-1 X2]
+        f0_sum = -inv2 @ self.pair[np.arange(n), 0, np.arange(n), 1]  # sum_p [xi_p, A^-1 xi_p]
+        x1_jinv_x2 = -inv2 @ self.cross[:, 1]  # [X1, A^-1 X2]
         self._drift = 0.5 * (x1_jinv_x2 - f0_sum)
-        jinv_x2 = -np.einsum("park,r->pak", self.pair[:, :, :, 1], inv2)  # [b_pa, J^-1 X2]
-        self._jinv_x2 = jinv_x2.reshape(2 * n, dz)
+        jinv_x2 = -np.einsum("park,r->pak", self.pair[:, :, :, 1], inv2)  # [b_pa, A^-1 X2]
+        self._jinv_x2 = jinv_x2.reshape(2 * n, alg.dim_z)
 
         # sum_{p != r} c_pr(t) as a bilinear form in u_p = (cos th_p t, sin th_p t):
-        # e^{tJ} J xi_p, e^{tJ} J^{-1} xi_p and e^{tJ} xi_p are u_p @ m_j, u_p @ m_i and
-        # u_p @ m_e in the coordinates (xi_p, J xi_p)
+        # e^{tA} A xi_p, e^{tA} A^{-1} xi_p and e^{tA} xi_p are u_p @ m_j, u_p @ m_i and
+        # u_p @ m_e in the coordinates (xi_p, A xi_p).  A gap of 0 off the diagonal
+        # pairs a v plane with a flat plane of equal rate; their bracket is 0, and so
+        # is their weight
         self._gap = th**2 - th[:, None] ** 2  # th_r^2 - th_p^2 at [p, r]
-        np.fill_diagonal(self._gap, np.inf)
+        self._gap[self._gap == 0.0] = np.inf
         weighted = self.pair / self._gap[:, None, :, None, None]
         zero, one = np.zeros(n), np.ones(n)
         m_j = np.array([[zero, one], [-th, zero]]).transpose(2, 0, 1)
@@ -245,74 +248,65 @@ class TypeISolution(Trajectory):
         table = np.einsum("pxa,ryb,parbk->pxryk", m_j, m_i, weighted)
         table -= np.einsum("pxa,ryb,parbk->pxryk", m_e, m_e, weighted)
         self._c0_sum = table[:, 0, :, 0].sum(axis=(0, 1))  # u_p(0) = (1, 0)
-        self._pair_table = table.reshape(2 * n, 2 * n * dz)
+        self._pair_table = table.reshape(2 * n, 2 * n * alg.dim_z)
 
     # -- evaluation ------------------------------------------------------
 
     def sample(self, ts: np.ndarray) -> CurveSamples:
         ts = np.asarray(ts, dtype=float)
         n_t, dv, dz = ts.shape[0], self.alg.dim_v, self.alg.dim_z
-        th, mu = self.rates, self.flat_rates
+        th = self.rates
         arg = np.multiply.outer(ts, th)
         c, s, omc = np.cos(arg), np.sin(arg), 2.0 * np.sin(0.5 * arg) ** 2  # omc = 1 - cos
-        exp_jinv = _coeffs(s / th, -c / th**2)  # e^{tJ} J^{-1} xi_p
+        exp_jinv = _coeffs(s / th, -c / th**2)  # e^{tA} A^{-1} xi_p
         u = _coeffs(c, s)
         pairs = u @ self._pair_table
         pair_sum = np.matmul(u[:, None, :], pairs.reshape(n_t, u.shape[1], dz))[:, 0]
         cross = self.cross.reshape(u.shape[1], dz)
-        lin = self.z0_comm + self._drift + 0.5 * exp_jinv @ cross
-        z_comm = (
-            ts[:, None] * lin
-            - _coeffs(omc / th**2, -s / th**3) @ cross  # [X1, J^-2 (e^{tJ} - Id) X2]
+        vel = self.x1 + _coeffs(c, s / th) @ self._basis
+        xi = ts[:, None] * self.x1 + _coeffs(s / th, omc / th**2) @ self._basis
+        xi[:, dv:] += (
+            ts[:, None] * (self._drift + 0.5 * exp_jinv @ cross)
+            - _coeffs(omc / th**2, -s / th**3) @ cross  # [X1, A^-2 (e^{tA} - Id) X2]
             + 0.5 * exp_jinv @ self._jinv_x2
             - 0.5 * (pair_sum - self._c0_sum)
         )
-        arg = np.multiply.outer(ts, mu)
-        fc, fs, fomc = np.cos(arg), np.sin(arg), 2.0 * np.sin(0.5 * arg) ** 2
-
-        vel = np.empty((n_t, dv + dz))
-        vel[:, :dv] = self.x1 + _coeffs(c, s / th) @ self._basis
-        vel[:, dv:] = self.z0_comm + self.z1_flat + _coeffs(fc, fs / mu) @ self._flat_basis
-        xi = np.empty_like(vel)
-        xi[:, :dv] = ts[:, None] * self.x1 + _coeffs(s / th, omc / th**2) @ self._basis
-        flat = _coeffs(fs / mu, fomc / mu**2) @ self._flat_basis
-        xi[:, dv:] = z_comm + ts[:, None] * self.z1_flat + flat
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
 
     # -- derived quantities ----------------------------------------------
 
     def speed(self) -> float:
         """The conserved speed |x(t)| = |x(0)|."""
-        x_v = self.x1 + self.xi.sum(axis=0)
-        x_z = self.z0_comm + self.z1_flat + self.zeta.sum(axis=0)
-        return float(np.linalg.norm(np.concatenate([x_v, x_z])))
+        return float(np.linalg.norm(self.x1 + self.xi.sum(axis=0)))
 
     def linear_coefficient(self) -> np.ndarray:
         """Average central drift: the constant part of the t-linear coefficient.
 
         The full coefficient of t also carries the bounded oscillation
-        [X1, e^{tJ} J^{-1} X2]/2 whenever the kernel component brackets
+        [X1, e^{tA} A^{-1} X2]/2 whenever the kernel component brackets
         against the rotating subspaces; this method reports the constant part
-        Z0c + [X1, J^{-1} X2]/2 - sum_p [xi_p, J^{-1} xi_p]/2 (plus Z1f).
+        Z0c + Z1f + [X1, A^{-1} X2]/2 - sum_p [xi_p, A^{-1} xi_p]/2.
         """
-        return self.z0_comm + self.z1_flat + self._drift
+        return self.x1[self.alg.dim_v :] + self._drift
 
     def central_oscillation_bound(self) -> float:
         """Triangle-inequality bound for the bounded central oscillation.
 
         Bounds |Zc(t) + Zf(t) - t * (linear coefficient + oscillating linear
         part)| uniformly in t; the oscillating t-linear part is
-        [X1, e^{tJ} J^{-1} X2]/2, bounded by lam |X1| |J^{-1}X2| per unit t,
-        so this constant bounds the non-growing remainder only.
+        [X1, e^{tA} A^{-1} X2]/2, bounded by lam |X1| |A^{-1}X2| per unit t,
+        so this constant bounds the non-growing remainder only.  Brackets see
+        the v parts of the planes, the flat rotation its central parts.
         """
         lam = self._bracket_norm()
+        dv = self.alg.dim_v
         th = self.rates
-        nx = np.linalg.norm(self.xi, axis=1)
-        b = lam * float(np.linalg.norm(self.x1)) * 2.0 * (nx @ th**-2.0)
+        nx = np.linalg.norm(self.xi[:, :dv], axis=1)
+        b = lam * float(np.linalg.norm(self.x1[:dv])) * 2.0 * (nx @ th**-2.0)
         b += 0.5 * lam * (nx @ (1.0 / th)) ** 2
         amp = lam * (np.outer(th * nx, nx / th) + np.outer(nx, nx))
         b += np.sum(amp / np.abs(self._gap))  # (1/2) * 2 endpoints per pair
-        b += 2.0 * (np.linalg.norm(self.zeta, axis=1) @ (1.0 / self.flat_rates))
+        b += 2.0 * (np.linalg.norm(self.xi[:, dv:], axis=1) @ (1.0 / th))
         return float(b)
 
     def _bracket_norm(self) -> float:

@@ -66,7 +66,7 @@ from .algebra import MetricNilAlgebra
 from .errors import DegenerateForceError
 from .lorentz import _direction
 from .samples import CurveSamples, Trajectory
-from .specfun import _descent_table, _jacobi_zeta, inverse_cn, inverse_dn, landen, sech
+from .specfun import _agm, _descent_table, _jacobi_zeta, _landen_from, inverse_cn, inverse_dn, sech
 
 __all__ = [
     "Branch",
@@ -263,14 +263,20 @@ class Type2TrajectoryH3(Trajectory):
         return self._centred_antiderivatives(self.phase, *_jacobi_zeta(self.phase, self._descent))
 
     @cached_property
+    def _agm_lists(self) -> tuple[list[float], list[float]]:
+        """The AGM of (1, k') for the modulus, run once for _landen and _descent."""
+        return _agm(self.modulus)
+
+    @cached_property
     def _landen(self) -> tuple[float, float, float, list[float]]:
         """(K, M, 1 - E/K, [c_0, c_1, ...]) of the modulus (specfun.landen)."""
-        return landen(self.modulus)
+        a_seq, cs = self._agm_lists
+        return _landen_from(a_seq[-1], cs)
 
     @cached_property
     def _descent(self):
         """The modulus's table for the per-point Landen recursion (specfun._jacobi_zeta)."""
-        return _descent_table(self.modulus)
+        return _descent_table(self.modulus, self._agm_lists)
 
     def _centred_antiderivatives(self, u: float, sn: float, cn: float, dn: float, zeta: float):
         """Antiderivatives P_j in u of D^j - <D^j>, j = 1, 2, 3, where D = psi - <psi>
@@ -403,11 +409,15 @@ class PeriodicityReport:
     residual: float | None
 
 
-def _verify_translation(traj, lam: np.ndarray, omega: float) -> float:
-    """Worst |sigma(t + omega) - lam * sigma(t)| over _N_CHECKS times in [0, 2 omega]."""
+def _verify_translation(traj, lam: np.ndarray, omega: float, start=None) -> float:
+    """Worst |sigma(t + omega) - lam * sigma(t)| over _N_CHECKS times in [0, 2 omega],
+    sigma the curve of traj left-translated by the group point start, if given."""
+    alg = _h3_algebra()
     ts = np.linspace(0.0, 2.0 * omega, _N_CHECKS)
-    rhs = _h3_algebra().group_mul(lam, traj.sample(ts).xi)
-    return float(np.max(np.abs(traj.sample(ts + omega).xi - rhs)))
+    now, later = traj.sample(ts).xi, traj.sample(ts + omega).xi
+    if start is not None:
+        now, later = alg.group_mul(start, now), alg.group_mul(start, later)
+    return float(np.max(np.abs(later - alg.group_mul(lam, now))))
 
 
 def lambda_periodicity(traj) -> PeriodicityReport:

@@ -72,17 +72,16 @@ def complete_K(k: float) -> float:
     return landen(k)[0]
 
 
-def _agm(k: float, stop: float) -> tuple[list[float], list[float]]:
+def _agm(k: float) -> tuple[list[float], list[float]]:
     """The AGM of (1, k') for 0 <= k < 1 as lists [a_0, ..., a_N], [c_0, ..., c_N].
 
     c_0 = k and c_{n+1} = (a_n - b_n)/2 is computed as c_n^2 / (4 a_{n+1}),
-    without the cancellation in a_n - b_n; N is the first index with
-    c_N <= stop a_N (stop = 0 runs until c_n underflows).
+    without the cancellation in a_n - b_n; the run stops when c_N underflows.
     """
     a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
     a_seq, c_seq = [a], [c]
     for _ in range(_MAX_AGM_ITER - 1):
-        if c <= stop * a:
+        if c <= 0.0:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         c = c * c / (4.0 * a)
@@ -102,7 +101,7 @@ def agm_sequence(k: float) -> tuple[float, list[float]]:
     k = _check_modulus(k)
     if k == 1.0:
         raise ValueError("the AGM of (1, k') degenerates at k = 1")
-    a_seq, cs = _agm(k, 0.0)
+    a_seq, cs = _agm(k)
     return a_seq[-1], cs
 
 
@@ -112,7 +111,11 @@ def landen(k: float) -> tuple[float, float, float, list[float]]:
     K = pi / (2M) and 1 - E/K = sum_{n>=0} 2^(n-1) c_n^2 (DLMF 19.8.6), a sum
     of positive terms that keeps its relative accuracy as k -> 0.
     """
-    mean, cs = agm_sequence(k)
+    return _landen_from(*agm_sequence(k))
+
+
+def _landen_from(mean: float, cs: list[float]) -> tuple[float, float, float, list[float]]:
+    """landen's tuple from the AGM limit M and [c_0, c_1, ...] of agm_sequence."""
     one_minus_ek = math.fsum(2.0 ** (n - 1) * c * c for n, c in enumerate(cs))
     return math.pi / (2.0 * mean), mean, one_minus_ek, cs
 
@@ -132,12 +135,14 @@ class _DescentTable(NamedTuple):
     seed: float
 
 
-def _descent_table(k: float) -> _DescentTable:
-    a_seq, c_seq = _agm(k, _AGM_STOP)
-    n, a_n = len(a_seq) - 1, a_seq[-1]
-    steps = tuple([(c / a, c) for a, c in zip(a_seq[:0:-1], c_seq[:0:-1])])
+def _descent_table(k: float, agm: tuple[list[float], list[float]] | None = None) -> _DescentTable:
+    """The table of k from the run agm = _agm(k) (made here if not given), cut at
+    the first c_N <= 1e-15 a_N."""
+    a_seq, c_seq = _agm(k) if agm is None else agm
+    n = next((i for i, (a, c) in enumerate(zip(a_seq, c_seq)) if c <= _AGM_STOP * a), len(a_seq) - 1)
+    steps = tuple([(c / a, c) for a, c in zip(a_seq[n:0:-1], c_seq[n:0:-1])])
     kp = math.sqrt((1.0 - k) * (1.0 + k))
-    return _DescentTable(k, kp, steps, 2.0 * math.pi / a_n, (2.0**n) * a_n)
+    return _DescentTable(k, kp, steps, 2.0 * math.pi / a_seq[n], (2.0**n) * a_seq[n])
 
 
 def _jacobi_zeta(u: float, table: _DescentTable) -> tuple[float, float, float, float]:

