@@ -392,6 +392,8 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     elif traj.solver == "closed-form-type-2":
         meta["branch"] = _BRANCH_NAMES[traj.branch.value]
         meta["period"] = traj.period
+        meta["modulus"] = traj.modulus
+        meta["boundary_margin"] = traj.boundary_margin
     else:
         meta["closed_form"] = False
         meta["warning"] = (
@@ -553,21 +555,18 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
             raise InputError("periodicity of a type-II force needs 'initial'")
         traj = solve(alg, force, scn.charge, scn.velocity0)
     if traj is not None and traj.solver == "closed-form-type-2":
-        from .h3_type2 import _verify_translation, lambda_kernel_check, lambda_periodicity
+        from .h3_type2 import lambda_kernel_check, lambda_periodicity
 
-        report = lambda_periodicity(traj)
-        lam, residual = report.translation, report.residual
-        if lam is not None and scn.start is not None:
-            # the started curve g sigma(t) is translated by g lam g^-1 = lam + [g, lam]
-            lam = lam + alg.bracket(scn.start, lam)
-            residual = _verify_translation(traj, lam, report.omega, scn.start)
+        # the report is for the started curve g sigma(t), translated by g lam g^-1
+        report = lambda_periodicity(traj, scn.start)
+        lam = report.translation
         doc: dict[str, Any] = {
             "scenario": scn.canonical(),
             "kind": _KIND_NAMES[report.kind.value],
             "branch": _BRANCH_NAMES[traj.branch.value],
             "omega": report.omega,
             "translation": None if lam is None else [float(x) for x in lam],
-            "residual": residual,
+            "residual": report.residual,
         }
         if lam is not None:
             # row 1 of the rotation is charge u / |charge u|, which spans u's line

@@ -42,10 +42,11 @@ dn multiple D, so I_m is <Phi^m> t plus integrals of D^j - <D^j> that are
 periodic and bounded.  The means are closed forms in the AGM of (1, k'); the
 periodic parts are exact antiderivatives of cn^j and dn^j in arcsin, the
 amplitude am = atan2(sn, cn) and the Jacobi zeta function, which the
-descending Landen recursion gives in the same pass as sn, cn and dn.  Each
-time point costs one such pass (_jacobi_zeta, on a table built once per
-trajectory) and no numerical integration, and no term of size |z0|^m
-cancels.  On the separatrix I_m is elementary.
+descending Landen recursion gives in the same pass as sn, cn and dn.  A
+sample grid costs one such pass over the whole array (_jacobi_zeta on the
+grid's phases and the start phase, with a table built once per trajectory)
+and no numerical integration, and no term of size |z0|^m cancels.  On the
+separatrix I_m is elementary.
 
 A velocity with period w makes the group curve lam-periodic:
 sigma(t + w) = lam * sigma(t) with lam = sigma(w), because both sides share
@@ -83,6 +84,10 @@ _BOUNDARY_TOL = 1e-12
 _PERIODIC_TOL = 1e-9
 # times in [0, 2 omega] on which lambda_periodicity verifies the translation
 _N_CHECKS = 10
+# in units of omega: the period itself, the check times ts, then ts + omega
+_CHECK_GRID = np.concatenate(
+    ([1.0], np.linspace(0.0, 2.0, _N_CHECKS), np.linspace(1.0, 3.0, _N_CHECKS))
+)
 # relative distance of the translation's v-part from span(u) in the force kernel
 _KERNEL_TOL = 1e-12
 
@@ -100,11 +105,6 @@ class Branch(enum.Enum):
     SECH_POS = "sech+"
     SECH_NEG = "sech-"
     LINEAR = "linear"
-
-
-def _gd(x: float) -> float:
-    """Gudermannian function, the antiderivative of sech."""
-    return 2.0 * math.atan(math.tanh(0.5 * x))
 
 
 class Type2TrajectoryH3(Trajectory):
@@ -201,66 +201,53 @@ class Type2TrajectoryH3(Trajectory):
         else:
             self.phase = c1 if self.x0 <= 0.0 else -c1
 
-    # -- trajectory data at one time ---------------------------------------
-
-    def _point(self, t: float) -> tuple[float, float, float, float, float, float]:
-        """Position and velocity at t, as one row of six floats; one
-        _jacobi_zeta call on the cn/dn branches."""
-        br = self.branch
-        z0 = self.z0
-        if br is Branch.LINEAR:
-            psi, dpsi, (i1, i2, i3) = z0, 0.0, (0.0, 0.0, 0.0)
-        elif br is Branch.CN or br is Branch.DN:
-            u = self.phase - self.rate * t
+    def sample(self, ts: np.ndarray) -> CurveSamples:
+        """Velocity and group curve (exponential coordinates, position(0) = 0)
+        on the grid ts: the canonical curve at t = ts / q as array expressions,
+        mapped back once.  The phases u = phase - rate t carry the start
+        u = phase in front, so one pass (one _jacobi_zeta call on the cn and
+        dn branches) gives the grid and the start of the antiderivatives."""
+        ts = np.asarray(ts, dtype=float)
+        q, z0, r = self.time_scale, self.z0, self.rate
+        t = ts / q
+        u = self.phase - r * np.concatenate(([0.0], t))
+        if self.branch is Branch.LINEAR:
+            psi, dpsi, i1, i2, i3 = np.full(t.size, z0), np.zeros(t.size), 0.0, 0.0, 0.0
+        elif self.branch is Branch.CN or self.branch is Branch.DN:
             sn, cn, dn, zeta = _jacobi_zeta(u, self._descent)
-            ar = self.amplitude * self.rate
-            if br is Branch.CN:
+            i1, i2, i3 = self._power_integrals(t, self._centred_antiderivatives(u, sn, cn, dn, zeta))
+            sn, cn, dn, ar = sn[1:], cn[1:], dn[1:], self.amplitude * r
+            if self.branch is Branch.CN:
                 psi, dpsi = self.amplitude * cn, ar * sn * dn
             else:
-                psi = self.sign * self.amplitude * dn
-                dpsi = self.sign * ar * self.modulus**2 * sn * cn
-            i1, i2, i3 = self._power_integrals(t, u, sn, cn, dn, zeta)
+                psi, dpsi = self.sign * self.amplitude * dn, self.sign * ar * self.modulus**2 * sn * cn
         else:
-            u = self.phase - self.rate * t
-            sech_u = sech(u)
-            psi = self.sign * self.amplitude * sech_u
-            dpsi = self.sign * self.amplitude * self.rate * sech_u * math.tanh(u)
-            i1, i2, i3 = self._sech_integrals(t)
+            sech_u, tanh_u = sech(u), np.tanh(u)
+            i1, i2, i3 = self._sech_integrals(t, u, sech_u, tanh_u)
+            psi = self.sign * self.amplitude * sech_u[1:]
+            dpsi = self.sign * self.amplitude * r * sech_u[1:] * tanh_u[1:]
         phi = psi - z0
         xi_y = self.y0 * t + z0 * i1 + 0.5 * i2
         xi_z = z0 * t + self.y1 * i1 + z0 * i2 + 0.5 * i3 - 0.5 * phi * xi_y
-        return phi, xi_y, xi_z, dpsi, self.y0 + z0 * phi + 0.5 * phi * phi, psi
-
-    def sample(self, ts: np.ndarray) -> CurveSamples:
-        """Velocity and group curve (exponential coordinates, position(0) = 0)
-        on the grid ts: the canonical points at ts / q, mapped back once."""
-        ts = np.asarray(ts, dtype=float)
-        q, rot = self.time_scale, self.rotation
-        rows = np.array([self._point(t) for t in (ts / q).tolist()], dtype=float).reshape(-1, 6)
-        xi, vel = rows[:, :3], rows[:, 3:] / q
-        vel[:, :2] = vel[:, :2] @ rot
-        xi[:, :2] = xi[:, :2] @ rot
+        xi = np.stack((phi, xi_y, xi_z), axis=1)
+        vel = np.stack((dpsi, self.y0 + z0 * phi + 0.5 * phi * phi, psi), axis=1) / q
+        vel[:, :2] = vel[:, :2] @ self.rotation
+        xi[:, :2] = xi[:, :2] @ self.rotation
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
 
     # -- power integrals on the oscillating branches ------------------------
 
-    def _power_integrals(self, t: float, u: float, sn: float, cn: float, dn: float, zeta: float):
-        """(I1, I2, I3) with I_m = integral of Phi^m over [0, t], u = phase - rate t.
+    def _power_integrals(self, t, antiderivatives):
+        """(I1, I2, I3) on the grid t, I_m = integral of Phi^m over [0, t], from
+        the antiderivatives P_j at u = phase - rate t with the start in front.
 
         With Phi = h + D, I_m is <Phi^m> t plus terms in J_j = integral of
-        D^j - <D^j> = (P_j(phase) - P_j(u)) / rate, P_j the antiderivatives below.
+        D^j - <D^j> = (P_j(phase) - P_j(u)) / rate.
         """
         h, mean2, mean3 = self._means
-        s1, s2, s3 = self._start_antiderivatives
-        p1, p2, p3 = self._centred_antiderivatives(u, sn, cn, dn, zeta)
-        r = self.rate
-        j1, j2, j3 = (s1 - p1) / r, (s2 - p2) / r, (s3 - p3) / r
+        j1, j2, j3 = ((p[0] - p[1:]) / self.rate for p in antiderivatives)
         i3 = mean3 * t + 3.0 * h * h * j1 + 3.0 * h * j2 + j3
         return h * t + j1, mean2 * t + 2.0 * h * j1 + j2, i3
-
-    @cached_property
-    def _start_antiderivatives(self) -> tuple[float, float, float]:
-        return self._centred_antiderivatives(self.phase, *_jacobi_zeta(self.phase, self._descent))
 
     @cached_property
     def _agm_lists(self) -> tuple[list[float], list[float]]:
@@ -275,13 +262,13 @@ class Type2TrajectoryH3(Trajectory):
 
     @cached_property
     def _descent(self):
-        """The modulus's table for the per-point Landen recursion (specfun._jacobi_zeta)."""
+        """The modulus's table for the Landen recursion over a grid (specfun._jacobi_zeta)."""
         return _descent_table(self.modulus, self._agm_lists)
 
-    def _centred_antiderivatives(self, u: float, sn: float, cn: float, dn: float, zeta: float):
-        """Antiderivatives P_j in u of D^j - <D^j>, j = 1, 2, 3, where D = psi - <psi>
-        is a cn or dn multiple, (sn, cn, dn) are the Jacobi functions at u and
-        zeta = Z(u) = E(am u) - (E/K) u is the Jacobi zeta function.
+    def _centred_antiderivatives(self, u, sn, cn, dn, zeta):
+        """Antiderivatives P_j in u of D^j - <D^j>, j = 1, 2, 3, elementwise, where
+        D = psi - <psi> is a cn or dn multiple, (sn, cn, dn) are the Jacobi
+        functions at u and zeta = Z(u) = E(am u) - (E/K) u is the Jacobi zeta function.
 
         By DLMF 22.16.32, 22.14(iv) and Byrd & Friedman 312, 314:
             int dn = am,   int cn = arcsin(k sn)/k,   int (dn^2 - E/K) = Z,
@@ -293,19 +280,17 @@ class Type2TrajectoryH3(Trajectory):
         |u_r| <= K, where (sn, cn)(u_r) = (-1)^j (sn, cn)(u) and am u_r = atan2
         of those.
         """
-        k = self.modulus
-        r = self.rate
+        k, r = self.modulus, self.rate
         if self.branch is Branch.CN:
             # a = 2 k rate turns the 1/k^j factors into powers of the rate
-            asn = math.asin(k * sn)
+            asn = np.arcsin(k * sn)
             cube = k * sn * dn - (1.0 - 2.0 * k * k) * asn
             return 2.0 * r * asn, 4.0 * r * r * zeta, 4.0 * r**3 * cube
         big_k, mean, _, _ = self._landen
-        j = math.floor(u / (2.0 * big_k) + 0.5)
-        u_r = u - 2.0 * big_k * j
-        sn_r, cn_r = (-sn, -cn) if j % 2 else (sn, cn)
+        j = np.floor(u / (2.0 * big_k) + 0.5)
+        flip = 1.0 - 2.0 * (j % 2.0)  # (-1)^j
         a, sign = self.amplitude, self.sign
-        w = math.atan2(sn_r, cn_r) - mean * u_r  # int (dn - M)
+        w = np.arctan2(flip * sn, flip * cn) - mean * (u - 2.0 * big_k * j)  # int (dn - M)
         cube = 0.5 * k * k * sn * cn + 0.5 * (2.0 - k * k) * w - 3.0 * mean * zeta + 3.0 * mean * mean * w
         return sign * a * w, a * a * (zeta - 2.0 * mean * w), sign * a**3 * cube
 
@@ -344,19 +329,12 @@ class Type2TrajectoryH3(Trajectory):
             )
         return h, m2 + h * h, m3 + 3.0 * h * m2 + h**3
 
-    def _sech_integrals(self, t: float) -> tuple[float, float, float]:
-        """Exact I_m on the separatrix via antiderivatives of sech powers."""
-        a = self.sign * self.amplitude
-        r = self.rate
-        z0 = self.z0
-
-        def sech_powers(w: float) -> tuple[float, float, float]:
-            sw, tw = sech(w), math.tanh(w)
-            return _gd(w), tw, 0.5 * (sw * tw + _gd(w))
-
-        hi = sech_powers(self.phase)
-        lo = sech_powers(self.phase - r * t)
-        s1, s2, s3 = ((h - l) / r for h, l in zip(hi, lo))
+    def _sech_integrals(self, t, u, sech_u, tanh_u):
+        """Exact I_m on the separatrix, on the grid t, from antiderivatives of
+        sech powers at u = phase - rate t with the start in front."""
+        a, r, z0 = self.sign * self.amplitude, self.rate, self.z0
+        gd = 2.0 * np.arctan(np.tanh(0.5 * u))  # Gudermannian, the antiderivative of sech
+        s1, s2, s3 = ((p[0] - p[1:]) / r for p in (gd, tanh_u, 0.5 * (sech_u * tanh_u + gd)))
         i1 = a * s1 - z0 * t
         i2 = a * a * s2 - 2.0 * a * z0 * s1 + z0 * z0 * t
         i3 = a**3 * s3 - 3.0 * a * a * z0 * s2 + 3.0 * a * z0 * z0 * s1 - z0**3 * t
@@ -409,38 +387,45 @@ class PeriodicityReport:
     residual: float | None
 
 
-def _verify_translation(traj, lam: np.ndarray, omega: float, start=None) -> float:
-    """Worst |sigma(t + omega) - lam * sigma(t)| over _N_CHECKS times in [0, 2 omega],
-    sigma the curve of traj left-translated by the group point start, if given."""
+def _verify_translation(traj, lam: np.ndarray, omega: float, start=None, rows=None) -> float:
+    """Worst |sigma(t + omega) - lam * sigma(t)| over the _N_CHECKS times ts in
+    [0, 2 omega], sigma the curve of traj left-translated by the group point
+    start, if given; rows are the curve of traj on [ts, ts + omega], sampled
+    here in one call if not given."""
     alg = _h3_algebra()
-    ts = np.linspace(0.0, 2.0 * omega, _N_CHECKS)
-    now, later = traj.sample(ts).xi, traj.sample(ts + omega).xi
+    xi = traj.sample(omega * _CHECK_GRID[1:]).xi if rows is None else rows
     if start is not None:
-        now, later = alg.group_mul(start, now), alg.group_mul(start, later)
-    return float(np.max(np.abs(later - alg.group_mul(lam, now))))
+        xi = alg.group_mul(start, xi)
+    return float(np.max(np.abs(xi[_N_CHECKS:] - alg.group_mul(lam, xi[:_N_CHECKS]))))
 
 
-def lambda_periodicity(traj) -> PeriodicityReport:
+def lambda_periodicity(traj, start=None) -> PeriodicityReport:
     """Classify a trajectory as periodic, lambda-periodic, or non-periodic,
     with the translation element.
 
     The translation is sigma(omega) where omega is the velocity period, and
     PERIODIC means |sigma(omega)| <= 1e-9.  The straight-line branch has a
     constant velocity; its omega is canonical time 1, which is time_scale in
-    the trajectory's own time.
+    the trajectory's own time.  With a group point start, the report is for
+    the curve start * sigma(t), translated by start lam start^-1 =
+    lam + [start, lam]; the kind does not depend on it.  One sample call on
+    omega and the check times gives the translation and its residual.
     """
     if traj.branch in (Branch.SECH_POS, Branch.SECH_NEG):
         return PeriodicityReport(
             kind=PeriodicityKind.NON_PERIODIC, omega=None, translation=None, residual=None
         )
     omega = traj.time_scale if traj.branch is Branch.LINEAR else traj.period
-    lam = traj.position(omega)
+    xi = traj.sample(omega * _CHECK_GRID).xi
+    lam = xi[0]
     kind = (
         PeriodicityKind.PERIODIC
         if np.linalg.norm(lam) <= _PERIODIC_TOL
         else PeriodicityKind.LAMBDA_PERIODIC
     )
-    residual = _verify_translation(traj, lam, omega)
+    if start is not None:
+        lam = lam + _h3_algebra().bracket(start, lam)
+    residual = _verify_translation(traj, lam, omega, start, xi[1:])
     return PeriodicityReport(kind=kind, omega=omega, translation=lam, residual=residual)
 
 

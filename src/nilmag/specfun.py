@@ -9,9 +9,9 @@ Everything here uses the modulus convention k (not the parameter m = k^2):
     Z(u, k)       = E(am u, k) - (E/K) u, the Jacobi zeta function
 
 K and E are computed by the arithmetic-geometric mean, sn/cn/dn by a descending
-Landen transformation (AGM phase recursion), F(phi, k) from Carlson's
-symmetric integral R_F by duplication (Carlson 1995, Numer. Algorithms 10;
-DLMF 19.36).  The phases of the Landen recursion also sum to the Jacobi
+Landen transformation (AGM phase recursion, elementwise on arrays), F(phi, k)
+from Carlson's symmetric integral R_F by duplication (Carlson 1995, Numer.
+Algorithms 10; DLMF 19.36).  The phases of the Landen recursion also sum to the Jacobi
 zeta function, which the H3 solver takes from the same pass as sn, cn and
 dn.  Each AGM and Landen step doubles the number of correct digits and each
 duplication step shrinks the argument spread fourfold; all are accurate to
@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "complete_K",
@@ -53,12 +55,11 @@ def _check_modulus(k: float) -> float:
     return k
 
 
-def sech(x: float) -> float:
-    """Hyperbolic secant, overflow-safe for large |x|."""
-    x = abs(float(x))
-    if x > 710.0:  # cosh overflows float64 near 710.5
-        return 0.0
-    return 1.0 / math.cosh(x)
+def sech(x):
+    """Hyperbolic secant, elementwise on arrays; where cosh overflows
+    (|x| > 710.5) it is inf and the secant 0, without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.cosh(x)
 
 
 def complete_K(k: float) -> float:
@@ -123,14 +124,15 @@ def _landen_from(mean: float, cs: list[float]) -> tuple[float, float, float, lis
 class _DescentTable(NamedTuple):
     """What the descending Landen recursion needs of a modulus 0 <= k < 1.
 
-    steps holds (c_n / a_n, c_n) for n = N, ..., 1, the order in which the
-    phases are recovered, with N the first index where c_N <= 1e-15 a_N;
-    period = 4K = 2 pi / a_N and seed = 2^N a_N.
+    ratios holds c_n / a_n and cs holds c_n for n = N, ..., 1, the order in
+    which the phases are recovered, with N the first index where
+    c_N <= 1e-15 a_N; period = 4K = 2 pi / a_N and seed = 2^N a_N.
     """
 
     k: float
     kp: float
-    steps: tuple[tuple[float, float], ...]
+    ratios: tuple[float, ...]
+    cs: np.ndarray
     period: float
     seed: float
 
@@ -140,31 +142,39 @@ def _descent_table(k: float, agm: tuple[list[float], list[float]] | None = None)
     the first c_N <= 1e-15 a_N."""
     a_seq, c_seq = _agm(k) if agm is None else agm
     n = next((i for i, (a, c) in enumerate(zip(a_seq, c_seq)) if c <= _AGM_STOP * a), len(a_seq) - 1)
-    steps = tuple([(c / a, c) for a, c in zip(a_seq[n:0:-1], c_seq[n:0:-1])])
+    ratios = tuple([c / a for a, c in zip(a_seq[n:0:-1], c_seq[n:0:-1])])
     kp = math.sqrt((1.0 - k) * (1.0 + k))
-    return _DescentTable(k, kp, steps, 2.0 * math.pi / a_seq[n], (2.0**n) * a_seq[n])
+    return _DescentTable(k, kp, ratios, np.array(c_seq[n:0:-1]), 2.0 * math.pi / a_seq[n], (2.0**n) * a_seq[n])
 
 
-def _jacobi_zeta(u: float, table: _DescentTable) -> tuple[float, float, float, float]:
-    """(sn, cn, dn, Z) at u for the modulus of table, Z the Jacobi zeta function.
+def _jacobi_zeta(u, table: _DescentTable):
+    """(sn, cn, dn, Z) at u, elementwise on an array u, for the modulus of
+    table, Z the Jacobi zeta function.
 
     u is reduced modulo the period 4K, the phase seeded as phi_N = 2^N a_N u,
     and phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n))/2 recovered down to
     the amplitude phi_0 (A&S 16.4, DLMF 22.20(ii)); then sn = sin phi_0,
     cn = cos phi_0 and dn = sqrt(k'^2 + k^2 cn^2).  The same phases give
-    Z = sum_{n>=1} c_n sin phi_n (A&S 17.6), summed smallest term first.
-    c_n < a_n for n >= 1, so the asin argument needs no clamp.
+    Z = sum_{n>=1} c_n sin phi_n (A&S 17.6), one dot product with the sines
+    kept from the steps.  Each step is a few ufuncs over the whole array, so
+    a grid costs one pass, and a float u gives 0-d results.  c_n < a_n for
+    n >= 1, so the asin argument needs no clamp.
     """
-    k, kp, steps, period, seed = table
-    u = u - period * math.floor(u / period + 0.5)  # now |u| <= 2K
-    phi = seed * u
-    zeta = 0.0
-    for ratio, c in steps:
-        s = math.sin(phi)
-        zeta += c * s
-        phi = 0.5 * (phi + math.asin(ratio * s))
-    cn_v = math.cos(phi)
-    return math.sin(phi), cn_v, math.sqrt(kp * kp + (k * cn_v) * (k * cn_v)), zeta
+    k, kp, ratios, cs, period, seed = table
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    phi = (flat - period * np.rint(flat / period)) * seed  # the reduced u is within 2K of 0
+    sines = np.empty((len(ratios), flat.size))
+    arg = np.empty_like(phi)
+    for sine, ratio in zip(sines, ratios):
+        np.sin(phi, out=sine)
+        np.multiply(sine, ratio, out=arg)
+        phi += np.arcsin(arg, out=arg)
+        phi *= 0.5
+    sn_v, cn_v = np.sin(phi), np.cos(phi)
+    dn_v = k * cn_v
+    out = sn_v, cn_v, np.sqrt(kp * kp + dn_v * dn_v), cs @ sines
+    return out if u.ndim == 1 else tuple(x.reshape(u.shape) for x in out)
 
 
 def complete_E(k: float) -> float:
@@ -193,9 +203,9 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
     if k == 0.0:
         return math.sin(u), math.cos(u), 1.0
     if k == 1.0:
-        s = sech(u)
+        s = float(sech(u))
         return math.tanh(u), s, s
-    return _jacobi_zeta(u, _descent_table(k))[:3]
+    return tuple(float(x) for x in _jacobi_zeta(u, _descent_table(k))[:3])
 
 
 def sn(u: float, k: float) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -90,7 +91,10 @@ def test_trajectory_exact_h3(tmp_path, capsys):
 
 
 def test_trajectory_type2_branch_metadata(tmp_path, capsys):
-    """Vector-force scenario reports the Cn branch and a period."""
+    """Vector-force scenario reports the Cn branch, a period, the elliptic
+    modulus and the separatrix margin.  For velocity (1, 0, 0) and u = e2,
+    S = sqrt(2), k^2 = (S - 1) / (2 S) = sin^2(pi/8) and
+    |disc| / max(1, S) = 2 (S + 1) / S = 2 + sqrt(2)."""
     path = write_scenario(tmp_path, TYPE2_H3)
     code, doc = run_json(capsys, ["trajectory", "--scenario", path])
     assert code == 0
@@ -99,6 +103,8 @@ def test_trajectory_type2_branch_metadata(tmp_path, capsys):
     assert meta["branch"] == "Cn"
     assert meta["period"] is not None and meta["period"] > 0
     assert meta["exact"] is False
+    assert meta["modulus"] == pytest.approx(math.sin(math.pi / 8.0), rel=1e-14)
+    assert meta["boundary_margin"] == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-14)
 
 
 def test_trajectory_mixed_falls_back_to_oracle(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -25,7 +26,7 @@ from nilmag.h3_type2 import (
 )
 from nilmag.lorentz import type2_from_vector
 from nilmag.oracle import IntegratorConfig, reconstruct_group
-from nilmag.specfun import complete_K, jacobi
+from nilmag.specfun import complete_K, jacobi, sech
 
 
 def h3():
@@ -159,6 +160,54 @@ def test_phi_stays_in_its_image():
         assert np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9)
 
 
+# one trajectory per branch, canonical and transported
+SIX_BRANCHES = {
+    "cn": lambda: Type2TrajectoryH3((1.3, -0.4, 0.8)),
+    "dn+": lambda: solve_type2_general([1.5, -2.0], 0.7, [0.9, -0.3, 5.0]),
+    "dn-": lambda: Type2TrajectoryH3((1.0, 0.0, -3.0)),
+    "sech+": lambda: Type2TrajectoryH3((0.75, 0.0, math.sqrt(4.5))),
+    "sech-": lambda: Type2TrajectoryH3((0.0, 0.0, -2.0)),
+    "linear": lambda: solve_type2_general([0.0, 1.2], -0.8, [0.0, 0.6, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(SIX_BRANCHES))
+def test_batched_rows_are_the_pointwise_values(name):
+    """Each row of sample(ts) is position(t) and velocity(t) to 1e-14 of its
+    size, on unsorted grids with negative times and at 1000 periods; an
+    empty grid gives (0, 3) arrays."""
+    traj = SIX_BRANCHES[name]()
+    assert traj.branch.value == {"dn+": "dn", "dn-": "dn"}.get(name, name)
+    if name.startswith("dn"):
+        assert traj.sign == (1.0 if name == "dn+" else -1.0)
+    empty = traj.sample(np.array([]))
+    assert empty.xi.shape == empty.velocity.shape == (0, 3)
+    period = traj.period or traj.time_scale
+    ts = np.array([3.7, -1.2, 0.0, 2.5, -8.9, 0.4]) * period
+    ts = np.concatenate([ts, 1000.0 * period + ts[:3], -1000.0 * period + ts[:2]])
+    got = traj.sample(ts)
+    for t, xi, vel in zip(ts, got.xi, got.velocity):
+        want_xi, want_vel = traj.position(t), traj.velocity(t)
+        assert np.max(np.abs(xi - want_xi)) <= 1e-14 * max(1.0, np.max(np.abs(want_xi))), (t, xi - want_xi)
+        assert np.max(np.abs(vel - want_vel)) <= 1e-14 * max(1.0, np.max(np.abs(want_vel))), (t, vel - want_vel)
+
+
+@pytest.mark.parametrize("ic", [(0.0, 0.0, 2.0), (0.0, 0.0, -2.0), (0.75, 0.0, -math.sqrt(4.5))])
+def test_separatrix_far_from_the_hump_is_finite_and_quiet(ic):
+    """Past |u| = 710, where cosh overflows, sech is 0 and the separatrix
+    samples stay finite, with no floating-point warning; Phi tends to -z0."""
+    traj = Type2TrajectoryH3(ic)
+    assert traj.branch in (Branch.SECH_POS, Branch.SECH_NEG)
+    ts = np.array([-2000.0, -800.0, 800.0, 2000.0]) / traj.rate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = traj.sample(ts)
+        assert sech(np.array([-800.0, 0.0, 800.0])).tolist() == [0.0, 1.0, 0.0]
+    assert np.all(np.isfinite(got.xi)) and np.all(np.isfinite(got.velocity))
+    assert_allclose(got.velocity[:, 2], 0.0, atol=1e-300)
+    assert_allclose(got.xi[:, 0], -traj.z0, rtol=1e-15)
+
+
 # -- lambda-periodicity -------------------------------------------------------
 
 
@@ -187,6 +236,26 @@ def test_lambda_periodicity_trichotomy():
 
     rest = lambda_periodicity(Type2TrajectoryH3((0.0, 0.0, 0.0)))
     assert rest.kind is PeriodicityKind.PERIODIC
+
+
+def test_lambda_periodicity_samples_once(monkeypatch):
+    """The report takes sigma(omega) and the check rows from one sample call,
+    also for a started curve g sigma(t), whose translation is
+    g lam g^-1 = lam + [g, lam] and whose residual is the pointwise one."""
+    start = np.array([1.0, 2.0, 3.0])
+    for traj in [Type2TrajectoryH3((1.0, 0.0, 0.0)), Type2TrajectoryH3((1.0, 0.0, 3.0)),
+                 solve_type2_general([0.0, 1.2], -0.8, [0.0, 0.6, 0.0])]:
+        grids = []
+        sample = traj.sample
+        monkeypatch.setattr(traj, "sample", lambda ts, sample=sample: grids.append(len(ts)) or sample(ts))
+        plain = lambda_periodicity(traj)
+        started = lambda_periodicity(traj, start)
+        assert grids == [21, 21]
+        lam = plain.translation
+        assert started.kind is plain.kind and started.omega == plain.omega
+        assert_allclose(started.translation, lam + h3().bracket(start, lam), rtol=1e-15, atol=1e-15)
+        want = _verify_translation(traj, started.translation, started.omega, start)
+        assert abs(started.residual - want) <= 1e-12 and started.residual < 1e-10
 
 
 # -- general (u, charge) transport --------------------------------------------

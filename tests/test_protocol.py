@@ -127,20 +127,23 @@ def _translation_verifier(solver):
     return traj, lambda t: _verify_translation(t, report.translation, report.omega)
 
 
+# verifier -> (trajectory and check, sample calls): the H5 check samples ts and
+# ts + period; the H3 translation check samples [ts, ts + omega] as one grid
 VERIFIERS = {
-    "verify_periodic": _h5_verifier,
-    "translation_h3_cn": lambda: _translation_verifier("h3_cn"),
-    "translation_h3_general": lambda: _translation_verifier("h3_general"),
+    "verify_periodic": (_h5_verifier, 2),
+    "translation_h3_cn": (lambda: _translation_verifier("h3_cn"), 1),
+    "translation_h3_general": (lambda: _translation_verifier("h3_general"), 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(VERIFIERS))
 def test_verifiers_sample_each_grid_once(name):
     """Each periodicity verifier makes one sample call per grid and no scalar calls."""
-    traj, verify = VERIFIERS[name]()
+    make, grids = VERIFIERS[name]
+    traj, verify = make()
     counting = CountingTrajectory(traj)
     assert verify(counting) < 1e-8
-    assert counting.calls == ["sample", "sample"]
+    assert counting.calls == ["sample"] * grids
 
 
 def test_exported_names_resolve():
@@ -195,24 +198,22 @@ def test_benchmark_imports_resolve():
 
 
 def test_h3_type2_keeps_its_patchable_names(monkeypatch):
-    """Call counters patch the per-point kernel h3_type2._jacobi_zeta by name,
-    so it stays a module attribute that sampling looks up on every call: one
-    call per time on the cn and dn branches once the trajectory's start
-    values are cached."""
+    """Call counters patch the kernel h3_type2._jacobi_zeta by name, so it
+    stays a module attribute that sample looks up on every call.  On the cn
+    and dn branches one call covers the whole grid and the start phase."""
     assert callable(h3_type2._jacobi_zeta)
     trajs = [Type2TrajectoryH3(x0) for x0 in ([0.7, -0.4, 0.3], [0.7, -0.4, 3.0])]
     assert [t.branch.value for t in trajs] == ["cn", "dn"]
-    for traj in trajs:
-        traj.sample(np.array([0.0]))
     calls = []
     kernel = h3_type2._jacobi_zeta
 
     def counted(u, table):
-        calls.append(u)
+        calls.append(np.shape(u))
         return kernel(u, table)
 
     monkeypatch.setattr(h3_type2, "_jacobi_zeta", counted)
     for traj in trajs:
-        calls.clear()
-        traj.sample(np.linspace(0.0, 9.0, 17))
-        assert len(calls) == 17
+        for grid in (np.linspace(0.0, 9.0, 17), np.array([2.5])):
+            calls.clear()
+            traj.sample(grid)
+            assert calls == [(grid.size + 1,)]
