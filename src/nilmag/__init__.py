@@ -16,8 +16,8 @@ an independent numerical integrator:
 - `h5_type1`: j-commuting forces on the 5-dim Heisenberg group (trajectories
   evaluated by `closedform`) and constructive periodic orbits at every
   prescribed energy.
-- `specfun`: complete and incomplete elliptic integrals and Jacobi elliptic
-  functions.
+- `specfun`: Jacobi elliptic functions, the Jacobi zeta function and the
+  elliptic integral of the first kind, from one AGM table per modulus.
 - `oracle`: numpy-only adaptive Dormand-Prince / fixed-step RK4 reference
   integrator, and `OracleTrajectory`, the fallback that `solve` returns.
 - `samples`: `CurveSamples`, the sampled curve every solver returns, the
@@ -74,16 +74,7 @@ _EXPORTS = {
     ),
     "oracle": ("IntegratorConfig", "integrate_velocity", "reconstruct_group", "OracleTrajectory"),
     "samples": ("IntegratorStats", "CurveSamples", "Trajectory"),
-    "specfun": (
-        "complete_K",
-        "complete_E",
-        "jacobi",
-        "sn",
-        "cn",
-        "dn",
-        "inverse_cn",
-        "inverse_dn",
-    ),
+    "specfun": ("complete_K", "jacobi", "cn", "inverse_cn", "inverse_dn"),
     "errors": (
         "NilmagError",
         "InputError",

@@ -111,7 +111,7 @@ def _as_vector(x, dim: int, what: str, rows: bool = False) -> np.ndarray:
     if v.shape[-1:] != (dim,) or v.ndim > (2 if rows else 1):
         want = f"({dim},) or (n, {dim})" if rows else f"({dim},)"
         raise ValueError(f"{what} must have shape {want}, got {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{what} contains non-finite entries")
     return v
 
@@ -403,7 +403,8 @@ class MetricNilAlgebra:
         """
         a = _as_vector(a, self.dim, "a", rows=True)
         b = _as_vector(b, self.dim, "b", rows=True)
-        return a + b + 0.5 * np.einsum("...i,...j,ijk->...k", a, b, self.structure)
+        ab = a[..., :, None] * b[..., None, :]
+        return a + b + 0.5 * (ab.reshape(*ab.shape[:-2], -1) @ self._bracket_matrix.T)
 
     def group_inv(self, a: np.ndarray) -> np.ndarray:
         """Group inverse in exponential coordinates (just -a), rowwise on stacks."""

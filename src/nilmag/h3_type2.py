@@ -67,7 +67,7 @@ from .algebra import MetricNilAlgebra
 from .errors import DegenerateForceError
 from .lorentz import _direction
 from .samples import CurveSamples, Trajectory
-from .specfun import _agm, _descent_table, _jacobi_zeta, _landen_from, inverse_cn, inverse_dn, sech
+from .specfun import _descent_table, _elliptic_f, _jacobi_zeta, sech
 
 __all__ = [
     "Branch",
@@ -182,8 +182,9 @@ class Type2TrajectoryH3(Trajectory):
             self.amplitude = a
             self.modulus = a / (2.0 * math.sqrt(s))
             self.rate = math.sqrt(s)
-            self.period = q * (4.0 * self._landen[0] / self.rate)
-            c0 = inverse_cn(float(np.clip(z0 / a, -1.0, 1.0)), self.modulus)
+            self.period = q * (4.0 * self._descent.big_k / self.rate)
+            # the amplitude of cn = z0 / a, sn = sqrt(2 (S - y1)) / a
+            c0 = _elliptic_f(math.sqrt(2.0 * self._s_minus_y1), z0, self._descent)
             self.phase = c0 if self.x0 >= 0.0 else -c0
             return
 
@@ -191,11 +192,11 @@ class Type2TrajectoryH3(Trajectory):
         self.amplitude = a
         self.modulus = 2.0 * math.sqrt(s) / a
         self.rate = 0.5 * a
-        self.period = q * (4.0 * self._landen[0] / a)
+        self.period = q * (4.0 * self._descent.big_k / a)
         self.sign = 1.0 if z0 > 0 else -1.0
-        kp = math.sqrt((1.0 - self.modulus) * (1.0 + self.modulus))
-        ratio = float(np.clip(abs(z0) / a, kp, 1.0))
-        c1 = inverse_dn(ratio, self.modulus)
+        # the amplitude of dn = |z0| / a: sn^2 = (S - y1)/(2S), cn^2 = (S + y1)/(2S)
+        s_plus_y1 = s + self.y1 if self.y1 > 0.0 else self.x0 * self.x0 / self._s_minus_y1
+        c1 = _elliptic_f(math.sqrt(self._s_minus_y1), math.sqrt(s_plus_y1), self._descent)
         if self.sign > 0:
             self.phase = c1 if self.x0 >= 0.0 else -c1
         else:
@@ -250,20 +251,10 @@ class Type2TrajectoryH3(Trajectory):
         return h * t + j1, mean2 * t + 2.0 * h * j1 + j2, i3
 
     @cached_property
-    def _agm_lists(self) -> tuple[list[float], list[float]]:
-        """The AGM of (1, k') for the modulus, run once for _landen and _descent."""
-        return _agm(self.modulus)
-
-    @cached_property
-    def _landen(self) -> tuple[float, float, float, list[float]]:
-        """(K, M, 1 - E/K, [c_0, c_1, ...]) of the modulus (specfun.landen)."""
-        a_seq, cs = self._agm_lists
-        return _landen_from(a_seq[-1], cs)
-
-    @cached_property
     def _descent(self):
-        """The modulus's table for the Landen recursion over a grid (specfun._jacobi_zeta)."""
-        return _descent_table(self.modulus, self._agm_lists)
+        """The modulus's one AGM table: K, M and c_n, and the Landen recursions
+        of the start phase (specfun._elliptic_f) and of a grid (specfun._jacobi_zeta)."""
+        return _descent_table(self.modulus)
 
     def _centred_antiderivatives(self, u, sn, cn, dn, zeta):
         """Antiderivatives P_j in u of D^j - <D^j>, j = 1, 2, 3, elementwise, where
@@ -286,7 +277,7 @@ class Type2TrajectoryH3(Trajectory):
             asn = np.arcsin(k * sn)
             cube = k * sn * dn - (1.0 - 2.0 * k * k) * asn
             return 2.0 * r * asn, 4.0 * r * r * zeta, 4.0 * r**3 * cube
-        big_k, mean, _, _ = self._landen
+        big_k, mean = self._descent.big_k, self._descent.mean
         j = np.floor(u / (2.0 * big_k) + 0.5)
         flip = 1.0 - 2.0 * (j % 2.0)  # (-1)^j
         a, sign = self.amplitude, self.sign
@@ -304,7 +295,7 @@ class Type2TrajectoryH3(Trajectory):
         moments come from the integrals of cn^j over 4K (4K, 0,
         4(E - k'^2 K)/k^2, 0) and of dn^j over 2K (2K, pi, 2E, pi(2 - k^2)/2),
         DLMF 22.14(iv), Byrd & Friedman 312, 314.  Written with the AGM
-        sequence (M, c_n) of specfun.landen, where K = pi/(2M), they
+        sequence (M, c_n) of the modulus's table, where K = pi/(2M), they
         are free of cancellation:
             <cn^2> = 1/2 - sum_{n>=1} 2^(n-1) c_n^2 / k^2,
             <dn> = M = 1 - sum_{n>=1} c_n,
@@ -312,7 +303,7 @@ class Type2TrajectoryH3(Trajectory):
             <(dn - M)^3> = 3 M sum_{n>=2} (2^(n-1) - 1) c_n^2.
         """
         a = self.amplitude
-        _, mean, _, cs = self._landen
+        mean, cs = self._descent.mean, self._descent.c_seq
         sq = [c * c for c in cs]
         if self.branch is Branch.CN:
             # a = 2 k rate, so a^2 <cn^2> = a^2/2 - 4 rate^2 sum_{n>=1} 2^(n-1) c_n^2

@@ -298,11 +298,13 @@ def verify_periodic(traj: H5Trajectory, period: float) -> tuple[bool, float]:
     """Check sigma(t + period) = sigma(t) in the group, returning (ok, residual).
 
     The residual is the worst norm of sigma(t)^{-1} * sigma(t + period) in
-    exponential coordinates over _N_CHECKS sample times in [0, period], and
-    ok says that it is at most _VERIFY_TOL.
+    exponential coordinates over _N_CHECKS sample times in [0, period], all
+    from one sample call on [ts, ts + period], and ok says that it is at most
+    _VERIFY_TOL.
     """
     alg = _h5_algebra()
     ts = np.linspace(0.0, period, _N_CHECKS)
-    gap = alg.group_mul(alg.group_inv(traj.sample(ts).xi), traj.sample(ts + period).xi)
+    xi = traj.sample(np.concatenate((ts, ts + period))).xi
+    gap = alg.group_mul(alg.group_inv(xi[:_N_CHECKS]), xi[_N_CHECKS:])
     worst = float(np.max(np.linalg.norm(gap, axis=1)))
     return worst <= _VERIFY_TOL, worst

@@ -473,3 +473,49 @@ def test_period_integrals_keep_their_digits_at_large_z0():
         want = _mpmath_position(traj, t)
         got = traj.position(t)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (ic, got - want)
+
+
+START_GRID = [
+    (x0, y0, z0)
+    for x0 in (0.7, 1e-3, 1e-5, 1e-7, 1e-9, -1e-7)
+    for y0 in (-0.4, 0.3, -1.7)  # -1.7: y1 < 0, where S + y1 = x0^2 / (S - y1)
+    for z0 in (0.5, -1.2, 3.0, 1e2, 1e4, 1e6, -1e6, 1e8)
+]
+
+
+@pytest.mark.parametrize("branch", [Branch.CN, Branch.DN], ids=lambda b: b.value)
+def test_start_velocity_keeps_x0_to_the_last_digit(branch):
+    """velocity(0) returns x0 to 1e-14 of the speed on both oscillating branches:
+    the start amplitude goes to F as its (sn, cn) pair, from S - y1, and not
+    through inverse_cn(z0/a) or inverse_dn(|z0|/a), which round z0/a to 1 once
+    x0 is small against z0 (x0 = 1e-9 read 0 at z0 = 0.5, and x0 = 0.7 read 0
+    at z0 = 1e8)."""
+    cases = [ic for ic in START_GRID if Type2TrajectoryH3(ic).branch is branch]
+    assert len(cases) >= 24
+    for ic in cases:
+        vel = Type2TrajectoryH3(ic).sample(np.array([0.0])).velocity[0]
+        assert abs(vel[0] - ic[0]) <= 1e-14 * np.linalg.norm(ic), (ic, vel[0])
+        assert abs(vel[2] - ic[2]) <= 1e-14 * np.linalg.norm(ic), (ic, vel[2])
+
+
+def test_construction_runs_the_agm_once(monkeypatch):
+    """A cn or dn trajectory builds one AGM table, at construction, for its
+    period and start phase; sampling and the periodicity report reuse it."""
+    from nilmag import h3_type2, specfun
+
+    built = []
+    table = specfun._descent_table
+
+    def counted(k):
+        built.append(k)
+        return table(k)
+
+    monkeypatch.setattr(specfun, "_descent_table", counted)
+    monkeypatch.setattr(h3_type2, "_descent_table", counted)
+    for ic in [(1.3, -0.4, 0.8), (1.0, 0.0, -3.0)]:
+        built.clear()
+        traj = Type2TrajectoryH3(ic)
+        assert built == [traj.modulus]
+        traj.sample(np.linspace(0.0, 5.0, 11))
+        lambda_periodicity(traj)
+        assert built == [traj.modulus]

@@ -127,10 +127,10 @@ def _translation_verifier(solver):
     return traj, lambda t: _verify_translation(t, report.translation, report.omega)
 
 
-# verifier -> (trajectory and check, sample calls): the H5 check samples ts and
-# ts + period; the H3 translation check samples [ts, ts + omega] as one grid
+# verifier -> (trajectory and check, sample calls): the H5 check samples
+# [ts, ts + period] and the H3 translation check [ts, ts + omega], each as one grid
 VERIFIERS = {
-    "verify_periodic": (_h5_verifier, 2),
+    "verify_periodic": (_h5_verifier, 1),
     "translation_h3_cn": (lambda: _translation_verifier("h3_cn"), 1),
     "translation_h3_general": (lambda: _translation_verifier("h3_general"), 1),
 }
