@@ -715,7 +715,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             v0 = rng.standard_normal(alg.dim_v)
             z0 = rng.standard_normal(alg.dim_z)
             sol = solve(alg, force, 1.0, np.concatenate([v0, z0]))
-            for th, xi, jxi in zip(sol.rates, sol.xi, sol.jxi):
+            moving = sol.rates > 0.0  # the rate-0 plane has no A^{-1}
+            for th, xi, jxi in zip(sol.rates[moving], sol.xi[moving], sol.jxi[moving]):
                 f0 = None
                 for t in np.linspace(0.0, 8.0, 9):
                     rot = _expm(t * sol.matrix)  # [e^{tA} xi, e^{tA} A^{-1} xi]

@@ -4,39 +4,47 @@ For a closed type-I force F (skew on v, skew on the flat central directions,
 zero on the commutator directions [n, n]) and charge q, the left-trivialized
 velocity obeys one linear equation x' = A x with A = j(Z0) + q F, j(Z0) acting
 on v: the commutator part Z0c of the central velocity is conserved, and
-closedness makes F vanish on [n, n].  Split x(0) into its part X1 in the
-kernel of A (which carries Z0c and the flat kernel part Z1f) plus rotating
-components xi_p on the invariant subspaces of A with rates th_p > 0.  Then the
-velocity and the exponential-coordinate group curve xi(t) = X(t) + Z(t) are
+closedness makes F vanish on [n, n].  One spectral decomposition of A splits
+x(0) into components x_p on invariant planes with rates th_p >= 0, where
+A^2 = -th_p^2.  The kernel of A is the plane of rate 0: it carries Z0c and
+every rate that the merge cutoff folds into it.  With b_p0 = x_p,
+b_p1 = A x_p and the per-plane functions
 
-    velocity:   x(t) = X1 + sum_p e^{tA} xi_p
-    position:   X(t) + Z(t) = t X1 + sum_p (e^{tA} - Id) A^{-1} xi_p + Zc(t)
-    commutator: Zc(t) = t ( (1/2)[X1, (e^{tA} + Id) A^{-1} X2]
-                            - (1/2) sum_p [xi_p, A^{-1} xi_p] )
-                        - [X1, A^{-2}(e^{tA} - Id) X2]
-                        + (1/2) [e^{tA} A^{-1} X2, A^{-1} X2]
-                        - (1/2) sum_{p != r} (c_pr(t) - c_pr(0)),
+    S = sin(th t)/th,   V = (1 - cos th t)/th^2 = 2 sin^2(th t/2)/th^2,
+    C = 1 - th^2 V,     W = (th t - sin th t)/th^3,
 
-    c_pr(t) = ( [e^{tA} A xi_p, e^{tA} A^{-1} xi_r] - [e^{tA} xi_p, e^{tA} xi_r] )
-              / (th_r^2 - th_p^2),        X2 = sum_p xi_p.
+which are t, t^2/2, 1 and t^3/6 at th = 0 (W is summed as a series where
+|th t| < 1), e^{tA} x_p = C_p b_p0 + S_p b_p1, and the velocity and the
+exponential-coordinate group curve xi(t) = X(t) + Z(t) are
 
-All inverses act on the rotating subspaces only, where A^{-1} = -A / th^2;
-brackets see v parts only, so the planes of the flat central block bracket to
-0.  The commutator formula follows by integrating Zc' = -[x, X]/2 term by
-term; the pair terms integrate in closed form because
-(d/dt)([e^{tA} A xi_p, e^{tA} A^{-1} xi_r] - [e^{tA} xi_p, e^{tA} xi_r])
-equals (th_r^2 - th_p^2) [e^{tA} xi_p, e^{tA} A^{-1} xi_r], and the diagonal
-quantities [e^{tA} xi_p, e^{tA} A^{-1} xi_p] are conserved.
+    velocity:   x(t) = sum_p C_p b_p0 + S_p b_p1
+    position:   X(t) + Z(t) = sum_p S_p b_p0 + V_p b_p1 + Zc(t)
+    commutator: Zc(t) = -(1/2) int_0^t [x, X]
+                      = (1/2) sum_p W_p [b_p0, b_p1]
+                        - (1/2) sum_{p != r} sum_{a,b} [b_pa, b_rb] I_ab(p, r).
 
-Evaluation is tabulated.  A maps span{xi_p, A xi_p} to itself, with
-e^{tA} xi_p = cos(th_p t) xi_p + sin(th_p t)/th_p A xi_p, so every bracket
-above combines the fixed brackets pair[p, a, r, b] = [b_pa, b_rb] and
-cross[p, a] = [X1, b_pa] of the basis b_p0 = xi_p, b_p1 = A xi_p.  Each
-c_pr(t) is a bilinear form in (cos th_p t, sin th_p t) and
-(cos th_r t, sin th_r t) with table coefficients; every other term is linear
-in cos, sin and 1 - cos of th_p t.  The tables are built once from the
-structure tensor, and sample(ts) contracts (T, P, 2) trig coefficient arrays
-with them.
+I_ab(p, r) integrates the velocity coefficient a of plane p (C_p, S_p) times
+the position coefficient b of plane r (S_r, V_r); with D = th_p^2 - th_r^2,
+
+    I_00 = int C_p S_r = (th_p^2 (S_p S_r - V_p) - th_r^2 C_p V_r) / D
+    I_01 = int C_p V_r = (th_p^2 S_p V_r - S_p + C_p S_r) / D
+    I_10 = int S_p S_r = (S_p C_r - C_p S_r) / D
+    I_11 = int S_p V_r = (S_p S_r - V_p - C_p V_r) / D,
+
+as differentiating with S' = C, V' = S and C = 1 - th^2 V shows; on the
+diagonal the integrand is (C V - S^2)[b_p0, b_p1] = -W'[b_p0, b_p1].
+Distinct planes have distinct rates, so D != 0 off the diagonal.  Brackets
+see v parts only, so a plane without a v part (the commutator velocity, a
+flat central rotation) brackets to 0.
+
+Evaluation is tabulated.  With C = 1 - th^2 V, the pair sum is a quadratic
+plus a linear form in u = (S_p | V_p), the coefficients of X(t); their
+weights, the brackets [b_pa, b_rb] times the coefficients above over D, are
+built once from the structure tensor, and a sample grid needs sin(th t) and
+sin(th t/2) per plane and time.  No coefficient divides by a small rate: S,
+V and W stay within |t|, t^2/2 and |t|^3/6, and a rate folded into the
+kernel costs O((th t)^2) only.  The weights 1/D still lose digits between
+planes of near-equal distinct rates that bracket against each other.
 
 Special case: an exact force F = j(Z~) (+) 0 shifts a geodesic (the velocity
 equals a geodesic velocity minus q Z~, the position picks up -t q Z~).
@@ -44,6 +52,7 @@ equals a geodesic velocity minus q Z~, the position picks up -t q Z~).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +74,8 @@ __all__ = [
 ]
 
 _MERGE_TOL = 1e-9
+# (-1)^n / (2n + 3)! for n = 7, ..., 0: (x - sin x) / x^3 in powers of x^2, to 5e-17 for |x| < 1
+_W_SERIES = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(7, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -147,42 +158,47 @@ def spectral_decompose(j_matrix: np.ndarray) -> SkewSpectrum:
     if max_rate <= 0.0:
         return SkewSpectrum(kernel=np.eye(n), planes=(), matrix=j_matrix)
     kernel_mask = rates <= _MERGE_TOL * max_rate
-    kernel = vecs[:, kernel_mask].T
-    idx = np.where(~kernel_mask)[0]
-    planes: list[InvariantPlane] = []
-    group: list[int] = []
-    for i in idx:
-        if group and abs(rates[i] - rates[group[-1]]) > _MERGE_TOL * max_rate:
-            planes.append(InvariantPlane(float(np.mean(rates[group])), vecs[:, group].T.copy()))
-            group = []
-        group.append(int(i))
-    if group:
-        planes.append(InvariantPlane(float(np.mean(rates[group])), vecs[:, group].T.copy()))
-    return SkewSpectrum(kernel=kernel, planes=tuple(planes), matrix=j_matrix)
+    idx = np.flatnonzero(~kernel_mask)  # ascending rates, split where consecutive ones part
+    groups = np.split(idx, np.flatnonzero(np.diff(rates[idx]) > _MERGE_TOL * max_rate) + 1)
+    planes = tuple(InvariantPlane(float(rates[g].sum() / g.size), vecs[:, g].T.copy())
+                   for g in groups if g.size)
+    return SkewSpectrum(kernel=vecs[:, kernel_mask].T, planes=planes, matrix=j_matrix)
 
 
-def _rotating_parts(spec: SkewSpectrum, x: np.ndarray, scale: float):
-    """Rates (P,) and components xi_p (P, n) of x on the planes of spec.
-
-    Components that are numerically zero are dropped (keeps pair sums clean).
-    """
-    kept = [(pl.rate, pl.basis.T @ (pl.basis @ x)) for pl in spec.planes]
-    kept = [(rate, c) for rate, c in kept if np.linalg.norm(c) > 1e-14 * scale]
-    comps = np.array([c for _, c in kept]).reshape(len(kept), x.shape[0])
-    return np.array([rate for rate, _ in kept]), comps
+def _plane_parts(spec: SkewSpectrum, x: np.ndarray):
+    """Rates (P,) and components x_p (P, n) of x on the kernel (rate 0) and
+    the planes of spec; numerically zero components are dropped."""
+    rates = np.array([0.0] + [pl.rate for pl in spec.planes])
+    comps = np.array([spec.project_kernel(x)] + [pl.basis.T @ (pl.basis @ x) for pl in spec.planes])
+    kept = np.linalg.norm(comps, axis=1) > 1e-14 * max(1.0, float(np.linalg.norm(x)))
+    return rates[kept], comps[kept]
 
 
-def _coeffs(on_xi: np.ndarray, on_jxi: np.ndarray) -> np.ndarray:
-    """(T, P) coefficients of xi_p and A xi_p as (T, 2P) rows, ordered (p, xi | A xi)."""
-    return np.stack([on_xi, on_jxi], axis=2).reshape(on_xi.shape[0], 2 * on_xi.shape[1])
+def _plane_functions(ts: np.ndarray, th: np.ndarray, inv: np.ndarray):
+    """S, V and W (T, P) of the module docstring on the grid ts for the rates
+    th; inv is 1/th, and 1 where th = 0."""
+    x = np.multiply.outer(ts, th)
+    sin_x = np.sin(x)
+    num = x - sin_x
+    small = np.abs(x) < np.where(th > 0.0, 1.0, 0.0)  # where th t - sin th t cancels
+    if small.any():
+        xs = x[small]
+        num[small] = xs**3 * np.polyval(_W_SERIES, xs * xs)
+    half = np.sin(0.5 * x)
+    s, v, w = sin_x * inv, 2.0 * inv**2 * half * half, num * inv**3
+    t, zero = ts[:, None], th == 0.0
+    s[:, zero], v[:, zero], w[:, zero] = t, 0.5 * t * t, t**3 / 6.0
+    return s, v, w
 
 
 class TypeISolution(Trajectory):
     """Closed-form solution for a closed type-I force.
 
-    matrix is A = j(Z0) + q F; spectrum is the decomposition of its v block.
-    sample(ts) evaluates a whole grid into CurveSamples as array products with
-    bracket tables built once at construction.
+    matrix is A = j(Z0) + q F and spectrum its decomposition.  The planes
+    with a component of x(0), the rate-0 plane first if there is one, are
+    rates (P,), xi (the x_p) and jxi = A xi, (P, dim); pair[p, a, r, b] =
+    [b_pa, b_rb] is their bracket table.  sample(ts) evaluates a whole grid
+    into CurveSamples as array products with tables built once.
     """
 
     solver = "closed-form-type-1"
@@ -193,101 +209,74 @@ class TypeISolution(Trajectory):
         self.force = force
         self.ic = ic
         dv = alg.dim_v
-        v0 = np.asarray(ic.v0, float)
-        z0 = np.asarray(ic.z0, float)
-
-        # each block of A is decomposed on its own, so that its kernel cutoff is
-        # relative to its own rates; the planes of both go into one list
         a = np.zeros((alg.dim, alg.dim))
-        a[:dv, :dv] = alg.j_map(z0) + ic.charge * force.block_vv
+        a[:dv, :dv] = alg.j_map(np.asarray(ic.z0, float)) + ic.charge * force.block_vv
         a[dv:, dv:] = ic.charge * force.block_zz
         self.matrix = a
-        self.spectrum = spectral_decompose(a[:dv, :dv])
-        flat = spectral_decompose(a[dv:, dv:])
-        self.x1 = np.concatenate([self.spectrum.project_kernel(v0), flat.project_kernel(z0)])
-        rates_v, xi_v = _rotating_parts(self.spectrum, v0, max(1.0, float(np.linalg.norm(v0))))
-        rates_z, xi_z = _rotating_parts(flat, z0, max(1.0, float(np.linalg.norm(z0))))
-        self.rates = np.concatenate([rates_v, rates_z])
-        self.xi = np.zeros((self.rates.shape[0], alg.dim))
-        self.xi[: rates_v.shape[0], :dv] = xi_v
-        self.xi[rates_v.shape[0] :, dv:] = xi_z
+        self.spectrum = spectral_decompose(a)
+        self.rates, self.xi = _plane_parts(self.spectrum, np.concatenate([ic.v0, ic.z0], dtype=float))
         self.jxi = self.xi @ a.T
-
-        # bracket tables on the basis b_pa of {xi_p, A xi_p}:
-        # pair[p, a, r, b] = [b_pa, b_rb] and cross[p, a] = [X1, b_pa]; brackets read
-        # the v parts only, so every entry of a flat plane is exactly 0
         th = self.rates
         n = th.shape[0]
-        basis = np.stack([self.xi, self.jxi], axis=1)
-        self._basis = basis.reshape(2 * n, alg.dim)
-        basis = basis[:, :, :dv]
+        self._inv = np.divide(1.0, th, out=np.ones_like(th), where=th > 0.0)
+
+        # pair[p, a, r, b] = [b_pa, b_rb] reads the v parts only
+        self._basis = np.concatenate([self.xi, self.jxi])  # rows b_p0, then rows b_p1
+        basis = np.stack([self.xi, self.jxi], axis=1)[:, :, :dv]
         tensor = alg.structure[:dv, :dv, dv:]
         self.pair = np.einsum("pajk,rbj->parbk", np.einsum("pai,ijk->pajk", basis, tensor), basis)
-        self.cross = basis @ np.einsum("i,ijk->jk", self.x1[:dv], tensor)
+        self._self_pair = self.pair[np.arange(n), 0, np.arange(n), 1]  # [b_p0, b_p1]
 
-        # constant central ingredients, with A^{-1} xi_p = -A xi_p / th_p^2
-        inv2 = 1.0 / th**2
-        f0_sum = -inv2 @ self.pair[np.arange(n), 0, np.arange(n), 1]  # sum_p [xi_p, A^-1 xi_p]
-        x1_jinv_x2 = -inv2 @ self.cross[:, 1]  # [X1, A^-1 X2]
-        self._drift = 0.5 * (x1_jinv_x2 - f0_sum)
-        jinv_x2 = -np.einsum("park,r->pak", self.pair[:, :, :, 1], inv2)  # [b_pa, A^-1 X2]
-        self._jinv_x2 = jinv_x2.reshape(2 * n, alg.dim_z)
-
-        # sum_{p != r} c_pr(t) as a bilinear form in u_p = (cos th_p t, sin th_p t):
-        # e^{tA} A xi_p, e^{tA} A^{-1} xi_p and e^{tA} xi_p are u_p @ m_j, u_p @ m_i and
-        # u_p @ m_e in the coordinates (xi_p, A xi_p).  A gap of 0 off the diagonal
-        # pairs a v plane with a flat plane of equal rate; their bracket is 0, and so
-        # is their weight
-        self._gap = th**2 - th[:, None] ** 2  # th_r^2 - th_p^2 at [p, r]
-        self._gap[self._gap == 0.0] = np.inf
-        weighted = self.pair / self._gap[:, None, :, None, None]
-        zero, one = np.zeros(n), np.ones(n)
-        m_j = np.array([[zero, one], [-th, zero]]).transpose(2, 0, 1)
-        m_i = np.array([[zero, -inv2], [1.0 / th, zero]]).transpose(2, 0, 1)
-        m_e = np.array([[one, zero], [zero, 1.0 / th]]).transpose(2, 0, 1)
-        table = np.einsum("pxa,ryb,parbk->pxryk", m_j, m_i, weighted)
-        table -= np.einsum("pxa,ryb,parbk->pxryk", m_e, m_e, weighted)
-        self._c0_sum = table[:, 0, :, 0].sum(axis=(0, 1))  # u_p(0) = (1, 0)
-        self._pair_table = table.reshape(2 * n, 2 * n * alg.dim_z)
+        # with C = 1 - th^2 V, sum_{p != r} sum_{a,b} [b_pa, b_rb] I_ab(p, r) is a
+        # quadratic form in u = (S_p | V_p) plus a linear one; w_ab = [b_pa, b_rb] / D,
+        # and 0 at p = r
+        tp, tr = th[:, None, None] ** 2, th[None, :, None] ** 2
+        gap = tp - tr
+        weight = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0.0)
+        w00, w01, w10, w11 = (weight * self.pair[:, i, :, j] for i, j in np.ndindex(2, 2))
+        e, f, g = w10 - w01, tp * w00 + w11, tr * w00 + w11
+        quad = np.array([[f, tp * w01 - tr * w10], [tp * e, tp * g]])  # (S_p | V_p) x (S_r | V_r)
+        self._quad = quad.transpose(0, 2, 1, 3, 4).reshape(2 * n, 2 * n * alg.dim_z)
+        self._lin = np.concatenate([e.sum(axis=1) - e.sum(axis=0), -f.sum(axis=1) - g.sum(axis=0)])
 
     # -- evaluation ------------------------------------------------------
 
     def sample(self, ts: np.ndarray) -> CurveSamples:
         ts = np.asarray(ts, dtype=float)
         n_t, dv, dz = ts.shape[0], self.alg.dim_v, self.alg.dim_z
-        th = self.rates
-        arg = np.multiply.outer(ts, th)
-        c, s, omc = np.cos(arg), np.sin(arg), 2.0 * np.sin(0.5 * arg) ** 2  # omc = 1 - cos
-        exp_jinv = _coeffs(s / th, -c / th**2)  # e^{tA} A^{-1} xi_p
-        u = _coeffs(c, s)
-        pairs = u @ self._pair_table
-        pair_sum = np.matmul(u[:, None, :], pairs.reshape(n_t, u.shape[1], dz))[:, 0]
-        cross = self.cross.reshape(u.shape[1], dz)
-        vel = self.x1 + _coeffs(c, s / th) @ self._basis
-        xi = ts[:, None] * self.x1 + _coeffs(s / th, omc / th**2) @ self._basis
-        xi[:, dv:] += (
-            ts[:, None] * (self._drift + 0.5 * exp_jinv @ cross)
-            - _coeffs(omc / th**2, -s / th**3) @ cross  # [X1, A^-2 (e^{tA} - Id) X2]
-            + 0.5 * exp_jinv @ self._jinv_x2
-            - 0.5 * (pair_sum - self._c0_sum)
-        )
+        s, v, w = _plane_functions(ts, self.rates, self._inv)
+        u = np.concatenate([s, v], axis=1)  # the coefficients of the rows of _basis in X(t)
+        quad = np.matmul(u[:, None, :], (u @ self._quad).reshape(n_t, u.shape[1], dz))[:, 0]
+        vel = np.concatenate([1.0 - self.rates**2 * v, s], axis=1) @ self._basis
+        xi = u @ self._basis
+        xi[:, dv:] += 0.5 * (w @ self._self_pair - u @ self._lin - quad)
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
 
     # -- derived quantities ----------------------------------------------
 
+    @property
+    def x1(self) -> np.ndarray:
+        """The component X1 of x(0) on the rate-0 plane (0 if there is none)."""
+        return self.xi[self.rates == 0.0].sum(axis=0)
+
     def speed(self) -> float:
         """The conserved speed |x(t)| = |x(0)|."""
-        return float(np.linalg.norm(self.x1 + self.xi.sum(axis=0)))
+        return float(np.linalg.norm(self.xi.sum(axis=0)))
 
     def linear_coefficient(self) -> np.ndarray:
         """Average central drift: the constant part of the t-linear coefficient.
 
         The full coefficient of t also carries the bounded oscillation
         [X1, e^{tA} A^{-1} X2]/2 whenever the kernel component brackets
-        against the rotating subspaces; this method reports the constant part
-        Z0c + Z1f + [X1, A^{-1} X2]/2 - sum_p [xi_p, A^{-1} xi_p]/2.
+        against the rotating planes; this method reports the constant part
+        Z0c + Z1f + [X1, A^{-1} X2]/2 - sum_p [x_p, A^{-1} x_p]/2, with
+        X2 = sum_p x_p and A^{-1} x_p = -A x_p / th_p^2 over the planes of
+        rate th_p > 0.
         """
-        return self.x1[self.alg.dim_v :] + self._drift
+        rot = self.rates > 0.0
+        kernel_pair = self.pair[~rot, 0][:, rot, 1].sum(axis=0)  # [X1, A x_p]
+        drift = 0.5 * (self._inv[rot] ** 2 @ (self._self_pair[rot] - kernel_pair))
+        return self.x1[self.alg.dim_v :] + drift
 
     def central_oscillation_bound(self) -> float:
         """Triangle-inequality bound for the bounded central oscillation.
@@ -296,17 +285,21 @@ class TypeISolution(Trajectory):
         part)| uniformly in t; the oscillating t-linear part is
         [X1, e^{tA} A^{-1} X2]/2, bounded by lam |X1| |A^{-1}X2| per unit t,
         so this constant bounds the non-growing remainder only.  Brackets see
-        the v parts of the planes, the flat rotation its central parts.
+        the v parts of the rotating planes (rate > 0), the flat rotation their
+        central parts.
         """
         lam = self._bracket_norm()
         dv = self.alg.dim_v
-        th = self.rates
-        nx = np.linalg.norm(self.xi[:, :dv], axis=1)
+        rot = self.rates > 0.0
+        th, xi = self.rates[rot], self.xi[rot]
+        nx = np.linalg.norm(xi[:, :dv], axis=1)
         b = lam * float(np.linalg.norm(self.x1[:dv])) * 2.0 * (nx @ th**-2.0)
         b += 0.5 * lam * (nx @ (1.0 / th)) ** 2
         amp = lam * (np.outer(th * nx, nx / th) + np.outer(nx, nx))
-        b += np.sum(amp / np.abs(self._gap))  # (1/2) * 2 endpoints per pair
-        b += 2.0 * (np.linalg.norm(self.xi[:, dv:], axis=1) @ (1.0 / th))
+        gap = np.abs(th**2 - th[:, None] ** 2)
+        # (1/2) * 2 endpoints per pair
+        b += np.sum(np.divide(amp, gap, out=np.zeros_like(amp), where=gap > 0.0))
+        b += 2.0 * (np.linalg.norm(xi[:, dv:], axis=1) @ (1.0 / th))
         return float(b)
 
     def _bracket_norm(self) -> float:

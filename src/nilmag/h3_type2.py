@@ -147,11 +147,13 @@ class Type2TrajectoryH3(Trajectory):
         self.v1_norm = math.hypot(self.x0, self.y1)  # S above
         s = self.v1_norm
         z0 = self.z0
-        disc = 2.0 * (s + self.y1) - z0 * z0
+        # S - y1 and S + y1 without cancellation: the smaller is x0^2 over the larger
+        big = s + abs(self.y1)
+        small = self.x0 * self.x0 / big if big > 0.0 else 0.0
+        self._s_minus_y1, s_plus_y1 = (small, big) if self.y1 > 0.0 else (big, small)
+        disc = 2.0 * s_plus_y1 - z0 * z0
         self.disc = disc
         self.boundary_margin = abs(disc) / max(1.0, s)
-        # S - y1 = x0^2 / (S + y1) without cancellation when y1 > 0
-        self._s_minus_y1 = self.x0 * self.x0 / (s + self.y1) if self.y1 > 0.0 else s - self.y1
 
         self.amplitude = 0.0
         self.modulus = 0.0
@@ -164,15 +166,16 @@ class Type2TrajectoryH3(Trajectory):
             self.branch = Branch.LINEAR
             return
 
-        if abs(disc) <= _BOUNDARY_TOL * max(1.0, s):
-            # separatrix: |z0| = 2 sqrt(S) up to rounding, z0 != 0 here
+        if z0 != 0.0 and abs(disc) <= _BOUNDARY_TOL * max(1.0, s):
+            # separatrix: |z0| = 2 sqrt(S) up to rounding; a curve with z0 = 0 has
+            # disc = 2 (S + y1) > 0 and stays on cn, however small its k'
             self.branch = Branch.SECH_POS if z0 > 0 else Branch.SECH_NEG
             self.sign = 1.0 if z0 > 0 else -1.0
             self.amplitude = 2.0 * math.sqrt(s)
             self.modulus = 1.0
             self.rate = math.sqrt(s)
-            ratio = min(abs(z0) / self.amplitude, 1.0)
-            c2 = math.acosh(1.0 / ratio) if ratio < 1.0 else 0.0
+            # sech c2 = |z0| / (2 sqrt(S)), so sinh c2 = sqrt(4 S - z0^2) / |z0|
+            c2 = math.asinh(math.sqrt(max(2.0 * self._s_minus_y1 + disc, 0.0)) / abs(z0))
             self.phase = math.copysign(c2, self.sign * self.x0) if self.x0 else c2
             return
 
@@ -181,6 +184,7 @@ class Type2TrajectoryH3(Trajectory):
             self.branch = Branch.CN
             self.amplitude = a
             self.modulus = a / (2.0 * math.sqrt(s))
+            self._complement = math.sqrt(disc) / (2.0 * math.sqrt(s))  # k'
             self.rate = math.sqrt(s)
             self.period = q * (4.0 * self._descent.big_k / self.rate)
             # the amplitude of cn = z0 / a, sn = sqrt(2 (S - y1)) / a
@@ -191,11 +195,11 @@ class Type2TrajectoryH3(Trajectory):
         self.branch = Branch.DN
         self.amplitude = a
         self.modulus = 2.0 * math.sqrt(s) / a
+        self._complement = math.sqrt(-disc) / a  # k'
         self.rate = 0.5 * a
         self.period = q * (4.0 * self._descent.big_k / a)
         self.sign = 1.0 if z0 > 0 else -1.0
         # the amplitude of dn = |z0| / a: sn^2 = (S - y1)/(2S), cn^2 = (S + y1)/(2S)
-        s_plus_y1 = s + self.y1 if self.y1 > 0.0 else self.x0 * self.x0 / self._s_minus_y1
         c1 = _elliptic_f(math.sqrt(self._s_minus_y1), math.sqrt(s_plus_y1), self._descent)
         if self.sign > 0:
             self.phase = c1 if self.x0 >= 0.0 else -c1
@@ -213,21 +217,28 @@ class Type2TrajectoryH3(Trajectory):
         t = ts / q
         u = self.phase - r * np.concatenate(([0.0], t))
         if self.branch is Branch.LINEAR:
-            psi, dpsi, i1, i2, i3 = np.full(t.size, z0), np.zeros(t.size), 0.0, 0.0, 0.0
+            phi = dpsi = np.zeros(t.size)
+            psi, i1, i2, i3 = phi + z0, 0.0, 0.0, 0.0
         elif self.branch is Branch.CN or self.branch is Branch.DN:
             sn, cn, dn, zeta = _jacobi_zeta(u, self._descent)
             i1, i2, i3 = self._power_integrals(t, self._centred_antiderivatives(u, sn, cn, dn, zeta))
             sn, cn, dn, ar = sn[1:], cn[1:], dn[1:], self.amplitude * r
             if self.branch is Branch.CN:
                 psi, dpsi = self.amplitude * cn, ar * sn * dn
+                phi = psi - z0
             else:
-                psi, dpsi = self.sign * self.amplitude * dn, self.sign * ar * self.modulus**2 * sn * cn
+                a, k2 = self.amplitude, self.modulus**2
+                psi, dpsi = self.sign * a * dn, self.sign * ar * k2 * sn * cn
+                # Phi = sign (a dn - |z0|) without cancellation at large |z0|:
+                # a - |z0| = 2 (S - y1) / (a + |z0|) and 1 - dn = k^2 sn^2 / (1 + dn)
+                gap = 2.0 * self._s_minus_y1 / (a + abs(z0))
+                phi = self.sign * (gap - a * k2 * sn * sn / (1.0 + dn))
         else:
             sech_u, tanh_u = sech(u), np.tanh(u)
             i1, i2, i3 = self._sech_integrals(t, u, sech_u, tanh_u)
             psi = self.sign * self.amplitude * sech_u[1:]
             dpsi = self.sign * self.amplitude * r * sech_u[1:] * tanh_u[1:]
-        phi = psi - z0
+            phi = psi - z0
         xi_y = self.y0 * t + z0 * i1 + 0.5 * i2
         xi_z = z0 * t + self.y1 * i1 + z0 * i2 + 0.5 * i3 - 0.5 * phi * xi_y
         xi = np.stack((phi, xi_y, xi_z), axis=1)
@@ -253,8 +264,9 @@ class Type2TrajectoryH3(Trajectory):
     @cached_property
     def _descent(self):
         """The modulus's one AGM table: K, M and c_n, and the Landen recursions
-        of the start phase (specfun._elliptic_f) and of a grid (specfun._jacobi_zeta)."""
-        return _descent_table(self.modulus)
+        of the start phase (specfun._elliptic_f) and of a grid (specfun._jacobi_zeta).
+        k' comes from disc, not from k, so it keeps its digits near k = 1."""
+        return _descent_table(self.modulus, self._complement)
 
     def _centred_antiderivatives(self, u, sn, cn, dn, zeta):
         """Antiderivatives P_j in u of D^j - <D^j>, j = 1, 2, 3, elementwise, where

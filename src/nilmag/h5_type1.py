@@ -76,26 +76,6 @@ def _h5_algebra() -> MetricNilAlgebra:
     return MetricNilAlgebra.heisenberg(2)
 
 
-def _complexify(m4: np.ndarray) -> np.ndarray:
-    """2x2 complex matrix of a real 4x4 matrix commuting with diag(R, R)."""
-    out = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            block = m4[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            out[i, j] = complex(block[0, 0], block[1, 0])
-    return out
-
-
-def _realify(m2: np.ndarray) -> np.ndarray:
-    """Inverse of _complexify: x + iy becomes [[x, -y], [y, x]] blockwise."""
-    out = np.zeros((4, 4))
-    for i in range(2):
-        for j in range(2):
-            x, y = m2[i, j].real, m2[i, j].imag
-            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = np.array([[x, -y], [y, x]])
-    return out
-
-
 @dataclass(frozen=True)
 class H5Force:
     """A j-commuting closed force on H5 in diagonalized form.
@@ -139,14 +119,21 @@ class H5Force:
             raise UnsupportedForceError(
                 "H5 diagonalization needs the v-block to commute with j(Z)"
             )
-        a = _complexify(fv)
-        h = -1j * a
-        w, u = np.linalg.eigh(0.5 * (h + h.conj().T))
-        frame = _realify(u.conj().T)
-        want = cls.from_rates(w[0], w[1]).matrix[:4, :4]
+        # -j(Z) F_v is symmetric, with eigenvalues mu1, mu1, mu2, mu2 on the
+        # j-invariant planes {e, j e}; F_v e = mu j e there
+        sym = -jz @ fv
+        w, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+        e1 = vecs[:, 0]
+        line = np.stack([e1, jz @ e1])
+        rest = vecs[:, 2:] - line.T @ (line @ vecs[:, 2:])  # mu2 eigenvectors, off span{e1, j e1}
+        e3 = rest[:, np.argmax(np.linalg.norm(rest, axis=0))]
+        e3 /= np.linalg.norm(e3)
+        frame = np.stack([e1, jz @ e1, e3, jz @ e3])
+        mu1, mu2 = float(w[0]), float(w[-1])
+        want = cls.from_rates(mu1, mu2).matrix[:4, :4]
         if np.max(np.abs(frame @ fv @ frame.T - want)) > 1e-10 * scale:
             raise UnsupportedForceError("diagonalization of the v-block failed")
-        return cls(mu1=float(w[0]), mu2=float(w[1]), frame=frame, matrix=f.matrix.copy())
+        return cls(mu1=mu1, mu2=mu2, frame=frame, matrix=f.matrix.copy())
 
     @property
     def rates(self) -> tuple[float, float]:
@@ -167,7 +154,9 @@ class H5Branch(enum.Enum):
 class H5Trajectory(TypeISolution):
     """Magnetic trajectory on H5: the TypeISolution of the force's 5x5 matrix.
 
-    branch counts the resonant blocks, the rate-0 planes of J = j(z0) + charge F_v.
+    branch counts the resonant blocks, the rate-0 planes of J = j(z0) + charge F_v:
+    the v part of the kernel of A, whose dimension is the squared norm of the
+    v parts of its orthonormal basis.
     """
 
     def __init__(self, force: H5Force, v0: np.ndarray, z0: float, charge: float = 1.0):
@@ -179,7 +168,8 @@ class H5Trajectory(TypeISolution):
         alg = _h5_algebra()
         ic = InitialCondition(v0, np.array([float(z0)]), float(charge))
         super().__init__(alg, LorentzForce(alg, force.matrix), ic)
-        self.branch = list(H5Branch)[self.spectrum.kernel.shape[0] // 2]
+        resonant_dim = np.sum(self.spectrum.kernel[:, :4] ** 2)
+        self.branch = list(H5Branch)[round(resonant_dim) // 2]
 
     def energy(self) -> float:
         return 0.5 * self.speed() ** 2

@@ -72,10 +72,13 @@ class _DescentTable(NamedTuple):
     c_seq: tuple[float, ...]
 
 
-def _descent_table(k: float) -> _DescentTable:
+def _descent_table(k: float, kp: float | None = None) -> _DescentTable:
     """The table of 0 <= k < 1.  c_0 = k and c_{n+1} = (a_n - b_n)/2 is
-    computed as c_n^2 / (4 a_{n+1}), without the cancellation in a_n - b_n."""
-    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    computed as c_n^2 / (4 a_{n+1}), without the cancellation in a_n - b_n.
+    kp = k' = sqrt(1 - k^2) defaults to sqrt((1 - k)(1 + k)); a caller that
+    knows k' to more digits than that near k = 1 passes it."""
+    a, c = 1.0, k
+    b = math.sqrt((1.0 - k) * (1.0 + k)) if kp is None else kp
     a_seq, b_seq, c_seq = [a], [b], [c]
     for _ in range(_MAX_AGM_ITER):
         if c <= _AGM_STOP * a:

@@ -498,6 +498,46 @@ def test_start_velocity_keeps_x0_to_the_last_digit(branch):
         assert abs(vel[2] - ic[2]) <= 1e-14 * np.linalg.norm(ic), (ic, vel[2])
 
 
+@pytest.mark.parametrize("x0", [1e-7, -1e-7, 1e-9, -1e-9])
+def test_z0_zero_next_to_the_separatrix_is_a_cn_curve(x0):
+    """(x0, -1.7, 0) is a cn curve with k' of order |x0|: disc = 2 x0^2 / (S - y1)
+    > 0.  Taken as 2 (S + y1), disc cancelled to rounding or to 0, the curve
+    snapped to sech with z0 = 0 and construction divided by 0.  The AGM table
+    takes k' = sqrt(disc) / (2 sqrt(S)) from the data, not from k."""
+    ic = (x0, -1.7, 0.0)
+    traj = Type2TrajectoryH3(ic)
+    assert traj.branch is Branch.CN and traj.disc > 0.0
+    ts = np.linspace(0.0, 12.0, 61)
+    want = oracle_curve(ic, ts, tol=1e-13)
+    got = traj.sample(ts)
+    assert np.max(np.abs(got.xi - want.xi)) < 1e-6
+    assert np.max(np.abs(got.velocity - want.velocity)) < 1e-6
+
+
+@pytest.mark.parametrize("ic", [(-1e-7, 0.0, 2.0000000000000027), (1e-7, 0.0, 2.0000000000000027),
+                                (-1e-7, 0.0, -2.0000000000000027)])
+def test_separatrix_start_velocity_keeps_x0(ic):
+    """On the separatrix (disc = 0 exactly here) velocity(0) returns x0 to 1e-14
+    of the speed: the start phase is asinh(sqrt(2 (S - y1) + disc) / |z0|),
+    where acosh(2 sqrt(S) / |z0|) read -9.42e-8 for -1e-7."""
+    traj = Type2TrajectoryH3(ic)
+    assert traj.branch in (Branch.SECH_POS, Branch.SECH_NEG) and traj.disc == 0.0
+    vel = traj.sample(np.array([0.0])).velocity[0]
+    assert abs(vel[0] - ic[0]) <= 1e-14 * np.linalg.norm(ic), vel[0]
+
+
+@pytest.mark.parametrize("z0", [1e4, -1e4, 1e6, -1e6, 1e8, -1e8])
+def test_dn_start_velocity_keeps_y0_at_large_z0(z0):
+    """velocity(0) returns y0 to 1e-14 of the speed on dn at large |z0|: the y
+    velocity y0 + z0 Phi + Phi^2 / 2 needs Phi = sign (a dn - |z0|) without the
+    cancellation of psi - z0, which read -1.89 for y0 = -0.4 at z0 = 1e8."""
+    ic = (0.7, -0.4, z0)
+    traj = Type2TrajectoryH3(ic)
+    assert traj.branch is Branch.DN
+    vel = traj.sample(np.array([0.0])).velocity[0]
+    assert abs(vel[1] - ic[1]) <= 1e-14 * np.linalg.norm(ic), vel[1]
+
+
 def test_construction_runs_the_agm_once(monkeypatch):
     """A cn or dn trajectory builds one AGM table, at construction, for its
     period and start phase; sampling and the periodicity report reuse it."""
@@ -506,9 +546,9 @@ def test_construction_runs_the_agm_once(monkeypatch):
     built = []
     table = specfun._descent_table
 
-    def counted(k):
+    def counted(k, kp=None):
         built.append(k)
-        return table(k)
+        return table(k, kp)
 
     monkeypatch.setattr(specfun, "_descent_table", counted)
     monkeypatch.setattr(h3_type2, "_descent_table", counted)
