@@ -43,6 +43,9 @@ _ZERO_TOL = 1e-10
 # Seed and count of the Gaussian probe directions in z of the random routes.
 _PROBE_SEED = 20240817
 _SAMPLES = 10_000
+# Cap on the entries of the j(Z) stack one level of the half-circle search
+# evaluates (2^21 floats, 16 MB); past it the search gives up its certificate.
+_SEARCH_ENTRIES = 2**21
 
 
 class SingularityKind(Enum):
@@ -57,12 +60,14 @@ class SingularityKind(Enum):
 class SingularityReport:
     """Outcome of classify_singularity.
 
-    exhaustive is True when the verdict is a proof (exact polynomial root
-    analysis for dim z <= 2, the Pfaffian form for dim v = 4, the sign
-    change of the odd-degree Pfaffian for dim v = 2 (mod 4), the
-    odd-dimensional-v argument, the h-type shortcut, or a mixed pair of
-    witnesses), False when it only reflects seeded random sampling of the
-    central sphere.
+    exhaustive is True when the verdict is a proof: the certified
+    half-circle search for dim z <= 2 (exact up to its threshold: a
+    direction counts as singular when sigma_min j(Z) <= 1e-8 times the norm
+    of Z -> j(Z)), the Pfaffian form for dim v = 4, the sign change of the
+    odd-degree Pfaffian for dim v = 2 (mod 4), the odd-dimensional-v
+    argument, the h-type shortcut, or a mixed pair of witnesses.  It is
+    False when the verdict only reflects seeded random sampling of the
+    central sphere, or when the half-circle search outgrows its work cap.
     """
 
     kind: SingularityKind
@@ -98,11 +103,6 @@ def _pfaffian(a: np.ndarray) -> float:
         col = a[k + 2 :, k + 1].copy()
         a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
     return float(pf)
-
-
-def _circle(thetas: np.ndarray) -> np.ndarray:
-    """Unit vectors (cos theta, sin theta), stacked along the last axis."""
-    return np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
 
 
 def _as_vector(x, dim: int, what: str, rows: bool = False) -> np.ndarray:
@@ -514,12 +514,12 @@ class MetricNilAlgebra:
     def classify_singularity(self) -> SingularityReport:
         """Classify the invertibility pattern of j(Z) over the central sphere.
 
-        Exact for dim z <= 2 (polynomial analysis of det j(Z), plus the
-        parity shortcut: skew maps on odd-dimensional v are always singular),
-        for dim v = 4 (the quadratic form Pf j(Z)), for dim v = 2 (mod 4)
-        (Pf j(Z) has odd degree, so it changes sign) and for h-type
-        algebras; otherwise deterministic sampling of _SAMPLES seeded Gaussian
-        central directions, with `exhaustive=False` on all-regular /
+        Proved for odd dim v (skew maps there are always singular), for
+        h-type algebras, for dim z <= 2 (a certified search over the central
+        half circle, _classify_half_circle), for dim v = 4 (the quadratic form
+        Pf j(Z)) and for dim v = 2 (mod 4) (Pf j(Z) has odd degree, so it
+        changes sign); otherwise deterministic sampling of _SAMPLES seeded
+        Gaussian central directions, with `exhaustive=False` on all-regular /
         all-singular verdicts.
         """
         dv, dz = self.dim_v, self.dim_z
@@ -542,29 +542,22 @@ class MetricNilAlgebra:
             return SingularityReport(
                 SingularityKind.NONSINGULAR, True, "h_type", regular_direction=zdir
             )
-        if dz == 1:
-            j1 = self.j_map(np.array([1.0]))
-            s = np.linalg.svd(j1, compute_uv=False)
-            one = np.array([1.0])
-            if s[-1] > _ZERO_TOL * max(1.0, s[0]):
-                return SingularityReport(
-                    SingularityKind.NONSINGULAR, True, "single_direction", regular_direction=one
-                )
-            return SingularityReport(
-                SingularityKind.SINGULAR, True, "single_direction", singular_direction=one
-            )
-        if dz == 2:
-            return self._classify_dim_z2()
+        if dz <= 2:
+            return self._classify_half_circle()
         if dv == 4:
             return self._classify_pfaffian()
         if dv % 4 == 2:
             return self._classify_odd_pfaffian()
         return self._classify_sampling()
 
+    def _singular_values(self, dirs: np.ndarray) -> np.ndarray:
+        """Singular values of j(Z), largest first, one row per row Z of dirs."""
+        jblock = self.structure[: self.dim_v, : self.dim_v, self.dim_v :]
+        return np.linalg.svd(np.einsum("abk,nk->nba", jblock, dirs), compute_uv=False)
+
     def _sigma_ratios(self, dirs: np.ndarray) -> np.ndarray:
         """sigma_min / sigma_max of j(Z) for every row Z of dirs."""
-        jblock = self.structure[: self.dim_v, : self.dim_v, self.dim_v :]
-        svals = np.linalg.svd(np.einsum("abk,nk->nba", jblock, dirs), compute_uv=False)
+        svals = self._singular_values(dirs)
         return svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
 
     def _probe_directions(self, n: int, flat: bool = False) -> np.ndarray:
@@ -578,85 +571,53 @@ class MetricNilAlgebra:
         probes /= np.linalg.norm(probes, axis=1)[:, None]
         return probes
 
-    def _classify_dim_z2(self) -> SingularityReport:
-        """Exact classification for a 2-dimensional center.
+    def _classify_half_circle(self) -> SingularityReport:
+        """Certified classification for dim z <= 2 by a Lipschitz search.
 
-        det j(z1 + s z2) is a polynomial of degree <= dim_v in s (plus the
-        lone direction z2 at s = infinity).  The coefficients are recovered
-        by interpolation at Chebyshev nodes, candidate real roots are then
-        confirmed by the smallest singular value of j at the candidate
-        direction, so root-finding precision is not load-bearing.  det of an
-        even-dimensional skew matrix is a squared Pfaffian, hence real roots
-        come in double pairs; sigma_min confirmation catches them reliably.
+        The directions are Z(theta) = cos(theta) z1 + sin(theta) z2, theta in
+        [0, pi), or z1 alone when dim z = 1.  sigma_min j(Z(theta)) moves by at
+        most lam |dtheta|, lam the spectral norm of the map Z -> j(Z) (onto
+        matrices with the Frobenius norm).  So an interval whose midpoint has
+        sigma_min above lam times its half-width, plus a rounding margin, holds
+        no singular direction and is dropped; the others are halved (Shubert,
+        SIAM J. Numer. Anal. 9, 1972).  A midpoint with sigma_min <= 1e-8 lam is
+        a singular witness.  The search stops at the first witness or when no
+        interval is left, at the latest once the half-width is below 1e-8.
+
+        The first level has dim_v + 2 midpoints, the two axes among them.  If
+        all of them are singular, every direction is: det j(Z(theta)) is a form
+        of degree dim_v in (cos theta, sin theta) with more zeros than that.
+        A level that would stack more than _SEARCH_ENTRIES matrix entries
+        (sigma_min small against lam over a wide arc) ends the search with an
+        unproved nonsingular verdict.
         """
-        dv = self.dim_v
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
-        j1, j2 = self.j_map(e1), self.j_map(e2)
-        n1 = np.linalg.norm(j1, 2)
-        n2 = np.linalg.norm(j2, 2)
-        if n2 <= _ZERO_TOL * max(1.0, n1):
-            # j2 = 0: behaves like a 1-dim center plus a flat direction
-            if self._sigma_ratios(e1[None])[0] > 1e-8:
-                return SingularityReport(
-                    SingularityKind.ALMOST_NONSINGULAR,
-                    True,
-                    "degenerate_axis",
-                    singular_direction=e2,
-                    regular_direction=e1,
-                )
+        dv, dz = self.dim_v, self.dim_z
+        lam = float(np.linalg.norm(self.structure[:dv, :dv, dv:].reshape(-1, dz), 2))
+        witness = 1e-8 * lam
+        n0 = dv + 2 if dz == 2 else 1
+        theta = np.pi * np.arange(n0) / n0
+        half = np.pi / (2 * n0) if dz == 2 else 0.0  # one direction: nothing to halve
+
+        def level(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)[:, :dz]
+            return dirs, self._singular_values(dirs)[:, -1]
+
+        dirs, sigma = level(theta)
+        if np.all(sigma <= witness):
             return SingularityReport(
-                SingularityKind.SINGULAR, True, "degenerate_axis", singular_direction=e1
-            )
-
-        radius = 2.0 * max(1.0, n1 / n2)
-        nodes = radius * np.cos(np.pi * (2 * np.arange(dv + 1) + 1) / (2 * (dv + 1)))
-        dets = np.array([np.linalg.det(j1 + s * j2) for s in nodes])
-        vander = np.vander(nodes, dv + 1, increasing=True)
-        coeffs = np.linalg.solve(vander, dets)
-        det_scale = float(np.max(np.abs(dets)))
-
-        singular_dirs: list[np.ndarray] = []
-        candidates: list[np.ndarray] = []
-        if det_scale <= 1e-12 * max(1.0, (n1 + radius * n2) ** dv):
-            # det vanishes along the whole family z1 + s z2
-            singular_dirs.append(e1)
-        else:
-            roots = np.polynomial.polynomial.polyroots(coeffs)
-            for r in roots:
-                if abs(r.imag) > 1e-4 * (1.0 + abs(r.real)):
-                    continue
-                cand = np.array([1.0, r.real])
-                candidates.append(self._refine_singular_direction(cand / np.linalg.norm(cand)))
-        candidates.append(e2)  # the direction at infinity (z2 alone)
-        ratios = self._sigma_ratios(np.array(candidates))
-        singular_dirs += [c for c, ratio in zip(candidates, ratios) if ratio <= 1e-7]
-
-        # regular witness: best sigma ratio over a coarse angular sweep, the
-        # last of equal maxima
-        sweep = _circle(np.linspace(0.0, np.pi, 37, endpoint=False))
-        ratios = self._sigma_ratios(sweep)
-        best = len(ratios) - 1 - int(np.argmax(ratios[::-1]))
-        regular = sweep[best] if ratios[best] > 1e-7 else None
-
-        if not singular_dirs and regular is not None:
-            return SingularityReport(
-                SingularityKind.NONSINGULAR, True, "det_polynomial", regular_direction=regular
-            )
-        if singular_dirs and regular is not None:
-            return SingularityReport(
-                SingularityKind.ALMOST_NONSINGULAR,
-                True,
-                "det_polynomial",
-                singular_direction=singular_dirs[0],
-                regular_direction=regular,
-            )
+                SingularityKind.SINGULAR, True, "half_circle", singular_direction=dirs[0])
+        regular = dirs[int(np.argmax(sigma))]
+        while np.min(sigma) > witness:
+            theta = theta[sigma <= lam * (half + 1e-12)]
+            if not theta.size or 2 * theta.size * dv * dv > _SEARCH_ENTRIES:
+                return SingularityReport(SingularityKind.NONSINGULAR, not theta.size,
+                                         "half_circle", regular_direction=regular)
+            half /= 2
+            theta = np.concatenate([theta - half, theta + half])
+            dirs, sigma = level(theta)
         return SingularityReport(
-            SingularityKind.SINGULAR,
-            True,
-            "det_polynomial",
-            singular_direction=singular_dirs[0] if singular_dirs else e1,
-        )
+            SingularityKind.ALMOST_NONSINGULAR, True, "half_circle",
+            singular_direction=dirs[int(np.argmin(sigma))], regular_direction=regular)
 
     def _classify_pfaffian(self) -> SingularityReport:
         """Exact classification for dim v = 4 from Pf j(Z) = Z^T Q Z.
@@ -730,20 +691,6 @@ class MetricNilAlgebra:
             singular_direction=math.cos(theta) * z + math.sin(theta) * w,
             regular_direction=z,
         )
-
-    def _refine_singular_direction(self, zdir: np.ndarray) -> np.ndarray:
-        """Polish a candidate singular direction by minimizing sigma_min on the circle."""
-        theta = float(np.arctan2(zdir[1], zdir[0]))
-        lo, hi = theta - 0.05, theta + 0.05
-        for _ in range(60):  # golden-section-ish trisection; plenty for 1e-12
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            r1, r2 = self._sigma_ratios(_circle(np.array([m1, m2])))
-            if r1 <= r2:
-                hi = m2
-            else:
-                lo = m1
-        return _circle(np.array(0.5 * (lo + hi)))
 
     def _classify_sampling(self) -> SingularityReport:
         """Seeded Gaussian sphere sampling where no exact route applies.

@@ -155,9 +155,11 @@ def _parse_algebra(spec: Any) -> tuple[MetricNilAlgebra, Any]:
         return alg, name
     if isinstance(spec, dict):
         try:
-            dim = int(spec["dim"])
+            dim = _integer(spec["dim"], "algebra.dim")
             brackets = [
-                (int(b[0]), int(b[1]), int(b[2]), float(b[3])) for b in spec["brackets"]
+                (*(_integer(i, f"algebra.brackets[{n}] index") for i in b[:3]),
+                 _number(b[3], f"algebra.brackets[{n}] value"))
+                for n, b in enumerate(spec["brackets"])
             ]
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputError(f"bad inline algebra definition: {exc}") from exc
@@ -219,7 +221,7 @@ def parse_scenario(data: dict) -> Scenario:
             )
         force_spec = _canonical_force(fs)
 
-    charge = float(data.get("charge", 1.0))
+    charge = _number(data.get("charge", 1.0), "charge")
     if not np.isfinite(charge):
         raise InputError("charge must be finite")
 
@@ -242,11 +244,8 @@ def parse_scenario(data: dict) -> Scenario:
     time = data.get("time", {})
     if not isinstance(time, dict):
         raise InputError("time must be an object")
-    t_max = float(time.get("t_max", 10.0))
-    samples = time.get("samples", 201)
-    if type(samples) not in (int, float) or samples % 1 != 0:  # a bool is not a count
-        raise InputError("time.samples must be an integer")
-    samples = int(samples)
+    t_max = _number(time.get("t_max", 10.0), "time.t_max")
+    samples = _integer(time.get("samples", 201), "time.samples")
     if not (np.isfinite(t_max) and t_max > 0.0):
         raise InputError("time.t_max must be positive")
     if samples < 2:
@@ -262,7 +261,7 @@ def parse_scenario(data: dict) -> Scenario:
 
     energy = None
     if "energy" in data:
-        energy = float(data["energy"])
+        energy = _number(data["energy"], "energy")
         if not np.isfinite(energy):
             raise InputError("energy must be finite")
 
@@ -281,9 +280,23 @@ def parse_scenario(data: dict) -> Scenario:
     )
 
 
+def _number(value: Any, what: str) -> float:
+    """A JSON number as a float; a bool or a numeric string is not one."""
+    if type(value) not in (int, float):
+        raise InputError(f"{what} must be a number")
+    return float(value)
+
+
+def _integer(value: Any, what: str) -> int:
+    """A JSON number with an integer value (3 or 3.0, not 3.7, true or "3")."""
+    if type(value) not in (int, float) or value % 1 != 0:
+        raise InputError(f"{what} must be an integer")
+    return int(value)
+
+
 def _tolerance(value: Any, what: str) -> float:
     """An oracle mismatch tolerance: a finite positive number."""
-    tol = float(value)
+    tol = _number(value, what)
     if not (np.isfinite(tol) and tol > 0.0):
         raise InputError(f"{what} must be positive")
     return tol

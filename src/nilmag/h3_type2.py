@@ -147,12 +147,19 @@ class Type2TrajectoryH3(Trajectory):
         self.v1_norm = math.hypot(self.x0, self.y1)  # S above
         s = self.v1_norm
         z0 = self.z0
-        # S - y1 and S + y1 without cancellation: the smaller is x0^2 over the larger
+        # S - y1, S + y1 and their roots without cancellation.  The larger sum is
+        # S + |y1| and the root of the smaller |x0| / sqrt(S + |y1|), so no root
+        # squares x0 (x0^2 underflows for |x0| below about 1e-154).  The smaller
+        # sum may underflow, and disc with it: the branch goes by d_minus below.
         big = s + abs(self.y1)
-        small = self.x0 * self.x0 / big if big > 0.0 else 0.0
-        self._s_minus_y1, s_plus_y1 = (small, big) if self.y1 > 0.0 else (big, small)
+        root = abs(self.x0) / math.sqrt(big) if big > 0.0 else 0.0
+        smaller, larger = (root * root, root), (big, math.sqrt(big))
+        (self._s_minus_y1, self._r_minus), (s_plus_y1, r_plus) = (
+            (smaller, larger) if self.y1 > 0.0 else (larger, smaller))
         disc = 2.0 * s_plus_y1 - z0 * z0
         self.disc = disc
+        # disc = d_minus d_plus, and d_minus keeps its sign where disc underflows
+        d_minus, d_plus = math.sqrt(2.0) * r_plus - abs(z0), math.sqrt(2.0) * r_plus + abs(z0)
         self.boundary_margin = abs(disc) / max(1.0, s)
 
         self.amplitude = 0.0
@@ -179,28 +186,29 @@ class Type2TrajectoryH3(Trajectory):
             self.phase = math.copysign(c2, self.sign * self.x0) if self.x0 else c2
             return
 
-        a = math.sqrt(2.0 * self._s_minus_y1 + z0 * z0)
-        if disc > 0.0:
+        a = math.hypot(math.sqrt(2.0) * self._r_minus, z0)
+        root_disc = math.sqrt(abs(d_minus)) * math.sqrt(d_plus)  # sqrt|disc|
+        if d_minus > 0.0:
             self.branch = Branch.CN
             self.amplitude = a
             self.modulus = a / (2.0 * math.sqrt(s))
-            self._complement = math.sqrt(disc) / (2.0 * math.sqrt(s))  # k'
+            self._complement = root_disc / (2.0 * math.sqrt(s))  # k'
             self.rate = math.sqrt(s)
             self.period = q * (4.0 * self._descent.big_k / self.rate)
             # the amplitude of cn = z0 / a, sn = sqrt(2 (S - y1)) / a
-            c0 = _elliptic_f(math.sqrt(2.0 * self._s_minus_y1), z0, self._descent)
+            c0 = _elliptic_f(math.sqrt(2.0) * self._r_minus, z0, self._descent)
             self.phase = c0 if self.x0 >= 0.0 else -c0
             return
 
         self.branch = Branch.DN
         self.amplitude = a
         self.modulus = 2.0 * math.sqrt(s) / a
-        self._complement = math.sqrt(-disc) / a  # k'
+        self._complement = root_disc / a  # k'
         self.rate = 0.5 * a
         self.period = q * (4.0 * self._descent.big_k / a)
         self.sign = 1.0 if z0 > 0 else -1.0
         # the amplitude of dn = |z0| / a: sn^2 = (S - y1)/(2S), cn^2 = (S + y1)/(2S)
-        c1 = _elliptic_f(math.sqrt(self._s_minus_y1), math.sqrt(s_plus_y1), self._descent)
+        c1 = _elliptic_f(self._r_minus, r_plus, self._descent)
         if self.sign > 0:
             self.phase = c1 if self.x0 >= 0.0 else -c1
         else:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nilmag.algebra import MetricNilAlgebra, SingularityKind, _pfaffian
@@ -420,6 +424,285 @@ def test_classification_abelian_vacuous():
     # group law degenerates to vector addition
     a, b = np.array([1.0, 2, 3]), np.array([-1.0, 0.5, 2])
     assert_allclose(alg.group_mul(a, b), a + b, atol=0)
+
+
+# -- dim z <= 2: the certified half-circle search ------------------------------
+
+
+def _lam(alg):
+    """Spectral norm of Z -> j(Z), matrices under the Frobenius norm."""
+    dv = alg.dim_v
+    return np.linalg.norm(alg.structure[:dv, :dv, dv:].reshape(-1, alg.dim_z), 2)
+
+
+def _sigma_min(alg, z):
+    return np.linalg.svd(alg.j_map(z), compute_uv=False)[-1]
+
+
+def assert_half_circle(alg, want):
+    """The search's verdict is want, proved, and its witnesses witness."""
+    rep = alg.classify_singularity()
+    assert (rep.kind, rep.exhaustive, rep.method) == (want, True, "half_circle")
+    if want is not SingularityKind.NONSINGULAR:
+        assert abs(np.linalg.norm(rep.singular_direction) - 1.0) <= 1e-14
+        assert _sigma_min(alg, rep.singular_direction) <= 1e-8 * _lam(alg)
+    if want is not SingularityKind.SINGULAR:
+        assert _sigma_min(alg, rep.regular_direction) >= 1e-3 * _lam(alg)
+
+
+def block_sum(*blocks):
+    """Direct sum of 4-dim blocks over one centre: a block lists (i, j, k, c)
+    with i < j in 1..4 and k = 1, 2, meaning [e_i, e_j] = c z_k."""
+    dv = 4 * len(blocks)
+    brackets = [(4 * b + i, 4 * b + j, dv + k, c)
+                for b, block in enumerate(blocks) for i, j, k, c in block]
+    return MetricNilAlgebra.from_structure(dv + 2, brackets)
+
+
+def circle_block(c1=1.0, c2=1.0):
+    """Pf = c1^2 z1^2 + c2^2 z2^2 (quaternion units i, j weighted by c1, c2)."""
+    return [(1, 2, 1, c1), (3, 4, 1, c1), (1, 3, 2, c2), (2, 4, 2, -c2)]
+
+
+def z2_block(c):
+    """Pf = c^2 z2^2."""
+    return [(1, 2, 2, c), (3, 4, 2, c)]
+
+
+def tilted_h3_times_r(a, b):
+    """H3 x R with [e1, e2] = a e3 + b e4: j vanishes on the central line
+    orthogonal to (a, b), the kernel of j."""
+    return MetricNilAlgebra.from_structure(4, [(1, 2, 3, a), (1, 2, 4, b)])
+
+
+# Reported nonsingular (exhaustive) by the determinant polynomial, which found
+# the double roots of det = Pf^2 only to sqrt(eps) and polished them on the flat
+# ratio sigma_min / sigma_max (identically 1 at dim v = 2).
+MISSED_SINGULAR = {
+    "h3xr_tilted_1_0.5": lambda: tilted_h3_times_r(1.0, 0.5),
+    "h3xr_tilted_0.3_-1.2": lambda: tilted_h3_times_r(0.3, -1.2),
+    "h3xr_tilted_1_1": lambda: tilted_h3_times_r(1.0, 1.0),
+    # Pf = c^2n z2^2n (z1^2 + z2^2)
+    "blocks_n1_c3": lambda: block_sum(z2_block(3.0), circle_block()),
+    "blocks_n3_c1": lambda: block_sum(*[z2_block(1.0)] * 3, circle_block()),
+    "blocks_n3_c3": lambda: block_sum(*[z2_block(3.0)] * 3, circle_block()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSED_SINGULAR))
+def test_half_circle_finds_missed_singular_directions(name):
+    assert_half_circle(MISSED_SINGULAR[name](), SingularityKind.ALMOST_NONSINGULAR)
+
+
+def test_half_circle_on_random_dim_v2_dim_z2():
+    """j(Z) = <Z, w> R on a 2-dim v vanishes on the line orthogonal to w, so each
+    of these is almost nonsingular; all 15 read nonsingular before."""
+    for seed in range(15):
+        a, b = np.random.default_rng(seed).standard_normal(2)
+        alg = MetricNilAlgebra.from_structure(
+            4, [(1, 2, 3, a), (1, 2, 4, b)], metric=_metric(seed, 4))
+        assert_half_circle(alg, SingularityKind.ALMOST_NONSINGULAR)
+
+
+def declared_split(dim_v, dim_z, brackets):
+    """The raw constructor's algebra with the given v/z split, which may declare
+    central vectors part of v.  Only so is dim z = 1, or dim v = 4 with dim z = 2,
+    singular: a rank-2 pencil of 4x4 skew maps has a common kernel vector."""
+    c = np.zeros((dim_v + dim_z,) * 3)
+    for i, j, k, val in brackets:
+        c[i - 1, j - 1, k - 1], c[j - 1, i - 1, k - 1] = val, -val
+    return MetricNilAlgebra(c, dim_v, dim_z)
+
+
+KNOWN_VERDICTS = {
+    # Pf = (z1^2 + 4 z2^2) and (z1^2 + z2^2)^n up to block weights; the
+    # unequal weights keep these off the h-type shortcut
+    "circle_weighted": (lambda: block_sum(circle_block(1.0, 2.0)), SingularityKind.NONSINGULAR),
+    "circle_n2": (lambda: block_sum(circle_block(), circle_block(2.0, 2.0)),
+                  SingularityKind.NONSINGULAR),
+    "circle_n3": (lambda: block_sum(circle_block(), circle_block(2.0, 2.0),
+                                    circle_block(0.5, 0.5)), SingularityKind.NONSINGULAR),
+    "z2_pow2_circle": (lambda: block_sum(z2_block(1.0), circle_block()),
+                       SingularityKind.ALMOST_NONSINGULAR),
+    "z2_pow4_circle": (lambda: block_sum(z2_block(1.0), z2_block(2.0), circle_block()),
+                       SingularityKind.ALMOST_NONSINGULAR),
+    "z1_z2": (lambda: block_sum([(1, 2, 1, 1.0), (3, 4, 2, 1.0)]),
+              SingularityKind.ALMOST_NONSINGULAR),
+    # every bracket involves e1, so j(Z) has rank 2 and Pf = 0
+    "pf_zero": (lambda: declared_split(4, 2, [(1, 2, 5, 1.0), (1, 3, 6, 1.0), (1, 4, 5, 2.0)]),
+                SingularityKind.SINGULAR),
+    "dim_z1_regular": (lambda: MetricNilAlgebra.from_structure(
+        5, [(1, 2, 5, 1.0), (3, 4, 5, 2.0)]), SingularityKind.NONSINGULAR),
+    "dim_z1_singular": (lambda: declared_split(4, 1, [(1, 2, 5, 1.0)]), SingularityKind.SINGULAR),
+    # tilted, it is in MISSED_SINGULAR
+    "h3xr_aligned": (lambda: MetricNilAlgebra.from_structure(4, [(1, 2, 3, 1.0)]),
+                     SingularityKind.ALMOST_NONSINGULAR),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_VERDICTS))
+def test_half_circle_known_verdicts(name):
+    build, want = KNOWN_VERDICTS[name]
+    alg = build()
+    assert alg.dim_z <= 2 and not alg.is_h_type()
+    assert_half_circle(alg, want)
+
+
+def test_half_circle_gives_up_its_certificate_at_the_work_cap(monkeypatch):
+    """A second block of weight 1e-2 keeps sigma_min at 1e-2 of the first block's
+    on every direction, so no interval is dropped until the half-width is about
+    1e-2: past the cap on one level's stack the verdict is nonsingular, unproved."""
+    from nilmag import algebra
+
+    alg = block_sum(circle_block(), circle_block(1e-2, 1e-2))
+    assert_half_circle(alg, SingularityKind.NONSINGULAR)
+    monkeypatch.setattr(algebra, "_SEARCH_ENTRIES", 2**14)
+    rep = alg.classify_singularity()
+    assert (rep.kind, rep.exhaustive, rep.method) == (
+        SingularityKind.NONSINGULAR, False, "half_circle")
+
+
+# -- an independent reference: Pf j(z1 + s z2) in exact arithmetic --------------
+
+
+def _poly_add(p, q):
+    out = [0] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return out
+
+
+def _poly_mul(p, q):
+    out = [0] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def pfaffian_polynomial(dim_v, brackets):
+    """Coefficients, lowest power first, of P(s) = Pf j(z1 + s z2) (up to sign) for
+    integer brackets (i, j, k, c), i < j <= dim_v < k, by expansion along the
+    first row: Pf A = sum_j (-1)^(j+1) a_0j Pf A(0, j removed)."""
+    entry = {}
+    for i, j, k, c in brackets:
+        poly = [0, 0]
+        poly[k - dim_v - 1] = c
+        entry[i - 1, j - 1] = _poly_add(entry.get((i - 1, j - 1), []), poly)
+
+    def pf(idx):
+        if not idx:
+            return [1]
+        total = []
+        for pos, j in enumerate(idx[1:]):
+            term = _poly_mul(entry.get((idx[0], j), []), pf(idx[1:pos + 1] + idx[pos + 2:]))
+            total = _poly_add(total, term if pos % 2 == 0 else [-c for c in term])
+        return total
+
+    return pf(tuple(range(dim_v)))
+
+
+def real_root_count(p):
+    """Distinct real roots of a nonzero polynomial, by Sturm's theorem."""
+    seq = [[Fraction(c) for c in _trim(p)]]
+    seq.append(_trim([i * c for i, c in enumerate(seq[0])][1:]))
+    while seq[-1]:
+        r = seq[-2][:]
+        while len(r) >= len(seq[-1]):  # r = rem(seq[-2], seq[-1])
+            f, shift = r[-1] / seq[-1][-1], len(r) - len(seq[-1])
+            for i, c in enumerate(seq[-1]):
+                r[shift + i] -= f * c
+            r = _trim(r[:-1])
+        seq.append([-c for c in r])
+    seq = seq[:-1]
+
+    def changes(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_pos = [q[-1] > 0 for q in seq]
+    at_neg = [(q[-1] > 0) == (len(q) % 2 == 1) for q in seq]
+    return changes(at_neg) - changes(at_pos)
+
+
+def reference_kind(dim_v, brackets):
+    """Singular when P = 0; almost when P has a real root or Pf j(z2) (the
+    coefficient of s^(dim_v/2)) vanishes; nonsingular otherwise."""
+    p = pfaffian_polynomial(dim_v, brackets)
+    if not _trim(p):
+        return SingularityKind.SINGULAR
+    p = p + [0] * (dim_v // 2 + 1 - len(p))
+    if p[dim_v // 2] == 0 or real_root_count(p) > 0:
+        return SingularityKind.ALMOST_NONSINGULAR
+    return SingularityKind.NONSINGULAR
+
+
+def test_reference_on_known_pfaffians():
+    assert real_root_count([1, 0, 1]) == 0  # s^2 + 1
+    assert real_root_count([1, -2, 1]) == 1  # (s - 1)^2
+    assert real_root_count([-1, 0, 1]) == 2
+    assert real_root_count([0, 0, 0, 1]) == 1
+    quaternion = [(1, 2, 5, 1), (3, 4, 5, 1), (1, 3, 6, 1), (2, 4, 6, -1)]
+    assert pfaffian_polynomial(4, quaternion) in ([1, 0, 1], [-1, 0, -1])
+    assert reference_kind(4, quaternion) is SingularityKind.NONSINGULAR
+    assert reference_kind(4, [(1, 2, 5, 1), (3, 4, 6, 1)]) is SingularityKind.ALMOST_NONSINGULAR
+    assert reference_kind(4, [(1, 2, 5, 1), (1, 3, 6, 1), (1, 4, 5, 1)]) is SingularityKind.SINGULAR
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_half_circle_matches_the_exact_reference(data):
+    """Integer brackets with dim z = 2: the search agrees with the real roots of
+    Pf j(z1 + s z2), counted exactly, and with Pf j(z2) for s = infinity."""
+    dim_v = data.draw(st.sampled_from([2, 4, 6, 8]))
+    slots = [(i, j, k) for i in range(1, dim_v + 1) for j in range(i + 1, dim_v + 1)
+             for k in (dim_v + 1, dim_v + 2)]
+    coeffs = data.draw(st.lists(st.sampled_from([0, 1, -1, 2, -2, 0, 0]),
+                                min_size=len(slots), max_size=len(slots)))
+    brackets = [(i, j, k, c) for (i, j, k), c in zip(slots, coeffs) if c]
+    alg = MetricNilAlgebra.from_structure(dim_v + 2, brackets)
+    assume((alg.dim_v, alg.dim_z) == (dim_v, 2) and not alg.is_h_type())
+    rep = alg.classify_singularity()
+    assert (rep.kind, rep.exhaustive, rep.method) == (
+        reference_kind(dim_v, brackets), True, "half_circle"), brackets
+
+
+# -- every algebra of the suite: a flat direction is a singular one -------------
+
+
+SUITE_ALGEBRAS = {
+    "h3": h3, "h5": h5, "qh7": qh7, "almost_nonsingular_6d": almost_nonsingular_6d,
+    "singular_5d": singular_5d, "h3_times_r2": h3_times_r2,
+    "h5_times_r": lambda: MetricNilAlgebra.from_structure(6, [(1, 2, 5, 1.0), (3, 4, 5, 1.0)]),
+    "qh7_times_r": lambda: MetricNilAlgebra.from_structure(
+        8, [(1, 2, 5, 1.0), (3, 4, 5, 1.0), (1, 3, 6, 1.0), (2, 4, 6, -1.0), (1, 4, 7, 1.0),
+            (2, 3, 7, 1.0)]),
+    **{f"missed_{name}": build for name, build in MISSED_SINGULAR.items()},
+    **{f"known_{name}": build for name, (build, _) in KNOWN_VERDICTS.items()},
+    **{f"pfaffian_{name}": (lambda b=b, m=m: MetricNilAlgebra.from_structure(7, b, metric=m))
+       for name, (b, m, _) in PFAFFIAN_CASES.items()},
+    **{f"odd_pfaffian_{name}": (lambda b=b: MetricNilAlgebra.from_structure(9, b))
+       for name, b in ODD_PFAFFIAN_BRACKETS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_ALGEBRAS))
+def test_flat_directions_are_never_nonsingular(name):
+    """j vanishes on ker j, so an algebra with kernel_dim > 0 has a singular
+    direction and is never reported nonsingular."""
+    alg = SUITE_ALGEBRAS[name]()
+    rep = alg.classify_singularity()
+    if alg.kernel_z_basis().shape[0] > 0:
+        assert rep.kind is not SingularityKind.NONSINGULAR
+        assert _sigma_min(alg, rep.singular_direction) <= 1e-8 * _lam(alg)
 
 
 def test_from_structure_rejects_non_2step():

@@ -552,6 +552,44 @@ def test_scenario_field_types(tmp_path, capsys, section, field, value):
     assert f"{section}.{field}" in capsys.readouterr().err
 
 
+INLINE_H3 = {"dim": 3, "brackets": [[1, 2, 3, 1.0]]}
+
+
+@pytest.mark.parametrize("value", ["2.5", True])
+@pytest.mark.parametrize("field", ["charge", "energy", "time.t_max", "checks.tolerance"])
+def test_scenario_number_fields_take_json_numbers(tmp_path, capsys, field, value):
+    """A numeric string or a bool in a number field exits 2 and names the field;
+    "2.5" read 2.5 and true read 1.0."""
+    doc_in = {**EXACT_H3, "energy": 1.0}
+    section, _, key = field.rpartition(".")
+    if section:
+        doc_in[section] = {**EXACT_H3[section], key: value}
+    else:
+        doc_in[key] = value
+    assert main(["classify", "--scenario", write_scenario(tmp_path, doc_in)]) == 2
+    assert f"{field} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra, field", [
+    ({**INLINE_H3, "dim": 3.7}, "algebra.dim"),
+    ({**INLINE_H3, "dim": "3"}, "algebra.dim"),
+    ({**INLINE_H3, "brackets": [[1.9, 2, 3, 1.0]]}, "algebra.brackets[0] index"),
+    ({**INLINE_H3, "brackets": [[1, 2, 3, "1.0"]]}, "algebra.brackets[0] value"),
+], ids=["dim-3.7", "dim-string", "index-1.9", "value-string"])
+def test_inline_algebra_integer_fields(tmp_path, capsys, algebra, field):
+    """dim and bracket indices take integral JSON numbers: "dim": 3.7 built a
+    3-dimensional algebra and index 1.9 read as 1.  Each exits 2, naming the field."""
+    path = write_scenario(tmp_path, {"algebra": algebra})
+    assert main(["classify", "--scenario", path]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_inline_algebra_takes_integral_floats():
+    scn = parse_scenario({"algebra": {"dim": 3.0, "brackets": [[1.0, 2, 3.0, 1]]}})
+    assert scn.algebra.same_structure(MetricNilAlgebra.heisenberg(1))
+    assert scn.canonical()["algebra"]["brackets"] == [[1, 2, 3, 1.0]]
+
+
 def test_bad_vectors_rejected(tmp_path, capsys):
     doc_in = {
         "algebra": "h3",

@@ -514,6 +514,21 @@ def test_z0_zero_next_to_the_separatrix_is_a_cn_curve(x0):
     assert np.max(np.abs(got.velocity - want.velocity)) < 1e-6
 
 
+@pytest.mark.parametrize("ic", [(1e-170, -1.7, 0.0), (1e-200, -1.0, 0.0), (1e-200, 0.3, 0.0)])
+def test_underflowing_x0_squared_stays_a_cn_curve(ic):
+    """x0^2 underflows to 0 here, and with it S + y1 (y1 < 0), S - y1 (y1 > 0)
+    or both (y1 = 0).  The roots of S -/+ y1 come from |x0| / sqrt(S + |y1|),
+    the branch from the sign of sqrt(2 (S + y1)) - |z0|, so these stay on cn;
+    from x0^2 they raised ZeroDivisionError."""
+    traj = Type2TrajectoryH3(ic)
+    assert traj.branch is Branch.CN
+    ts = np.linspace(0.0, 12.0, 61)
+    want = oracle_curve(ic, ts, tol=1e-13)
+    got = traj.sample(ts)
+    assert np.max(np.abs(got.xi - want.xi)) < 1e-6
+    assert np.max(np.abs(got.velocity - want.velocity)) < 1e-6
+
+
 @pytest.mark.parametrize("ic", [(-1e-7, 0.0, 2.0000000000000027), (1e-7, 0.0, 2.0000000000000027),
                                 (-1e-7, 0.0, -2.0000000000000027)])
 def test_separatrix_start_velocity_keeps_x0(ic):
