@@ -46,6 +46,9 @@ _SAMPLES = 10_000
 # Cap on the entries of the j(Z) stack one level of the half-circle search
 # evaluates (2^21 floats, 16 MB); past it the search gives up its certificate.
 _SEARCH_ENTRIES = 2**21
+# Cap on dim^3, the entries of the (dim, dim, dim) structure tensor (2^21 floats,
+# 16 MB); a larger algebra is refused before anything is allocated.
+_STRUCTURE_ENTRIES = 2**21
 
 
 class SingularityKind(Enum):
@@ -116,6 +119,13 @@ def _as_vector(x, dim: int, what: str, rows: bool = False) -> np.ndarray:
     return v
 
 
+def _require_size(dim: int, what: str) -> None:
+    """Refuse, before allocating, an algebra of more than _STRUCTURE_ENTRIES structure constants."""
+    if dim**3 > _STRUCTURE_ENTRIES:
+        raise ValueError(f"{what} is too large: dimension {dim} would need {dim}^3 structure"
+                         " constants, over the cap of 2^21")
+
+
 def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of `rows`."""
     if rows.size == 0:
@@ -180,6 +190,7 @@ class MetricNilAlgebra:
             raise ValueError("heisenberg(n) needs n >= 1")
         dim_v, dim_z = 2 * n, 1
         dim = dim_v + dim_z
+        _require_size(dim, f"heisenberg({n})")
         c = np.zeros((dim, dim, dim))
         for i in range(n):
             c[2 * i, 2 * i + 1, dim_v] = 1.0
@@ -203,6 +214,7 @@ class MetricNilAlgebra:
             raise ValueError("quaternionic(n) needs n >= 1")
         dim_v, dim_z = 4 * n, 3
         dim = dim_v + dim_z
+        _require_size(dim, f"quaternionic({n})")
         z1, z2, z3 = dim_v, dim_v + 1, dim_v + 2
         c = np.zeros((dim, dim, dim))
         for b in range(n):
@@ -245,6 +257,7 @@ class MetricNilAlgebra:
         """
         if dim < 0:
             raise ValueError("dim must be nonnegative")
+        _require_size(dim, "algebra.dim")
         c = np.zeros((dim, dim, dim))
         for entry in brackets:
             if len(entry) != 4:
@@ -263,7 +276,7 @@ class MetricNilAlgebra:
             g = np.asarray(metric, dtype=float)
             if g.shape != (dim, dim):
                 raise ValueError("metric must be (dim, dim)")
-            if not np.allclose(g, g.T, atol=1e-12):
+            if np.max(np.abs(g - g.T) - 1e-5 * np.abs(g.T), initial=0.0) > 1e-12:  # np.allclose's test
                 raise ValueError("metric must be symmetric")
             if dim > 0 and np.min(np.linalg.eigvalsh(g)) <= 0:
                 raise ValueError("metric must be positive definite")
@@ -273,7 +286,7 @@ class MetricNilAlgebra:
 
         # center = null space of x |-> [x, .]  (a metric-independent notion)
         ad_flat = c.transpose(1, 2, 0).reshape(dim * dim, dim)  # rows (j,k), cols i
-        _, s, vh = np.linalg.svd(ad_flat)
+        _, s, vh = np.linalg.svd(ad_flat, full_matrices=False)
         smax = s[0] if s.size and s[0] > 0 else 1.0
         center_rows = vh[s <= _ZERO_TOL * smax]
         if center_rows.size == 0:
@@ -282,9 +295,8 @@ class MetricNilAlgebra:
         # every bracket image must be central (2-step condition)
         images = c.reshape(dim * dim, dim)
         img_basis = _orthonormal_rows(images)
-        for w in img_basis:
-            if np.linalg.norm(ad_flat @ w) > 1e-8 * max(1.0, np.linalg.norm(c)):
-                raise ValueError("bracket images are not central; algebra is not 2-step")
+        if np.linalg.norm(ad_flat @ img_basis.T, axis=0).max(initial=0.0) > 1e-8 * max(1.0, np.linalg.norm(c)):
+            raise ValueError("bracket images are not central; algebra is not 2-step")
 
         z_basis = cls._aligned_orthonormal(center_rows, g)
         dim_z = z_basis.shape[0]
@@ -300,11 +312,13 @@ class MetricNilAlgebra:
 
         p = np.vstack([v_basis, z_basis]).T  # columns = internal basis in input coords
         gram = p.T @ g @ p
-        if not np.allclose(gram, np.eye(dim), atol=1e-9):
+        if np.max(np.abs(gram - np.eye(dim)) - 1e-5 * np.eye(dim)) > 1e-9:  # np.allclose's test
             raise ValueError("internal error: adapted basis is not orthonormal")
 
-        # rewrite structure constants: [p_a, p_b] expressed in the new basis
-        c_int = np.einsum("ia,jb,ijk,km->abm", p, p, c, g @ p, optimize=True)
+        # rewrite structure constants: [p_a, p_b] expressed in the new basis,
+        # c_int[a, b, m] = sum p_ia p_jb c_ijk (g p)_km, one index per matmul
+        c_int = p.T @ (p.T @ c.reshape(dim, dim * dim)).reshape(dim, dim, dim)
+        c_int = (c_int.reshape(dim * dim, dim) @ (g @ p)).reshape(dim, dim, dim)
         if dim_v and np.max(np.abs(c_int[:, :, :dim_v])) > 1e-9 * max(1.0, np.max(np.abs(c_int))):
             raise ValueError("internal error: brackets escaped the center")
         return cls(c_int, dim_v, dim_z, name=name, input_basis=p, input_metric=g)

@@ -147,12 +147,7 @@ def _parse_algebra(spec: Any) -> tuple[MetricNilAlgebra, Any]:
         n = int(m.group(2))
         if n < 1:
             raise InputError("preset index must be a positive integer")
-        alg = (
-            MetricNilAlgebra.heisenberg(n)
-            if m.group(1) == "heisenberg"
-            else MetricNilAlgebra.quaternionic(n)
-        )
-        return alg, name
+        return getattr(MetricNilAlgebra, m.group(1))(n), name
     if isinstance(spec, dict):
         try:
             dim = _integer(spec["dim"], "algebra.dim")
@@ -163,23 +158,15 @@ def _parse_algebra(spec: Any) -> tuple[MetricNilAlgebra, Any]:
             ]
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputError(f"bad inline algebra definition: {exc}") from exc
-        metric = spec.get("metric")
+        metric = None if spec.get("metric") is None else _numbers(spec["metric"], "algebra.metric")
         name = str(spec.get("name", "custom"))
-        alg = MetricNilAlgebra.from_structure(
-            dim, brackets, metric=None if metric is None else np.asarray(metric, float), name=name
-        )
-        canon = {
-            "dim": dim,
-            "brackets": [[i, j, k, c] for (i, j, k, c) in brackets],
-            "metric": None if metric is None else [[float(x) for x in row] for row in metric],
-            "name": name,
-        }
-        return alg, canon
+        alg = MetricNilAlgebra.from_structure(dim, brackets, metric=metric, name=name)
+        return alg, {"dim": dim, "brackets": [list(b) for b in brackets], "metric": metric, "name": name}
     raise InputError("algebra must be a preset name or an inline definition object")
 
 
 def _parse_vector(data: Any, length: int, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = np.array(_numbers(data, what), dtype=float)
     if arr.shape != (length,):
         raise InputError(f"{what} must be a flat list of {length} numbers")
     if not np.all(np.isfinite(arr)):
@@ -189,14 +176,10 @@ def _parse_vector(data: Any, length: int, what: str) -> np.ndarray:
 
 def _canonical_force(spec: dict) -> dict:
     kind, payload = next(iter(spec.items()))
-    if kind == "matrix":
-        return {"matrix": [[float(x) for x in row] for row in payload]}
+    if kind in ("matrix", "type2_U", "rates"):
+        return {kind: _numbers(payload, f"force.{kind}")}
     if kind == "exact":
-        return {"exact": {"Z": [float(x) for x in payload["Z"]]}}
-    if kind == "type2_U":
-        return {"type2_U": [float(x) for x in payload]}
-    if kind == "rates":
-        return {"rates": [float(x) for x in payload]}
+        return {"exact": {"Z": _numbers(payload["Z"], "force.exact.Z")}}
     raise InputError(f"unknown force kind {kind!r}")
 
 
@@ -285,6 +268,13 @@ def _number(value: Any, what: str) -> float:
     if type(value) not in (int, float):
         raise InputError(f"{what} must be a number")
     return float(value)
+
+
+def _numbers(data: Any, what: str) -> Any:
+    """A JSON number, or a list of such (nested), as floats read by _number."""
+    if isinstance(data, (list, tuple)):
+        return [_numbers(x, f"{what}[{i}]") for i, x in enumerate(data)]
+    return _number(data, what)
 
 
 def _integer(value: Any, what: str) -> int:

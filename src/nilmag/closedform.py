@@ -4,10 +4,10 @@ For a closed type-I force F (skew on v, skew on the flat central directions,
 zero on the commutator directions [n, n]) and charge q, the left-trivialized
 velocity obeys one linear equation x' = A x with A = j(Z0) + q F, j(Z0) acting
 on v: the commutator part Z0c of the central velocity is conserved, and
-closedness makes F vanish on [n, n].  One spectral decomposition of A splits
-x(0) into components x_p on invariant planes with rates th_p >= 0, where
-A^2 = -th_p^2.  The kernel of A is the plane of rate 0: it carries Z0c and
-every rate that the merge cutoff folds into it.  With b_p0 = x_p,
+closedness makes F vanish on [n, n].  One eigh of -A^2, its columns grouped
+by rate, splits x(0) into components x_p on invariant planes with rates
+th_p >= 0, where A^2 = -th_p^2.  The kernel of A is the plane of rate 0: it
+carries Z0c and every rate that the merge cutoff folds into it.  With b_p0 = x_p,
 b_p1 = A x_p and the per-plane functions
 
     S = sin(th t)/th,   V = (1 - cos th t)/th^2 = 2 sin^2(th t/2)/th^2,
@@ -37,14 +37,18 @@ Distinct planes have distinct rates, so D != 0 off the diagonal.  Brackets
 see v parts only, so a plane without a v part (the commutator velocity, a
 flat central rotation) brackets to 0.
 
-Evaluation is tabulated.  With C = 1 - th^2 V, the pair sum is a quadratic
-plus a linear form in u = (S_p | V_p), the coefficients of X(t); their
-weights, the brackets [b_pa, b_rb] times the coefficients above over D, are
-built once from the structure tensor, and a sample grid needs sin(th t) and
-sin(th t/2) per plane and time.  No coefficient divides by a small rate: S,
-V and W stay within |t|, t^2/2 and |t|^3/6, and a rate folded into the
-kernel costs O((th t)^2) only.  The weights 1/D still lose digits between
-planes of near-equal distinct rates that bracket against each other.
+Construction decomposes once: one eigh, one product for all x_p, and two
+matmuls for the bracket table [b_pa, b_rb].  `spectrum` (the SkewSpectrum
+of A) is rebuilt from that eigh when read, and an exact force's `geodesic`
+is built on first use.  Evaluation is tabulated.  With C = 1 - th^2 V, the
+pair sum is a quadratic plus a linear form in u = (S_p | V_p), the
+coefficients of X(t); their weights, the brackets [b_pa, b_rb] times the
+coefficients above over D, are built once from the structure tensor, and a
+sample grid needs sin(th t) and sin(th t/2) per plane and time.  No
+coefficient divides by a small rate: S, V and W stay within |t|, t^2/2 and
+|t|^3/6, and a rate folded into the kernel costs O((th t)^2) only.  The
+weights 1/D still lose digits between planes of near-equal distinct rates
+that bracket against each other.
 
 Special case: an exact force F = j(Z~) (+) 0 shifts a geodesic (the velocity
 equals a geodesic velocity minus q Z~, the position picks up -t q Z~).
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,49 +134,40 @@ class SkewSpectrum:
     planes: tuple[InvariantPlane, ...]
     matrix: np.ndarray
 
-    def project_kernel(self, x: np.ndarray) -> np.ndarray:
-        if self.kernel.shape[0] == 0:
-            return np.zeros_like(x)
-        return self.kernel.T @ (self.kernel @ x)
-
 
 def spectral_decompose(j_matrix: np.ndarray) -> SkewSpectrum:
-    """Split a skew matrix into its kernel and single-rate rotation subspaces.
-
-    Rates are the positive square roots of the eigenvalues of -J^2 (a
-    symmetric PSD matrix); eigenspaces whose rates agree to 1e-9 of the
-    largest rate are merged, and rates below that are the kernel.
-    """
+    """Split a skew matrix into its kernel and single-rate rotation subspaces,
+    grouped by rate as TypeISolution groups them (see _eigen_groups)."""
     j_matrix = np.asarray(j_matrix, dtype=float)
     n = j_matrix.shape[0]
     if j_matrix.shape != (n, n):
         raise ValueError("spectral_decompose needs a square matrix")
-    scale = max(1.0, float(np.max(np.abs(j_matrix))) if n else 1.0)
-    if n and np.max(np.abs(j_matrix + j_matrix.T)) > 1e-10 * scale:
+    scale = max(1.0, float(np.max(np.abs(j_matrix), initial=0.0)))
+    if np.max(np.abs(j_matrix + j_matrix.T), initial=0.0) > 1e-10 * scale:
         raise ValueError("spectral_decompose needs a skew-symmetric matrix")
-    if n == 0:
-        return SkewSpectrum(kernel=np.zeros((0, 0)), planes=(), matrix=j_matrix)
+    return _spectrum(j_matrix, *_eigen_groups(j_matrix))
+
+
+def _eigen_groups(j_matrix: np.ndarray):
+    """One eigh of -J^2 for a skew J: group rates (G,), eigenvectors vecs (n, n)
+    as columns and label (n,), the group of each column.  Rates (square roots
+    of the eigenvalues) below 1e-9 of the largest are the kernel, group 0 of
+    rate 0 (maybe empty); a new group starts wherever consecutive ascending
+    rates part by more than that, and has the mean of its rates."""
     m = -(j_matrix @ j_matrix)
     w, vecs = np.linalg.eigh(0.5 * (m + m.T))
     rates = np.sqrt(np.maximum(w, 0.0))
-    max_rate = float(rates[-1])
-    if max_rate <= 0.0:
-        return SkewSpectrum(kernel=np.eye(n), planes=(), matrix=j_matrix)
-    kernel_mask = rates <= _MERGE_TOL * max_rate
-    idx = np.flatnonzero(~kernel_mask)  # ascending rates, split where consecutive ones part
-    groups = np.split(idx, np.flatnonzero(np.diff(rates[idx]) > _MERGE_TOL * max_rate) + 1)
-    planes = tuple(InvariantPlane(float(rates[g].sum() / g.size), vecs[:, g].T.copy())
-                   for g in groups if g.size)
-    return SkewSpectrum(kernel=vecs[:, kernel_mask].T, planes=planes, matrix=j_matrix)
+    tol = _MERGE_TOL * rates.max(initial=0.0)
+    rates[rates <= tol] = 0.0  # the kernel: its edge is then a gap above tol too
+    steps = np.concatenate([[0.0], rates])
+    label = np.cumsum(steps[1:] - steps[:-1] > tol)
+    size = np.bincount(label, minlength=1)
+    return np.bincount(label, rates, minlength=1) / np.maximum(size, 1), vecs, label
 
 
-def _plane_parts(spec: SkewSpectrum, x: np.ndarray):
-    """Rates (P,) and components x_p (P, n) of x on the kernel (rate 0) and
-    the planes of spec; numerically zero components are dropped."""
-    rates = np.array([0.0] + [pl.rate for pl in spec.planes])
-    comps = np.array([spec.project_kernel(x)] + [pl.basis.T @ (pl.basis @ x) for pl in spec.planes])
-    kept = np.linalg.norm(comps, axis=1) > 1e-14 * max(1.0, float(np.linalg.norm(x)))
-    return rates[kept], comps[kept]
+def _spectrum(matrix: np.ndarray, rate: np.ndarray, vecs: np.ndarray, label: np.ndarray) -> SkewSpectrum:
+    planes = tuple(InvariantPlane(float(r), vecs[:, label == p].T) for p, r in enumerate(rate[1:], 1))
+    return SkewSpectrum(kernel=vecs[:, label == 0].T, planes=planes, matrix=matrix)
 
 
 def _plane_functions(ts: np.ndarray, th: np.ndarray, inv: np.ndarray):
@@ -213,18 +209,24 @@ class TypeISolution(Trajectory):
         a[:dv, :dv] = alg.j_map(np.asarray(ic.z0, float)) + ic.charge * force.block_vv
         a[dv:, dv:] = ic.charge * force.block_zz
         self.matrix = a
-        self.spectrum = spectral_decompose(a)
-        self.rates, self.xi = _plane_parts(self.spectrum, np.concatenate([ic.v0, ic.z0], dtype=float))
+        self._groups = rate, vecs, label = _eigen_groups(a)
+        # the component x_p of x(0) on group p, all groups by one product
+        x = np.concatenate([ic.v0, ic.z0], dtype=float)
+        comps = ((label == np.arange(rate.size)[:, None]) * (x @ vecs)) @ vecs.T
+        kept = np.sqrt((comps * comps).sum(axis=1)) > 1e-14 * max(1.0, math.sqrt(x @ x))  # |x_p| > 1e-14 |x|
+        self.rates, self.xi = rate[kept], comps[kept]
         self.jxi = self.xi @ a.T
         th = self.rates
-        n = th.shape[0]
+        n, dz = th.shape[0], alg.dim_z
         self._inv = np.divide(1.0, th, out=np.ones_like(th), where=th > 0.0)
 
-        # pair[p, a, r, b] = [b_pa, b_rb] reads the v parts only
+        # pair[p, a, r, b] = [b_pa, b_rb] reads the v parts only: [b_x, b_y]_k =
+        # sum_j b_y,j (sum_i b_x,i c_ijk), two matmuls over the rows of _basis
         self._basis = np.concatenate([self.xi, self.jxi])  # rows b_p0, then rows b_p1
-        basis = np.stack([self.xi, self.jxi], axis=1)[:, :, :dv]
-        tensor = alg.structure[:dv, :dv, dv:]
-        self.pair = np.einsum("pajk,rbj->parbk", np.einsum("pai,ijk->pajk", basis, tensor), basis)
+        b = self._basis[:, :dv]
+        half = (b @ alg.structure[:dv, :dv, dv:].reshape(dv, dv * dz)).reshape(2 * n, dv, dz)
+        table = (b @ half.transpose(1, 0, 2).reshape(dv, 2 * n * dz)).reshape(2, n, 2, n, dz)
+        self.pair = table.transpose(3, 2, 1, 0, 4)
         self._self_pair = self.pair[np.arange(n), 0, np.arange(n), 1]  # [b_p0, b_p1]
 
         # with C = 1 - th^2 V, sum_{p != r} sum_{a,b} [b_pa, b_rb] I_ab(p, r) is a
@@ -233,11 +235,18 @@ class TypeISolution(Trajectory):
         tp, tr = th[:, None, None] ** 2, th[None, :, None] ** 2
         gap = tp - tr
         weight = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0.0)
-        w00, w01, w10, w11 = (weight * self.pair[:, i, :, j] for i, j in np.ndindex(2, 2))
+        w = weight[:, None, :, None] * self.pair  # w[:, a, :, b] = w_ab
+        w00, w01, w10, w11 = w[:, 0, :, 0], w[:, 0, :, 1], w[:, 1, :, 0], w[:, 1, :, 1]
         e, f, g = w10 - w01, tp * w00 + w11, tr * w00 + w11
-        quad = np.array([[f, tp * w01 - tr * w10], [tp * e, tp * g]])  # (S_p | V_p) x (S_r | V_r)
-        self._quad = quad.transpose(0, 2, 1, 3, 4).reshape(2 * n, 2 * n * alg.dim_z)
+        quad = np.empty((2, n, 2, n, dz))  # (S_p | V_p) x (S_r | V_r)
+        quad[0, :, 0], quad[0, :, 1], quad[1, :, 0], quad[1, :, 1] = f, tp * w01 - tr * w10, tp * e, tp * g
+        self._quad = quad.reshape(2 * n, 2 * n * dz)
         self._lin = np.concatenate([e.sum(axis=1) - e.sum(axis=0), -f.sum(axis=1) - g.sum(axis=0)])
+
+    @property
+    def spectrum(self) -> SkewSpectrum:
+        """The kernel and rotation subspaces of matrix, from the construction's eigh."""
+        return _spectrum(self.matrix, *self._groups)
 
     # -- evaluation ------------------------------------------------------
 
@@ -288,8 +297,9 @@ class TypeISolution(Trajectory):
         the v parts of the rotating planes (rate > 0), the flat rotation their
         central parts.
         """
-        lam = self._bracket_norm()
         dv = self.alg.dim_v
+        # |[a, b]| <= lam |a| |b|, lam the spectral norm of the (dv^2, dz) bracket map
+        lam = float(np.linalg.norm(self.alg.structure[:dv, :dv, dv:].reshape(dv * dv, -1), 2)) if dv else 0.0
         rot = self.rates > 0.0
         th, xi = self.rates[rot], self.xi[rot]
         nx = np.linalg.norm(xi[:, :dv], axis=1)
@@ -302,28 +312,28 @@ class TypeISolution(Trajectory):
         b += 2.0 * (np.linalg.norm(xi[:, dv:], axis=1) @ (1.0 / th))
         return float(b)
 
-    def _bracket_norm(self) -> float:
-        """Operator bound lam with |[a, b]| <= lam |a| |b| (Frobenius route)."""
-        dv = self.alg.dim_v
-        tensor = self.alg.structure[:dv, :dv, dv:]
-        return float(np.linalg.norm(tensor.reshape(dv * dv, -1), 2)) if dv else 0.0
 
-
-@dataclass(frozen=True)
+@dataclass
 class ExactShiftSolution:
     """An exact force trajectory viewed as a shifted geodesic.
 
-    solution solves the magnetic equation directly; geodesic is the zero-force
-    trajectory with initial central velocity raised by the charge times the
-    force potential; shift = q Z~ relates the two:
+    solution solves the magnetic equation directly; geodesic, built on first
+    use, is the zero-force trajectory with initial central velocity raised by
+    the charge times the force potential; shift = q Z~ relates the two:
 
         velocity(t) = geodesic velocity(t) - shift
         position(t) = geodesic position(t) - t * shift
     """
 
     solution: TypeISolution
-    geodesic: TypeISolution
     shift: np.ndarray
+
+    @cached_property
+    def geodesic(self) -> TypeISolution:
+        alg, ic = self.solution.alg, self.solution.ic
+        z0 = np.asarray(ic.z0, float) + alg.z_part(self.shift)
+        geo_ic = InitialCondition(v0=np.asarray(ic.v0, float).copy(), z0=z0, charge=ic.charge)
+        return TypeISolution(alg, LorentzForce(alg, np.zeros((alg.dim, alg.dim))), geo_ic)
 
     def velocity_via_shift(self, t: float) -> np.ndarray:
         return self.geodesic.velocity(t) - self.shift
@@ -365,12 +375,4 @@ def solve_exact(alg: MetricNilAlgebra, force, ic: InitialCondition) -> ExactShif
             f"force is not exact: best central-potential fit leaves residual {res.residual:.3e}"
         )
     shift = ic.charge * res.z_tilde  # full coordinates, central
-    main = TypeISolution(alg, f, ic)
-    geo_ic = InitialCondition(
-        v0=np.asarray(ic.v0, float).copy(),
-        z0=np.asarray(ic.z0, float) + alg.z_part(shift),
-        charge=ic.charge,
-    )
-    zero_force = LorentzForce(alg, np.zeros((alg.dim, alg.dim)))
-    geodesic = TypeISolution(alg, zero_force, geo_ic)
-    return ExactShiftSolution(solution=main, geodesic=geodesic, shift=shift)
+    return ExactShiftSolution(solution=TypeISolution(alg, f, ic), shift=shift)

@@ -125,14 +125,10 @@ class LorentzForce:
         The zero force preserves the splitting and is reported as TYPE_I.
         """
         tol = _SKEW_TOL * max(1.0, float(np.max(np.abs(self.matrix))))
-        diag_zero = (
-            np.max(np.abs(self.block_vv), initial=0.0) <= tol
-            and np.max(np.abs(self.block_zz), initial=0.0) <= tol
-        )
-        off_zero = np.max(np.abs(self.block_vz), initial=0.0) <= tol
-        if off_zero:
+        if np.max(np.abs(self.block_vz), initial=0.0) <= tol:
             return ForceType.TYPE_I
-        if diag_zero:
+        if (np.max(np.abs(self.block_vv), initial=0.0) <= tol
+                and np.max(np.abs(self.block_zz), initial=0.0) <= tol):
             return ForceType.TYPE_II
         return ForceType.MIXED
 
@@ -191,7 +187,7 @@ def check_closed(alg: MetricNilAlgebra, force) -> ClosednessReport:
     # d omega(e_i, e_j, e_k) = -omega([e_i,e_j], e_k) - omega([e_j,e_k], e_i)
     #                          - omega([e_k,e_i], e_j)
     # with omega([e_i, e_j], e_k) = <F [e_i, e_j], e_k> = sum_m c[i,j,m] F[k,m]
-    t = np.einsum("ijm,km->ijk", alg.structure, f.matrix)
+    t = (alg.structure.reshape(d * d, d) @ f.matrix.T).reshape(d, d, d)
     resid = -(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1))
     # argmax of the flat C-order array is the first worst triple in lexicographic order
     masked = np.abs(resid) * _strict_upper(d)
@@ -215,27 +211,15 @@ def exactness_test(alg: MetricNilAlgebra, force) -> ExactnessResult:
     F = j(Z~) (+) 0 globally.  Residual is relative to max(1, ||F||_F).
     """
     f = _as_force(alg, force)
-    comm = alg.commutator_z_basis()
-    dv = alg.dim_v
-    if comm.size == 0 or dv == 0:
-        z_full = np.zeros(alg.dim)
-        resid = float(np.linalg.norm(f.matrix))
-        rel = resid / max(1.0, float(np.linalg.norm(f.matrix)))
-        return ExactnessResult(is_exact=bool(rel <= _SKEW_TOL), z_tilde=z_full, residual=rel)
-    basis_mats = np.stack([alg.j_map(row).ravel() for row in comm], axis=1)
-    target = f.block_vv.ravel()
-    coef, *_ = np.linalg.lstsq(basis_mats, target, rcond=None)
-    z_coords = comm.T @ coef  # z-coordinates of Z~
-    fit = (basis_mats @ coef).reshape(dv, dv)
+    dv, dz = alg.dim_v, alg.dim_z
+    # column k is j(e_k) flattened, (j(Z))_ba = sum_k c_abk Z_k: its singular values are
+    # the ones commutator_z_basis cuts at 1e-10, and the minimum-norm fit lies in [n, n]
+    j_cols = alg.structure[:dv, :dv, dv:].transpose(1, 0, 2).reshape(dv * dv, dz)
+    coef = np.linalg.lstsq(j_cols, f.block_vv.ravel(), rcond=1e-10)[0]
     best = np.zeros_like(f.matrix)
-    best[:dv, :dv] = fit
-    resid = float(np.linalg.norm(f.matrix - best))
-    rel = resid / max(1.0, float(np.linalg.norm(f.matrix)))
-    return ExactnessResult(
-        is_exact=bool(rel <= _SKEW_TOL),
-        z_tilde=alg.embed_z(z_coords),
-        residual=rel,
-    )
+    best[:dv, :dv] = (j_cols @ coef).reshape(dv, dv)
+    rel = float(np.linalg.norm(f.matrix - best)) / max(1.0, float(np.linalg.norm(f.matrix)))
+    return ExactnessResult(is_exact=bool(rel <= _SKEW_TOL), z_tilde=alg.embed_z(coef), residual=rel)
 
 
 def _direction(u) -> np.ndarray:

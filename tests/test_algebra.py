@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -752,6 +753,68 @@ def test_same_structure_is_bitwise_in_the_adapted_basis():
     for other in others:
         assert not other.same_structure(h3()) and not h3().same_structure(other)
     assert not build(5, [(1, 2, 5, 2.0), (3, 4, 5, 2.0)]).same_structure(h5())
+
+
+FROM_STRUCTURE_CASES = {
+    "h5": (5, [(1, 2, 5, 1.0), (3, 4, 5, 1.0)], None),
+    "h5_metric": (5, [(1, 2, 5, 1.0), (3, 4, 5, 1.0)], _metric(7, 5)),
+    "flat8_metric": (8, [(1, 2, 5, 1.0), (3, 4, 5, 0.7), (1, 3, 6, 1.0), (2, 4, 6, 1.3)], _metric(8, 8)),
+    "free3_metric": (6, [(1, 2, 4, 1.0), (1, 3, 5, -0.4), (2, 3, 6, 2.5)], _metric(9, 6)),
+    "tilted": (4, [(1, 2, 3, 1.0), (1, 2, 4, 0.5)], None),
+    "unaligned_metric": (5, [(1, 2, 3, 1.0), (1, 2, 5, 0.3), (1, 4, 3, 0.2)], _metric(10, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROM_STRUCTURE_CASES))
+def test_from_structure_matches_the_einsum_contraction(name):
+    """The matmul rewrite of the structure constants into the adapted basis
+    equals einsum("ia,jb,ijk,km->abm") on the same basis, to 1e-14."""
+    dim, brackets, metric = FROM_STRUCTURE_CASES[name]
+    alg = MetricNilAlgebra.from_structure(dim, brackets, metric=metric)
+    c = np.zeros((dim, dim, dim))
+    for i, j, k, val in brackets:
+        c[i - 1, j - 1, k - 1] += val
+        c[j - 1, i - 1, k - 1] -= val
+    p, g, dv = alg.input_basis, alg.input_metric, alg.dim_v
+    ref = np.einsum("ia,jb,ijk,km->abm", p, p, c, g @ p, optimize=True)
+    ref = 0.5 * (ref - ref.transpose(1, 0, 2))
+    ref[dv:], ref[:, dv:], ref[:, :, :dv] = 0.0, 0.0, 0.0
+    assert np.max(np.abs(alg.structure - ref)) <= 1e-14 * max(1.0, np.abs(ref).max())
+    with pytest.raises(ValueError, match="not 2-step"):  # [e1, e2] = e2 under the same metric
+        MetricNilAlgebra.from_structure(dim, [*brackets, (1, 2, 2, 1.0)], metric=metric)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-13, 4e-6, 2e-5, 1e-2])
+def test_from_structure_metric_symmetry_is_the_allclose_test(scale):
+    """A metric is refused as asymmetric exactly when np.allclose(g, g.T,
+    atol=1e-12) fails: |g - g.T| <= 1e-12 + 1e-5 |g.T| entrywise.  (At 4e-6
+    the metric passes this test and then fails the orthonormality check.)"""
+    g = _metric(11, 3)
+    g[0, 1] += scale * abs(g[1, 0])
+    try:
+        MetricNilAlgebra.from_structure(3, [(1, 2, 3, 1.0)], metric=g)
+        refused = False
+    except ValueError as exc:
+        refused = "metric must be symmetric" in str(exc)
+    assert refused == (not np.allclose(g, g.T, atol=1e-12)) == (scale > 1e-5)
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: MetricNilAlgebra.from_structure(129, []), "algebra.dim"),
+    (lambda: MetricNilAlgebra.from_structure(10**6, [(1, 2, 3, 1.0)]), "algebra.dim"),
+    (lambda: MetricNilAlgebra.heisenberg(64), "heisenberg(64)"),
+    (lambda: MetricNilAlgebra.quaternionic(32), "quaternionic(32)"),
+], ids=["dim129", "dim1e6", "heisenberg64", "quaternionic32"])
+def test_structure_cap_refuses_before_allocating(monkeypatch, build, what):
+    """An algebra of more than 2^21 structure constants (dim above 128) is
+    refused with a ValueError naming it, before any array is allocated; a
+    dim of 10^6 died in numpy's allocator."""
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(np, "zeros", allocate)
+    with pytest.raises(ValueError, match=re.escape(what)):
+        build()
 
 
 def test_from_structure_general_metric_invariants():

@@ -590,6 +590,38 @@ def test_inline_algebra_takes_integral_floats():
     assert scn.canonical()["algebra"]["brackets"] == [[1, 2, 3, 1.0]]
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({**TYPE2_H3, "initial": {"velocity": [True, "0.5", 0]}}, "initial velocity[0]"),
+    ({**TYPE2_H3, "initial": {"velocity": [1, "0.5", 0]}}, "initial velocity[1]"),
+    ({**TYPE2_H3, "initial": {"X0": [1.0, 0.0], "Z0": [False]}}, "initial Z0[0]"),
+    ({**TYPE2_H3, "force": {"type2_U": ["0", True]}}, "force.type2_U[0]"),
+    ({**EXACT_H3, "force": {"exact": {"Z": ["0.7"]}}}, "force.exact.Z[0]"),
+    ({**EXACT_H3, "force": {"matrix": [[0, 1, 0], [-1, 0, 0], [0, 0, True]]}}, "force.matrix[2][2]"),
+    ({**EXACT_H3, "algebra": "h5", "force": {"rates": [1.0, "2"]}, "initial": {"velocity": [1, 0, 0, 0, 0]}},
+     "force.rates[1]"),
+    ({**EXACT_H3, "algebra": {**INLINE_H3, "metric": [[1, 0, 0], [0, "1", 0], [0, 0, 1]]}}, "algebra.metric[1][1]"),
+], ids=["velocity-bool", "velocity-string", "Z0-bool", "type2_U", "exact-Z", "matrix", "rates", "metric"])
+def test_vector_and_matrix_fields_take_json_numbers(tmp_path, capsys, doc, field):
+    """Each entry of a vector or matrix field goes through the number check: a
+    bool or a numeric string exits 2 and names the entry; velocity
+    [true, "0.5", 0] read (1, 0.5, 0) and type2_U ["0", true] read (0, 1)."""
+    assert main(["trajectory", "--scenario", write_scenario(tmp_path, doc)]) == 2
+    assert f"{field} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra, name", [
+    ({"dim": 1000000, "brackets": []}, "algebra.dim"),
+    ({"dim": 129, "brackets": [[1, 2, 3, 1.0]]}, "algebra.dim"),
+    ("heisenberg(64)", "heisenberg(64)"),
+    ("quaternionic(1000)", "quaternionic(1000)"),
+], ids=["dim-1e6", "dim-129", "heisenberg64", "quaternionic1000"])
+def test_oversized_algebra_exits_2(tmp_path, capsys, algebra, name):
+    """An algebra of more than 2^21 structure constants exits 2 and names the
+    field or preset; dim 10^6 died with numpy's _ArrayMemoryError."""
+    assert main(["classify", "--scenario", write_scenario(tmp_path, {"algebra": algebra})]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_bad_vectors_rejected(tmp_path, capsys):
     doc_in = {
         "algebra": "h3",

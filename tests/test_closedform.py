@@ -13,11 +13,13 @@ import fdcheck
 from nilmag.algebra import MetricNilAlgebra
 from nilmag.closedform import (
     InitialCondition,
+    TypeISolution,
     solve_exact,
     solve_type1,
     spectral_decompose,
 )
 from nilmag.errors import InvalidForceError, UnsupportedForceError
+from nilmag.h5_type1 import H5Force, H5Trajectory
 from nilmag.lorentz import LorentzForce, random_closed_type1, type2_from_vector
 from nilmag.oracle import IntegratorConfig, reconstruct_group
 
@@ -130,6 +132,87 @@ def test_equal_rates_merge_into_one_subspace():
 def test_spectral_decompose_rejects_non_skew():
     with pytest.raises(ValueError):
         spectral_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _rotations_h5(rates, seed):
+    """A closed force on heisenberg(2) with v rates `rates`, in a random orthonormal frame."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+    m = np.zeros((5, 5))
+    m[:4, :4] = q @ np.kron(np.diag(rates), [[0.0, -1.0], [1.0, 0.0]]) @ q.T
+    return m
+
+
+def _exact_qh7(z_tilde):
+    alg = qh7()
+    m = np.zeros((alg.dim, alg.dim))
+    m[:4, :4] = alg.j_map(np.asarray(z_tilde, float))
+    return m
+
+
+# name: (algebra, force matrix, x(0), charge, (kernel dim, plane dims) of A)
+PLANE_SPLIT_CASES = {
+    # A = j(Z0 + q Z~) is h-type: one 4-dim plane, the centre is the kernel
+    "merged": (qh7(), _exact_qh7([0.4, -1.1, 0.3]), [0.3, -0.2, 0.9, 0.5, 0.2, 0.7, -0.4], 1.7, (3, (4,))),
+    # F_v = diag(R, 2R) and z0 = -1: the first block and the centre are the kernel
+    "kernel": (h5(), H5Force.from_rates(1.0, 2.0).matrix, [0.5, -0.3, 0.8, 0.1, -1.0], 1.0, (3, (2,))),
+    # a flat central rotation next to the v plane of j(z0)
+    "flat": (h3_times_r2(), random_closed_type1(h3_times_r2(), np.random.default_rng(3)).matrix,
+             [0.2, 0.9, -0.7, 0.4, 1.1], 0.8, (1, (2, 2))),
+    # a v rate at the kernel cutoff, 1e-9 of the largest rate; it is below the
+    # sqrt(eps) resolution of eigh(-A^2), so its split is left to rounding
+    "cutoff_kernel": (h5(), _rotations_h5([1.0, 1e-9], 5), [0.6, 0.2, -0.5, 0.9, 0.0], 1.0, None),
+    # two v rates 1e-9 apart, at the merge cutoff
+    "cutoff_merge": (h5(), _rotations_h5([1.0, 1.0 + 1e-9], 7), [0.6, 0.2, -0.5, 0.9, 0.3], 1.0, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_SPLIT_CASES))
+def test_one_eigh_split_matches_per_plane_projections(name):
+    """The construction's components x_p, from one eigh and one product, equal
+    the projections onto the kernel and the planes of spectral_decompose(A),
+    plane by plane, to 1e-14 of |x(0)|; rates agree to 1e-14 of the largest."""
+    alg, m, x0, charge, shape = PLANE_SPLIT_CASES[name]
+    x0 = np.asarray(x0, float)
+    sol = solve_type1(alg, m, InitialCondition.from_velocity(alg, x0, charge))
+    spec = spectral_decompose(sol.matrix)
+    if shape is not None:
+        assert (spec.kernel.shape[0], tuple(pl.basis.shape[0] for pl in spec.planes)) == shape
+    rates = np.array([0.0] + [pl.rate for pl in spec.planes])
+    comps = np.array([spec.kernel.T @ (spec.kernel @ x0)] + [pl.basis.T @ (pl.basis @ x0) for pl in spec.planes])
+    kept = np.linalg.norm(comps, axis=1) > 1e-14 * max(1.0, float(np.linalg.norm(x0)))
+    assert sol.rates.shape == rates[kept].shape
+    assert np.max(np.abs(sol.rates - rates[kept])) <= 1e-14 * max(1.0, rates.max())
+    assert np.max(np.abs(sol.xi - comps[kept])) <= 1e-14 * np.linalg.norm(x0)
+
+
+def test_construction_runs_one_eigh(monkeypatch):
+    """TypeISolution and H5Trajectory run one eigh each at construction; spectrum,
+    branch and sampling reuse it, and an exact force's geodesic (one more solve)
+    is built when first read, once."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    rng = np.random.default_rng(97)
+    alg = MetricNilAlgebra.heisenberg(3)
+    force, ic = random_closed_type1(alg, rng), random_ic(alg, rng, 1.3)
+    h5_force = H5Force.from_matrix(H5Force.from_rates(0.7, 1.9).matrix)
+    exact_ic = InitialCondition.from_velocity(qh7(), rng.normal(size=7), -0.8)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sol = TypeISolution(alg, force, ic)
+    assert sol.spectrum.planes and calls == [(7, 7)]
+    sol.sample(np.linspace(0.0, 3.0, 7))
+    traj = H5Trajectory(h5_force, rng.normal(size=4), -0.7)
+    assert traj.branch is not None and traj.spectrum.kernel.shape[0] >= 1
+    assert calls == [(7, 7), (5, 5)]
+    calls.clear()
+    pair = solve_exact(qh7(), _exact_qh7([0.5, 0.2, -0.9]), exact_ic)
+    assert calls == [(7, 7)]
+    assert pair.geodesic is pair.geodesic
+    assert calls == [(7, 7), (7, 7)]
 
 
 # -- solving the equations of motion ---------------------------------------

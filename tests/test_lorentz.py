@@ -300,3 +300,96 @@ def test_force_of_another_algebra_needs_the_same_structure():
         with pytest.raises(InvalidForceError):
             call(alg, abelian)
         assert_allclose(call(alg, twin), call(alg, m), rtol=0.0, atol=0.0, err_msg=name)
+
+
+def _metric(seed: int, dim: int) -> np.ndarray:
+    a = 0.3 * np.random.default_rng(seed).standard_normal((dim, dim))
+    return np.eye(dim) + a @ a.T
+
+
+# [n, n] is e5, e6 and e7 is flat, under the identity and two random metrics
+FLAT_BRACKETS = [(1, 2, 5, 1.0), (3, 4, 6, 0.9), (1, 3, 5, 0.5), (2, 4, 6, -1.3)]
+EXACTNESS_ALGEBRAS = {
+    "h3xr2": h3_times_r2,
+    "h5": h5,
+    "qh7": lambda: MetricNilAlgebra.quaternionic(1),
+    "abelian": lambda: MetricNilAlgebra.from_structure(3, []),
+    "flat7": lambda: MetricNilAlgebra.from_structure(7, FLAT_BRACKETS),
+    **{f"flat7_metric{seed}": (lambda seed=seed: MetricNilAlgebra.from_structure(
+        7, FLAT_BRACKETS, metric=_metric(seed, 7))) for seed in (1, 2)},
+    "odd_metric": lambda: MetricNilAlgebra.from_structure(
+        6, [(1, 2, 4, 1.0), (1, 3, 5, 0.7), (2, 3, 6, 1.1)], metric=_metric(3, 6)),
+}
+
+
+def _commutator_basis_fit(alg, m):
+    """(is_exact, z_tilde, residual) of the fit through an orthonormal basis of
+    [n, n]: one lstsq on the flattened j of each basis row."""
+    dv = alg.dim_v
+    comm = alg.commutator_z_basis()
+    z, fit = np.zeros(alg.dim_z), np.zeros((dv, dv))
+    if comm.size and dv:
+        cols = np.stack([alg.j_map(row).ravel() for row in comm], axis=1)
+        coef = np.linalg.lstsq(cols, m[:dv, :dv].ravel(), rcond=None)[0]
+        z, fit = comm.T @ coef, (cols @ coef).reshape(dv, dv)
+    best = np.zeros_like(m)
+    best[:dv, :dv] = fit
+    rel = float(np.linalg.norm(m - best)) / max(1.0, float(np.linalg.norm(m)))
+    return rel <= 1e-10, alg.embed_z(z), rel
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_ALGEBRAS))
+def test_exactness_test_matches_the_commutator_basis_fit(name):
+    """One lstsq on the (dim_v^2, dim_z) j-map matrix, cut at 1e-10, gives the
+    verdict, z_tilde (to 1e-12) and residual (to 1e-13) of the fit in an
+    orthonormal basis of [n, n], on exact, nearly exact, closed and arbitrary
+    skew forces, with flat directions and under random metrics."""
+    alg = EXACTNESS_ALGEBRAS[name]()
+    rng = np.random.default_rng(len(name))
+    dv = alg.dim_v
+    exact = np.zeros((alg.dim, alg.dim))
+    exact[:dv, :dv] = alg.j_map(rng.normal(size=alg.dim_z))  # a flat part drops out of j
+    noise = _skew(rng, alg.dim)
+    forces = [exact, exact + 1e-12 * noise, exact + 1e-8 * noise,
+              random_closed_type1(alg, rng).matrix, noise]
+    for m in forces:
+        got = exactness_test(alg, m)
+        is_exact, z_ref, rel = _commutator_basis_fit(alg, m)
+        assert got.is_exact == is_exact
+        assert np.max(np.abs(got.z_tilde - z_ref), initial=0.0) <= 1e-12 * max(1.0, np.abs(z_ref).max(initial=0.0))
+        assert abs(got.residual - rel) <= 1e-13
+    assert exactness_test(alg, exact).is_exact
+
+
+def test_exactness_test_runs_no_svd(monkeypatch):
+    """On a fresh algebra exactness_test runs no SVD: it does not go through
+    commutator_z_basis, which does."""
+    alg = MetricNilAlgebra.from_structure(7, FLAT_BRACKETS, metric=_metric(4, 7))
+    m = np.zeros((7, 7))
+    m[:4, :4] = alg.j_map(np.array([0.3, -1.2, 0.8]))
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert exactness_test(alg, m).is_exact
+    assert calls == []
+    alg.commutator_z_basis()  # the counter does count
+    assert calls
+
+
+def test_check_closed_matches_the_einsum_contraction():
+    """The matmul contraction gives the residual tensor of the einsum one."""
+    rng = np.random.default_rng(29)
+    for alg in [h5(), h3_times_r2(), EXACTNESS_ALGEBRAS["flat7_metric1"]()]:
+        for m in (random_closed_type1(alg, rng).matrix, _skew(rng, alg.dim)):
+            t = np.einsum("ijm,km->ijk", alg.structure, m)
+            resid = -(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1))
+            upper = np.triu_indices(alg.dim, 1)
+            rep = check_closed(alg, m)
+            assert abs(rep.frobenius_residual - np.linalg.norm(resid)) <= 1e-14 * max(1.0, np.linalg.norm(resid))
+            worst = max(abs(resid[i, j, k]) for i, j in zip(*upper) for k in range(j + 1, alg.dim))
+            assert abs(rep.max_residual - worst) <= 1e-15 * max(1.0, worst)
