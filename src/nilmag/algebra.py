@@ -126,13 +126,22 @@ def _require_size(dim: int, what: str) -> None:
                          " constants, over the cap of 2^21")
 
 
-def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of `rows`."""
-    if rows.size == 0:
-        return np.zeros((0, rows.shape[1]))
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > _ZERO_TOL * (s[0] if s.size else 1.0)))
-    return vh[:rank]
+def _aligned_orthonormal(cand: np.ndarray, m: int) -> np.ndarray:
+    """m orthonormal columns from the columns of cand (k, n) in order: Gram-Schmidt
+    keeps a column that is more than 1e-8 out of the span of the ones before it,
+    so a column equal to e_j yields e_j when the earlier ones span e_1..e_{j-1}."""
+    rest, out, k = cand.copy(), np.empty((cand.shape[0], m)), 0
+    for i in range(cand.shape[1] if m else 0):
+        nrm = math.sqrt(rest[:, i] @ rest[:, i])
+        if nrm > 1e-8:
+            out[:, k] = q = rest[:, i] / nrm
+            k += 1
+            if k == m:
+                break
+            rest[:, i + 1 :] -= np.outer(q, q @ rest[:, i + 1 :])
+    if k != m:
+        raise ValueError("internal error: Gram-Schmidt lost rank")
+    return out
 
 
 class MetricNilAlgebra:
@@ -278,39 +287,39 @@ class MetricNilAlgebra:
                 raise ValueError("metric must be (dim, dim)")
             if np.max(np.abs(g - g.T) - 1e-5 * np.abs(g.T), initial=0.0) > 1e-12:  # np.allclose's test
                 raise ValueError("metric must be symmetric")
-            if dim > 0 and np.min(np.linalg.eigvalsh(g)) <= 0:
-                raise ValueError("metric must be positive definite")
+            g = 0.5 * (g + g.T)
 
         if dim == 0:
             return cls(c, 0, 0, name=name or "trivial")
+        try:
+            # g = l l^T: x -> l^T x maps (R^dim, g) isometrically onto euclidean R^dim
+            chol = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise ValueError("metric must be positive definite") from None
 
         # center = null space of x |-> [x, .]  (a metric-independent notion)
         ad_flat = c.transpose(1, 2, 0).reshape(dim * dim, dim)  # rows (j,k), cols i
         _, s, vh = np.linalg.svd(ad_flat, full_matrices=False)
         smax = s[0] if s.size and s[0] > 0 else 1.0
-        center_rows = vh[s <= _ZERO_TOL * smax]
-        if center_rows.size == 0:
+        center_rows = vh[s <= _ZERO_TOL * smax]  # orthonormal
+        dim_z = center_rows.shape[0]
+        if dim_z == 0:
             raise ValueError("input algebra has trivial center; not 2-step nilpotent")
 
         # every bracket image must be central (2-step condition)
         images = c.reshape(dim * dim, dim)
-        img_basis = _orthonormal_rows(images)
-        if np.linalg.norm(ad_flat @ img_basis.T, axis=0).max(initial=0.0) > 1e-8 * max(1.0, np.linalg.norm(c)):
+        if np.linalg.norm(images - (images @ center_rows.T) @ center_rows) > 1e-8 * max(1.0, np.linalg.norm(c)):
             raise ValueError("bracket images are not central; algebra is not 2-step")
 
-        z_basis = cls._aligned_orthonormal(center_rows, g)
-        dim_z = z_basis.shape[0]
-        # v = metric-orthogonal complement of the center: null space of z^T g
-        if dim_z < dim:
-            _, _, vh2 = np.linalg.svd(z_basis @ g)
-            v_basis = cls._aligned_orthonormal(vh2[dim_z:], g)
-        else:
-            v_basis = np.zeros((0, dim))
-        dim_v = v_basis.shape[0]
-        if dim_v + dim_z != dim:
-            raise ValueError("internal error: adapted basis does not span")
-
-        p = np.vstack([v_basis, z_basis]).T  # columns = internal basis in input coords
+        # one QR of the whitened center: its columns span l^T z, then l^T v (v the metric
+        # complement of z), and coef holds the coordinates of l^T e_i in them, column i.
+        # Each block is orthonormalized in the order of the input axes, so
+        # coordinate-aligned subspaces keep their own axes
+        q = np.linalg.qr(chol.T @ center_rows.T, mode="complete")[0]
+        coef = q.T @ chol.T
+        dim_v = dim - dim_z
+        p = np.linalg.solve(chol.T, np.hstack([q[:, dim_z:] @ _aligned_orthonormal(coef[dim_z:], dim_v),
+                                               q[:, :dim_z] @ _aligned_orthonormal(coef[:dim_z], dim_z)]))
         gram = p.T @ g @ p
         if np.max(np.abs(gram - np.eye(dim)) - 1e-5 * np.eye(dim)) > 1e-9:  # np.allclose's test
             raise ValueError("internal error: adapted basis is not orthonormal")
@@ -322,37 +331,6 @@ class MetricNilAlgebra:
         if dim_v and np.max(np.abs(c_int[:, :, :dim_v])) > 1e-9 * max(1.0, np.max(np.abs(c_int))):
             raise ValueError("internal error: brackets escaped the center")
         return cls(c_int, dim_v, dim_z, name=name, input_basis=p, input_metric=g)
-
-    @staticmethod
-    def _aligned_orthonormal(span_rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """g-orthonormal basis of the row span, greedily aligned with input axes.
-
-        Projects the standard basis vectors onto the subspace in index order
-        and keeps the metric Gram-Schmidt survivors, so coordinate-aligned
-        subspaces come out with their own axes (exactly, for diagonal g).
-        """
-        if span_rows.size == 0:
-            return span_rows.reshape(0, g.shape[0])
-        dim = g.shape[0]
-        # metric-orthogonal projector onto the span
-        b = _orthonormal_rows(span_rows)  # euclidean orthonormal span, rows
-        m = b.shape[0]
-        # solve for g-orthonormal combos: projector P(x) = B^T (B g B^T)^{-1} B g x
-        bg = b @ g
-        gram_inv = np.linalg.inv(b @ g @ b.T)
-        chosen: list[np.ndarray] = []
-        for i in range(dim):
-            x = b.T @ (gram_inv @ bg[:, i])  # projection of e_i onto span (g-orthogonal)
-            for q in chosen:
-                x = x - q * float(q @ g @ x)
-            nrm = float(np.sqrt(max(x @ g @ x, 0.0)))
-            if nrm > 1e-8:
-                chosen.append(x / nrm)
-            if len(chosen) == m:
-                break
-        if len(chosen) != m:
-            raise ValueError("internal error: Gram-Schmidt lost rank")
-        return np.array(chosen)
 
     def same_structure(self, other: "MetricNilAlgebra") -> bool:
         """Whether other has this v/z split and, bit for bit, this structure tensor
@@ -437,7 +415,7 @@ class MetricNilAlgebra:
         elif z.shape != (self.dim_z,):
             raise ValueError(f"central vector must be ({self.dim_z},) or ({self.dim},)")
         # (j(Z) e_a)_b = <Z, [e_a, e_b]>
-        return np.einsum("abk,k->ba", self.structure[: self.dim_v, : self.dim_v, self.dim_v :], z)
+        return (self.structure[: self.dim_v, : self.dim_v, self.dim_v :] @ z).T
 
     def geodesic_term(self, x: np.ndarray) -> np.ndarray:
         """Quadratic drift of the left-trivialized geodesic field.
@@ -468,8 +446,9 @@ class MetricNilAlgebra:
     def commutator_z_basis(self) -> np.ndarray:
         """Orthonormal basis (rows, z-coordinates) of the commutator ideal [n, n]."""
         if self._commutator_z is None:
-            images = self.structure[: self.dim_v, : self.dim_v, self.dim_v :]
-            self._commutator_z = _orthonormal_rows(images.reshape(-1, self.dim_z))
+            images = self.structure[: self.dim_v, : self.dim_v, self.dim_v :].reshape(-1, self.dim_z)
+            _, s, vh = np.linalg.svd(images, full_matrices=False) if images.size else (0, np.zeros(0), images)
+            self._commutator_z = vh[: int(np.sum(s > _ZERO_TOL * (s[0] if s.size else 1.0)))]
         return self._commutator_z
 
     def kernel_z_basis(self) -> np.ndarray:

@@ -37,14 +37,16 @@ Distinct planes have distinct rates, so D != 0 off the diagonal.  Brackets
 see v parts only, so a plane without a v part (the commutator velocity, a
 flat central rotation) brackets to 0.
 
-Construction decomposes once: one eigh, one product for all x_p, and two
-matmuls for the bracket table [b_pa, b_rb].  `spectrum` (the SkewSpectrum
+Construction decomposes once: one eigh, one product for all x_p, two
+matmuls for the bracket table [b_pa, b_rb] and one contraction of it with a
+fixed coefficient pattern for the pair weights.  `spectrum` (the SkewSpectrum
 of A) is rebuilt from that eigh when read, and an exact force's `geodesic`
 is built on first use.  Evaluation is tabulated.  With C = 1 - th^2 V, the
 pair sum is a quadratic plus a linear form in u = (S_p | V_p), the
 coefficients of X(t); their weights, the brackets [b_pa, b_rb] times the
 coefficients above over D, are built once from the structure tensor, and a
-sample grid needs sin(th t) and sin(th t/2) per plane and time.  No
+sample grid needs sin(th t) and sin(th t/2) per plane of rate th > 0 and
+time (the rate-0 plane, the first, takes t, t^2/2 and t^3/6 as they are).  No
 coefficient divides by a small rate: S, V and W stay within |t|, t^2/2 and
 |t|^3/6, and a rate folded into the kernel costs O((th t)^2) only.  The
 weights 1/D still lose digits between planes of near-equal distinct rates
@@ -81,6 +83,17 @@ __all__ = [
 _MERGE_TOL = 1e-9
 # (-1)^n / (2n + 3)! for n = 7, ..., 0: (x - sin x) / x^3 in powers of x^2, to 5e-17 for |x| < 1
 _W_SERIES = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(7, -1, -1))
+_POWERS, _TAYLOR = np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.5, 1.0 / 6.0])
+# The rows of the pair sum, each a sum of the pair weights w_cd with factors
+# th_p^2 (p) and th_r^2 (r): the blocks quad[a, b] (S or V of plane p by S or
+# V of plane r), the first of which is f, then e, -f, e and g; the linear form
+# is (e, -f) summed over r minus (e, g) summed over p.  Columns (p, r, c, d).
+_PAIR_ROWS = ("+p00 +11", "+p01 -r10", "+p10 -p01", "+pr00 +p11", "+10 -01", "-p00 -11", "+10 -01", "+r00 +11")
+_PAIR_PATTERN = np.zeros((8, 2, 2, 2, 2))
+for _row, _terms in enumerate(_PAIR_ROWS):
+    for _t in _terms.split():
+        _PAIR_PATTERN[_row, int("p" in _t), int("r" in _t), int(_t[-2]), int(_t[-1])] = float(_t[0] + "1")
+_PAIR_PATTERN = _PAIR_PATTERN.reshape(8, 16)
 
 
 @dataclass(frozen=True)
@@ -106,7 +119,7 @@ class InitialCondition:
                 f"initial condition needs shapes ({alg.dim_v},) and ({alg.dim_z},),"
                 f" got {v0.shape} and {z0.shape}"
             )
-        if not (np.all(np.isfinite(v0)) and np.all(np.isfinite(z0)) and np.isfinite(self.charge)):
+        if not (np.isfinite(v0).all() and np.isfinite(z0).all() and math.isfinite(self.charge)):
             raise ValueError("initial condition contains non-finite entries")
 
 
@@ -149,42 +162,49 @@ def spectral_decompose(j_matrix: np.ndarray) -> SkewSpectrum:
 
 
 def _eigen_groups(j_matrix: np.ndarray):
-    """One eigh of -J^2 for a skew J: group rates (G,), eigenvectors vecs (n, n)
-    as columns and label (n,), the group of each column.  Rates (square roots
-    of the eigenvalues) below 1e-9 of the largest are the kernel, group 0 of
-    rate 0 (maybe empty); a new group starts wherever consecutive ascending
-    rates part by more than that, and has the mean of its rates."""
-    m = -(j_matrix @ j_matrix)
-    w, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    rates = np.sqrt(np.maximum(w, 0.0))
-    tol = _MERGE_TOL * rates.max(initial=0.0)
-    rates[rates <= tol] = 0.0  # the kernel: its edge is then a gap above tol too
-    steps = np.concatenate([[0.0], rates])
-    label = np.cumsum(steps[1:] - steps[:-1] > tol)
-    size = np.bincount(label, minlength=1)
-    return np.bincount(label, rates, minlength=1) / np.maximum(size, 1), vecs, label
+    """One eigh of -J^2 = J^T J for a skew J: group rates (G floats), eigenvectors
+    vecs (n, n) as columns and edges (G + 1 ints), group p being the columns
+    edges[p]:edges[p + 1].  Rates (square roots of the eigenvalues) below 1e-9
+    of the largest are the kernel, group 0 of rate 0 (maybe empty); a new group
+    starts wherever consecutive ascending rates part by more than that, and
+    has the mean of its rates."""
+    w, vecs = np.linalg.eigh(j_matrix.T @ j_matrix)  # eigh reads one triangle
+    r = [math.sqrt(e) if e > 0.0 else 0.0 for e in w.tolist()]
+    tol = _MERGE_TOL * max(r, default=0.0)
+    n, k = len(r), sum(e <= tol for e in r)  # the kernel, then a group at every gap above tol
+    edges = [0] + [i for i in range(k, n) if i == k or r[i] - r[i - 1] > tol] + [n]
+    rates = [0.0] + [sum(r[lo:hi]) / (hi - lo) for lo, hi in zip(edges[1:], edges[2:])]
+    return rates, vecs, edges
 
 
-def _spectrum(matrix: np.ndarray, rate: np.ndarray, vecs: np.ndarray, label: np.ndarray) -> SkewSpectrum:
-    planes = tuple(InvariantPlane(float(r), vecs[:, label == p].T) for p, r in enumerate(rate[1:], 1))
-    return SkewSpectrum(kernel=vecs[:, label == 0].T, planes=planes, matrix=matrix)
+def _spectrum(matrix: np.ndarray, rates: list, vecs: np.ndarray, edges: list) -> SkewSpectrum:
+    planes = tuple(InvariantPlane(r, vecs[:, lo:hi].T) for r, lo, hi in zip(rates[1:], edges[1:], edges[2:]))
+    return SkewSpectrum(kernel=vecs[:, : edges[1]].T, planes=planes, matrix=matrix)
 
 
-def _plane_functions(ts: np.ndarray, th: np.ndarray, inv: np.ndarray):
-    """S, V and W (T, P) of the module docstring on the grid ts for the rates
-    th; inv is 1/th, and 1 where th = 0."""
-    x = np.multiply.outer(ts, th)
-    sin_x = np.sin(x)
-    num = x - sin_x
-    small = np.abs(x) < np.where(th > 0.0, 1.0, 0.0)  # where th t - sin th t cancels
-    if small.any():
-        xs = x[small]
-        num[small] = xs**3 * np.polyval(_W_SERIES, xs * xs)
+def _plane_functions(ts: np.ndarray, th: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """S, V and W of the module docstring, (T, 3, P), on the grid ts for the
+    ascending rates th, of which only th[0] may be 0; coef (3, P') holds 1/th,
+    2/th^2 and 1/th^3 for the rates above 0."""
+    n_t, n_p = ts.shape[0], th.shape[0]
+    out = np.empty((n_t, 3, n_p))
+    k = n_p - coef.shape[1]
+    if k:  # the rate-0 plane: t, t^2/2, t^3/6
+        out[:, :, 0] = ts[:, None] ** _POWERS * _TAYLOR
+    x = ts[:, None] * th[k:]
+    s, v, w = out[:, 0, k:], out[:, 1, k:], out[:, 2, k:]
+    np.subtract(x, np.sin(x, out=s), out=w)
+    small = np.abs(x) < 1.0  # where th t - sin th t cancels: the series, by Horner in place
+    xs = x[small]
+    x2, acc = xs * xs, np.full(xs.shape, _W_SERIES[0])
+    for c in _W_SERIES[1:]:
+        acc *= x2
+        acc += c
+    w[small] = xs**3 * acc
     half = np.sin(0.5 * x)
-    s, v, w = sin_x * inv, 2.0 * inv**2 * half * half, num * inv**3
-    t, zero = ts[:, None], th == 0.0
-    s[:, zero], v[:, zero], w[:, zero] = t, 0.5 * t * t, t**3 / 6.0
-    return s, v, w
+    np.multiply(coef[1] * half, half, out=v)  # V = 2 sin^2(th t / 2) / th^2
+    out[:, ::2, k:] *= coef[::2]
+    return out
 
 
 class TypeISolution(Trajectory):
@@ -201,47 +221,47 @@ class TypeISolution(Trajectory):
 
     def __init__(self, alg: MetricNilAlgebra, force: LorentzForce, ic: InitialCondition):
         ic.validate(alg)
-        self.alg = alg
-        self.force = force
-        self.ic = ic
-        dv = alg.dim_v
-        a = np.zeros((alg.dim, alg.dim))
-        a[:dv, :dv] = alg.j_map(np.asarray(ic.z0, float)) + ic.charge * force.block_vv
-        a[dv:, dv:] = ic.charge * force.block_zz
-        self.matrix = a
-        self._groups = rate, vecs, label = _eigen_groups(a)
-        # the component x_p of x(0) on group p, all groups by one product
         x = np.concatenate([ic.v0, ic.z0], dtype=float)
-        comps = ((label == np.arange(rate.size)[:, None]) * (x @ vecs)) @ vecs.T
-        kept = np.sqrt((comps * comps).sum(axis=1)) > 1e-14 * max(1.0, math.sqrt(x @ x))  # |x_p| > 1e-14 |x|
-        self.rates, self.xi = rate[kept], comps[kept]
+        self.alg, self.force, self.ic = alg, force, ic
+        dim, dv, dz = alg.dim, alg.dim_v, alg.dim_z
+        self.matrix = a = np.zeros((dim, dim))
+        a[:dv, :dv] = alg.j_map(x[dv:]) + ic.charge * force.block_vv
+        a[dv:, dv:] = ic.charge * force.block_zz
+        self._groups = rate, vecs, edges = _eigen_groups(a)
+        # the component x_p = V_p V_p^T x of x(0) on group p, kept where |V_p^T x| > 1e-14 |x|
+        y = x @ vecs
+        cut, sq = 1e-14 * max(1.0, math.sqrt(x @ x)), (y * y).tolist()
+        kept = [(r, lo, hi) for r, lo, hi in zip(rate, edges, edges[1:]) if math.sqrt(sum(sq[lo:hi])) > cut]
+        th, n = [r for r, _, _ in kept], len(kept)
+        inv = np.array([1.0 / r for r in th if r > 0.0])
+        self.rates, self._coef = np.array(th), np.array([inv, 2.0 * inv**2, inv**3])
+        self.xi = np.array([vecs[:, lo:hi] @ y[lo:hi] for _, lo, hi in kept]).reshape(n, dim)
         self.jxi = self.xi @ a.T
-        th = self.rates
-        n, dz = th.shape[0], alg.dim_z
-        self._inv = np.divide(1.0, th, out=np.ones_like(th), where=th > 0.0)
 
         # pair[p, a, r, b] = [b_pa, b_rb] reads the v parts only: [b_x, b_y]_k =
-        # sum_j b_y,j (sum_i b_x,i c_ijk), two matmuls over the rows of _basis
-        self._basis = np.concatenate([self.xi, self.jxi])  # rows b_p0, then rows b_p1
-        b = self._basis[:, :dv]
+        # sum_j b_y,j (sum_i b_x,i c_ijk), two matmuls over the rows of basis
+        basis = np.concatenate([self.xi, self.jxi])  # rows b_p0, then rows b_p1
+        b = basis[:, :dv]
         half = (b @ alg.structure[:dv, :dv, dv:].reshape(dv, dv * dz)).reshape(2 * n, dv, dz)
         table = (b @ half.transpose(1, 0, 2).reshape(dv, 2 * n * dz)).reshape(2, n, 2, n, dz)
         self.pair = table.transpose(3, 2, 1, 0, 4)
-        self._self_pair = self.pair[np.arange(n), 0, np.arange(n), 1]  # [b_p0, b_p1]
+        self._self_pair = table[1, :, 0].diagonal().T  # [b_p0, b_p1]
 
         # with C = 1 - th^2 V, sum_{p != r} sum_{a,b} [b_pa, b_rb] I_ab(p, r) is a
-        # quadratic form in u = (S_p | V_p) plus a linear one; w_ab = [b_pa, b_rb] / D,
-        # and 0 at p = r
-        tp, tr = th[:, None, None] ** 2, th[None, :, None] ** 2
-        gap = tp - tr
-        weight = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0.0)
-        w = weight[:, None, :, None] * self.pair  # w[:, a, :, b] = w_ab
-        w00, w01, w10, w11 = w[:, 0, :, 0], w[:, 0, :, 1], w[:, 1, :, 0], w[:, 1, :, 1]
-        e, f, g = w10 - w01, tp * w00 + w11, tr * w00 + w11
-        quad = np.empty((2, n, 2, n, dz))  # (S_p | V_p) x (S_r | V_r)
-        quad[0, :, 0], quad[0, :, 1], quad[1, :, 0], quad[1, :, 1] = f, tp * w01 - tr * w10, tp * e, tp * g
-        self._quad = quad.reshape(2 * n, 2 * n * dz)
-        self._lin = np.concatenate([e.sum(axis=1) - e.sum(axis=0), -f.sum(axis=1) - g.sum(axis=0)])
+        # quadratic form in u = (S_p | V_p) plus a linear one.  w_cd = [b_pc, b_rd] / D,
+        # 0 at p = r, and each block of either is a sum of w_cd times th_p^2i th_r^2j
+        t2 = [r * r for r in th]
+        powers = np.array([[1.0] * n, t2])  # th^0, th^2
+        weight = np.array([[1.0 / (tp - tr) if tp != tr else 0.0 for tr in t2] for tp in t2])  # 1 / D
+        mono = powers[:, None, :, None] * powers[:, None] * weight.reshape(n, n)  # [i, j, p, r]
+        terms = mono[:, :, None, None, :, :, None] * table.transpose(2, 0, 3, 1, 4)
+        rows = (_PAIR_PATTERN @ terms.reshape(16, -1)).reshape(8, n, n, dz)
+        # (S_p | V_p) x (S_r | V_r)
+        self._quad = rows[:4].reshape(2, 2, n, n, dz).transpose(0, 2, 1, 3, 4).reshape(2 * n, 2 * n * dz)
+        self._lin = (rows[4:6].sum(axis=2) - rows[6:].sum(axis=1)).reshape(2 * n, dz)
+        # one product with u gives X(t) and x(t) - x(0) = sum_p S_p b_p1 - th_p^2 V_p b_p0
+        self._rows = np.concatenate([basis, np.concatenate([self.jxi, -powers[1][:, None] * self.xi])], axis=1)
+        self._x0 = self.xi.sum(axis=0)
 
     @property
     def spectrum(self) -> SkewSpectrum:
@@ -252,13 +272,13 @@ class TypeISolution(Trajectory):
 
     def sample(self, ts: np.ndarray) -> CurveSamples:
         ts = np.asarray(ts, dtype=float)
-        n_t, dv, dz = ts.shape[0], self.alg.dim_v, self.alg.dim_z
-        s, v, w = _plane_functions(ts, self.rates, self._inv)
-        u = np.concatenate([s, v], axis=1)  # the coefficients of the rows of _basis in X(t)
+        n_t, dim, dz = ts.shape[0], self.alg.dim, self.alg.dim_z
+        planes = _plane_functions(ts, self.rates, self._coef)
+        u, w = planes[:, :2].reshape(n_t, 2 * planes.shape[2]), planes[:, 2]
         quad = np.matmul(u[:, None, :], (u @ self._quad).reshape(n_t, u.shape[1], dz))[:, 0]
-        vel = np.concatenate([1.0 - self.rates**2 * v, s], axis=1) @ self._basis
-        xi = u @ self._basis
-        xi[:, dv:] += 0.5 * (w @ self._self_pair - u @ self._lin - quad)
+        out = u @ self._rows
+        xi, vel = out[:, :dim], out[:, dim : 2 * dim] + self._x0
+        xi[:, dim - dz :] += 0.5 * (w @ self._self_pair - u @ self._lin - quad)
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
 
     # -- derived quantities ----------------------------------------------
@@ -284,7 +304,7 @@ class TypeISolution(Trajectory):
         """
         rot = self.rates > 0.0
         kernel_pair = self.pair[~rot, 0][:, rot, 1].sum(axis=0)  # [X1, A x_p]
-        drift = 0.5 * (self._inv[rot] ** 2 @ (self._self_pair[rot] - kernel_pair))
+        drift = 0.25 * (self._coef[1] @ (self._self_pair[rot] - kernel_pair))
         return self.x1[self.alg.dim_v :] + drift
 
     def central_oscillation_bound(self) -> float:

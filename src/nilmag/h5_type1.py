@@ -168,8 +168,8 @@ class H5Trajectory(TypeISolution):
         alg = _h5_algebra()
         ic = InitialCondition(v0, np.array([float(z0)]), float(charge))
         super().__init__(alg, LorentzForce(alg, force.matrix), ic)
-        _, vecs, label = self._groups  # the kernel columns of the construction's eigh
-        resonant_dim = np.sum(vecs[:4, label == 0] ** 2)
+        _, vecs, edges = self._groups  # the kernel columns of the construction's eigh
+        resonant_dim = np.sum(vecs[:4, : edges[1]] ** 2)
         self.branch = list(H5Branch)[round(resonant_dim) // 2]
 
     def energy(self) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,7 +44,8 @@ __all__ = [
 # Relative size below which a force's symmetric part, one of its blocks, or its
 # misfit by j(Z~) counts as zero.
 _SKEW_TOL = 1e-10
-# Largest cyclic-sum residual of d omega that counts as closed.
+# Largest cyclic-sum residual of d omega that counts as closed, relative to
+# max(1, max|F| max|c|), the scale of one term of the cyclic sum.
 _CLOSED_TOL = 1e-12
 
 
@@ -69,7 +70,8 @@ class ExactnessResult:
     """Best approximation of F by a central-derivative force j(Z~) on v.
 
     is_exact is True when F equals j(Z~) (+) 0 for some commutator vector Z~
-    up to 1e-10 relative; z_tilde is that vector (full coordinates, central).
+    up to 1e-10 relative; z_tilde is that vector (full coordinates, central,
+    read-only).
     """
 
     is_exact: bool
@@ -81,7 +83,8 @@ class LorentzForce:
     """A skew force matrix on an algebra, with block bookkeeping.
 
     The matrix is given in internal adapted coordinates.  Construction
-    validates skewness to 1e-10 (relative) and then antisymmetrizes exactly.
+    validates skewness to 1e-10 (relative) and then antisymmetrizes exactly into
+    a read-only matrix, whose type, closedness and exactness are computed once.
     """
 
     def __init__(self, alg: MetricNilAlgebra, matrix: np.ndarray):
@@ -90,17 +93,14 @@ class LorentzForce:
             raise InvalidForceError(
                 f"force matrix must be ({alg.dim}, {alg.dim}), got {matrix.shape}"
             )
-        if not np.all(np.isfinite(matrix)):
+        scale = float(np.abs(matrix).max(initial=0.0))  # nan or inf at a non-finite entry
+        if not np.isfinite(scale):
             raise InvalidForceError("force matrix contains non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(matrix))))
-        if np.max(np.abs(matrix + matrix.T)) > _SKEW_TOL * scale:
+        if np.abs(matrix + matrix.T).max(initial=0.0) > _SKEW_TOL * max(1.0, scale):
             raise InvalidForceError("force matrix is not skew-symmetric")
         self.alg = alg
         self.matrix = 0.5 * (matrix - matrix.T)
-
-    @property
-    def dim(self) -> int:
-        return self.alg.dim
+        self.matrix.flags.writeable = False
 
     # block views (v-rows/cols first)
     @property
@@ -124,13 +124,20 @@ class LorentzForce:
 
         The zero force preserves the splitting and is reported as TYPE_I.
         """
-        tol = _SKEW_TOL * max(1.0, float(np.max(np.abs(self.matrix))))
-        if np.max(np.abs(self.block_vz), initial=0.0) <= tol:
+        return self._type
+
+    # computed on first use and kept, as the matrix is read-only
+    @cached_property
+    def _type(self) -> ForceType:
+        tol = _SKEW_TOL * max(1.0, float(np.abs(self.matrix).max(initial=0.0)))
+        if np.abs(self.block_vz).max(initial=0.0) <= tol:
             return ForceType.TYPE_I
-        if (np.max(np.abs(self.block_vv), initial=0.0) <= tol
-                and np.max(np.abs(self.block_zz), initial=0.0) <= tol):
+        if np.abs(self.block_vv).max(initial=0.0) <= tol and np.abs(self.block_zz).max(initial=0.0) <= tol:
             return ForceType.TYPE_II
         return ForceType.MIXED
+
+    _closedness = cached_property(lambda self: _closedness_report(self.alg.structure, self.matrix))
+    _exactness = cached_property(lambda self: _exactness_fit(self.alg, self.matrix))
 
 
 def solve(alg: MetricNilAlgebra, force, charge: float, x0):
@@ -180,24 +187,30 @@ def check_closed(alg: MetricNilAlgebra, force) -> ClosednessReport:
     Returns the largest cyclic-sum residual, the triple attaining it
     (0-based internal indices), and the Frobenius norm of the full residual
     tensor (which, unlike the max, is invariant under orthogonal changes of
-    basis).  closed is max_residual <= 1e-12.
+    basis).  closed is max_residual <= 1e-12 max(1, max|F| max|c|), c the
+    structure constants.  A LorentzForce computes its report once.
     """
-    f = _as_force(alg, force)
-    d = alg.dim
+    return _as_force(alg, force)._closedness
+
+
+def _closedness_report(c: np.ndarray, matrix: np.ndarray) -> ClosednessReport:
+    d = c.shape[0]
     # d omega(e_i, e_j, e_k) = -omega([e_i,e_j], e_k) - omega([e_j,e_k], e_i)
     #                          - omega([e_k,e_i], e_j)
     # with omega([e_i, e_j], e_k) = <F [e_i, e_j], e_k> = sum_m c[i,j,m] F[k,m]
-    t = (alg.structure.reshape(d * d, d) @ f.matrix.T).reshape(d, d, d)
-    resid = -(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1))
+    # (its sign is immaterial: only |d omega| and its norm are reported)
+    t = (c.reshape(d * d, d) @ matrix.T).reshape(d, d, d)
+    resid = t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
     # argmax of the flat C-order array is the first worst triple in lexicographic order
     masked = np.abs(resid) * _strict_upper(d)
     flat = int(masked.argmax())
     max_res = float(masked.flat[flat])
     i, jk = divmod(flat, d * d)
     worst = (i, *divmod(jk, d)) if max_res > 0.0 else None
+    scale = max(1.0, float(np.abs(matrix).max()) * float(np.abs(c).max()))
     return ClosednessReport(
-        closed=bool(max_res <= _CLOSED_TOL),
-        max_residual=float(max_res),
+        closed=bool(max_res <= _CLOSED_TOL * scale),
+        max_residual=max_res,
         worst_triple=worst,
         frobenius_residual=float(np.linalg.norm(resid)),
     )
@@ -208,18 +221,24 @@ def exactness_test(alg: MetricNilAlgebra, force) -> ExactnessResult:
 
     The fit solves min over Z~ of ||F_vv - j(Z~)||_F; the reported residual
     also includes every block of F outside v x v, so is_exact certifies
-    F = j(Z~) (+) 0 globally.  Residual is relative to max(1, ||F||_F).
+    F = j(Z~) (+) 0 globally.  Residual is relative to max(1, ||F||_F).  A
+    LorentzForce computes its result once.
     """
-    f = _as_force(alg, force)
+    return _as_force(alg, force)._exactness
+
+
+def _exactness_fit(alg: MetricNilAlgebra, matrix: np.ndarray) -> ExactnessResult:
     dv, dz = alg.dim_v, alg.dim_z
     # column k is j(e_k) flattened, (j(Z))_ba = sum_k c_abk Z_k: its singular values are
     # the ones commutator_z_basis cuts at 1e-10, and the minimum-norm fit lies in [n, n]
     j_cols = alg.structure[:dv, :dv, dv:].transpose(1, 0, 2).reshape(dv * dv, dz)
-    coef = np.linalg.lstsq(j_cols, f.block_vv.ravel(), rcond=1e-10)[0]
-    best = np.zeros_like(f.matrix)
+    coef = np.linalg.lstsq(j_cols, matrix[:dv, :dv].ravel(), rcond=1e-10)[0]
+    best = np.zeros_like(matrix)
     best[:dv, :dv] = (j_cols @ coef).reshape(dv, dv)
-    rel = float(np.linalg.norm(f.matrix - best)) / max(1.0, float(np.linalg.norm(f.matrix)))
-    return ExactnessResult(is_exact=bool(rel <= _SKEW_TOL), z_tilde=alg.embed_z(coef), residual=rel)
+    rel = float(np.linalg.norm(matrix - best)) / max(1.0, float(np.linalg.norm(matrix)))
+    z_tilde = alg.embed_z(coef)
+    z_tilde.flags.writeable = False
+    return ExactnessResult(is_exact=bool(rel <= _SKEW_TOL), z_tilde=z_tilde, residual=rel)
 
 
 def _direction(u) -> np.ndarray:
@@ -252,12 +271,7 @@ def type2_from_vector(alg: MetricNilAlgebra, u: np.ndarray) -> LorentzForce:
             "type-II direction forces are implemented on the 3-dim Heisenberg algebra only"
         )
     u = _direction(u)
-    m = np.zeros((3, 3))
-    m[0, 2] = -u[1]
-    m[1, 2] = u[0]
-    m[2, 0] = u[1]
-    m[2, 1] = -u[0]
-    return LorentzForce(alg, m)
+    return LorentzForce(alg, np.array([[0.0, 0.0, -u[1]], [0.0, 0.0, u[0]], [u[1], -u[0], 0.0]]))
 
 
 def random_closed_type1(

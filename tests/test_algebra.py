@@ -787,16 +787,20 @@ def test_from_structure_matches_the_einsum_contraction(name):
 @pytest.mark.parametrize("scale", [0.0, 1e-13, 4e-6, 2e-5, 1e-2])
 def test_from_structure_metric_symmetry_is_the_allclose_test(scale):
     """A metric is refused as asymmetric exactly when np.allclose(g, g.T,
-    atol=1e-12) fails: |g - g.T| <= 1e-12 + 1e-5 |g.T| entrywise.  (At 4e-6
-    the metric passes this test and then fails the orthonormality check.)"""
+    atol=1e-12) fails: |g - g.T| <= 1e-12 + 1e-5 |g.T| entrywise.  A metric
+    that passes is symmetrized and the build succeeds (at 4e-6 it used to
+    fail the orthonormality check)."""
     g = _metric(11, 3)
     g[0, 1] += scale * abs(g[1, 0])
-    try:
-        MetricNilAlgebra.from_structure(3, [(1, 2, 3, 1.0)], metric=g)
-        refused = False
-    except ValueError as exc:
-        refused = "metric must be symmetric" in str(exc)
-    assert refused == (not np.allclose(g, g.T, atol=1e-12)) == (scale > 1e-5)
+    assert np.allclose(g, g.T, atol=1e-12) == (scale <= 1e-5)
+    if scale > 1e-5:
+        with pytest.raises(ValueError, match="metric must be symmetric"):
+            MetricNilAlgebra.from_structure(3, [(1, 2, 3, 1.0)], metric=g)
+        return
+    alg = MetricNilAlgebra.from_structure(3, [(1, 2, 3, 1.0)], metric=g)
+    assert np.array_equal(alg.input_metric, 0.5 * (g + g.T))
+    p = alg.input_basis
+    assert np.max(np.abs(p.T @ alg.input_metric @ p - np.eye(3))) <= 1e-14
 
 
 @pytest.mark.parametrize("build, what", [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from nilmag.algebra import MetricNilAlgebra
 from nilmag.closedform import (
     InitialCondition,
     TypeISolution,
+    _plane_functions,
     solve_exact,
     solve_type1,
     spectral_decompose,
@@ -771,3 +773,35 @@ def test_initial_condition_from_velocity():
     assert ic.charge == 2.0
     with pytest.raises(ValueError):
         InitialCondition.from_velocity(alg, np.arange(4.0))
+
+
+# th t / |th t| = 1 sits on the switch between the series and x - sin x in W
+PLANE_ARGS = [1e-8, 1e-3, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0, np.pi, 10.0, 1e3, 1e6]
+
+
+@pytest.mark.parametrize("rate", [1e-9, 1e-6, 1e-3, 0.1, 0.7, 1.0, 3.3, 50.0])
+def test_plane_functions_against_mpmath(rate):
+    """S, V and W of the rate-0 plane and of a plane of rate th agree with
+    50-digit mpmath to 4 ulp, for th t from 1e-8 to 1e6 and on both sides of
+    |th t| = 1, where W switches from its series to (th t - sin th t) / th^3.
+    The reference takes th t as the double it rounds to, the argument every
+    evaluation of sin(th t) starts from."""
+    ts = np.array([c / rate for c in PLANE_ARGS] + [-2.0 / rate])
+    th = np.array([0.0, rate])
+    inv = np.array([1.0 / rate])
+    out = _plane_functions(ts, th, np.array([inv, 2.0 * inv**2, inv**3]))
+    u, w = out[:, :2].reshape(len(ts), 4), out[:, 2]
+    x = ts * rate
+    assert np.any(np.abs(x) < 1.0 - 1e-13) and np.any((np.abs(x) > 1.0) & (np.abs(x) < 1.0 + 1e-11))
+    with mpmath.workdps(50):
+        r = mpmath.mpf(rate)
+        for k, t in enumerate(ts):
+            tt, xx = mpmath.mpf(t), mpmath.mpf(x[k])
+            want = [
+                (u[k, 0], tt), (u[k, 2], tt**2 / 2), (w[k, 0], tt**3 / 6),
+                (u[k, 1], mpmath.sin(xx) / r),
+                (u[k, 3], 2 * mpmath.sin(xx / 2) ** 2 / r**2),
+                (w[k, 1], (xx - mpmath.sin(xx)) / r**3),
+            ]
+            for got, ref in want:
+                assert abs(mpmath.mpf(got) - ref) <= 4 * np.finfo(float).eps * abs(ref), (t, got, ref)

@@ -393,3 +393,70 @@ def test_check_closed_matches_the_einsum_contraction():
             assert abs(rep.frobenius_residual - np.linalg.norm(resid)) <= 1e-14 * max(1.0, np.linalg.norm(resid))
             worst = max(abs(resid[i, j, k]) for i, j in zip(*upper) for k in range(j + 1, alg.dim))
             assert abs(rep.max_residual - worst) <= 1e-15 * max(1.0, worst)
+
+
+# a closed type-I force with brackets, flat directions and a random metric
+SCALED_ALGEBRAS = {
+    "structure_5": lambda: MetricNilAlgebra.from_structure(5, [(1, 2, 3, 1.0)], metric=_metric(5, 5)),
+    "structure_8": lambda: MetricNilAlgebra.from_structure(
+        8, [(1, 2, 5, 1.0), (3, 4, 5, 0.8), (1, 3, 6, 1.0), (2, 4, 6, 1.2)], metric=_metric(8, 8)),
+    "qh7": lambda: MetricNilAlgebra.quaternionic(1),
+}
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("name", sorted(SCALED_ALGEBRAS))
+def test_closedness_bound_scales_with_the_force(name, scale):
+    """A closed type-I force stays closed, and solvable, at any scale: the bound
+    is 1e-12 max(1, max|F| max|c|), the size of one term of the cyclic sum.
+    Under an absolute 1e-12 a closed force of scale 1e6 on structure_5 read
+    3.3e-11 and was refused.  A force that is not closed stays refused."""
+    from nilmag.closedform import InitialCondition, solve_type1
+
+    alg = SCALED_ALGEBRAS[name]()
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        f = random_closed_type1(alg, rng, scale=scale)
+        rep = check_closed(alg, f)
+        assert rep.closed, rep
+        solve_type1(alg, f, InitialCondition.from_velocity(alg, rng.normal(size=alg.dim)))
+    assert not check_closed(alg, scale * _skew(rng, alg.dim)).closed
+
+
+def test_force_holds_its_classification(monkeypatch):
+    """The force matrix and a report's z_tilde are read-only; force_type, the
+    closedness report and the exactness fit are computed once per force, so
+    classifying and then solving with solve_type1 and solve_exact runs each
+    worker once; a fresh force of the same matrix gives equal reports."""
+    from nilmag import lorentz
+    from nilmag.closedform import InitialCondition, solve_exact, solve_type1
+
+    alg = MetricNilAlgebra.quaternionic(1)
+    m = np.zeros((7, 7))
+    m[:4, :4] = alg.j_map(np.array([0.5, 0.2, -0.9]))
+    calls = []
+    for worker in ("_closedness_report", "_exactness_fit"):
+        def counted(*args, _f=getattr(lorentz, worker), _name=worker):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(lorentz, worker, counted)
+
+    force = LorentzForce(alg, m)
+    with pytest.raises(ValueError):
+        force.matrix[0, 1] = 1.0
+    assert force.force_type() is ForceType.TYPE_I
+    closed, exact = check_closed(alg, force), exactness_test(alg, force)
+    ic = InitialCondition.from_velocity(alg, np.linspace(-1.0, 1.0, 7), 0.7)
+    solve_type1(alg, force, ic)
+    solve_exact(alg, force, ic)
+    assert sorted(calls) == ["_closedness_report", "_exactness_fit"]
+    assert check_closed(alg, force) is closed and exactness_test(alg, force) is exact
+    with pytest.raises(ValueError):
+        exact.z_tilde[4] = 0.0
+
+    again = LorentzForce(alg, m)
+    assert check_closed(alg, again) == closed
+    twin = exactness_test(alg, again)
+    assert (twin.is_exact, twin.residual) == (exact.is_exact, exact.residual)
+    assert np.array_equal(twin.z_tilde, exact.z_tilde)
+    assert again.force_type() is force.force_type()
