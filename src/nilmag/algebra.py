@@ -126,6 +126,15 @@ def _require_size(dim: int, what: str) -> None:
                          " constants, over the cap of 2^21")
 
 
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as rows) of the row space of `rows`."""
+    if rows.size == 0:
+        return np.zeros((0, rows.shape[1]))
+    u, s, vh = np.linalg.svd(rows, full_matrices=False)
+    rank = int(np.sum(s > _ZERO_TOL * (s[0] if s.size else 1.0)))
+    return vh[:rank]
+
+
 def _aligned_orthonormal(cand: np.ndarray, m: int) -> np.ndarray:
     """m orthonormal columns from the columns of cand (k, n) in order: Gram-Schmidt
     keeps a column that is more than 1e-8 out of the span of the ones before it,
@@ -446,9 +455,8 @@ class MetricNilAlgebra:
     def commutator_z_basis(self) -> np.ndarray:
         """Orthonormal basis (rows, z-coordinates) of the commutator ideal [n, n]."""
         if self._commutator_z is None:
-            images = self.structure[: self.dim_v, : self.dim_v, self.dim_v :].reshape(-1, self.dim_z)
-            _, s, vh = np.linalg.svd(images, full_matrices=False) if images.size else (0, np.zeros(0), images)
-            self._commutator_z = vh[: int(np.sum(s > _ZERO_TOL * (s[0] if s.size else 1.0)))]
+            images = self.structure[: self.dim_v, : self.dim_v, self.dim_v :]
+            self._commutator_z = _orthonormal_rows(images.reshape(-1, self.dim_z))
         return self._commutator_z
 
     def kernel_z_basis(self) -> np.ndarray:

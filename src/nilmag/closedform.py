@@ -83,7 +83,6 @@ __all__ = [
 _MERGE_TOL = 1e-9
 # (-1)^n / (2n + 3)! for n = 7, ..., 0: (x - sin x) / x^3 in powers of x^2, to 5e-17 for |x| < 1
 _W_SERIES = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(7, -1, -1))
-_POWERS, _TAYLOR = np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.5, 1.0 / 6.0])
 # The rows of the pair sum, each a sum of the pair weights w_cd with factors
 # th_p^2 (p) and th_r^2 (r): the blocks quad[a, b] (S or V of plane p by S or
 # V of plane r), the first of which is f, then e, -f, e and g; the linear form
@@ -182,29 +181,32 @@ def _spectrum(matrix: np.ndarray, rates: list, vecs: np.ndarray, edges: list) ->
     return SkewSpectrum(kernel=vecs[:, : edges[1]].T, planes=planes, matrix=matrix)
 
 
-def _plane_functions(ts: np.ndarray, th: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """S, V and W of the module docstring, (T, 3, P), on the grid ts for the
-    ascending rates th, of which only th[0] may be 0; coef (3, P') holds 1/th,
-    2/th^2 and 1/th^3 for the rates above 0."""
+def _plane_functions(ts: np.ndarray, th: np.ndarray, coef: np.ndarray):
+    """u = (S | V | 1) (T, 2P + 1) and W (T, P) of the module docstring on the
+    grid ts for the ascending rates th, of which only th[0] may be 0; coef
+    (3, P) holds 1/th, 2/th^2 and 1/th^3, and 1 where th = 0."""
     n_t, n_p = ts.shape[0], th.shape[0]
-    out = np.empty((n_t, 3, n_p))
-    k = n_p - coef.shape[1]
-    if k:  # the rate-0 plane: t, t^2/2, t^3/6
-        out[:, :, 0] = ts[:, None] ** _POWERS * _TAYLOR
-    x = ts[:, None] * th[k:]
-    s, v, w = out[:, 0, k:], out[:, 1, k:], out[:, 2, k:]
-    np.subtract(x, np.sin(x, out=s), out=w)
+    k = int(n_p > 0 and th[0] == 0.0)
+    x = ts[:, None] * th
+    sin_x = np.sin(x)
+    w = x - sin_x
     small = np.abs(x) < 1.0  # where th t - sin th t cancels: the series, by Horner in place
+    small[:, :k] = False
     xs = x[small]
     x2, acc = xs * xs, np.full(xs.shape, _W_SERIES[0])
     for c in _W_SERIES[1:]:
         acc *= x2
         acc += c
     w[small] = xs**3 * acc
+    w *= coef[2]
     half = np.sin(0.5 * x)
-    np.multiply(coef[1] * half, half, out=v)  # V = 2 sin^2(th t / 2) / th^2
-    out[:, ::2, k:] *= coef[::2]
-    return out
+    u = np.empty((n_t, 2 * n_p + 1))
+    np.multiply(sin_x, coef[0], out=u[:, :n_p])
+    np.multiply(coef[1] * half, half, out=u[:, n_p:-1])
+    u[:, -1] = 1.0
+    if k:  # the rate-0 plane
+        u[:, 0], u[:, n_p], w[:, 0] = ts, 0.5 * ts * ts, ts**3 / 6.0
+    return u, w
 
 
 class TypeISolution(Trajectory):
@@ -233,7 +235,7 @@ class TypeISolution(Trajectory):
         cut, sq = 1e-14 * max(1.0, math.sqrt(x @ x)), (y * y).tolist()
         kept = [(r, lo, hi) for r, lo, hi in zip(rate, edges, edges[1:]) if math.sqrt(sum(sq[lo:hi])) > cut]
         th, n = [r for r, _, _ in kept], len(kept)
-        inv = np.array([1.0 / r for r in th if r > 0.0])
+        inv = np.array([1.0 / r if r > 0.0 else 1.0 for r in th])
         self.rates, self._coef = np.array(th), np.array([inv, 2.0 * inv**2, inv**3])
         self.xi = np.array([vecs[:, lo:hi] @ y[lo:hi] for _, lo, hi in kept]).reshape(n, dim)
         self.jxi = self.xi @ a.T
@@ -259,9 +261,9 @@ class TypeISolution(Trajectory):
         # (S_p | V_p) x (S_r | V_r)
         self._quad = rows[:4].reshape(2, 2, n, n, dz).transpose(0, 2, 1, 3, 4).reshape(2 * n, 2 * n * dz)
         self._lin = (rows[4:6].sum(axis=2) - rows[6:].sum(axis=1)).reshape(2 * n, dz)
-        # one product with u gives X(t) and x(t) - x(0) = sum_p S_p b_p1 - th_p^2 V_p b_p0
-        self._rows = np.concatenate([basis, np.concatenate([self.jxi, -powers[1][:, None] * self.xi])], axis=1)
-        self._x0 = self.xi.sum(axis=0)
+        # one product with u = (S | V | 1) gives X(t) and x(t) = x(0) + sum_p S_p b_p1 - th_p^2 V_p b_p0
+        vel = np.concatenate([self.jxi, -powers[1][:, None] * self.xi, self.xi.sum(axis=0, keepdims=True)])
+        self._rows = np.concatenate([np.concatenate([basis, np.zeros((1, dim))]), vel], axis=1)
 
     @property
     def spectrum(self) -> SkewSpectrum:
@@ -273,11 +275,11 @@ class TypeISolution(Trajectory):
     def sample(self, ts: np.ndarray) -> CurveSamples:
         ts = np.asarray(ts, dtype=float)
         n_t, dim, dz = ts.shape[0], self.alg.dim, self.alg.dim_z
-        planes = _plane_functions(ts, self.rates, self._coef)
-        u, w = planes[:, :2].reshape(n_t, 2 * planes.shape[2]), planes[:, 2]
+        u1, w = _plane_functions(ts, self.rates, self._coef)
+        u = u1[:, :-1]  # the coefficients (S | V) of X(t)
         quad = np.matmul(u[:, None, :], (u @ self._quad).reshape(n_t, u.shape[1], dz))[:, 0]
-        out = u @ self._rows
-        xi, vel = out[:, :dim], out[:, dim : 2 * dim] + self._x0
+        out = u1 @ self._rows
+        xi, vel = out[:, :dim], out[:, dim:]
         xi[:, dim - dz :] += 0.5 * (w @ self._self_pair - u @ self._lin - quad)
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
 
@@ -304,7 +306,7 @@ class TypeISolution(Trajectory):
         """
         rot = self.rates > 0.0
         kernel_pair = self.pair[~rot, 0][:, rot, 1].sum(axis=0)  # [X1, A x_p]
-        drift = 0.25 * (self._coef[1] @ (self._self_pair[rot] - kernel_pair))
+        drift = 0.25 * (self._coef[1, rot] @ (self._self_pair[rot] - kernel_pair))
         return self.x1[self.alg.dim_v :] + drift
 
     def central_oscillation_bound(self) -> float:
