@@ -184,25 +184,24 @@ def _spectrum(matrix: np.ndarray, rates: list, vecs: np.ndarray, edges: list) ->
 def _plane_functions(ts: np.ndarray, th: np.ndarray, coef: np.ndarray):
     """u = (S | V | 1) (T, 2P + 1) and W (T, P) of the module docstring on the
     grid ts for the ascending rates th, of which only th[0] may be 0; coef
-    (3, P) holds 1/th, 2/th^2 and 1/th^3, and 1 where th = 0."""
+    (3, P') holds 1/th, 2/th^2 and 1/th^3 for the rates above 0."""
     n_t, n_p = ts.shape[0], th.shape[0]
-    k = int(n_p > 0 and th[0] == 0.0)
-    x = ts[:, None] * th
+    k = n_p - coef.shape[1]
+    x = ts[:, None] * th[k:]
     sin_x = np.sin(x)
-    w = x - sin_x
+    num = x - sin_x
     small = np.abs(x) < 1.0  # where th t - sin th t cancels: the series, by Horner in place
-    small[:, :k] = False
     xs = x[small]
     x2, acc = xs * xs, np.full(xs.shape, _W_SERIES[0])
     for c in _W_SERIES[1:]:
         acc *= x2
         acc += c
-    w[small] = xs**3 * acc
-    w *= coef[2]
+    num[small] = xs**3 * acc
     half = np.sin(0.5 * x)
-    u = np.empty((n_t, 2 * n_p + 1))
-    np.multiply(sin_x, coef[0], out=u[:, :n_p])
-    np.multiply(coef[1] * half, half, out=u[:, n_p:-1])
+    u, w = np.empty((n_t, 2 * n_p + 1)), np.empty((n_t, n_p))
+    np.multiply(sin_x, coef[0], out=u[:, k:n_p])
+    np.multiply(coef[1] * half, half, out=u[:, n_p + k : -1])
+    np.multiply(num, coef[2], out=w[:, k:])
     u[:, -1] = 1.0
     if k:  # the rate-0 plane
         u[:, 0], u[:, n_p], w[:, 0] = ts, 0.5 * ts * ts, ts**3 / 6.0
@@ -235,7 +234,7 @@ class TypeISolution(Trajectory):
         cut, sq = 1e-14 * max(1.0, math.sqrt(x @ x)), (y * y).tolist()
         kept = [(r, lo, hi) for r, lo, hi in zip(rate, edges, edges[1:]) if math.sqrt(sum(sq[lo:hi])) > cut]
         th, n = [r for r, _, _ in kept], len(kept)
-        inv = np.array([1.0 / r if r > 0.0 else 1.0 for r in th])
+        inv = np.array([1.0 / r for r in th if r > 0.0])
         self.rates, self._coef = np.array(th), np.array([inv, 2.0 * inv**2, inv**3])
         self.xi = np.array([vecs[:, lo:hi] @ y[lo:hi] for _, lo, hi in kept]).reshape(n, dim)
         self.jxi = self.xi @ a.T
@@ -306,7 +305,7 @@ class TypeISolution(Trajectory):
         """
         rot = self.rates > 0.0
         kernel_pair = self.pair[~rot, 0][:, rot, 1].sum(axis=0)  # [X1, A x_p]
-        drift = 0.25 * (self._coef[1, rot] @ (self._self_pair[rot] - kernel_pair))
+        drift = 0.25 * (self._coef[1] @ (self._self_pair[rot] - kernel_pair))
         return self.x1[self.alg.dim_v :] + drift
 
     def central_oscillation_bound(self) -> float:

@@ -788,7 +788,7 @@ def test_plane_functions_against_mpmath(rate):
     evaluation of sin(th t) starts from."""
     ts = np.array([c / rate for c in PLANE_ARGS] + [-2.0 / rate])
     th = np.array([0.0, rate])
-    inv = np.array([1.0, 1.0 / rate])
+    inv = np.array([1.0 / rate])
     u, w = _plane_functions(ts, th, np.array([inv, 2.0 * inv**2, inv**3]))
     x = ts * rate
     assert np.any(np.abs(x) < 1.0 - 1e-13) and np.any((np.abs(x) > 1.0) & (np.abs(x) < 1.0 + 1e-11))
