@@ -12,7 +12,7 @@ an independent numerical integrator:
 - `closedform`: trajectories of splitting-preserving forces via the rotation
   spectrum of the combined central + force operator.
 - `h3_type2`: trajectories of direction forces on the 3-dim Heisenberg group
-  (Jacobi elliptic branches) and their lambda-periodicity trichotomy.
+  (Jacobi elliptic branches) and the kernel condition on their translations.
 - `h5_type1`: j-commuting forces on the 5-dim Heisenberg group (trajectories
   evaluated by `closedform`) and constructive periodic orbits at every
   prescribed energy.
@@ -21,7 +21,8 @@ an independent numerical integrator:
 - `oracle`: numpy-only adaptive Dormand-Prince / fixed-step RK4 reference
   integrator, and `OracleTrajectory`, the fallback that `solve` returns.
 - `samples`: `CurveSamples`, the sampled curve every solver returns, the
-  oracle's `IntegratorStats`, and the solvers' base class `Trajectory`.
+  oracle's `IntegratorStats`, the solvers' base class `Trajectory`, and
+  `lambda_periodicity`, the periodicity trichotomy of every closed form.
 - `cli`: the `nilmag` command-line front end.
 """
 
@@ -54,15 +55,7 @@ _EXPORTS = {
         "solve_type1",
         "solve_exact",
     ),
-    "h3_type2": (
-        "Type2TrajectoryH3",
-        "Branch",
-        "PeriodicityKind",
-        "PeriodicityReport",
-        "solve_type2_general",
-        "lambda_periodicity",
-        "lambda_kernel_check",
-    ),
+    "h3_type2": ("Type2TrajectoryH3", "Branch", "solve_type2_general", "lambda_kernel_check"),
     "h5_type1": (
         "H5Force",
         "H5Branch",
@@ -73,7 +66,8 @@ _EXPORTS = {
         "verify_periodic",
     ),
     "oracle": ("IntegratorConfig", "integrate_velocity", "reconstruct_group", "OracleTrajectory"),
-    "samples": ("IntegratorStats", "CurveSamples", "Trajectory"),
+    "samples": ("IntegratorStats", "CurveSamples", "Trajectory", "PeriodicityKind", "PeriodicityReport",
+                "lambda_periodicity"),
     "specfun": ("complete_K", "jacobi", "cn", "inverse_cn", "inverse_dn"),
     "errors": (
         "NilmagError",

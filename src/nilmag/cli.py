@@ -7,12 +7,13 @@ trajectory    sample a magnetic trajectory from a scenario file by the solver
               integrator (with a warning); optional oracle check.
 classify      report the algebra's singularity/H-type classification and the
               force's splitting type, closedness residual, and exactness.
-periodicity   lambda-periodicity trichotomy for vector forces on the
-              3-dimensional Heisenberg group, or a constructive periodic
-              certificate at a prescribed energy on the 5-dimensional one
-              (each group itself: a rescaled or re-metricised copy exits 3).
-h5-periodic   the energy-indexed periodic-orbit construction directly from
-              a pair of rotation rates.
+periodicity   lambda-periodicity trichotomy of the curve from 'initial' for
+              every closed form (the numerical fallback exits 3); with
+              'energy', a type-I force gets the constructive periodic
+              certificate at that energy on the 5-dimensional Heisenberg
+              group itself (a rescaled or re-metricised copy exits 3).
+h5-periodic   the same certificate, from a scenario or directly from a pair
+              of rotation rates.
 selftest      structural identity suite on randomized inputs.
 
 Scenario files are JSON:
@@ -29,7 +30,7 @@ Scenario files are JSON:
                  optional "start": [...] group point (curve is left-translated),
       "time":    {"t_max": 10.0, "samples": 201},
       "checks":  {"oracle": false, "tolerance": 1e-6},
-      "energy":  10.0                              # periodicity on H5 only
+      "energy":  10.0                              # H5 certificate of a type-I force
     }
 
 Exit codes: 0 success, 2 input/scenario error, 3 unsupported force/solver
@@ -85,7 +86,7 @@ EXIT_NUMERIC = 4
 
 log = logging.getLogger("nilmag")
 
-# Output names of h3_type2.Branch and h3_type2.PeriodicityKind, by enum value.
+# Output names of h3_type2.Branch and samples.PeriodicityKind, by enum value.
 _BRANCH_NAMES = {
     "cn": "Cn",
     "dn": "Dn",
@@ -517,6 +518,10 @@ def _h5_force(scn: Scenario) -> H5Force:
     (F, charge) is one of (charge F, 1), the charge periodic_at_energy uses."""
     from .h5_type1 import H5Force
 
+    if not scn.algebra.same_structure(MetricNilAlgebra.heisenberg(2)):
+        raise UnsupportedForceError("periodic-orbit certificates need the 5-dim Heisenberg group")
+    if scn.energy is None:
+        raise InputError("a periodic-orbit certificate needs an 'energy' field in the scenario")
     return H5Force.from_matrix(scn.charge * _build_force(scn).matrix)
 
 
@@ -534,79 +539,54 @@ def _h5_certificate_doc(force: H5Force, energy: float) -> tuple[dict, int]:
         "v0": [float(x) for x in cert.v0],
         "z0": cert.z0,
         "period": cert.period,
-        "drift": cert.drift,
+        "drift": traj.drift(),
         "verify": {"ok": bool(ok), "residual": residual, "tolerance": _VERIFY_TOL},
     }
-    status = EXIT_OK
     if not ok:
-        print(
-            f"certificate verification failed: residual {residual:.3e}", file=sys.stderr
-        )
-        status = EXIT_NUMERIC
-    return doc, status
+        print(f"certificate verification failed: residual {residual:.3e}", file=sys.stderr)
+    return doc, EXIT_OK if ok else EXIT_NUMERIC
 
 
 def cmd_periodicity(args: argparse.Namespace) -> int:
     scn = _load_scenario(args.scenario)
-    alg = scn.algebra
     force = _build_force(scn)
-    ftype = force.force_type()
-
-    traj = None
-    if ftype is ForceType.TYPE_II:
-        if scn.velocity0 is None:
-            raise InputError("periodicity of a type-II force needs 'initial'")
-        traj = solve(alg, force, scn.charge, scn.velocity0)
-    if traj is not None and traj.solver == "closed-form-type-2":
-        from .h3_type2 import lambda_kernel_check, lambda_periodicity
-
-        # the report is for the started curve g sigma(t), translated by g lam g^-1
-        report = lambda_periodicity(traj, scn.start)
-        lam = report.translation
-        doc: dict[str, Any] = {
-            "scenario": scn.canonical(),
-            "kind": _KIND_NAMES[report.kind.value],
-            "branch": _BRANCH_NAMES[traj.branch.value],
-            "omega": report.omega,
-            "translation": None if lam is None else [float(x) for x in lam],
-            "residual": report.residual,
-        }
-        if lam is not None:
-            # row 1 of the rotation is charge u / |charge u|, which spans u's line
-            doc["translation_in_force_kernel"] = bool(lambda_kernel_check(traj.rotation[1], lam))
-        _emit_json(doc, args.out, "periodicity.json")
-        return EXIT_OK
-
-    if ftype is ForceType.TYPE_I and alg.same_structure(MetricNilAlgebra.heisenberg(2)):
-        if scn.energy is None:
-            raise InputError("periodicity on the 5-dim Heisenberg group needs 'energy'")
+    if scn.energy is not None and force.force_type() is ForceType.TYPE_I:
         doc, status = _h5_certificate_doc(_h5_force(scn), scn.energy)
         doc["scenario"] = scn.canonical()
         _emit_json(doc, args.out, "periodicity.json")
         return status
+    if scn.velocity0 is None:
+        raise InputError("periodicity needs 'initial', or 'energy' for a type-I force on H5")
+    from .samples import lambda_periodicity
 
-    raise UnsupportedForceError(
-        "periodicity analysis covers vector forces on the 3-dim Heisenberg group "
-        "and splitting-preserving forces on the 5-dim one"
-    )
+    traj = solve(scn.algebra, force, scn.charge, scn.velocity0)
+    # the report is for the started curve g sigma(t), translated by g lam g^-1; the oracle raises
+    report = lambda_periodicity(traj, scn.start)
+    lam, h3 = report.translation, traj.solver == "closed-form-type-2"
+    doc: dict[str, Any] = {"scenario": scn.canonical(), "kind": _KIND_NAMES[report.kind.value]}
+    if h3:
+        doc["branch"] = _BRANCH_NAMES[traj.branch.value]
+    doc.update(omega=report.omega, translation=None if lam is None else [float(x) for x in lam],
+               residual=report.residual)
+    if h3 and lam is not None:
+        from .h3_type2 import lambda_kernel_check
+
+        # row 1 of the rotation is charge u / |charge u|, which spans u's line
+        doc["translation_in_force_kernel"] = bool(lambda_kernel_check(traj.rotation[1], lam))
+    _emit_json(doc, args.out, "periodicity.json")
+    return EXIT_OK
 
 
 def cmd_h5_periodic(args: argparse.Namespace) -> int:
     if args.scenario:
         scn = _load_scenario(args.scenario)
-        if not scn.algebra.same_structure(MetricNilAlgebra.heisenberg(2)):
-            raise UnsupportedForceError("h5-periodic needs the 5-dim Heisenberg group")
-        if scn.energy is None:
-            raise InputError("h5-periodic needs an 'energy' field in the scenario")
-        force = _h5_force(scn)
-        energy = scn.energy
+        force, energy = _h5_force(scn), scn.energy
+    elif args.rates is None or args.energy is None:
+        raise InputError("h5-periodic needs either --scenario or --rates and --energy")
     else:
-        if args.rates is None or args.energy is None:
-            raise InputError("h5-periodic needs either --scenario or --rates and --energy")
         from .h5_type1 import H5Force
 
-        force = H5Force.from_rates(args.rates[0], args.rates[1])
-        energy = args.energy
+        force, energy = H5Force.from_rates(*args.rates), args.energy
     doc, status = _h5_certificate_doc(force, energy)
     _emit_json(doc, args.out, "h5_certificate.json")
     return status

@@ -81,6 +81,8 @@ __all__ = [
 ]
 
 _MERGE_TOL = 1e-9
+# the denominators b of a rate ratio a/b that velocity_period tries, least first
+_DENOMINATORS = range(1, 65)
 # (-1)^n / (2n + 3)! for n = 7, ..., 0: (x - sin x) / x^3 in powers of x^2, to 5e-17 for |x| < 1
 _W_SERIES = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(7, -1, -1))
 # The rows of the pair sum, each a sum of the pair weights w_cd with factors
@@ -283,6 +285,22 @@ class TypeISolution(Trajectory):
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
 
     # -- derived quantities ----------------------------------------------
+
+    def velocity_period(self) -> float | None:
+        """The period 2 pi L / th_min of x(t) = e^{tA} x(0) when every rate th > 0
+        of the kept planes is th_min a/b to _MERGE_TOL with b in _DENOMINATORS,
+        L the lcm of the b; 1.0 when no rate is above 0 (a straight line, whose
+        velocity is constant); else None."""
+        th = self.rates[self.rates > 0.0].tolist()  # ascending
+        if not th:
+            return 1.0
+        lcm = 1
+        for r in (t / th[0] for t in th):
+            b = next((b for b in _DENOMINATORS if abs(r * b - round(r * b)) <= _MERGE_TOL * r * b), None)
+            if b is None:
+                return None
+            lcm = math.lcm(lcm, b)
+        return 2.0 * math.pi * lcm / th[0]
 
     @property
     def x1(self) -> np.ndarray:

@@ -48,17 +48,15 @@ grid's phases and the start phase, with a table built once per trajectory)
 and no numerical integration, and no term of size |z0|^m cancels.  On the
 separatrix I_m is elementary.
 
-A velocity with period w makes the group curve lam-periodic:
-sigma(t + w) = lam * sigma(t) with lam = sigma(w), because both sides share
-the same left-trivialized velocity and the same value at t = 0.  The curve
-is genuinely periodic exactly when lam is the identity.
+velocity_period() is the period on the cn and dn branches, so that
+samples.lambda_periodicity (re-exported here) classifies these curves as
+it does every solver's.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -66,28 +64,13 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import DegenerateForceError
 from .lorentz import _direction
-from .samples import CurveSamples, Trajectory
+from .samples import CurveSamples, PeriodicityKind, PeriodicityReport, Trajectory, lambda_periodicity
 from .specfun import _descent_table, _elliptic_f, _jacobi_zeta, sech
 
-__all__ = [
-    "Branch",
-    "Type2TrajectoryH3",
-    "solve_type2_general",
-    "PeriodicityKind",
-    "PeriodicityReport",
-    "lambda_periodicity",
-    "lambda_kernel_check",
-]
+__all__ = ["Branch", "Type2TrajectoryH3", "solve_type2_general", "PeriodicityKind", "PeriodicityReport",
+           "lambda_periodicity", "lambda_kernel_check"]
 
 _BOUNDARY_TOL = 1e-12
-# |sigma(omega)| at or below which a curve counts as periodic
-_PERIODIC_TOL = 1e-9
-# times in [0, 2 omega] on which lambda_periodicity verifies the translation
-_N_CHECKS = 10
-# in units of omega: the period itself, the check times ts, then ts + omega
-_CHECK_GRID = np.concatenate(
-    ([1.0], np.linspace(0.0, 2.0, _N_CHECKS), np.linspace(1.0, 3.0, _N_CHECKS))
-)
 # relative distance of the translation's v-part from span(u) in the force kernel
 _KERNEL_TOL = 1e-12
 
@@ -115,7 +98,7 @@ class Type2TrajectoryH3(Trajectory):
     rotation and time_scale.  The canonical trajectory starts from
     q (r x0_v, x0_z), and at time t this trajectory is the canonical one at
     t / q with velocities divided by q and planar components turned back by
-    r^T.  sample(ts) evaluates that map once per grid.
+    r^T.  sample(ts) evaluates that map once per grid.  alg is heisenberg(1).
 
     u has shape (2,) or (3,) with a zero central part (InvalidForceError
     otherwise) and must be finite with charge u nonzero (DegenerateForceError).
@@ -213,6 +196,15 @@ class Type2TrajectoryH3(Trajectory):
             self.phase = c1 if self.x0 >= 0.0 else -c1
         else:
             self.phase = c1 if self.x0 <= 0.0 else -c1
+
+    @property
+    def alg(self) -> MetricNilAlgebra:
+        return _h3_algebra()
+
+    def velocity_period(self) -> float | None:
+        """period on the cn and dn branches; on the straight line, whose velocity
+        is constant, canonical time 1 (time_scale here); None on the separatrix."""
+        return self.time_scale if self.branch is Branch.LINEAR else self.period
 
     def sample(self, ts: np.ndarray) -> CurveSamples:
         """Velocity and group curve (exponential coordinates, position(0) = 0)
@@ -371,73 +363,6 @@ class Type2TrajectoryH3(Trajectory):
 def solve_type2_general(u, charge: float, x0) -> Type2TrajectoryH3:
     """Trajectory for the vector force F_u with an arbitrary charge."""
     return Type2TrajectoryH3(x0, u, charge)
-
-
-# -- lambda-periodicity -------------------------------------------------------
-
-
-class PeriodicityKind(enum.Enum):
-    PERIODIC = "periodic"
-    LAMBDA_PERIODIC = "lambda-periodic"
-    NON_PERIODIC = "non-periodic"
-
-
-@dataclass(frozen=True)
-class PeriodicityReport:
-    """Trichotomy certificate for a vector-force trajectory.
-
-    For kinds other than NON_PERIODIC, sigma(t + omega) = translation *
-    sigma(t) for all t; residual is the worst verification error of that
-    identity on sample times.  PERIODIC means the translation is the
-    identity to tolerance.
-    """
-
-    kind: PeriodicityKind
-    omega: float | None
-    translation: np.ndarray | None
-    residual: float | None
-
-
-def _verify_translation(traj, lam: np.ndarray, omega: float, start=None, rows=None) -> float:
-    """Worst |sigma(t + omega) - lam * sigma(t)| over the _N_CHECKS times ts in
-    [0, 2 omega], sigma the curve of traj left-translated by the group point
-    start, if given; rows are the curve of traj on [ts, ts + omega], sampled
-    here in one call if not given."""
-    alg = _h3_algebra()
-    xi = traj.sample(omega * _CHECK_GRID[1:]).xi if rows is None else rows
-    if start is not None:
-        xi = alg.group_mul(start, xi)
-    return float(np.max(np.abs(xi[_N_CHECKS:] - alg.group_mul(lam, xi[:_N_CHECKS]))))
-
-
-def lambda_periodicity(traj, start=None) -> PeriodicityReport:
-    """Classify a trajectory as periodic, lambda-periodic, or non-periodic,
-    with the translation element.
-
-    The translation is sigma(omega) where omega is the velocity period, and
-    PERIODIC means |sigma(omega)| <= 1e-9.  The straight-line branch has a
-    constant velocity; its omega is canonical time 1, which is time_scale in
-    the trajectory's own time.  With a group point start, the report is for
-    the curve start * sigma(t), translated by start lam start^-1 =
-    lam + [start, lam]; the kind does not depend on it.  One sample call on
-    omega and the check times gives the translation and its residual.
-    """
-    if traj.branch in (Branch.SECH_POS, Branch.SECH_NEG):
-        return PeriodicityReport(
-            kind=PeriodicityKind.NON_PERIODIC, omega=None, translation=None, residual=None
-        )
-    omega = traj.time_scale if traj.branch is Branch.LINEAR else traj.period
-    xi = traj.sample(omega * _CHECK_GRID).xi
-    lam = xi[0]
-    kind = (
-        PeriodicityKind.PERIODIC
-        if np.linalg.norm(lam) <= _PERIODIC_TOL
-        else PeriodicityKind.LAMBDA_PERIODIC
-    )
-    if start is not None:
-        lam = lam + _h3_algebra().bracket(start, lam)
-    residual = _verify_translation(traj, lam, omega, start, xi[1:])
-    return PeriodicityReport(kind=kind, omega=omega, translation=lam, residual=residual)
 
 
 def lambda_kernel_check(u, translation: np.ndarray) -> bool:

@@ -47,9 +47,10 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import MetricNilAlgebra
-from .closedform import InitialCondition, TypeISolution
+from .closedform import _MERGE_TOL, InitialCondition, TypeISolution
 from .errors import ExactForceError, InputError, NoCertificateError, UnsupportedForceError
 from .lorentz import ForceType, LorentzForce
+from .samples import _translation_residual, lambda_periodicity
 
 __all__ = [
     "H5Force",
@@ -66,8 +67,6 @@ _SEARCH_MAX_Q = 64
 _SEARCH_MAX_P = 64
 # relative rate gap |mu2 - mu1| at or below which a force counts as exact
 _EXACT_TOL = 1e-12
-# sample times on which verify_periodic compares sigma(t) with sigma(t + period)
-_N_CHECKS = 20
 _VERIFY_TOL = 1e-8  # the largest group gap verify_periodic accepts
 
 
@@ -190,7 +189,7 @@ class PeriodicCertificate:
     """Constructive witness of a periodic orbit at a prescribed energy.
 
     The trajectory solve_h5(force, v0, z0) has the stated period, zero
-    central drift, and energy |v0|^2/2 + z0^2/2 equal to the request.
+    central drift() and energy |v0|^2/2 + z0^2/2 equal to the request.
     mode records the construction: "single-1", "single-2", or
     "two-mode p:q" for commensurate frequencies nu1/nu2 = p/q.
     """
@@ -198,7 +197,6 @@ class PeriodicCertificate:
     v0: np.ndarray
     z0: float
     period: float
-    drift: float
     energy: float
     mode: str
 
@@ -216,14 +214,7 @@ def _single_mode(force: H5Force, energy: float, idx: int) -> PeriodicCertificate
     tilde = np.zeros(4)
     tilde[2 * idx] = math.sqrt(amp2)
     v0 = force.frame.T @ tilde
-    return PeriodicCertificate(
-        v0=v0,
-        z0=z0,
-        period=2.0 * math.pi / abs(nu),
-        drift=0.0,
-        energy=energy,
-        mode=f"single-{idx + 1}",
-    )
+    return PeriodicCertificate(v0, z0, 2.0 * math.pi / abs(nu), energy, f"single-{idx + 1}")
 
 
 def _two_mode(force: H5Force, energy: float) -> PeriodicCertificate | None:
@@ -249,14 +240,7 @@ def _two_mode(force: H5Force, energy: float) -> PeriodicCertificate | None:
             x1, x2 = max(x1, 0.0), max(x2, 0.0)
             tilde = np.array([math.sqrt(x1), 0.0, math.sqrt(x2), 0.0])
             v0 = force.frame.T @ tilde
-            return PeriodicCertificate(
-                v0=v0,
-                z0=z0,
-                period=2.0 * math.pi * q / abs(nu2),
-                drift=0.0,
-                energy=energy,
-                mode=f"two-mode {p}:{q}",
-            )
+            return PeriodicCertificate(v0, z0, 2.0 * math.pi * q / abs(nu2), energy, f"two-mode {p}:{q}")
     return None
 
 
@@ -288,14 +272,21 @@ def periodic_at_energy(force: H5Force, energy: float) -> PeriodicCertificate:
 def verify_periodic(traj: H5Trajectory, period: float) -> tuple[bool, float]:
     """Check sigma(t + period) = sigma(t) in the group, returning (ok, residual).
 
-    The residual is the worst norm of sigma(t)^{-1} * sigma(t + period) in
-    exponential coordinates over _N_CHECKS sample times in [0, period], all
-    from one sample call on [ts, ts + period], and ok says that it is at most
-    _VERIFY_TOL.
+    period must be a whole multiple m, to _MERGE_TOL, of omega =
+    traj.velocity_period() (any time when the velocity is constant, m = period / omega then):
+    sigma(t + period) = lam^m sigma(t) = (m lam) sigma(t) with lam = sigma(omega),
+    so the residual is max(m |lam|, the residual of lambda_periodicity), and
+    ok says that it is at most _VERIFY_TOL.  Any other period is not one of
+    the velocity: not ok, with the residual of sigma(t + period) = sigma(t)
+    itself.  A period that is not finite and positive raises InputError.
     """
-    alg = _h5_algebra()
-    ts = np.linspace(0.0, period, _N_CHECKS)
-    xi = traj.sample(np.concatenate((ts, ts + period))).xi
-    gap = alg.group_mul(alg.group_inv(xi[:_N_CHECKS]), xi[_N_CHECKS:])
-    worst = float(np.max(np.linalg.norm(gap, axis=1)))
+    if not (math.isfinite(period) and period > 0.0):
+        raise InputError("period must be a finite positive number")
+    report = lambda_periodicity(traj)
+    m = None if report.omega is None else period / report.omega
+    if m is not None and traj.rates.any():  # a turning velocity repeats at whole multiples only
+        m = round(m) if abs(m - round(m)) <= _MERGE_TOL * m else None
+    if not m:
+        return False, _translation_residual(traj, np.zeros(traj.alg.dim), period)
+    worst = max(m * float(np.linalg.norm(report.translation)), report.residual)
     return worst <= _VERIFY_TOL, worst

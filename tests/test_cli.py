@@ -375,15 +375,52 @@ def test_periodicity_h5_needs_energy(tmp_path, capsys):
 
 
 def test_periodicity_unsupported_combination(tmp_path, capsys):
+    """Every closed form reports, the exact force j(e5) on the quaternionic
+    group among them; the numerical fallback states no period and exits 3."""
     doc_in = {
         "algebra": "quaternionic(1)",
         "force": {"exact": {"Z": [1.0, 0.0, 0.0]}},
         "initial": {"velocity": [1, 0, 0, 0, 0, 0, 0]},
     }
     path = write_scenario(tmp_path, doc_in)
-    code = main(["periodicity", "--scenario", path])
+    code, doc = run_json(capsys, ["periodicity", "--scenario", path])
+    assert code == 0
+    assert doc["kind"] == "LambdaPeriodic"
+    assert doc["omega"] == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert np.allclose(doc["translation"], [0, 0, 0, 0, math.pi, 0, 0], atol=1e-12)
+    assert doc["residual"] < 1e-12
+    mixed = {"algebra": "h3", "force": {"matrix": [[0.0, 0.3, -0.5], [-0.3, 0.0, 0.8], [0.5, -0.8, 0.0]]},
+             "initial": {"velocity": [0.4, -0.2, 0.7]}}
+    assert main(["periodicity", "--scenario", write_scenario(tmp_path, mixed, "mixed.json")]) == 3
     capsys.readouterr()
-    assert code == 3
+
+
+def test_periodicity_type1_from_initial(tmp_path, capsys):
+    """A type-I force with 'initial' and no 'energy' gets the lambda-periodicity
+    report of its curve, translated by a start point as on H3; with 'energy'
+    the H5 certificate takes precedence."""
+    doc_in = {"algebra": "heisenberg(2)", "force": {"rates": [1.0, 3.0]},
+              "initial": {"velocity": [0.3, 0.2, -0.4, 0.1, 0.0]}}
+    code, doc = run_json(capsys, ["periodicity", "--scenario", write_scenario(tmp_path, doc_in)])
+    assert code == 0
+    assert set(doc) == {"scenario", "kind", "omega", "translation", "residual"}
+    assert doc["kind"] == "LambdaPeriodic"
+    assert doc["omega"] == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert np.allclose(doc["translation"], [0, 0, 0, 0, 0.5864306], atol=1e-7)
+    assert doc["residual"] < 1e-12
+    start = [1.0, -0.5, 0.2, 0.3, 0.7]
+    started = dict(doc_in, initial=dict(doc_in["initial"], start=start))
+    code, moved = run_json(capsys, ["periodicity", "--scenario", write_scenario(tmp_path, started, "s.json")])
+    h5 = MetricNilAlgebra.heisenberg(2)
+    lam = np.array(doc["translation"])
+    assert code == 0 and moved["residual"] < 1e-12
+    assert np.allclose(moved["translation"], lam + h5.bracket(np.array(start), lam), atol=1e-14)
+    incommensurate = dict(doc_in, force={"rates": [1.0, math.sqrt(2.0)]})
+    code, doc = run_json(capsys, ["periodicity", "--scenario", write_scenario(tmp_path, incommensurate, "i.json")])
+    assert code == 0 and doc["kind"] == "NonPeriodic" and doc["omega"] is None
+    certified = dict(doc_in, force={"rates": [-1.0, 2.0]}, energy=2.0)
+    code, doc = run_json(capsys, ["periodicity", "--scenario", write_scenario(tmp_path, certified, "c.json")])
+    assert code == 0 and doc["mode"] == "two-mode -1:1" and doc["verify"]["ok"] is True
 
 
 # A type-II force on an inline copy of H3.  The elliptic closed form solves

@@ -23,7 +23,8 @@ from nilmag.closedform import (
 from nilmag.errors import InvalidForceError, UnsupportedForceError
 from nilmag.h5_type1 import H5Force, H5Trajectory
 from nilmag.lorentz import LorentzForce, random_closed_type1, type2_from_vector
-from nilmag.oracle import IntegratorConfig, reconstruct_group
+from nilmag.oracle import IntegratorConfig, OracleTrajectory, reconstruct_group
+from nilmag.samples import PeriodicityKind, lambda_periodicity
 
 
 def h3():
@@ -804,3 +805,63 @@ def test_plane_functions_against_mpmath(rate):
             ]
             for got, ref in want:
                 assert abs(mpmath.mpf(got) - ref) <= 4 * np.finfo(float).eps * abs(ref), (t, got, ref)
+
+
+# -- lambda-periodicity of type-I curves -----------------------------------------
+
+
+def _j_force(alg, z):
+    m = np.zeros((alg.dim, alg.dim))
+    m[: alg.dim_v, : alg.dim_v] = alg.j_map(np.asarray(z, dtype=float))
+    return LorentzForce(alg, m)
+
+
+# (algebra, force, x0, omega, translation): a splitting force on H5 with rates 1
+# and 3, and the exact force j(e5) on the quaternionic group
+TYPE1_PERIODIC = {
+    "h5_rates_1_3": (h5(), LorentzForce(h5(), H5Force.from_rates(1.0, 3.0).matrix),
+                     [0.3, 0.2, -0.4, 0.1, 0.0], 2.0 * np.pi, [0.0, 0.0, 0.0, 0.0, 0.5864306]),
+    "q1_j_e5": (qh7(), _j_force(qh7(), [1.0, 0.0, 0.0]), np.eye(7)[0], 2.0 * np.pi,
+                [0.0, 0.0, 0.0, 0.0, np.pi, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPE1_PERIODIC))
+def test_type1_lambda_periodicity_against_oracle(name):
+    """omega is the velocity period, and the translation sigma(omega) agrees
+    with a 1e-12 oracle over one period."""
+    alg, force, x0, omega, lam = TYPE1_PERIODIC[name]
+    traj = solve_type1(alg, force, InitialCondition.from_velocity(alg, x0))
+    report = lambda_periodicity(traj)
+    assert report.kind is PeriodicityKind.LAMBDA_PERIODIC
+    assert report.omega == pytest.approx(omega, rel=1e-14)
+    assert_allclose(report.translation, lam, atol=1e-7)
+    ref = reconstruct_group(alg, force, 1.0, np.asarray(x0, float), [0.0, report.omega],
+                            IntegratorConfig(tolerance=1e-12)).xi[-1]
+    assert np.max(np.abs(report.translation - ref)) < 1e-10
+    assert report.residual < 1e-13
+
+
+def test_type1_velocity_period():
+    """2 pi L / th_min for commensurate rates (L the lcm of the ratio's
+    denominators), 1.0 for a straight line, None otherwise; the oracle states none."""
+    x0 = [0.3, 0.2, -0.4, 0.1, 0.0]
+
+    def period(mu1, mu2, x=x0):
+        return solve_type1(h5(), H5Force.from_rates(mu1, mu2).matrix,
+                           InitialCondition.from_velocity(h5(), x)).velocity_period()
+
+    assert period(1.0, 3.0) == pytest.approx(2.0 * np.pi, rel=1e-14)
+    assert period(2.0, 3.0) == pytest.approx(2.0 * np.pi, rel=1e-14)  # 3/2: L = 2, th_min = 2
+    assert period(0.5, 2.5 / 7.0) == pytest.approx(2.0 * np.pi * 5.0 / (2.5 / 7.0), rel=1e-14)
+    assert period(1.0, np.sqrt(2.0)) is None
+    assert period(1.0, 1.0 + 1e-6) is None
+    assert period(1.0, 65.0 / 64.0) == pytest.approx(2.0 * np.pi * 64.0, rel=1e-14)
+    assert period(1.0, 66.0 / 65.0) is None  # a denominator above 64
+    assert period(1.0, np.sqrt(2.0), [0.3, 0.2, 0.0, 0.0, 0.0]) == pytest.approx(2.0 * np.pi, rel=1e-14)
+    assert period(0.0, 0.0) == 1.0 and period(1.0, 3.0, [0.0] * 5) == 1.0
+    report = lambda_periodicity(solve_type1(h5(), H5Force.from_rates(1.0, np.sqrt(2.0)).matrix,
+                                            InitialCondition.from_velocity(h5(), x0)))
+    assert report.kind is PeriodicityKind.NON_PERIODIC and report.omega is None
+    with pytest.raises(UnsupportedForceError, match="oracle"):
+        lambda_periodicity(OracleTrajectory(h5(), H5Force.from_rates(1.0, 3.0).matrix, 1.0, x0))

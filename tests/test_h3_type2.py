@@ -17,7 +17,6 @@ from nilmag.algebra import MetricNilAlgebra
 from nilmag.errors import DegenerateForceError, InvalidForceError
 from nilmag.h3_type2 import (
     Branch,
-    _verify_translation,
     PeriodicityKind,
     lambda_kernel_check,
     lambda_periodicity,
@@ -26,6 +25,7 @@ from nilmag.h3_type2 import (
 )
 from nilmag.lorentz import type2_from_vector
 from nilmag.oracle import IntegratorConfig, reconstruct_group
+from nilmag.samples import _translation_residual
 from nilmag.specfun import complete_K, jacobi, sech
 
 
@@ -254,7 +254,7 @@ def test_lambda_periodicity_samples_once(monkeypatch):
         lam = plain.translation
         assert started.kind is plain.kind and started.omega == plain.omega
         assert_allclose(started.translation, lam + h3().bracket(start, lam), rtol=1e-15, atol=1e-15)
-        want = _verify_translation(traj, started.translation, started.omega, start)
+        want = _translation_residual(traj, started.translation, started.omega, start)
         assert abs(started.residual - want) <= 1e-12 and started.residual < 1e-10
 
 
@@ -383,7 +383,7 @@ def test_perturbed_translation_fails_the_check():
         report = lambda_periodicity(traj)
         for k in range(3):
             lam = report.translation + 1e-4 * np.eye(3)[k]
-            assert _verify_translation(traj, lam, report.omega) > 1e-6, (traj.branch, k)
+            assert _translation_residual(traj, lam, report.omega) > 1e-6, (traj.branch, k)
 
 
 def _ic_with_modulus(branch: str, k: float, x0: float = 0.6, y0: float = 0.3):

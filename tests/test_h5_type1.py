@@ -296,16 +296,59 @@ def test_verify_periodic_rejects_a_wrong_period():
 
 
 def test_verify_periodic_residual_is_the_group_gap():
-    """The batched residual is max |sigma(t)^-1 sigma(t + T)| over the check times."""
+    """At a certified period, m times omega, the residual is max(m |lam|,
+    max |sigma(t + omega) - lam sigma(t)|) over the check times, lam = sigma(omega);
+    at another time T it is max |sigma(t + T) - sigma(t)|, and not ok."""
     alg = h5()
     force = H5Force.from_rates(-1.0, 2.0)
     for energy in CERTIFIED_ENERGIES:
         cert = periodic_at_energy(force, energy)
         traj = solve_h5(force, cert.v0, cert.z0)
-        for period in (cert.period, 0.9 * cert.period):
+        omega = traj.velocity_period()
+        for period in (cert.period, 2.0 * cert.period, 0.9 * cert.period):
+            m = round(period / omega)
+            multiple = abs(period - m * omega) <= 1e-9 * period
+            step, lam = (omega, traj.position(omega)) if multiple else (period, np.zeros(5))
             want = max(
-                np.linalg.norm(alg.group_mul(alg.group_inv(traj.position(t)), traj.position(t + period)))
-                for t in np.linspace(0.0, period, 20)
+                float(np.max(np.abs(traj.position(t + step) - alg.group_mul(lam, traj.position(t)))))
+                for t in np.linspace(0.0, 2.0 * step, 10)
             )
-            _, residual = verify_periodic(traj, period)
+            if multiple:
+                want = max(want, m * float(np.linalg.norm(lam)))
+            ok, residual = verify_periodic(traj, period)
+            assert ok is multiple, (energy, period)
             assert abs(residual - want) <= 1e-12 * max(1.0, want), (energy, period)
+
+
+def test_verify_periodic_needs_a_whole_multiple_of_the_velocity_period():
+    """A period that is not finite and positive raises InputError; a time that
+    is not a whole multiple of the velocity period, however small its group
+    gap, is not a period, and a lambda-periodic curve has none."""
+    force = H5Force.from_rates(-1.0, 2.0)
+    cert = periodic_at_energy(force, 2.0)
+    traj = solve_h5(force, cert.v0, cert.z0)
+    for bad in (0.0, -cert.period, math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError):
+            verify_periodic(traj, bad)
+    ok, residual = verify_periodic(traj, 1e-12)
+    assert not ok and residual < 1e-8
+    assert not verify_periodic(traj, 1.5 * cert.period)[0]
+    assert verify_periodic(traj, 3.0 * cert.period)[0]
+    drifting = solve_h5(force, [1.0, 0.0, 0.0, 0.0], 0.3)
+    omega = drifting.velocity_period()
+    with pytest.raises(InputError):
+        verify_periodic(drifting, 0.0)
+    for period in (1e-12, omega, 2.0 * omega):
+        ok, residual = verify_periodic(drifting, period)
+        assert not ok, period
+    # the stationary orbit has a constant velocity, which every time is a period of
+    still = periodic_at_energy(force, 0.0)
+    assert verify_periodic(solve_h5(force, still.v0, still.z0), still.period) == (True, 0.0)
+
+
+def test_velocity_period_is_the_certified_period():
+    force = H5Force.from_rates(-1.0, 2.0)
+    for energy in (0.1, 0.3, 0.5, 1.0, 2.0, 10.0, 100.0):
+        cert = periodic_at_energy(force, energy)
+        omega = solve_h5(force, cert.v0, cert.z0).velocity_period()
+        assert abs(omega - cert.period) <= 1e-12 * cert.period, (energy, omega, cert.period)

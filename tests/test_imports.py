@@ -97,7 +97,8 @@ def test_each_command_loads_only_its_solvers(tmp_path):
 
     classify = [scenario("classify", "q1.json"), scenario("classify", "type1.json")]
     assert _nilmag_modules_after(_cli_runs(classify)) & SOLVER_MODULES == set()
-    loaded = _nilmag_modules_after(_cli_runs([scenario("trajectory", "type1.json")]))
+    type1 = [scenario("trajectory", "type1.json"), scenario("periodicity", "type1.json")]
+    loaded = _nilmag_modules_after(_cli_runs(type1))
     assert "closedform" in loaded and loaded & {"specfun", "h3_type2", "h5_type1", "oracle"} == set()
     h3 = [scenario("trajectory", "h3.json"), scenario("periodicity", "h3.json")]
     loaded = _nilmag_modules_after(_cli_runs(h3))

@@ -18,10 +18,11 @@ from nilmag import h3_type2
 from nilmag.algebra import MetricNilAlgebra
 from nilmag.closedform import InitialCondition, TypeISolution, solve_type1
 from nilmag.errors import InvalidForceError
-from nilmag.h3_type2 import _verify_translation, lambda_periodicity, Type2TrajectoryH3, solve_type2_general
+from nilmag.h3_type2 import Type2TrajectoryH3, solve_type2_general
 from nilmag.h5_type1 import H5Force, periodic_at_energy, solve_h5, verify_periodic
 from nilmag.lorentz import LorentzForce, random_closed_type1, solve, type2_from_vector
 from nilmag.oracle import OracleTrajectory
+from nilmag.samples import lambda_periodicity
 from test_imports import MIXED
 
 
@@ -100,11 +101,14 @@ def test_solve_picks_the_solver_by_force_type_and_structure():
 
 
 class CountingTrajectory:
-    """Forwards sample and position to a trajectory and records each call."""
+    """Forwards sample and position to a trajectory and records each call;
+    velocity_period, alg and rates, which evaluate nothing, pass through."""
 
     def __init__(self, traj):
         self.traj = traj
         self.calls = []
+        self.velocity_period, self.alg = traj.velocity_period, traj.alg
+        self.rates = getattr(traj, "rates", None)
 
     def sample(self, ts):
         self.calls.append("sample")
@@ -121,18 +125,20 @@ def _h5_verifier():
     return solve_h5(force, cert.v0, cert.z0), lambda traj: verify_periodic(traj, cert.period)[1]
 
 
-def _translation_verifier(solver):
-    traj = SOLVERS[solver]()[0]
-    report = lambda_periodicity(traj)
-    return traj, lambda t: _verify_translation(t, report.translation, report.omega)
+def _translation_verifier(traj):
+    return traj, lambda t: lambda_periodicity(t).residual
 
 
-# verifier -> (trajectory and check, sample calls): the H5 check samples
-# [ts, ts + period] and the H3 translation check [ts, ts + omega], each as one grid
+# a type-I curve with commensurate rates 1 and 3
+TYPE1_H5 = (MetricNilAlgebra.heisenberg(2), H5Force.from_rates(1.0, 3.0).matrix, [0.3, 0.2, -0.4, 0.1, 0.0])
+
+# verifier -> (trajectory and check, sample calls): every check is the translation
+# check of lambda_periodicity, which samples omega and [ts, ts + omega] as one grid
 VERIFIERS = {
     "verify_periodic": (_h5_verifier, 1),
-    "translation_h3_cn": (lambda: _translation_verifier("h3_cn"), 1),
-    "translation_h3_general": (lambda: _translation_verifier("h3_general"), 1),
+    "translation_h3_cn": (lambda: _translation_verifier(SOLVERS["h3_cn"]()[0]), 1),
+    "translation_h3_general": (lambda: _translation_verifier(SOLVERS["h3_general"]()[0]), 1),
+    "translation_type1": (lambda: _translation_verifier(solve(*TYPE1_H5[:2], 1.0, TYPE1_H5[2])), 1),
 }
 
 
