@@ -9,8 +9,8 @@ an independent numerical integrator:
   exponential coordinates, and singularity/H-type classification.
 - `lorentz`: skew force tensors, splitting classification, closedness of the
   associated 2-form, exactness (shifted-geodesic) detection, and `solve`.
-- `closedform`: trajectories of splitting-preserving forces via the rotation
-  spectrum of the combined central + force operator.
+- `closedform`: the linear closed form, for every force with F([n, n]) = 0,
+  via the rotation spectrum of the combined central + force operator.
 - `h3_type2`: trajectories of direction forces on the 3-dim Heisenberg group
   (Jacobi elliptic branches) and the kernel condition on their translations.
 - `h5_type1`: j-commuting forces on the 5-dim Heisenberg group (trajectories

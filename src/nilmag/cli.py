@@ -3,8 +3,9 @@
 Subcommands
 -----------
 trajectory    sample a magnetic trajectory from a scenario file by the solver
-              lorentz.solve picks: a closed form, else the numerical
-              integrator (with a warning); optional oracle check.
+              lorentz.solve picks: the linear closed form when F maps [n, n]
+              to 0, the H3 elliptic one for a direction force, else the
+              numerical integrator (with a warning); optional oracle check.
 classify      report the algebra's singularity/H-type classification and the
               force's splitting type, closedness residual, and exactness.
 periodicity   lambda-periodicity trichotomy of the curve from 'initial' for

@@ -1,14 +1,13 @@
-"""Closed-form magnetic trajectories for splitting-preserving closed forces.
+"""The linear closed form: magnetic trajectories of forces with F([n, n]) = 0.
 
-For a closed type-I force F (skew on v, skew on the flat central directions,
-zero on the commutator directions [n, n]) and charge q, the left-trivialized
-velocity obeys one linear equation x' = A x with A = j(Z0) + q F, j(Z0) acting
-on v: the commutator part Z0c of the central velocity is conserved, and
-closedness makes F vanish on [n, n].  One eigh of -A^2, its columns grouped
-by rate, splits x(0) into components x_p on invariant planes with rates
-th_p >= 0, where A^2 = -th_p^2.  The kernel of A is the plane of rate 0: it
-carries Z0c and every rate that the merge cutoff folds into it.  With b_p0 = x_p,
-b_p1 = A x_p and the per-plane functions
+Under this condition P (see lorentz; it implies closedness) the commutator
+part Z0c of the left-trivialized velocity is conserved and the velocity obeys
+x' = A x with A = q F + j(Z0c), j acting on v, whether or not F couples v with
+the flat centre (the closed type-I forces do not).  One eigh of -A^2, its
+columns grouped by rate, splits x(0) into components x_p on invariant planes
+with rates th_p >= 0, where A^2 = -th_p^2.  The kernel of A is the plane of
+rate 0: it carries Z0c and every rate that the merge cutoff folds into it.
+With b_p0 = x_p, b_p1 = A x_p and the per-plane functions
 
     S = sin(th t)/th,   V = (1 - cos th t)/th^2 = 2 sin^2(th t/2)/th^2,
     C = 1 - th^2 V,     W = (th t - sin th t)/th^3,
@@ -35,7 +34,8 @@ as differentiating with S' = C, V' = S and C = 1 - th^2 V shows; on the
 diagonal the integrand is (C V - S^2)[b_p0, b_p1] = -W'[b_p0, b_p1].
 Distinct planes have distinct rates, so D != 0 off the diagonal.  Brackets
 see v parts only, so a plane without a v part (the commutator velocity, a
-flat central rotation) brackets to 0.
+flat central rotation) brackets to 0.  Nothing here needs more than
+A^2 = -th_p^2 on a plane, so its v and flat parts may rotate into each other.
 
 Construction decomposes once: one eigh, one product for all x_p, two
 matmuls for the bracket table [b_pa, b_rb] and one contraction of it with a
@@ -66,7 +66,7 @@ import numpy as np
 
 from .algebra import MetricNilAlgebra
 from .errors import InvalidForceError, UnsupportedForceError
-from .lorentz import ForceType, LorentzForce, check_closed, exactness_test
+from .lorentz import ForceType, LorentzForce, _as_force, exactness_test
 from .samples import CurveSamples, Trajectory
 
 __all__ = [
@@ -211,9 +211,9 @@ def _plane_functions(ts: np.ndarray, th: np.ndarray, coef: np.ndarray):
 
 
 class TypeISolution(Trajectory):
-    """Closed-form solution for a closed type-I force.
+    """The linear closed form, for a force that maps [n, n] to 0.
 
-    matrix is A = j(Z0) + q F and spectrum its decomposition.  The planes
+    matrix is A = q F + j(Z0) and spectrum its decomposition.  The planes
     with a component of x(0), the rate-0 plane first if there is one, are
     rates (P,), xi (the x_p) and jxi = A xi, (P, dim); pair[p, a, r, b] =
     [b_pa, b_rb] is their bracket table.  sample(ts) evaluates a whole grid
@@ -227,9 +227,8 @@ class TypeISolution(Trajectory):
         x = np.concatenate([ic.v0, ic.z0], dtype=float)
         self.alg, self.force, self.ic = alg, force, ic
         dim, dv, dz = alg.dim, alg.dim_v, alg.dim_z
-        self.matrix = a = np.zeros((dim, dim))
-        a[:dv, :dv] = alg.j_map(x[dv:]) + ic.charge * force.block_vv
-        a[dv:, dv:] = ic.charge * force.block_zz
+        self.matrix = a = ic.charge * force.matrix
+        a[:dv, :dv] += alg.j_map(x[dv:])
         self._groups = rate, vecs, edges = _eigen_groups(a)
         # the component x_p = V_p V_p^T x of x(0) on group p, kept where |V_p^T x| > 1e-14 |x|
         y = x @ vecs
@@ -333,22 +332,25 @@ class TypeISolution(Trajectory):
         part)| uniformly in t; the oscillating t-linear part is
         [X1, e^{tA} A^{-1} X2]/2, bounded by lam |X1| |A^{-1}X2| per unit t,
         so this constant bounds the non-growing remainder only.  Brackets see
-        the v parts of the rotating planes (rate > 0), the flat rotation their
-        central parts.
+        the v parts of the rotating planes (rate > 0), the flat drift their
+        central parts, each at its largest on the orbit e^{tA} x_p (where v
+        and flat parts may trade places), which th A^{-1} e^{tA} x_p is on too.
         """
         dv = self.alg.dim_v
         # |[a, b]| <= lam |a| |b|, lam the spectral norm of the (dv^2, dz) bracket map
         lam = float(np.linalg.norm(self.alg.structure[:dv, :dv, dv:].reshape(dv * dv, -1), 2)) if dv else 0.0
         rot = self.rates > 0.0
-        th, xi = self.rates[rot], self.xi[rot]
-        nx = np.linalg.norm(xi[:, :dv], axis=1)
+        th = self.rates[rot]
+        # max over s of |cos(s) x_p + sin(s) A x_p / th| on v and on z: root of the top Gram eigenvalue
+        orbit = np.stack([self.xi[rot], self.jxi[rot] / th[:, None]], axis=1)  # (P, 2, dim)
+        nx, nz = (np.sqrt(np.linalg.eigvalsh(o @ o.transpose(0, 2, 1))[:, -1]) for o in np.split(orbit, [dv], 2))
         b = lam * float(np.linalg.norm(self.x1[:dv])) * 2.0 * (nx @ th**-2.0)
         b += 0.5 * lam * (nx @ (1.0 / th)) ** 2
         amp = lam * (np.outer(th * nx, nx / th) + np.outer(nx, nx))
         gap = np.abs(th**2 - th[:, None] ** 2)
         # (1/2) * 2 endpoints per pair
         b += np.sum(np.divide(amp, gap, out=np.zeros_like(amp), where=gap > 0.0))
-        b += 2.0 * (np.linalg.norm(xi[:, dv:], axis=1) @ (1.0 / th))
+        b += 2.0 * (nz @ (1.0 / th))
         return float(b)
 
 
@@ -381,37 +383,28 @@ class ExactShiftSolution:
         return self.geodesic.position(t) - float(t) * self.shift
 
 
-def _require_closed_type1(alg: MetricNilAlgebra, force) -> LorentzForce:
-    f = force if isinstance(force, LorentzForce) else LorentzForce(alg, force)
-    ftype = f.force_type()
-    if ftype is not ForceType.TYPE_I:
-        raise UnsupportedForceError(
-            f"closed-form solver handles splitting-preserving (type I) forces; got {ftype.value}"
-        )
-    rep = check_closed(alg, f)
-    if not rep.closed:
-        raise InvalidForceError(
-            f"force is not closed: residual {rep.max_residual:.3e} on basis triple {rep.worst_triple}"
-        )
-    return f
-
-
 def solve_type1(alg: MetricNilAlgebra, force, ic: InitialCondition) -> TypeISolution:
-    """Closed-form trajectory for a closed type-I force (see module docstring)."""
-    return TypeISolution(alg, _require_closed_type1(alg, force), ic)
+    """The linear closed form of a force that maps [n, n] to 0 (P, see lorentz); else
+    InvalidForceError for a type-I force (P is its closedness), UnsupportedForceError."""
+    f = _as_force(alg, force)
+    (rep, linear), ftype = f._closedness, f.force_type()
+    if linear:
+        return TypeISolution(alg, f, ic)
+    if ftype is not ForceType.TYPE_I:
+        raise UnsupportedForceError(f"the linear closed form needs F[n, n] = 0; a {ftype.value} force fails")
+    raise InvalidForceError(f"F[n, n] != 0; closedness residual {rep.max_residual:.3e} on {rep.worst_triple}")
 
 
 def solve_exact(alg: MetricNilAlgebra, force, ic: InitialCondition) -> ExactShiftSolution:
     """Solve an exact force F = j(Z~) (+) 0 and exhibit the geodesic shift.
 
-    Raises UnsupportedForceError when F is not exact (no commutator vector
-    Z~ reproduces it).
+    Raises what solve_type1 raises, and UnsupportedForceError when F is not
+    exact (no commutator vector Z~ reproduces it).
     """
-    f = _require_closed_type1(alg, force)
-    res = exactness_test(alg, f)
+    sol = solve_type1(alg, force, ic)
+    res = exactness_test(alg, sol.force)
     if not res.is_exact:
         raise UnsupportedForceError(
             f"force is not exact: best central-potential fit leaves residual {res.residual:.3e}"
         )
-    shift = ic.charge * res.z_tilde  # full coordinates, central
-    return ExactShiftSolution(solution=TypeISolution(alg, f, ic), shift=shift)
+    return ExactShiftSolution(solution=sol, shift=ic.charge * res.z_tilde)  # full coordinates, central

@@ -50,7 +50,7 @@ from .algebra import MetricNilAlgebra
 from .closedform import _MERGE_TOL, InitialCondition, TypeISolution
 from .errors import ExactForceError, InputError, NoCertificateError, UnsupportedForceError
 from .lorentz import ForceType, LorentzForce
-from .samples import _translation_residual, lambda_periodicity
+from .samples import _CHECK_GRID, _translation_residual
 
 __all__ = [
     "H5Force",
@@ -67,7 +67,7 @@ _SEARCH_MAX_Q = 64
 _SEARCH_MAX_P = 64
 # relative rate gap |mu2 - mu1| at or below which a force counts as exact
 _EXACT_TOL = 1e-12
-_VERIFY_TOL = 1e-8  # the largest group gap verify_periodic accepts
+_VERIFY_TOL = 1e-8  # the largest group gap verify_periodic accepts, relative to max(1, max |sigma|)
 
 
 @lru_cache(maxsize=1)
@@ -275,18 +275,20 @@ def verify_periodic(traj: H5Trajectory, period: float) -> tuple[bool, float]:
     period must be a whole multiple m, to _MERGE_TOL, of omega =
     traj.velocity_period() (any time when the velocity is constant, m = period / omega then):
     sigma(t + period) = lam^m sigma(t) = (m lam) sigma(t) with lam = sigma(omega),
-    so the residual is max(m |lam|, the residual of lambda_periodicity), and
-    ok says that it is at most _VERIFY_TOL.  Any other period is not one of
-    the velocity: not ok, with the residual of sigma(t + period) = sigma(t)
-    itself.  A period that is not finite and positive raises InputError.
+    so the residual is max(m |lam|, the residual of lambda_periodicity's check
+    on its grid), and ok says that it is at most _VERIFY_TOL max(1, max |sigma|)
+    there, as positions grow with the energy and the period.  Any other period
+    is not one of the velocity: not ok, with the residual of sigma(t + period)
+    = sigma(t) itself.  A period that is not finite and positive raises InputError.
     """
     if not (math.isfinite(period) and period > 0.0):
         raise InputError("period must be a finite positive number")
-    report = lambda_periodicity(traj)
-    m = None if report.omega is None else period / report.omega
+    omega = traj.velocity_period()
+    m = None if omega is None else period / omega
     if m is not None and traj.rates.any():  # a turning velocity repeats at whole multiples only
         m = round(m) if abs(m - round(m)) <= _MERGE_TOL * m else None
     if not m:
         return False, _translation_residual(traj, np.zeros(traj.alg.dim), period)
-    worst = max(m * float(np.linalg.norm(report.translation)), report.residual)
-    return worst <= _VERIFY_TOL, worst
+    xi = traj.sample(omega * _CHECK_GRID).xi  # lam = sigma(omega), then the check times
+    worst = max(m * float(np.linalg.norm(xi[0])), _translation_residual(traj, xi[0], omega, rows=xi[1:]))
+    return worst <= _VERIFY_TOL * max(1.0, float(np.max(np.abs(xi)))), worst

@@ -12,10 +12,11 @@ Closedness is evaluated through the left-invariant exterior differential
 
     d omega (x, y, w) = -omega([x, y], w) - omega([y, w], x) - omega([w, x], y),
 
-whose cyclic sum must vanish on all basis triples.  For type-I forces this
-reduces to F([n, n]) = 0; skewness then forces F(z) into the flat central
-directions automatically.  solve(alg, force, charge, x0) is the one place that
-picks a solver for a force.
+whose cyclic sum must vanish on all basis triples.  Every term of it is a
+component of F[x, y], so P: F([n, n]) = 0 implies closedness, and on type-I
+forces the two agree.  Under P the velocity equation is linear (closedform),
+whether or not F couples v with the flat centre, and P is the test by which
+solve(alg, force, charge, x0), the one place that picks a solver, routes there.
 """
 
 from __future__ import annotations
@@ -136,19 +137,21 @@ class LorentzForce:
             return ForceType.TYPE_II
         return ForceType.MIXED
 
+    # (the ClosednessReport, P: whether F maps every bracket [x, y] to 0), see solve
     _closedness = cached_property(lambda self: _closedness_report(self.alg.structure, self.matrix))
     _exactness = cached_property(lambda self: _exactness_fit(self.alg, self.matrix))
 
 
 def solve(alg: MetricNilAlgebra, force, charge: float, x0):
-    """The trajectory of (force, charge) from the initial velocity x0, by force type
-    and structure tensor: closedform.TypeISolution for a closed type-I force,
+    """The trajectory of (force, charge) from the initial velocity x0: the linear
+    closed form closedform.TypeISolution when F maps [n, n] to 0 (P, see the
+    module docstring; a type-I force that is not closed is refused),
     h3_type2.Type2TrajectoryH3 for a type-II force on heisenberg(1)'s structure
     tensor (not a rescaled, reoriented or re-metricised copy), else the numerical
     oracle.OracleTrajectory.  Each solver module is imported when first needed."""
     f = _as_force(alg, force)
-    ftype = f.force_type()
-    if ftype is ForceType.TYPE_I:
+    (report, linear), ftype = f._closedness, f.force_type()
+    if linear or (ftype is ForceType.TYPE_I and not report.closed):  # solve_type1 refuses the latter
         from .closedform import InitialCondition, solve_type1
 
         return solve_type1(alg, f, InitialCondition.from_velocity(alg, x0, charge))
@@ -190,10 +193,10 @@ def check_closed(alg: MetricNilAlgebra, force) -> ClosednessReport:
     basis).  closed is max_residual <= 1e-12 max(1, max|F| max|c|), c the
     structure constants.  A LorentzForce computes its report once.
     """
-    return _as_force(alg, force)._closedness
+    return _as_force(alg, force)._closedness[0]
 
 
-def _closedness_report(c: np.ndarray, matrix: np.ndarray) -> ClosednessReport:
+def _closedness_report(c: np.ndarray, matrix: np.ndarray) -> tuple[ClosednessReport, bool]:
     d = c.shape[0]
     # d omega(e_i, e_j, e_k) = -omega([e_i,e_j], e_k) - omega([e_j,e_k], e_i)
     #                          - omega([e_k,e_i], e_j)
@@ -207,13 +210,14 @@ def _closedness_report(c: np.ndarray, matrix: np.ndarray) -> ClosednessReport:
     max_res = float(masked.flat[flat])
     i, jk = divmod(flat, d * d)
     worst = (i, *divmod(jk, d)) if max_res > 0.0 else None
-    scale = max(1.0, float(np.abs(matrix).max()) * float(np.abs(c).max()))
-    return ClosednessReport(
-        closed=bool(max_res <= _CLOSED_TOL * scale),
+    tol = _CLOSED_TOL * max(1.0, float(np.abs(matrix).max()) * float(np.abs(c).max()))
+    report = ClosednessReport(
+        closed=bool(max_res <= tol),
         max_residual=max_res,
         worst_triple=worst,
         frobenius_residual=float(np.linalg.norm(resid)),
     )
+    return report, bool(np.abs(t).max() <= tol)  # P: t[i, j] = F [e_i, e_j] is 0
 
 
 def exactness_test(alg: MetricNilAlgebra, force) -> ExactnessResult:

@@ -13,6 +13,7 @@ from nilmag.algebra import MetricNilAlgebra
 from nilmag.cli import main, parse_scenario
 from nilmag.h5_type1 import H5Force
 from nilmag.oracle import IntegratorConfig, reconstruct_group
+from test_imports import FLAT_COUPLED
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -125,6 +126,18 @@ def test_trajectory_mixed_falls_back_to_oracle(tmp_path, capsys):
     assert meta["solver"] == "oracle"
     assert meta["closed_form"] is False
     assert "warning" in meta
+
+
+def test_trajectory_flat_coupled_force_has_the_linear_closed_form(tmp_path):
+    """A force on H3 x R that couples v with the flat centre and maps [n, n]
+    to 0 is mixed, yet solved in closed form, and passes the oracle check."""
+    out = tmp_path / "out"
+    path = write_scenario(tmp_path, FLAT_COUPLED)
+    assert main(["trajectory", "--scenario", path, "--oracle", "--format", "csv", "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["force_type"] == "mixed" and meta["solver"] == "closed-form-type-1"
+    assert meta["closed_form"] is True and meta["exact"] is False
+    assert meta["oracle"]["passed"] is True
 
 
 def _assert_integrator_stats(stats, scheme):

@@ -22,7 +22,7 @@ from nilmag.closedform import (
 )
 from nilmag.errors import InvalidForceError, UnsupportedForceError
 from nilmag.h5_type1 import H5Force, H5Trajectory
-from nilmag.lorentz import LorentzForce, random_closed_type1, type2_from_vector
+from nilmag.lorentz import ForceType, LorentzForce, check_closed, random_closed_type1, solve, type2_from_vector
 from nilmag.oracle import IntegratorConfig, OracleTrajectory, reconstruct_group
 from nilmag.samples import PeriodicityKind, lambda_periodicity
 
@@ -352,6 +352,74 @@ def test_v_and_flat_planes_against_a_tight_oracle(f_flat, charge, x0, t_max, vel
     assert np.all(np.isfinite(got.xi)) and np.all(np.isfinite(got.velocity))
     assert np.max(np.abs(got.xi - num.xi)) < 1e-9
     assert np.max(np.abs(got.velocity - num.velocity)) < vel_tol
+
+
+# -- forces that couple v with the flat centre --------------------------------
+
+
+def off_commutator(alg, m):
+    """m with the commutator directions [n, n] projected out of its rows and columns."""
+    comm = alg.commutator_z_basis()
+    c = np.concatenate([np.zeros((comm.shape[0], alg.dim_v)), comm], axis=1)
+    p = np.eye(alg.dim) - c.T @ c
+    return p @ m @ p
+
+
+def h3_times_r_coupled(w):
+    """H3 x R with F = e4* ^ w* + 0.6 e1* ^ e2*, w in v: 0 on [n, n] = e3, so
+    closed, and mixed, as it couples v with the flat e4."""
+    m = np.zeros((4, 4))
+    m[:2, 3], m[3, :2] = w, -np.asarray(w, dtype=float)
+    m[0, 1], m[1, 0] = -0.6, 0.6
+    return MetricNilAlgebra.from_structure(4, [(1, 2, 3, 1.0)]), m
+
+
+@pytest.mark.parametrize("charge", [1.3, -0.4])
+@pytest.mark.parametrize("w", [[1.0, 0.0], [0.0, 1.0], [0.3, -0.7]])
+def test_flat_coupled_force_on_h3_times_r_against_a_tight_oracle(w, charge):
+    """solve gives the linear closed form for a force that maps [n, n] to 0 but
+    couples v with the flat centre; solve_type1 accepts it and solve_exact
+    finds it inexact.  Positions and velocities agree with a 1e-13 oracle to
+    1e-11 on t <= 10."""
+    alg, m = h3_times_r_coupled(w)
+    force = LorentzForce(alg, m)
+    assert force.force_type() is ForceType.MIXED and check_closed(alg, force).closed
+    x0 = np.array([0.4, -0.2, 0.7, 0.5])
+    sol = solve(alg, force, charge, x0)
+    assert type(sol) is TypeISolution and sol.solver == "closed-form-type-1"
+    ic = InitialCondition.from_velocity(alg, x0, charge)
+    ts = np.linspace(0.0, 10.0, 201)
+    got, num = sol.sample(ts), oracle_curve(alg, force, ic, ts, tol=1e-13)
+    assert np.max(np.abs(got.xi - num.xi)) < 1e-11
+    assert np.max(np.abs(got.velocity - num.velocity)) < 1e-11
+    assert solve_type1(alg, m, ic).sample(ts).xi.tobytes() == got.xi.tobytes()
+    with pytest.raises(UnsupportedForceError, match="not exact"):
+        solve_exact(alg, m, ic)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["structure_5", "structure_8"])
+def test_flat_coupled_forces_under_a_random_metric_against_a_tight_oracle(name, seed):
+    """The benchmark's sweep shapes under a random metric, with a random force
+    projected off [n, n]: the linear closed form against a 1e-13 oracle."""
+    rng = np.random.default_rng(100 + seed)
+    dim, brackets = {
+        "structure_5": (5, [(1, 2, 3, 1.0)]),
+        "structure_8": (8, [(1, 2, 5, 1.0), (3, 4, 5, 0.8), (1, 3, 6, 1.0), (2, 4, 6, 1.2)]),
+    }[name]
+    a = 0.3 * rng.standard_normal((dim, dim))
+    alg = MetricNilAlgebra.from_structure(dim, brackets, metric=np.eye(dim) + a @ a.T)
+    m = off_commutator(alg, rng.standard_normal((dim, dim)))
+    force = LorentzForce(alg, m - m.T)
+    assert force.force_type() is ForceType.MIXED
+    ic = random_ic(alg, rng, charge=0.9)
+    sol = solve(alg, force, ic.charge, np.concatenate([ic.v0, ic.z0]))
+    assert type(sol) is TypeISolution
+    ts = np.linspace(0.0, 10.0, 101)
+    got, num = sol.sample(ts), oracle_curve(alg, force, ic, ts, tol=1e-13)
+    scale = max(1.0, float(np.max(np.abs(num.xi))))
+    assert np.max(np.abs(got.xi - num.xi)) < 1e-11 * scale
+    assert np.max(np.abs(got.velocity - num.velocity)) < 1e-11 * scale
 
 
 # -- small rotation rates ------------------------------------------------------
@@ -707,8 +775,24 @@ def test_sample_makes_no_bracket_calls(monkeypatch):
 # -- derived quantities ------------------------------------------------------
 
 
+def _oscillation_remainder(sol, ts):
+    """max over ts of |Z(t) - t (linear coefficient + [X1, e^{tA} A^{-1} X2]/2)|,
+    A^{-1} the pseudo-inverse of A, which inverts it on the rotating planes."""
+    alg, x1 = sol.alg, sol.x1
+    lin, pinv = sol.linear_coefficient(), np.linalg.pinv(sol.matrix, rcond=1e-10)
+    got = sol.sample(ts)
+    osc = np.array([0.5 * wedge(alg, x1, pinv @ (v - x1)) for v in got.velocity])
+    return float(np.max(np.linalg.norm(got.xi[:, alg.dim_v:] - ts[:, None] * (lin + osc), axis=1)))
+
+
 def test_central_oscillation_stays_within_bound():
-    """Central coordinate minus its linear part is bounded by the estimate."""
+    """Central coordinate minus its linear part is bounded by the estimate.
+
+    On planes whose v and flat parts rotate into each other the bound takes
+    each part at its largest on the orbit: F = e6* ^ e1* rotates x(0) = e6 +
+    10 e2 from the flat e6 into v, the remainder reaches 10.05, and a bound
+    from the parts of x(0) alone, 2/th = 2, is exceeded.  Random forces
+    projected off [n, n] = e5 stay within the bound too."""
     alg = qh7()
     rng = np.random.default_rng(71)
     force = random_closed_type1(alg, rng, scale=0.3)
@@ -724,6 +808,19 @@ def test_central_oscillation_stays_within_bound():
     ts = np.linspace(0.0, 50.0, 1001)
     worst = max(np.linalg.norm(sol.position(t)[4:] - t * lin) for t in ts)
     assert worst <= bound * (1.0 + 1e-9)
+
+    alg = MetricNilAlgebra.from_structure(6, [(1, 2, 5, 1.0), (3, 4, 5, 0.7)])
+    m = np.zeros((6, 6))
+    m[5, 0], m[0, 5] = 1.0, -1.0
+    sol = solve(alg, m, 1.0, [0.0, 10.0, 0.0, 0.0, 0.0, 1.0])
+    ts = np.linspace(0.0, 60.0, 3001)
+    assert 10.0 < _oscillation_remainder(sol, ts) <= sol.central_oscillation_bound()
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        m = off_commutator(alg, rng.standard_normal((6, 6)))
+        sol = solve(alg, m - m.T, rng.uniform(-1.5, 1.5), rng.standard_normal(6))
+        assert type(sol) is TypeISolution
+        assert _oscillation_remainder(sol, ts) <= sol.central_oscillation_bound() * (1.0 + 1e-9)
 
 
 # -- input validation ---------------------------------------------------------
@@ -753,6 +850,20 @@ def test_solver_rejects_unsupported_forces():
     not_closed[2, 3], not_closed[3, 2] = -1.0, 1.0
     with pytest.raises(InvalidForceError):
         solve_type1(flat_alg, not_closed, InitialCondition(np.zeros(2), np.zeros(3)))
+
+
+def test_closed_type1_force_off_p_goes_to_the_oracle():
+    """Every 2-form on H3 is closed.  A v-z coupling of 1e-11 keeps a force type I
+    (to 1e-10) but breaks P, F[n, n] = 0, beyond its 1e-12 tolerance: solve
+    integrates it numerically, and solve_type1 refuses it."""
+    alg = h3()
+    m = rotation_force_h3(0.5)
+    m[0, 2], m[2, 0] = 1e-11, -1e-11
+    force = LorentzForce(alg, m)
+    assert force.force_type() is ForceType.TYPE_I and check_closed(alg, force).closed
+    assert type(solve(alg, force, 1.0, [0.3, -0.2, 0.5])) is OracleTrajectory
+    with pytest.raises(InvalidForceError, match="F\\[n, n\\] != 0"):
+        solve_type1(alg, force, InitialCondition(np.zeros(2), np.zeros(1)))
 
 
 def test_solver_rejects_bad_initial_conditions():

@@ -295,6 +295,22 @@ def test_verify_periodic_rejects_a_wrong_period():
         assert not ok and residual > 1e-3, (energy, residual)
 
 
+def test_verify_periodic_bound_scales_with_the_curve():
+    """The bound is _VERIFY_TOL max(1, max |sigma|) over the check times, as
+    positions grow with the energy and the period.  This two-mode certificate
+    has period 1591.77 and max |sigma| = 1.37e4 on [0, 3T]: its group gap of
+    1e-6 is 7e-11 of that, and it verifies (an absolute 1e-8 refused it).  A
+    period off by 1e-7 of itself, and a velocity off by 1e-6, still fail."""
+    force = H5Force.from_rates(0.06180203129424319, 0.06969662823489138)
+    cert = periodic_at_energy(force, 731.0379722620145)
+    assert cert.mode == "two-mode -1:1" and abs(cert.period - 1591.77) < 0.01
+    traj = solve_h5(force, cert.v0, cert.z0)
+    ok, residual = verify_periodic(traj, cert.period)
+    assert ok and 1e-8 < residual < 1e-5
+    assert not verify_periodic(traj, (1.0 + 1e-7) * cert.period)[0]
+    assert not verify_periodic(solve_h5(force, (1.0 + 1e-6) * cert.v0, cert.z0), cert.period)[0]
+
+
 def test_verify_periodic_residual_is_the_group_gap():
     """At a certified period, m times omega, the residual is max(m |lam|,
     max |sigma(t + omega) - lam sigma(t)|) over the check times, lam = sigma(omega);

@@ -71,6 +71,16 @@ MIXED = {
     "time": {"t_max": 3.0, "samples": 31},
 }
 
+# F = e4* ^ e1* + 0.6 e1* ^ e2* on H3 x R couples v with the flat e4 and maps
+# [n, n] = e3 to 0: the linear closed form covers it
+FLAT_COUPLED = {
+    "algebra": {"dim": 4, "brackets": [[1, 2, 3, 1.0]]},
+    "force": {"matrix": [[0.0, -0.6, 0.0, 1.0], [0.6, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]},
+    "charge": 1.3,
+    "initial": {"velocity": [0.4, -0.2, 0.7, 0.5]},
+    "time": {"t_max": 10.0, "samples": 51},
+}
+
 
 def test_solve_loads_each_solver_module_when_called():
     """nilmag.solve resolves without loading a solver module, and a call loads
@@ -103,6 +113,9 @@ def test_each_command_loads_only_its_solvers(tmp_path):
     h3 = [scenario("trajectory", "h3.json"), scenario("periodicity", "h3.json")]
     loaded = _nilmag_modules_after(_cli_runs(h3))
     assert "h3_type2" in loaded and loaded & {"closedform", "h5_type1", "oracle"} == set()
+    (tmp_path / "coupled.json").write_text(json.dumps(FLAT_COUPLED))
+    loaded = _nilmag_modules_after(_cli_runs([scenario("trajectory", "coupled.json")]))
+    assert "closedform" in loaded and loaded & {"specfun", "h3_type2", "h5_type1", "oracle"} == set()
     h5 = [["h5-periodic", "--rates", "-1.3", "0.7", "--energy", "2.0", "--out", str(tmp_path / "h5")]]
     loaded = _nilmag_modules_after(_cli_runs(h5))
     assert "h5_type1" in loaded and loaded & {"specfun", "h3_type2", "oracle"} == set()

@@ -124,7 +124,7 @@ def test_type1_closed_iff_vanishes_on_commutator():
         for _ in range(3):
             f = random_closed_type1(alg, rng)
             assert f.force_type() is ForceType.TYPE_I
-            assert check_closed(alg, f).closed
+            assert check_closed(alg, f).closed and f._closedness[1]
             comm_res, kernel_res = _central_constraint_residuals(alg, f)
             assert comm_res <= 1e-14 and kernel_res <= 1e-14
             image = f.block_zz @ np.eye(alg.dim_z)
@@ -137,7 +137,7 @@ def test_type1_closed_iff_vanishes_on_commutator():
     m[2, 3], m[3, 2] = -1.0, 1.0  # e3 (commutator) <-> e4 (flat)
     fbad = LorentzForce(alg, m)
     assert fbad.force_type() is ForceType.TYPE_I
-    assert not check_closed(alg, fbad).closed
+    assert not check_closed(alg, fbad).closed and not fbad._closedness[1]
     comm_res, kernel_res = _central_constraint_residuals(alg, fbad)
     assert comm_res == 1.0 and kernel_res == 1.0
 
@@ -421,6 +421,36 @@ def test_closedness_bound_scales_with_the_force(name, scale):
         assert rep.closed, rep
         solve_type1(alg, f, InitialCondition.from_velocity(alg, rng.normal(size=alg.dim)))
     assert not check_closed(alg, scale * _skew(rng, alg.dim)).closed
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+@pytest.mark.parametrize("name", sorted(SCALED_ALGEBRAS))
+def test_p_is_closedness_on_type1_forces(name, scale):
+    """P, F([n, n]) = 0, is read off the product F [e_i, e_j] that check_closed
+    forms.  On a type-I force each cyclic sum over i < j < k is one entry of
+    it, so P holds exactly when check_closed says closed, also next to the
+    tolerance; on any force P implies closed."""
+    alg = SCALED_ALGEBRAS[name]()
+    rng = np.random.default_rng(23)
+    dv = alg.dim_v
+    not_closed = _skew(rng, alg.dim)
+    not_closed[:dv, dv:] = not_closed[dv:, :dv] = 0.0
+    verdicts = set()
+    for _ in range(3):
+        closed = random_closed_type1(alg, rng, scale=scale).matrix
+        for eps in (0.0, 1e-13, 1e-12, 1e-11, 1.0):
+            f = LorentzForce(alg, closed + eps * scale * not_closed)
+            assert f.force_type() is ForceType.TYPE_I
+            assert f._closedness[1] is check_closed(alg, f).closed
+            verdicts.add(f._closedness[1])
+    assert verdicts == {True, False}
+    # a force with [n, n] projected out of its rows and columns, v-z blocks and all
+    comm = alg.commutator_z_basis()
+    c = np.concatenate([np.zeros((comm.shape[0], dv)), comm], axis=1)
+    p = np.eye(alg.dim) - c.T @ c
+    for _ in range(3):
+        f = LorentzForce(alg, scale * p @ _skew(rng, alg.dim) @ p)
+        assert f._closedness[1] and check_closed(alg, f).closed
 
 
 def test_force_holds_its_classification(monkeypatch):

@@ -23,7 +23,7 @@ from nilmag.h5_type1 import H5Force, periodic_at_energy, solve_h5, verify_period
 from nilmag.lorentz import LorentzForce, random_closed_type1, solve, type2_from_vector
 from nilmag.oracle import OracleTrajectory
 from nilmag.samples import lambda_periodicity
-from test_imports import MIXED
+from test_imports import FLAT_COUPLED, MIXED
 
 
 def _type1():
@@ -79,12 +79,15 @@ def test_solve_picks_the_solver_by_force_type_and_structure():
     rng = np.random.default_rng(3)
     q1 = MetricNilAlgebra.quaternionic(1)
     scaled_h3 = MetricNilAlgebra.from_structure(3, [(1, 2, 3, 2.0)])
+    h3_r = MetricNilAlgebra.from_structure(4, [(1, 2, 3, 1.0)])
     u, x0 = np.array([0.3, 1.0]), np.array([0.7, -0.4, 0.3])
     cases = [
         (q1, random_closed_type1(q1, rng), rng.standard_normal(7), TypeISolution, "closed-form-type-1"),
         (H3, type2_from_vector(H3, u), x0, Type2TrajectoryH3, "closed-form-type-2"),
         (scaled_h3, type2_from_vector(scaled_h3, u), x0, OracleTrajectory, "oracle"),
         (H3, MIXED["force"]["matrix"], x0, OracleTrajectory, "oracle"),
+        # mixed, but 0 on [n, n]: the linear closed form
+        (h3_r, FLAT_COUPLED["force"]["matrix"], [0.4, -0.2, 0.7, 0.5], TypeISolution, "closed-form-type-1"),
     ]
     for alg, force, start, cls, solver in cases:
         traj = solve(alg, force, 1.3, start)
