@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -126,15 +127,6 @@ def _require_size(dim: int, what: str) -> None:
                          " constants, over the cap of 2^21")
 
 
-def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of `rows`."""
-    if rows.size == 0:
-        return np.zeros((0, rows.shape[1]))
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > _ZERO_TOL * (s[0] if s.size else 1.0)))
-    return vh[:rank]
-
-
 def _aligned_orthonormal(cand: np.ndarray, m: int) -> np.ndarray:
     """m orthonormal columns from the columns of cand (k, n) in order: Gram-Schmidt
     keeps a column that is more than 1e-8 out of the span of the ones before it,
@@ -191,7 +183,6 @@ class MetricNilAlgebra:
         # change of basis back to the user's coordinates (identity for presets)
         self.input_basis = np.eye(dim) if input_basis is None else np.asarray(input_basis, float)
         self.input_metric = np.eye(dim) if input_metric is None else np.asarray(input_metric, float)
-        self._commutator_z = None  # cached orthonormal basis of [n, n] in z-coords
 
     # ------------------------------------------------------------------
     # constructors
@@ -452,12 +443,24 @@ class MetricNilAlgebra:
     # center decomposition
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _bracket_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(u, s, vh, rank): the SVD of the bracket map, the (dim_v^2, dim_z) matrix
+        whose row (a, b) is [e_a, e_b] in z-coordinates, so that row (a, b) of its
+        product with Z is j(Z)_ba, and its rank at the relative cut _ZERO_TOL.
+        Zero rows pad it to at least dim_z rows, so vh is square: its first rank
+        rows span [n, n] and the others ker j."""
+        dz = self.dim_z
+        images = self.structure[: self.dim_v, : self.dim_v, self.dim_v :].reshape(-1, dz)
+        if images.shape[0] < dz:
+            images = np.vstack((images, np.zeros((dz - images.shape[0], dz))))
+        u, s, vh = np.linalg.svd(images, full_matrices=False)
+        return u, s, vh, np.count_nonzero(s > _ZERO_TOL * s[0]) if s.size else 0
+
     def commutator_z_basis(self) -> np.ndarray:
         """Orthonormal basis (rows, z-coordinates) of the commutator ideal [n, n]."""
-        if self._commutator_z is None:
-            images = self.structure[: self.dim_v, : self.dim_v, self.dim_v :]
-            self._commutator_z = _orthonormal_rows(images.reshape(-1, self.dim_z))
-        return self._commutator_z
+        _, _, vh, rank = self._bracket_svd
+        return vh[:rank]
 
     def kernel_z_basis(self) -> np.ndarray:
         """Orthonormal basis (rows, z-coordinates) of the flat directions ker j.
@@ -466,27 +469,29 @@ class MetricNilAlgebra:
         central Z, <j(Z)V, W> = <Z, [V, W]> vanishes for all V, W exactly when
         Z is orthogonal to every bracket.
         """
-        comm = self.commutator_z_basis()
-        if comm.shape[0] == self.dim_z:
-            return np.zeros((0, self.dim_z))
-        if comm.size == 0:
-            return np.eye(self.dim_z)
-        _, s, vh = np.linalg.svd(comm)
-        return vh[comm.shape[0] :]
+        _, _, vh, rank = self._bracket_svd
+        return vh[rank:]
 
     def j_injective_on_commutator(self) -> tuple[bool, float]:
         """Whether Z |-> j(Z) is injective on the commutator directions.
 
-        Returns (flag, smallest singular value of the stacked map).  This is
-        a structural identity of 2-step algebras: a commutator Z with
-        j(Z) = 0 would be orthogonal to all brackets, hence zero.
+        Returns (flag, sigma), sigma the smallest singular value of the map on
+        [n, n], which is the bracket map's smallest kept one.  This is a
+        structural identity of 2-step algebras: a commutator Z with j(Z) = 0
+        would be orthogonal to all brackets, hence zero.
         """
-        comm = self.commutator_z_basis()
-        if comm.shape[0] == 0:
+        _, s, _, rank = self._bracket_svd
+        if rank == 0:
             return True, np.inf
-        cols = np.stack([self.j_map(row).ravel() for row in comm], axis=1)
-        s = np.linalg.svd(cols, compute_uv=False)
-        return bool(s[-1] > _ZERO_TOL * max(1.0, s[0])), float(s[-1])
+        return bool(s[rank - 1] > _ZERO_TOL * max(1.0, s[0])), float(s[rank - 1])
+
+    def _j_fit(self, block: np.ndarray) -> np.ndarray:
+        """The minimum-norm central Z (z-coordinates) whose j(Z) is nearest the
+        (dim_v, dim_v) block in the Frobenius norm, from the bracket map's
+        pseudo-inverse at the _ZERO_TOL cut; Z lies in [n, n]."""
+        u, s, vh, rank = self._bracket_svd
+        coef = (u[: self.dim_v**2, :rank].T @ np.asarray(block, float).T.ravel()) / s[:rank]
+        return vh[:rank].T @ coef
 
     # ------------------------------------------------------------------
     # structural classification

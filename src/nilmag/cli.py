@@ -527,11 +527,11 @@ def _h5_force(scn: Scenario) -> H5Force:
 
 
 def _h5_certificate_doc(force: H5Force, energy: float) -> tuple[dict, int]:
-    from .h5_type1 import _VERIFY_TOL, periodic_at_energy, solve_h5, verify_periodic
+    from .h5_type1 import _periodic_check, periodic_at_energy, solve_h5
 
     cert = periodic_at_energy(force, energy)
     traj = solve_h5(force, cert.v0, cert.z0)
-    ok, residual = verify_periodic(traj, cert.period)
+    ok, residual, bound = _periodic_check(traj, cert.period)
     doc = {
         "kind": "Periodic",
         "mode": cert.mode,
@@ -541,7 +541,7 @@ def _h5_certificate_doc(force: H5Force, energy: float) -> tuple[dict, int]:
         "z0": cert.z0,
         "period": cert.period,
         "drift": traj.drift(),
-        "verify": {"ok": bool(ok), "residual": residual, "tolerance": _VERIFY_TOL},
+        "verify": {"ok": bool(ok), "residual": residual, "tolerance": bound},
     }
     if not ok:
         print(f"certificate verification failed: residual {residual:.3e}", file=sys.stderr)

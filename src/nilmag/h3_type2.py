@@ -37,16 +37,10 @@ xi = (xi_x, xi_y, xi_z) the group curve from the identity,
     xi_z = z0 t + y1 I1 + z0 I2 + I3 / 2 - Phi(t) xi_y(t) / 2,
 
 the last line obtained by integrating the reconstruction bracket by parts.
-On the oscillating branches Phi is its period mean h plus a centred cn or
-dn multiple D, so I_m is <Phi^m> t plus integrals of D^j - <D^j> that are
-periodic and bounded.  The means are closed forms in the AGM of (1, k'); the
-periodic parts are exact antiderivatives of cn^j and dn^j in arcsin, the
-amplitude am = atan2(sn, cn) and the Jacobi zeta function, which the
-descending Landen recursion gives in the same pass as sn, cn and dn.  A
-sample grid costs one such pass over the whole array (_jacobi_zeta on the
-grid's phases and the start phase, with a table built once per trajectory)
-and no numerical integration, and no term of size |z0|^m cancels.  On the
-separatrix I_m is elementary.
+With Phi = h + D about its mean h, I_m is linear in t and in three functions
+F of the phase u on every branch, so positions are one product of a (2, 4)
+matrix per trajectory with [t; F(phase) - F(u)] (see _position_matrix): no
+numerical integration, and no term of size |z0|^m cancels.
 
 velocity_period() is the period on the cn and dn branches, so that
 samples.lambda_periodicity (re-exported here) classifies these curves as
@@ -209,57 +203,48 @@ class Type2TrajectoryH3(Trajectory):
     def sample(self, ts: np.ndarray) -> CurveSamples:
         """Velocity and group curve (exponential coordinates, position(0) = 0)
         on the grid ts: the canonical curve at t = ts / q as array expressions,
-        mapped back once.  The phases u = phase - rate t carry the start
-        u = phase in front, so one pass (one _jacobi_zeta call on the cn and
-        dn branches) gives the grid and the start of the antiderivatives."""
+        mapped back once.  The phases u = phase - rate t carry the start u = phase
+        in front, so one pass (one _jacobi_zeta call on cn and dn) gives the
+        branch functions F on the grid and at the start for _position_matrix."""
         ts = np.asarray(ts, dtype=float)
-        q, z0, r = self.time_scale, self.z0, self.rate
+        q, z0, r, a, k = self.time_scale, self.z0, self.rate, self.amplitude, self.modulus
         t = ts / q
         u = self.phase - r * np.concatenate(([0.0], t))
         if self.branch is Branch.LINEAR:
-            phi = dpsi = np.zeros(t.size)
-            psi, i1, i2, i3 = phi + z0, 0.0, 0.0, 0.0
+            f, phi = np.zeros((3, u.size)), np.zeros(t.size)
+            psi, dpsi = phi + z0, phi
         elif self.branch is Branch.CN or self.branch is Branch.DN:
             sn, cn, dn, zeta = _jacobi_zeta(u, self._descent)
-            i1, i2, i3 = self._power_integrals(t, self._centred_antiderivatives(u, sn, cn, dn, zeta))
-            sn, cn, dn, ar = sn[1:], cn[1:], dn[1:], self.amplitude * r
             if self.branch is Branch.CN:
-                psi, dpsi = self.amplitude * cn, ar * sn * dn
+                f = (np.arcsin(k * sn), zeta, k * sn * dn)
+                psi, dpsi = a * cn[1:], a * r * sn[1:] * dn[1:]
                 phi = psi - z0
             else:
-                a, k2 = self.amplitude, self.modulus**2
-                psi, dpsi = self.sign * a * dn, self.sign * ar * k2 * sn * cn
+                # am u - M u (M = pi/(2K), the mean of dn) at u_r = u - 2K j, |u_r| <= K,
+                # where (sn, cn)(u_r) = (-1)^j (sn, cn)(u) and am u_r = atan2 of those
+                big_k, mean = self._descent.big_k, self._descent.mean
+                j = np.floor(u / (2.0 * big_k) + 0.5)
+                flip = 1.0 - 2.0 * (j % 2.0)  # (-1)^j
+                f = (np.arctan2(flip * sn, flip * cn) - mean * (u - 2.0 * big_k * j), zeta, sn * cn)
+                sn, cn, dn, k2 = sn[1:], cn[1:], dn[1:], k * k
+                psi, dpsi = self.sign * a * dn, self.sign * a * r * k2 * sn * cn
                 # Phi = sign (a dn - |z0|) without cancellation at large |z0|:
                 # a - |z0| = 2 (S - y1) / (a + |z0|) and 1 - dn = k^2 sn^2 / (1 + dn)
                 gap = 2.0 * self._s_minus_y1 / (a + abs(z0))
                 phi = self.sign * (gap - a * k2 * sn * sn / (1.0 + dn))
         else:
             sech_u, tanh_u = sech(u), np.tanh(u)
-            i1, i2, i3 = self._sech_integrals(t, u, sech_u, tanh_u)
-            psi = self.sign * self.amplitude * sech_u[1:]
-            dpsi = self.sign * self.amplitude * r * sech_u[1:] * tanh_u[1:]
+            f = (2.0 * np.arctan(np.tanh(0.5 * u)), tanh_u, sech_u * tanh_u)  # gd u first
+            psi = self.sign * a * sech_u[1:]
+            dpsi = self.sign * a * r * sech_u[1:] * tanh_u[1:]
             phi = psi - z0
-        xi_y = self.y0 * t + z0 * i1 + 0.5 * i2
-        xi_z = z0 * t + self.y1 * i1 + z0 * i2 + 0.5 * i3 - 0.5 * phi * xi_y
-        xi = np.stack((phi, xi_y, xi_z), axis=1)
+        f = np.asarray(f)
+        xi_y, xi_z = self._position_matrix @ np.vstack((t, f[:, :1] - f[:, 1:]))
+        xi = np.stack((phi, xi_y, xi_z - 0.5 * phi * xi_y), axis=1)
         vel = np.stack((dpsi, self.y0 + z0 * phi + 0.5 * phi * phi, psi), axis=1) / q
         vel[:, :2] = vel[:, :2] @ self.rotation
         xi[:, :2] = xi[:, :2] @ self.rotation
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
-
-    # -- power integrals on the oscillating branches ------------------------
-
-    def _power_integrals(self, t, antiderivatives):
-        """(I1, I2, I3) on the grid t, I_m = integral of Phi^m over [0, t], from
-        the antiderivatives P_j at u = phase - rate t with the start in front.
-
-        With Phi = h + D, I_m is <Phi^m> t plus terms in J_j = integral of
-        D^j - <D^j> = (P_j(phase) - P_j(u)) / rate.
-        """
-        h, mean2, mean3 = self._means
-        j1, j2, j3 = ((p[0] - p[1:]) / self.rate for p in antiderivatives)
-        i3 = mean3 * t + 3.0 * h * h * j1 + 3.0 * h * j2 + j3
-        return h * t + j1, mean2 * t + 2.0 * h * j1 + j2, i3
 
     @cached_property
     def _descent(self):
@@ -268,38 +253,45 @@ class Type2TrajectoryH3(Trajectory):
         k' comes from disc, not from k, so it keeps its digits near k = 1."""
         return _descent_table(self.modulus, self._complement)
 
-    def _centred_antiderivatives(self, u, sn, cn, dn, zeta):
-        """Antiderivatives P_j in u of D^j - <D^j>, j = 1, 2, 3, elementwise, where
-        D = psi - <psi> is a cn or dn multiple, (sn, cn, dn) are the Jacobi
-        functions at u and zeta = Z(u) = E(am u) - (E/K) u is the Jacobi zeta function.
+    @cached_property
+    def _position_matrix(self) -> np.ndarray:
+        """The (2, 4) matrix P with (xi_y, xi_z + Phi xi_y / 2) = P [t; F(phase) - F(u)].
 
-        By DLMF 22.16.32, 22.14(iv) and Byrd & Friedman 312, 314:
-            int dn = am,   int cn = arcsin(k sn)/k,   int (dn^2 - E/K) = Z,
-            k^2 int (cn^2 - <cn^2>) = Z,   int dn^3 = (k^2 sn cn + (2 - k^2) am)/2,
-            2 k^2 int cn^3 = sn dn - (1 - 2k^2) arcsin(k sn)/k.
-        Z comes from the Landen phases as sum_n c_n sin phi_n (specfun._jacobi_zeta),
-        free of the cancellation of O(1) terms in E(am u) - (E/K) u as k -> 0.
-        am u - M u (M = pi/(2K), the mean of dn) is taken at u_r = u - 2K j,
-        |u_r| <= K, where (sn, cn)(u_r) = (-1)^j (sn, cn)(u) and am u_r = atan2
-        of those.
+        By the module docstring that vector is (y0, z0) t + C (I1, I2, I3), with
+        C = [[z0, 1/2, 0], [y1, z0, 1/2]].  With Phi = h + D about its mean h,
+            I1 = h t + J1,  I2 = <Phi^2> t + 2 h J1 + J2,  I3 = <Phi^3> t + 3 h^2 J1 + 3 h J2 + J3,
+        where J_j, the integral of D^j - <D^j> over [0, t], is row j of
+        L (F(phase) - F(u)) / rate.  lift below is L / rate, from DLMF 22.16.32,
+        22.14(iv) and Byrd & Friedman 312, 314:
+          cn, D = a cn with a = 2 k rate: F = (arcsin(k sn), Z, k sn dn), as
+            int cn = arcsin(k sn)/k,  k^2 int (cn^2 - <cn^2>) = Z,
+            2 k^2 int cn^3 = sn dn - (1 - 2k^2) arcsin(k sn)/k;
+          dn, D = sign a (dn - M), rate = a/2: F = (am u - M u, Z, sn cn), as
+            int dn = am,  int (dn^2 - E/K) = Z,  int dn^3 = (k^2 sn cn + (2 - k^2) am)/2;
+          separatrix, D = sign a sech, rate = a/2: dn's limit k = 1, M = 0, where
+            F = (gd, tanh, sech tanh), the Gudermannian gd = am;
+          straight line: Phi = 0, and the F columns of sample are zero.
+        Z(u) = E(am u) - (E/K) u, the Jacobi zeta function, is summed over the Landen
+        phases (specfun._jacobi_zeta), free of the cancellation of O(1) terms as k -> 0.
         """
-        k, r = self.modulus, self.rate
+        h, mean2, mean3 = self._means
+        k, r, a, s = self.modulus, self.rate, self.amplitude, self.sign
         if self.branch is Branch.CN:
-            # a = 2 k rate turns the 1/k^j factors into powers of the rate
-            asn = np.arcsin(k * sn)
-            cube = k * sn * dn - (1.0 - 2.0 * k * k) * asn
-            return 2.0 * r * asn, 4.0 * r * r * zeta, 4.0 * r**3 * cube
-        big_k, mean = self._descent.big_k, self._descent.mean
-        j = np.floor(u / (2.0 * big_k) + 0.5)
-        flip = 1.0 - 2.0 * (j % 2.0)  # (-1)^j
-        a, sign = self.amplitude, self.sign
-        w = np.arctan2(flip * sn, flip * cn) - mean * (u - 2.0 * big_k * j)  # int (dn - M)
-        cube = 0.5 * k * k * sn * cn + 0.5 * (2.0 - k * k) * w - 3.0 * mean * zeta + 3.0 * mean * mean * w
-        return sign * a * w, a * a * (zeta - 2.0 * mean * w), sign * a**3 * cube
+            lift = [[2.0, 0.0, 0.0], [0.0, 4.0 * r, 0.0], [-4.0 * r * r * (1.0 - 2.0 * k * k), 0.0, 4.0 * r * r]]
+        else:
+            m = self._descent.mean if self.branch is Branch.DN else 0.0
+            lift = [[2.0 * s, 0.0, 0.0], [-4.0 * m * a, 2.0 * a, 0.0],
+                    [s * a * a * (2.0 - k * k + 6.0 * m * m), -6.0 * s * a * a * m, s * a * a * k * k]]
+        coupling = np.array([[self.z0, 0.5, 0.0], [self.y1, self.z0, 0.5]])
+        binomial = np.array([[1.0, 0.0, 0.0], [2.0 * h, 1.0, 0.0], [3.0 * h * h, 3.0 * h, 1.0]])
+        drift = np.array([self.y0, self.z0]) + coupling @ (h, mean2, mean3)
+        return np.column_stack((drift, coupling @ binomial @ lift))
 
     @cached_property
     def _means(self) -> tuple[float, float, float]:
-        """Period means (h, <Phi^2>, <Phi^3>) of Phi, in closed form.
+        """Means (h, <Phi^2>, <Phi^3>) of Phi, in closed form: over a period on
+        cn and dn, (-z0, z0^2, -z0^3) on the separatrix, whose D = Phi + z0
+        decays, and 0 on the straight line.
 
         Phi is expanded about its period mean h, <Phi^2> = m2 + h^2 and
         <Phi^3> = m3 + 3 h m2 + h^3, with m2, m3 the central moments of psi,
@@ -314,6 +306,9 @@ class Type2TrajectoryH3(Trajectory):
             <(dn - M)^2> = sum_{n>=1} (3/2 - 2^(n-1)) c_n^2,
             <(dn - M)^3> = 3 M sum_{n>=2} (2^(n-1) - 1) c_n^2.
         """
+        if self.branch is not Branch.CN and self.branch is not Branch.DN:
+            h = 0.0 if self.branch is Branch.LINEAR else -self.z0
+            return h, h * h, h**3
         a = self.amplitude
         mean, cs = self._descent.mean, self._descent.c_seq
         sq = [c * c for c in cs]
@@ -331,17 +326,6 @@ class Type2TrajectoryH3(Trajectory):
                 (2.0 ** (n - 1) - 1.0) * sq[n] for n in range(2, len(sq))
             )
         return h, m2 + h * h, m3 + 3.0 * h * m2 + h**3
-
-    def _sech_integrals(self, t, u, sech_u, tanh_u):
-        """Exact I_m on the separatrix, on the grid t, from antiderivatives of
-        sech powers at u = phase - rate t with the start in front."""
-        a, r, z0 = self.sign * self.amplitude, self.rate, self.z0
-        gd = 2.0 * np.arctan(np.tanh(0.5 * u))  # Gudermannian, the antiderivative of sech
-        s1, s2, s3 = ((p[0] - p[1:]) / r for p in (gd, tanh_u, 0.5 * (sech_u * tanh_u + gd)))
-        i1 = a * s1 - z0 * t
-        i2 = a * a * s2 - 2.0 * a * z0 * s1 + z0 * z0 * t
-        i3 = a**3 * s3 - 3.0 * a * a * z0 * s2 + 3.0 * a * z0 * z0 * s1 - z0**3 * t
-        return i1, i2, i3
 
     def phi_image(self) -> tuple[float, float]:
         """Closure of the range of Phi."""

@@ -281,6 +281,13 @@ def verify_periodic(traj: H5Trajectory, period: float) -> tuple[bool, float]:
     is not one of the velocity: not ok, with the residual of sigma(t + period)
     = sigma(t) itself.  A period that is not finite and positive raises InputError.
     """
+    return _periodic_check(traj, period)[:2]
+
+
+def _periodic_check(traj: H5Trajectory, period: float) -> tuple[bool, float, float | None]:
+    """verify_periodic's (ok, residual) and the absolute bound that decided ok:
+    ok is residual <= bound, and bound is None for a period that is not one of
+    the velocity."""
     if not (math.isfinite(period) and period > 0.0):
         raise InputError("period must be a finite positive number")
     omega = traj.velocity_period()
@@ -288,7 +295,8 @@ def verify_periodic(traj: H5Trajectory, period: float) -> tuple[bool, float]:
     if m is not None and traj.rates.any():  # a turning velocity repeats at whole multiples only
         m = round(m) if abs(m - round(m)) <= _MERGE_TOL * m else None
     if not m:
-        return False, _translation_residual(traj, np.zeros(traj.alg.dim), period)
+        return False, _translation_residual(traj, np.zeros(traj.alg.dim), period), None
     xi = traj.sample(omega * _CHECK_GRID).xi  # lam = sigma(omega), then the check times
     worst = max(m * float(np.linalg.norm(xi[0])), _translation_residual(traj, xi[0], omega, rows=xi[1:]))
-    return worst <= _VERIFY_TOL * max(1.0, float(np.max(np.abs(xi)))), worst
+    bound = _VERIFY_TOL * max(1.0, float(np.max(np.abs(xi))))
+    return worst <= bound, worst, bound

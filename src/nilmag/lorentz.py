@@ -232,13 +232,10 @@ def exactness_test(alg: MetricNilAlgebra, force) -> ExactnessResult:
 
 
 def _exactness_fit(alg: MetricNilAlgebra, matrix: np.ndarray) -> ExactnessResult:
-    dv, dz = alg.dim_v, alg.dim_z
-    # column k is j(e_k) flattened, (j(Z))_ba = sum_k c_abk Z_k: its singular values are
-    # the ones commutator_z_basis cuts at 1e-10, and the minimum-norm fit lies in [n, n]
-    j_cols = alg.structure[:dv, :dv, dv:].transpose(1, 0, 2).reshape(dv * dv, dz)
-    coef = np.linalg.lstsq(j_cols, matrix[:dv, :dv].ravel(), rcond=1e-10)[0]
+    dv = alg.dim_v
+    coef = alg._j_fit(matrix[:dv, :dv])
     best = np.zeros_like(matrix)
-    best[:dv, :dv] = (j_cols @ coef).reshape(dv, dv)
+    best[:dv, :dv] = alg.j_map(coef)
     rel = float(np.linalg.norm(matrix - best)) / max(1.0, float(np.linalg.norm(matrix)))
     z_tilde = alg.embed_z(coef)
     z_tilde.flags.writeable = False

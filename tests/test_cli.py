@@ -362,6 +362,18 @@ def test_periodicity_h5_certificate(tmp_path, capsys):
     assert abs(doc["drift"]) < 1e-12
 
 
+def test_h5_certificate_tolerance_is_the_bound_that_decided_ok(capsys):
+    """verify.tolerance is the absolute bound verify_periodic applied, 1e-8 of
+    max(1, max |sigma|), so ok holds exactly when residual <= tolerance: here a
+    residual of about 1e-6 passes (the fixed 1e-8 was printed before)."""
+    argv = ["h5-periodic", "--rates", "0.06180203129424319", "0.06969662823489138",
+            "--energy", "731.0379722620145"]
+    code, doc = run_json(capsys, argv)
+    ok, residual, tolerance = doc["verify"]["ok"], doc["verify"]["residual"], doc["verify"]["tolerance"]
+    assert code == 0 and ok is True and residual > 1e-8
+    assert ok == (residual <= tolerance)
+
+
 @pytest.mark.parametrize("command", ["periodicity", "h5-periodic"])
 def test_h5_certificate_uses_the_scenario_charge(tmp_path, capsys, command):
     """The certified orbit closes under the scenario's own charge, checked

@@ -421,32 +421,49 @@ def test_period_integrals_match_quadrature(branch, k):
 
 
 def _mpmath_position(traj, t: float) -> np.ndarray:
-    """40-digit position at t on a cn or dn branch: I_m by mpmath quadrature
-    over whole velocity periods and the remainder, from the same phase."""
+    """40-digit position at t: I_m by mpmath quadrature of Phi^m from the same
+    phase, over whole velocity periods and the remainder on cn and dn, and over
+    [0, t], split at the hump, on the separatrix; Phi = 0 on the straight line."""
     with mpmath.workdps(40):
         x0, y0, z0 = (mpmath.mpf(v) for v in (traj.x0, traj.y0, traj.z0))
         y1 = y0 + 1
         s = mpmath.sqrt(x0**2 + y1**2)
         a = mpmath.sqrt(2 * s - 2 * y1 + z0**2)
-        phase = mpmath.mpf(traj.phase)
-        if traj.branch is Branch.CN:
-            m, rate, fun, sign = a**2 / (4 * s), mpmath.sqrt(s), "cn", 1
-        else:
-            m, rate, fun, sign = 4 * s / a**2, a / 2, "dn", 1 if traj.z0 > 0 else -1
-        period = 4 * mpmath.ellipk(m) / rate
-
-        @functools.lru_cache(maxsize=None)  # the three powers share their nodes
-        def phi(u):
-            return sign * a * mpmath.ellipfun(fun, phase - rate * u, m=m) - z0
-
+        phase, sign = mpmath.mpf(traj.phase), 1 if traj.z0 > 0 else -1
         t = mpmath.mpf(t)
-        n = int(mpmath.floor(t / period))
-        tau = t - n * period
-        i1, i2, i3 = (
-            n * mpmath.quad(lambda u: phi(u) ** j, [0, period / 2, period], method="gauss-legendre")
-            + mpmath.quad(lambda u: phi(u) ** j, [0, tau], method="gauss-legendre")
-            for j in (1, 2, 3)
-        )
+        if traj.branch is Branch.LINEAR:
+            def phi(u):
+                return mpmath.mpf(0)
+
+            i1 = i2 = i3 = mpmath.mpf(0)
+        elif traj.branch in (Branch.SECH_POS, Branch.SECH_NEG):
+            rate = mpmath.sqrt(s)
+
+            @functools.lru_cache(maxsize=None)
+            def phi(u):
+                return sign * 2 * rate * mpmath.sech(phase - rate * u) - z0
+
+            hump = phase / rate
+            nodes = [0, hump, t] if min(0, t) < hump < max(0, t) else [0, t]
+            i1, i2, i3 = (mpmath.quad(lambda u: phi(u) ** j, nodes) for j in (1, 2, 3))
+        else:
+            if traj.branch is Branch.CN:
+                m, rate, fun, sign = a**2 / (4 * s), mpmath.sqrt(s), "cn", 1
+            else:
+                m, rate, fun = 4 * s / a**2, a / 2, "dn"
+            period = 4 * mpmath.ellipk(m) / rate
+
+            @functools.lru_cache(maxsize=None)  # the three powers share their nodes
+            def phi(u):
+                return sign * a * mpmath.ellipfun(fun, phase - rate * u, m=m) - z0
+
+            n = int(mpmath.floor(t / period))
+            tau = t - n * period
+            i1, i2, i3 = (
+                n * mpmath.quad(lambda u: phi(u) ** j, [0, period / 2, period], method="gauss-legendre")
+                + mpmath.quad(lambda u: phi(u) ** j, [0, tau], method="gauss-legendre")
+                for j in (1, 2, 3)
+            )
         xi_y = y0 * t + z0 * i1 + i2 / 2
         xi_z = z0 * t + y1 * i1 + z0 * i2 + i3 / 2 - phi(t) * xi_y / 2
         return np.array([float(phi(t)), float(xi_y), float(xi_z)])
@@ -473,6 +490,22 @@ def test_period_integrals_keep_their_digits_at_large_z0():
         want = _mpmath_position(traj, t)
         got = traj.position(t)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (ic, got - want)
+
+
+@pytest.mark.parametrize("ic", [(0.0, 0.0, 2.0), (0.75, 0.0, math.sqrt(4.5)), (-0.75, 0.0, -math.sqrt(4.5)),
+                                (0.75, 0.0, -math.sqrt(4.5)), (0.0, 0.7, 0.0), (0.0, -1.0, 1.2)])
+def test_separatrix_and_line_positions_keep_their_digits(ic):
+    """Positions on sech+, sech- and the straight line agree with the 40-digit
+    reference to 1e-12 of their size at the hump phase - rate t = 0 (t = 0.5
+    on the line and where the hump is at t = 0) and 12 and 30 canonical time
+    units before and after it."""
+    traj = Type2TrajectoryH3(ic)
+    assert traj.branch in (Branch.SECH_POS, Branch.SECH_NEG, Branch.LINEAR)
+    hump = traj.phase / traj.rate if traj.rate else 0.0
+    for t in (hump or 0.5, hump - 12.0, hump + 12.0, hump - 30.0, hump + 30.0):
+        want = _mpmath_position(traj, t)
+        got = traj.position(t)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (ic, t, got - want)
 
 
 START_GRID = [

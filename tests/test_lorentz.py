@@ -361,12 +361,11 @@ def test_exactness_test_matches_the_commutator_basis_fit(name):
     assert exactness_test(alg, exact).is_exact
 
 
-def test_exactness_test_runs_no_svd(monkeypatch):
-    """On a fresh algebra exactness_test runs no SVD: it does not go through
-    commutator_z_basis, which does."""
-    alg = MetricNilAlgebra.from_structure(7, FLAT_BRACKETS, metric=_metric(4, 7))
-    m = np.zeros((7, 7))
-    m[:4, :4] = alg.j_map(np.array([0.3, -1.2, 0.8]))
+def test_bracket_map_is_factored_once(monkeypatch):
+    """On a fresh algebra exactness_test, commutator_z_basis, kernel_z_basis and
+    j_injective_on_commutator run one SVD between them, of the (dim_v^2, dim_z)
+    bracket map.  The spans and sigma it gives equal, to 1e-14, those of the
+    stacked j(e_k) maps, and the two bases split the center orthogonally."""
     calls = []
     svd = np.linalg.svd
 
@@ -374,11 +373,24 @@ def test_exactness_test_runs_no_svd(monkeypatch):
         calls.append(args[0].shape)
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    assert exactness_test(alg, m).is_exact
-    assert calls == []
-    alg.commutator_z_basis()  # the counter does count
-    assert calls
+    for name, make in EXACTNESS_ALGEBRAS.items():
+        alg = make()
+        dv, dz = alg.dim_v, alg.dim_z
+        m = np.zeros((alg.dim, alg.dim))
+        m[:dv, :dv] = alg.j_map(np.linspace(-1.0, 1.2, dz))
+        cols = np.stack([alg.j_map(e).ravel() for e in np.eye(dz)], axis=1)
+        _, s_ref, vh_ref = svd(cols)
+        rank = int(np.sum(s_ref > 1e-10 * s_ref[0])) if s_ref.size and s_ref[0] > 0 else 0
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", counted)
+            assert exactness_test(alg, m).is_exact, name
+            comm, ker, (ok, sigma) = alg.commutator_z_basis(), alg.kernel_z_basis(), alg.j_injective_on_commutator()
+        assert calls == [(max(dv * dv, dz), dz)], name
+        assert comm.shape == (rank, dz) and ker.shape == (dz - rank, dz), name
+        assert_allclose(np.vstack((comm, ker)) @ np.vstack((comm, ker)).T, np.eye(dz), atol=1e-14)
+        assert_allclose(comm.T @ comm, vh_ref[:rank].T @ vh_ref[:rank], atol=1e-14)
+        assert ok and (sigma == np.inf if rank == 0 else abs(sigma - s_ref[rank - 1]) <= 1e-14 * s_ref[0]), name
 
 
 def test_check_closed_matches_the_einsum_contraction():
