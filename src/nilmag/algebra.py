@@ -597,8 +597,8 @@ class MetricNilAlgebra:
         (sigma_min small against lam over a wide arc) ends the search with an
         unproved nonsingular verdict.
         """
-        dv, dz = self.dim_v, self.dim_z
-        lam = float(np.linalg.norm(self.structure[:dv, :dv, dv:].reshape(-1, dz), 2))
+        dv, dz, s = self.dim_v, self.dim_z, self._bracket_svd[1]
+        lam = float(s[0]) if s.size else 0.0
         witness = 1e-8 * lam
         n0 = dv + 2 if dz == 2 else 1
         theta = np.pi * np.arange(n0) / n0

@@ -34,6 +34,12 @@ Scenario files are JSON:
       "energy":  10.0                              # H5 certificate of a type-I force
     }
 
+Scenario vectors and matrices (initial, X0/Z0, start, the force matrix, exact
+Z) and all output positions and velocities are in the adapted orthonormal
+basis, v coordinates first, not the input basis: for brackets [[1, 3, 2, 1.0]]
+the velocity [1, 0, 0.5] puts 0.5 on the centre e2, and
+MetricNilAlgebra.to_internal maps e1 + 0.5 e3 to [1, 0.5, 0].
+
 Exit codes: 0 success, 2 input/scenario error, 3 unsupported force/solver
 combination, 4 numeric failure (oracle mismatch, failed certificate search,
 failed verification).  Set NILMAG_LOG=DEBUG|INFO|... for diagnostics.

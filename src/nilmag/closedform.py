@@ -37,20 +37,21 @@ see v parts only, so a plane without a v part (the commutator velocity, a
 flat central rotation) brackets to 0.  Nothing here needs more than
 A^2 = -th_p^2 on a plane, so its v and flat parts may rotate into each other.
 
-Construction decomposes once: one eigh, one product for all x_p, two
-matmuls for the bracket table [b_pa, b_rb] and one contraction of it with a
-fixed coefficient pattern for the pair weights.  `spectrum` (the SkewSpectrum
-of A) is rebuilt from that eigh when read, and an exact force's `geodesic`
-is built on first use.  Evaluation is tabulated.  With C = 1 - th^2 V, the
-pair sum is a quadratic plus a linear form in u = (S_p | V_p), the
-coefficients of X(t); their weights, the brackets [b_pa, b_rb] times the
-coefficients above over D, are built once from the structure tensor, and a
-sample grid needs sin(th t) and sin(th t/2) per plane of rate th > 0 and
-time (the rate-0 plane, the first, takes t, t^2/2 and t^3/6 as they are).  No
-coefficient divides by a small rate: S, V and W stay within |t|, t^2/2 and
-|t|^3/6, and a rate folded into the kernel costs O((th t)^2) only.  The
-weights 1/D still lose digits between planes of near-equal distinct rates
-that bracket against each other.
+Construction decomposes once: one eigh, one product for all x_p and two
+matmuls for the bracket table [b_pa, b_rb]; `spectrum` (the SkewSpectrum of
+A) is rebuilt from that eigh when read, and an exact force's `geodesic` is
+built on first use.  With C = 1 - th^2 V the pair sum is one quadratic form
+u^T Q u in u = (S | V | 1), built once: with w_cd = [b_pc, b_rd] / D (0 at
+p = r), e = w_10 - w_01, f = th_p^2 w_00 + w_11 and g = th_r^2 w_00 + w_11,
+its blocks (S_p, S_r), (S_p, V_r), (V_p, S_r) and (V_p, V_r) are f,
+th_p^2 w_01 - th_r^2 w_10, th_p^2 e and th_p^2 g, and its constant column
+holds the linear terms sum_r (e_pr - e_rp) (row S_p) and -sum_r (f_pr + g_rp)
+(row V_p).  A sample grid needs sin(th t) and sin(th t/2) per plane of rate
+th > 0 and time (the rate-0 plane, the first, takes t, t^2/2 and t^3/6 as
+they are).  No coefficient divides by a small rate: S, V and W stay within
+|t|, t^2/2 and |t|^3/6, and a rate folded into the kernel costs O((th t)^2)
+only.  The weights 1/D still lose digits between planes of near-equal
+distinct rates that bracket against each other.
 
 Special case: an exact force F = j(Z~) (+) 0 shifts a geodesic (the velocity
 equals a geodesic velocity minus q Z~, the position picks up -t q Z~).
@@ -65,7 +66,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import MetricNilAlgebra
-from .errors import InvalidForceError, UnsupportedForceError
+from .errors import InputError, InvalidForceError, UnsupportedForceError
 from .lorentz import ForceType, LorentzForce, _as_force, exactness_test
 from .samples import CurveSamples, Trajectory
 
@@ -85,16 +86,6 @@ _MERGE_TOL = 1e-9
 _DENOMINATORS = range(1, 65)
 # (-1)^n / (2n + 3)! for n = 7, ..., 0: (x - sin x) / x^3 in powers of x^2, to 5e-17 for |x| < 1
 _W_SERIES = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(7, -1, -1))
-# The rows of the pair sum, each a sum of the pair weights w_cd with factors
-# th_p^2 (p) and th_r^2 (r): the blocks quad[a, b] (S or V of plane p by S or
-# V of plane r), the first of which is f, then e, -f, e and g; the linear form
-# is (e, -f) summed over r minus (e, g) summed over p.  Columns (p, r, c, d).
-_PAIR_ROWS = ("+p00 +11", "+p01 -r10", "+p10 -p01", "+pr00 +p11", "+10 -01", "-p00 -11", "+10 -01", "+r00 +11")
-_PAIR_PATTERN = np.zeros((8, 2, 2, 2, 2))
-for _row, _terms in enumerate(_PAIR_ROWS):
-    for _t in _terms.split():
-        _PAIR_PATTERN[_row, int("p" in _t), int("r" in _t), int(_t[-2]), int(_t[-1])] = float(_t[0] + "1")
-_PAIR_PATTERN = _PAIR_PATTERN.reshape(8, 16)
 
 
 @dataclass(frozen=True)
@@ -109,19 +100,19 @@ class InitialCondition:
     def from_velocity(cls, alg: MetricNilAlgebra, x0: np.ndarray, charge: float = 1.0):
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (alg.dim,):
-            raise ValueError(f"initial velocity must be ({alg.dim},)")
+            raise InputError(f"initial velocity must be ({alg.dim},)")
         return cls(v0=x0[: alg.dim_v].copy(), z0=x0[alg.dim_v :].copy(), charge=float(charge))
 
     def validate(self, alg: MetricNilAlgebra) -> None:
         v0 = np.asarray(self.v0, dtype=float)
         z0 = np.asarray(self.z0, dtype=float)
         if v0.shape != (alg.dim_v,) or z0.shape != (alg.dim_z,):
-            raise ValueError(
+            raise InputError(
                 f"initial condition needs shapes ({alg.dim_v},) and ({alg.dim_z},),"
                 f" got {v0.shape} and {z0.shape}"
             )
         if not (np.isfinite(v0).all() and np.isfinite(z0).all() and math.isfinite(self.charge)):
-            raise ValueError("initial condition contains non-finite entries")
+            raise InputError("initial condition contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -249,20 +240,19 @@ class TypeISolution(Trajectory):
         self.pair = table.transpose(3, 2, 1, 0, 4)
         self._self_pair = table[1, :, 0].diagonal().T  # [b_p0, b_p1]
 
-        # with C = 1 - th^2 V, sum_{p != r} sum_{a,b} [b_pa, b_rb] I_ab(p, r) is a
-        # quadratic form in u = (S_p | V_p) plus a linear one.  w_cd = [b_pc, b_rd] / D,
-        # 0 at p = r, and each block of either is a sum of w_cd times th_p^2i th_r^2j
-        t2 = [r * r for r in th]
-        powers = np.array([[1.0] * n, t2])  # th^0, th^2
-        weight = np.array([[1.0 / (tp - tr) if tp != tr else 0.0 for tr in t2] for tp in t2])  # 1 / D
-        mono = powers[:, None, :, None] * powers[:, None] * weight.reshape(n, n)  # [i, j, p, r]
-        terms = mono[:, :, None, None, :, :, None] * table.transpose(2, 0, 3, 1, 4)
-        rows = (_PAIR_PATTERN @ terms.reshape(16, -1)).reshape(8, n, n, dz)
-        # (S_p | V_p) x (S_r | V_r)
-        self._quad = rows[:4].reshape(2, 2, n, n, dz).transpose(0, 2, 1, 3, 4).reshape(2 * n, 2 * n * dz)
-        self._lin = (rows[4:6].sum(axis=2) - rows[6:].sum(axis=1)).reshape(2 * n, dz)
-        # one product with u = (S | V | 1) gives X(t) and x(t) = x(0) + sum_p S_p b_p1 - th_p^2 V_p b_p0
-        vel = np.concatenate([self.jxi, -powers[1][:, None] * self.xi, self.xi.sum(axis=0, keepdims=True)])
+        # sum_{p != r} sum_{a,b} [b_pa, b_rb] I_ab(p, r) is u^T Q u in u = (S | V | 1),
+        # with the blocks e, f and g of the pair weights w_cd (module docstring)
+        t2 = self.rates**2
+        tp, tr = t2[:, None, None], t2[None, :, None]
+        weight = np.divide(1.0, tp - tr, out=np.zeros((n, n, 1)), where=tp != tr)  # 1 / D, 0 at p = r
+        (w00, w01), (w10, w11) = table.transpose(2, 0, 3, 1, 4) * weight
+        e, f, g = w10 - w01, tp * w00 + w11, tr * w00 + w11
+        q = np.zeros((2 * n + 1, 2 * n + 1, dz))
+        q[:n, :n], q[:n, n:-1], q[n:-1, :n], q[n:-1, n:-1] = f, tp * w01 - tr * w10, tp * e, tp * g
+        q[:n, -1], q[n:-1, -1] = (e - e.transpose(1, 0, 2)).sum(axis=1), -(f + g.transpose(1, 0, 2)).sum(axis=1)
+        self._quad = q.reshape(2 * n + 1, (2 * n + 1) * dz)
+        # one product with u gives X(t) and x(t) = x(0) + sum_p S_p b_p1 - th_p^2 V_p b_p0
+        vel = np.concatenate([self.jxi, -t2[:, None] * self.xi, self.xi.sum(axis=0, keepdims=True)])
         self._rows = np.concatenate([np.concatenate([basis, np.zeros((1, dim))]), vel], axis=1)
 
     @property
@@ -275,12 +265,11 @@ class TypeISolution(Trajectory):
     def sample(self, ts: np.ndarray) -> CurveSamples:
         ts = np.asarray(ts, dtype=float)
         n_t, dim, dz = ts.shape[0], self.alg.dim, self.alg.dim_z
-        u1, w = _plane_functions(ts, self.rates, self._coef)
-        u = u1[:, :-1]  # the coefficients (S | V) of X(t)
-        quad = np.matmul(u[:, None, :], (u @ self._quad).reshape(n_t, u.shape[1], dz))[:, 0]
-        out = u1 @ self._rows
+        u, w = _plane_functions(ts, self.rates, self._coef)
+        quad = np.matmul(u[:, None, :], (u @ self._quad).reshape(n_t, u.shape[1], dz))[:, 0]  # u^T Q u
+        out = u @ self._rows
         xi, vel = out[:, :dim], out[:, dim:]
-        xi[:, dim - dz :] += 0.5 * (w @ self._self_pair - u @ self._lin - quad)
+        xi[:, dim - dz :] += 0.5 * (w @ self._self_pair - quad)
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
 
     # -- derived quantities ----------------------------------------------
@@ -336,9 +325,9 @@ class TypeISolution(Trajectory):
         central parts, each at its largest on the orbit e^{tA} x_p (where v
         and flat parts may trade places), which th A^{-1} e^{tA} x_p is on too.
         """
-        dv = self.alg.dim_v
+        dv, s = self.alg.dim_v, self.alg._bracket_svd[1]
         # |[a, b]| <= lam |a| |b|, lam the spectral norm of the (dv^2, dz) bracket map
-        lam = float(np.linalg.norm(self.alg.structure[:dv, :dv, dv:].reshape(dv * dv, -1), 2)) if dv else 0.0
+        lam = float(s[0]) if s.size else 0.0
         rot = self.rates > 0.0
         th = self.rates[rot]
         # max over s of |cos(s) x_p + sin(s) A x_p / th| on v and on z: root of the top Gram eigenvalue

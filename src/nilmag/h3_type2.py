@@ -95,7 +95,7 @@ class Type2TrajectoryH3(Trajectory):
     r^T.  sample(ts) evaluates that map once per grid.  alg is heisenberg(1).
 
     u has shape (2,) or (3,) with a zero central part (InvalidForceError
-    otherwise) and must be finite with charge u nonzero (DegenerateForceError).
+    otherwise); u, charge finite and charge u nonzero (DegenerateForceError).
     period and time_scale are in this trajectory's own time.  Every other
     attribute (branch, disc, amplitude, modulus, rate, phase, and x0/y0/z0,
     the canonical initial velocity) and phi_image() describe the canonical
@@ -111,6 +111,8 @@ class Type2TrajectoryH3(Trajectory):
             raise ValueError("initial velocity must have shape (3,)")
         if not np.all(np.isfinite(x0)):
             raise ValueError("initial velocity contains non-finite entries")
+        if not math.isfinite(charge):  # before charge * u, where inf * 0 would warn
+            raise DegenerateForceError("vector-type force needs a finite charge")
         w = float(charge) * _direction(u)
         rho = float(np.linalg.norm(w))
         if not math.isfinite(rho) or rho < 1e-14:

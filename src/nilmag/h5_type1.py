@@ -159,13 +159,8 @@ class H5Trajectory(TypeISolution):
     """
 
     def __init__(self, force: H5Force, v0: np.ndarray, z0: float, charge: float = 1.0):
-        v0 = np.asarray(v0, dtype=float)
-        if v0.shape != (4,):
-            raise InputError("initial v-velocity must have shape (4,)")
-        if not (np.all(np.isfinite(v0)) and math.isfinite(z0) and math.isfinite(charge)):
-            raise InputError("initial data must be finite")
         alg = _h5_algebra()
-        ic = InitialCondition(v0, np.array([float(z0)]), float(charge))
+        ic = InitialCondition(np.asarray(v0, dtype=float), np.array([float(z0)]), float(charge))
         super().__init__(alg, LorentzForce(alg, force.matrix), ic)
         _, vecs, edges = self._groups  # the kernel columns of the construction's eigh
         resonant_dim = np.sum(vecs[:4, : edges[1]] ** 2)

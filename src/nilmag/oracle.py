@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import MetricNilAlgebra
-from .errors import IntegrationError
+from .errors import InputError, IntegrationError
 from .lorentz import _as_force
 from .samples import CurveSamples, IntegratorStats, Trajectory
 
@@ -255,6 +255,8 @@ class OracleTrajectory(Trajectory):
     def __init__(self, alg: MetricNilAlgebra, force, charge: float, x0):
         self.alg, self.force, self.charge = alg, _as_force(alg, force), float(charge)
         self.x0 = np.array(x0, dtype=float)
+        if self.x0.shape != (alg.dim,) or not (np.all(np.isfinite(self.x0)) and np.isfinite(self.charge)):
+            raise InputError(f"the oracle needs a finite ({alg.dim},) initial velocity and a finite charge")
 
     def sample(self, ts: np.ndarray) -> CurveSamples:
         ts = np.asarray(ts, dtype=float)

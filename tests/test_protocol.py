@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,20 @@ def test_solve_picks_the_solver_by_force_type_and_structure():
     want = solve_type2_general(u, -1.3, x0).sample(ts)
     assert got.xi.tobytes() == want.xi.tobytes()
     assert got.velocity.tobytes() == want.velocity.tobytes()
+
+
+@pytest.mark.parametrize("route", ["type1", "h3", "oracle"])
+@pytest.mark.parametrize("charge, x0", [
+    (1.3, [0.4, -0.2]), (1.3, [0.4, np.nan, 0.7]), (np.nan, [0.4, -0.2, 0.7]), (np.inf, [0.4, -0.2, 0.7])])
+def test_solve_rejects_bad_initial_data_on_every_route(route, charge, x0):
+    """A short or non-finite x0 and a non-finite charge raise ValueError from
+    solve itself on each route, not in a later sample, and with no warning
+    first (on H3, u = e2 would give inf * 0 in charge * u)."""
+    force = {"type1": np.zeros((3, 3)), "h3": type2_from_vector(H3, [0.0, 1.0]), "oracle": MIXED["force"]["matrix"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            solve(H3, force[route], charge, x0)
 
 
 class CountingTrajectory:
