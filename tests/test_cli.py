@@ -12,8 +12,9 @@ import pytest
 from nilmag.algebra import MetricNilAlgebra
 from nilmag.cli import main, parse_scenario
 from nilmag.h5_type1 import H5Force
+from nilmag.lorentz import solve, type2_from_vector
 from nilmag.oracle import IntegratorConfig, reconstruct_group
-from test_imports import FLAT_COUPLED
+from test_imports import FLAT_COUPLED, MIXED, TYPE1
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -166,6 +167,56 @@ def test_trajectory_metadata_reports_integrator_work(tmp_path, capsys):
     meta = json.loads((out / "metadata.json").read_text())
     assert "integrator" not in meta  # the closed form did the work
     _assert_integrator_stats(meta["oracle"]["integrator"], "dopri45")
+
+
+_COMMON_KEYS = ["scenario", "algebra", "force_type", "charge", "exact", "closed_form", "branch", "period", "solver"]
+_DOPRI = {"scheme": "dopri45", "tolerance": 1e-11, "dt": None}
+
+
+@pytest.mark.parametrize("doc, route_keys, want", [
+    (TYPE1, ["exact_center"], dict(exact=True, exact_center=[0.0, 0.0, 0.7], closed_form=True)),
+    (FLAT_COUPLED, [], dict(exact=False, closed_form=True)),
+    (TYPE2_H3, ["modulus", "boundary_margin"], dict(exact=False, closed_form=True, branch="Cn")),
+    (MIXED, ["warning", "integrator"], dict(exact=False, closed_form=False, integrator=_DOPRI,
+                                             warning="no closed-form solver covers this force class; "
+                                                     "the curve was integrated numerically")),
+], ids=["exact-type-1", "flat-coupled", "h3-cn", "oracle"])
+def test_trajectory_metadata_contract(tmp_path, capsys, doc, route_keys, want):
+    """Each route writes its metadata keys in one order.  exact and
+    exact_center are the force's own exactness, closed_form, warning and
+    integrator say whether the curve was integrated, and branch and period
+    are set on the H3 closed form only."""
+    code, out = run_json(capsys, ["trajectory", "--scenario", write_scenario(tmp_path, doc)])
+    assert code == 0
+    meta = out["metadata"]
+    assert list(meta) == _COMMON_KEYS + route_keys + ["speed", "energy"]
+    assert meta["exact"] is want["exact"] and meta["closed_form"] is want["closed_form"]
+    if "exact_center" in want:
+        assert meta["exact_center"] == pytest.approx(want["exact_center"], abs=1e-15)
+    assert meta["branch"] == want.get("branch") and meta.get("warning") == want.get("warning")
+    if "integrator" in want:
+        assert {k: meta["integrator"][k] for k in _DOPRI} == _DOPRI
+        _assert_integrator_stats(meta["integrator"], "dopri45")
+    if meta["branch"] is None:
+        assert meta["period"] is None
+    else:
+        h3 = MetricNilAlgebra.heisenberg(1)
+        traj = solve(h3, type2_from_vector(h3, doc["force"]["type2_U"]), 1.0, doc["initial"]["velocity"])
+        assert meta["period"] == traj.period
+
+
+def test_trajectory_oracle_check_of_the_fallback_at_a_long_horizon(tmp_path, capsys):
+    """The RK4 step that checks the numerical fallback follows the rate scale
+    rho = max(1, |x0| + |q| max|F|), not the horizon: with about 2000 steps
+    whatever t_max, the check read a deviation of 2.4e-6 at t_max = 50
+    (exit 4) while the fallback itself was accurate to 1e-8."""
+    doc = dict(MIXED, time={"t_max": 50.0, "samples": 101})
+    code, out = run_json(capsys, ["trajectory", "--scenario", write_scenario(tmp_path, doc), "--oracle"])
+    assert code == 0
+    check = out["metadata"]["oracle"]
+    assert check["passed"] is True and max(check["max_velocity_deviation"], check["max_position_deviation"]) < 1e-7
+    rho = np.linalg.norm(doc["initial"]["velocity"]) + doc["charge"] * np.abs(doc["force"]["matrix"]).max()
+    assert check["integrator"]["scheme"] == "rk4" and check["integrator"]["dt"] <= 0.005 / rho
 
 
 def test_trajectory_csv_round_trip(tmp_path, capsys):
@@ -550,9 +601,20 @@ def test_selftest(capsys):
     code = main(["selftest"])
     out = capsys.readouterr().out
     assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("PASS")]
-    assert len(lines) >= 6
-    assert "FAIL" not in out
+    names = [l.split(" (worst residual")[0] for l in out.splitlines()[:-1]]
+    assert names == [f"PASS {name}" for name in SELFTEST_CHECKS]
+    assert out.splitlines()[-1] == "selftest: all structural checks passed"
+
+
+SELFTEST_CHECKS = [
+    "j-map defining identity <j(Z)V,W> = <Z,[V,W]>",
+    "torsion-free connection",
+    "metric-compatible connection",
+    "covariant-derivative block rules",
+    "group multiplication associativity",
+    "all basis 2-forms closed on the 3-dim Heisenberg group",
+    "rotating-pair bracket invariants constant in time",
+]
 
 
 def test_selftest_exponential_matches_expm():
@@ -593,6 +655,46 @@ def test_input_error_paths(tmp_path, capsys):
     )
     assert main(["trajectory", "--scenario", noinit]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("algebra, force, field", [
+    ("h3", {"exact": [1.0]}, "force.exact must be an object"),
+    ("h3", {"exact": {}}, "force.exact needs a 'Z' field"),
+    ("h3", {"exact": {"Z": [1.0], "W": 1.0}}, "unknown force.exact fields: ['W']"),
+    ("h3", {"exact": {"Z": [0.0, 0.0, 1.0]}}, "force.exact.Z must be an array of 1 numbers"),
+    ("h3", {"matrix": [[0.0, 1.0], [-1.0, 0.0]]}, "force.matrix must be an array of 3 x 3 numbers"),
+    ("h3", {"type2_U": [0.0, 1.0, 0.0]}, "force.type2_U must be an array of 2 numbers"),
+    ("h5", {"rates": 1.0}, "force.rates must be an array of 2 numbers"),
+    ("h5", {"rates": [1, 2, 3]}, "force.rates must be an array of 2 numbers"),
+    ("h5", {"rates": [1.0, float("inf")]}, "force.rates must be finite"),
+], ids=["exact-list", "exact-empty", "exact-extra", "exact-long", "matrix-2x2", "type2_U-3", "rates-number",
+        "rates-3", "rates-inf"])
+def test_bad_force_payloads_exit_2(tmp_path, capsys, algebra, force, field):
+    """Each force kind's payload has one shape: exact is exactly {"Z": [dim_z
+    numbers]}, matrix dim x dim, type2_U and rates two numbers.  A payload of
+    another shape exits 2 and says why; {"exact": [1.0]}, {"exact": {}} and
+    {"rates": 1.0} raised TypeError or KeyError, a traceback with exit 1."""
+    velocity = [0.3, -0.2, 0.5] if algebra == "h3" else [0.3, -0.2, 0.5, 0.1, 0.4]
+    doc = {"algebra": algebra, "force": force, "initial": {"velocity": velocity}}
+    assert main(["trajectory", "--scenario", write_scenario(tmp_path, doc)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, extra, message", [
+    ("algebra", {"metrc": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]}, "unknown algebra fields: ['metrc']"),
+    ("time", {"tmax": 5.0}, "unknown time fields: ['tmax']"),
+    ("checks", {"orcale": False}, "unknown checks fields: ['orcale']"),
+    ("initial", {"velocity0": [1.0, 0.0, 0.0]}, "unknown initial fields: ['velocity0']"),
+    ("initial", {"Z0": [0.3]}, "initial needs either 'velocity' or both 'X0' and 'Z0'"),
+], ids=["algebra-metrc", "time-tmax", "checks-orcale", "initial-velocity0", "initial-velocity-and-Z0"])
+def test_unknown_fields_exit_2_at_every_level(tmp_path, capsys, section, extra, message):
+    """A misspelt field below the top level was dropped without a word (the
+    metrc typo solved on the identity metric and exited 0), and Z0 beside a
+    velocity was ignored; each now exits 2 naming the field."""
+    doc = {**EXACT_H3, "algebra": dict(INLINE_H3), "checks": {"oracle": False}}
+    doc[section] = {**doc[section], **extra}
+    assert main(["trajectory", "--scenario", write_scenario(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

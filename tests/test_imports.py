@@ -186,7 +186,14 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     brackets = [[1, 2, 9, 1.0], [3, 4, 9, 1.0], [1, 3, 10, 1.0], [2, 4, 10, -1.0], [1, 2, 11, 1.0],
                 [5, 6, 9, 1.0], [7, 8, 9, 1.0]]
     (tmp_path / "v8.json").write_text(json.dumps({"algebra": {"dim": 11, "brackets": brackets}}))
-    for name, doc in (("type1.json", TYPE1), ("h3.json", H3), ("mixed.json", MIXED)):
+    # the flat-coupled force and an H3 curve on the dn branch, each with --oracle, and the
+    # periodicity of a rates force: the scenarios of the CI workflow's numpy-only step
+    dn = {"algebra": "h3", "force": {"type2_U": [0.6, -0.8]}, "charge": 1.4,
+          "initial": {"velocity": [0.5, -0.3, 6.0]}, "time": {"t_max": 12.0, "samples": 61}}
+    rates = {"algebra": "heisenberg(2)", "force": {"rates": [1.0, 3.0]},
+             "initial": {"velocity": [0.3, 0.2, -0.4, 0.1, 0.0]}}
+    for name, doc in (("type1.json", TYPE1), ("h3.json", H3), ("mixed.json", MIXED),
+                      ("coupled.json", FLAT_COUPLED), ("dn.json", dn), ("rates.json", rates)):
         (tmp_path / name).write_text(json.dumps(doc))
 
     def scenario(command, name, *extra):
@@ -201,8 +208,17 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
         scenario("trajectory", "type1.json", "--oracle"),
         scenario("periodicity", "h3.json"),
         ["h5-periodic", "--rates", "-1.3", "0.7", "--energy", "2.0", "--out", str(tmp_path / "h5")],
+        scenario("trajectory", "coupled.json", "--oracle", "--format", "csv"),
+        scenario("trajectory", "dn.json", "--oracle", "--format", "csv"),
+        scenario("periodicity", "rates.json"),
     ]
     block = "sys.modules['scipy'] = None\n"
     assert _modules_after(block + _cli_runs(runs), "scipy") == ["scipy"]  # the blocking entry only
     algebra = json.loads((tmp_path / "classify/v8.json/classify.json").read_text())["algebra"]
     assert (algebra["dim_v"], algebra["singularity"], algebra["singularity_exhaustive"]) == (8, "almost", True)
+    for name, solver in (("coupled.json", "closed-form-type-1"), ("dn.json", "closed-form-type-2")):
+        meta = json.loads((tmp_path / "trajectory" / name / "metadata.json").read_text())
+        assert meta["solver"] == solver and meta["oracle"]["passed"] is True
+    assert meta["branch"] == "Dn"
+    kind = json.loads((tmp_path / "periodicity/rates.json/periodicity.json").read_text())["kind"]
+    assert kind in ("LambdaPeriodic", "Periodic")
