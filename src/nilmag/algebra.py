@@ -145,6 +145,11 @@ def _aligned_orthonormal(cand: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _input_matrix(m: np.ndarray | None, dim: int) -> np.ndarray:
+    """m as a float matrix, or the (dim, dim) identity when it is None."""
+    return np.eye(dim) if m is None else np.asarray(m, float)
+
+
 class MetricNilAlgebra:
     """A 2-step nilpotent Lie algebra with inner product, adapted basis.
 
@@ -152,6 +157,12 @@ class MetricNilAlgebra:
     raw structure constants via `from_structure`.  Vectors are plain float
     arrays of length `dim` in the internal adapted orthonormal basis
     (v-coordinates first, then z-coordinates).
+
+    Construction keeps only the structure tensor.  The tables derived from
+    it are built when first read and then kept: the bracket and geodesic
+    matrices (read by bracket, geodesic_term and group_mul, so by the oracle
+    and the group law), input_basis and input_metric (the identity unless
+    from_structure gave them), and the SVD of the bracket map.
     """
 
     def __init__(
@@ -171,18 +182,21 @@ class MetricNilAlgebra:
         self.dim_v = dim_v
         self.dim_z = dim_z
         self.name = name or f"nilalgebra(dim_v={dim_v}, dim_z={dim_z})"
-        # enforce exact antisymmetry in the first two slots
-        self.structure = 0.5 * (structure - structure.transpose(1, 0, 2))
-        # central arguments bracket to zero; bracket images lie in z
-        self.structure[dim_v:, :, :] = 0.0
-        self.structure[:, dim_v:, :] = 0.0
-        self.structure[:, :, :dim_v] = 0.0
-        # bracket and geodesic drift as (dim, dim^2) matrices on outer(x, y).ravel()
-        self._bracket_matrix = self.structure.transpose(2, 0, 1).reshape(dim, dim * dim)
-        self._geodesic_matrix = self.structure.transpose(1, 2, 0).reshape(dim, dim * dim)
-        # change of basis back to the user's coordinates (identity for presets)
-        self.input_basis = np.eye(dim) if input_basis is None else np.asarray(input_basis, float)
-        self.input_metric = np.eye(dim) if input_metric is None else np.asarray(input_metric, float)
+        # central arguments bracket to zero and bracket images lie in z, so only the
+        # v x v -> z block survives, made exactly antisymmetric in its first two slots
+        self.structure = np.zeros((dim, dim, dim))
+        block = structure[:dim_v, :dim_v, dim_v:]
+        self.structure[:dim_v, :dim_v, dim_v:] = 0.5 * (block - block.transpose(1, 0, 2))
+        self._input = (input_basis, input_metric)
+
+    # bracket and geodesic drift as (dim, dim^2) matrices on outer(x, y).ravel(),
+    # for the oracle and the group law
+    _bracket_matrix = cached_property(lambda self: self.structure.transpose(2, 0, 1).reshape(self.dim, -1))
+    _geodesic_matrix = cached_property(lambda self: self.structure.transpose(1, 2, 0).reshape(self.dim, -1))
+
+    # change of basis back to the user's coordinates (identity for presets)
+    input_basis = cached_property(lambda self: _input_matrix(self._input[0], self.dim))
+    input_metric = cached_property(lambda self: _input_matrix(self._input[1], self.dim))
 
     # ------------------------------------------------------------------
     # constructors
@@ -261,8 +275,8 @@ class MetricNilAlgebra:
 
         Raises ValueError if the data is not a 2-step nilpotent algebra
         (i.e. if some bracket image fails to be central) or the metric is
-        not symmetric positive definite.  Abelian input (no brackets) is
-        allowed and yields dim_v = 0.
+        not finite, symmetric and positive definite.  Abelian input (no
+        brackets) is allowed and yields dim_v = 0.
         """
         if dim < 0:
             raise ValueError("dim must be nonnegative")
@@ -285,6 +299,8 @@ class MetricNilAlgebra:
             g = np.asarray(metric, dtype=float)
             if g.shape != (dim, dim):
                 raise ValueError("metric must be (dim, dim)")
+            if not np.isfinite(g).all():
+                raise ValueError("metric must be finite")
             if np.max(np.abs(g - g.T) - 1e-5 * np.abs(g.T), initial=0.0) > 1e-12:  # np.allclose's test
                 raise ValueError("metric must be symmetric")
             g = 0.5 * (g + g.T)

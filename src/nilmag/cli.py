@@ -48,7 +48,8 @@ min(t_max / max(2000, 20 samples), 0.005 / max(1, |x0| + |charge| max|F|)).
 
 Exit codes: 0 success, 2 input/scenario error, 3 unsupported force/solver
 combination, 4 numeric failure (oracle mismatch, failed certificate search,
-failed verification).  Set NILMAG_LOG=DEBUG|INFO|... for diagnostics.
+failed verification, a NaN or infinite result, which is not written).  Set
+NILMAG_LOG=DEBUG|INFO|... for diagnostics.
 """
 
 from __future__ import annotations
@@ -347,8 +348,15 @@ def _json_default(obj: Any) -> Any:
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+class _NonFiniteOutput(ArithmeticError):
+    """A result holds a NaN or an infinity, so it is not written (exit 4)."""
+
+
 def _emit_json(doc: dict, out_dir: str | None, filename: str) -> None:
-    text = json.dumps(doc, indent=2, default=_json_default)
+    try:
+        text = json.dumps(doc, indent=2, default=_json_default, allow_nan=False)
+    except ValueError as exc:  # JSON has no token for a NaN or an infinity
+        raise _NonFiniteOutput(f"{filename} not written, the result is not finite: {exc}") from None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, filename)
@@ -360,6 +368,8 @@ def _emit_json(doc: dict, out_dir: str | None, filename: str) -> None:
 
 
 def _write_csv(out_dir: str, filename: str, ts, xi, speeds) -> None:
+    if not (np.isfinite(xi).all() and np.isfinite(speeds).all()):
+        raise _NonFiniteOutput(f"{filename} not written, the samples are not finite")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     dim = xi.shape[1]
@@ -520,16 +530,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- periodicity ---------------------------------------------------------------
 
 
-def _h5_force(scn: Scenario) -> H5Force:
-    """The scenario's H5 force with its charge folded in: a trajectory of
-    (F, charge) is one of (charge F, 1), the charge periodic_at_energy uses."""
+def _h5_force(scn: Scenario, force: LorentzForce | None = None) -> H5Force:
+    """The scenario's H5 force (built here unless given) with its charge folded in:
+    a trajectory of (F, charge) is one of (charge F, 1), the charge periodic_at_energy uses."""
     from .h5_type1 import H5Force
 
     if not scn.algebra.same_structure(MetricNilAlgebra.heisenberg(2)):
         raise UnsupportedForceError("periodic-orbit certificates need the 5-dim Heisenberg group")
     if scn.energy is None:
         raise InputError("a periodic-orbit certificate needs an 'energy' field in the scenario")
-    return H5Force.from_matrix(scn.charge * _build_force(scn).matrix)
+    return H5Force.from_matrix(scn.charge * (force or _build_force(scn)).matrix)
 
 
 def _h5_certificate_doc(force: H5Force, energy: float) -> tuple[dict, int]:
@@ -558,7 +568,7 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
     scn = _load_scenario(args.scenario)
     force = _build_force(scn)
     if scn.energy is not None and force.force_type() is ForceType.TYPE_I:
-        doc, status = _h5_certificate_doc(_h5_force(scn), scn.energy)
+        doc, status = _h5_certificate_doc(_h5_force(scn, force), scn.energy)
         doc["scenario"] = scn.canonical()
         _emit_json(doc, args.out, "periodicity.json")
         return status
@@ -762,7 +772,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedForceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (NoCertificateError, IntegrationError) as exc:
+    except (NoCertificateError, IntegrationError, _NonFiniteOutput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (InputError, ValueError, OSError, json.JSONDecodeError) as exc:

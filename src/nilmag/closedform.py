@@ -376,11 +376,12 @@ def solve_type1(alg: MetricNilAlgebra, force, ic: InitialCondition) -> TypeISolu
     """The linear closed form of a force that maps [n, n] to 0 (P, see lorentz); else
     InvalidForceError for a type-I force (P is its closedness), UnsupportedForceError."""
     f = _as_force(alg, force)
-    (rep, linear), ftype = f._closedness, f.force_type()
-    if linear:
+    if f._linear:
         return TypeISolution(alg, f, ic)
+    ftype = f.force_type()
     if ftype is not ForceType.TYPE_I:
         raise UnsupportedForceError(f"the linear closed form needs F[n, n] = 0; a {ftype.value} force fails")
+    rep = f._closedness
     raise InvalidForceError(f"F[n, n] != 0; closedness residual {rep.max_residual:.3e} on {rep.worst_triple}")
 
 

@@ -17,6 +17,11 @@ component of F[x, y], so P: F([n, n]) = 0 implies closedness, and on type-I
 forces the two agree.  Under P the velocity equation is linear (closedform),
 whether or not F couples v with the flat centre, and P is the test by which
 solve(alg, force, charge, x0), the one place that picks a solver, routes there.
+
+A LorentzForce computes each verdict on demand and keeps it.  P and the
+ClosednessReport are both read off one product t[i, j, k] = <F [e_i, e_j], e_k>,
+formed at most once per force; a force that P routes to the linear closed form
+builds neither the report nor its type.
 """
 
 from __future__ import annotations
@@ -85,7 +90,11 @@ class LorentzForce:
 
     The matrix is given in internal adapted coordinates.  Construction
     validates skewness to 1e-10 (relative) and then antisymmetrizes exactly into
-    a read-only matrix, whose type, closedness and exactness are computed once.
+    a read-only matrix; nothing else is computed then.  Each of the following
+    is computed when first read and then kept: the type (force_type), the
+    product t = F [e_i, e_j] with P (see solve), the closedness report built
+    from that t (check_closed, or a refusal by solve_type1), and the
+    exactness fit (exactness_test).
     """
 
     def __init__(self, alg: MetricNilAlgebra, matrix: np.ndarray):
@@ -137,8 +146,10 @@ class LorentzForce:
             return ForceType.TYPE_II
         return ForceType.MIXED
 
-    # (the ClosednessReport, P: whether F maps every bracket [x, y] to 0), see solve
-    _closedness = cached_property(lambda self: _closedness_report(self.alg.structure, self.matrix))
+    # (t, its bound), P: whether F maps every bracket [x, y] to 0, and the ClosednessReport
+    _images = cached_property(lambda self: _bracket_images(self.alg.structure, self.matrix))
+    _linear = cached_property(lambda self: bool(np.abs(self._images[0]).max() <= self._images[1]))
+    _closedness = cached_property(lambda self: _closedness_report(*self._images))
     _exactness = cached_property(lambda self: _exactness_fit(self.alg, self.matrix))
 
 
@@ -150,12 +161,12 @@ def solve(alg: MetricNilAlgebra, force, charge: float, x0):
     tensor (not a rescaled, reoriented or re-metricised copy), else the numerical
     oracle.OracleTrajectory.  Each solver module is imported when first needed."""
     f = _as_force(alg, force)
-    (report, linear), ftype = f._closedness, f.force_type()
-    if linear or (ftype is ForceType.TYPE_I and not report.closed):  # solve_type1 refuses the latter
+    # a type-I force that is not closed goes to solve_type1 too, which refuses it
+    if f._linear or (f.force_type() is ForceType.TYPE_I and not f._closedness.closed):
         from .closedform import InitialCondition, solve_type1
 
         return solve_type1(alg, f, InitialCondition.from_velocity(alg, x0, charge))
-    if ftype is ForceType.TYPE_II and alg.same_structure(MetricNilAlgebra.heisenberg(1)):
+    if f.force_type() is ForceType.TYPE_II and alg.same_structure(MetricNilAlgebra.heisenberg(1)):
         from .h3_type2 import Type2TrajectoryH3
 
         # F_u has last row (u2, -u1, 0), see type2_from_vector
@@ -193,16 +204,23 @@ def check_closed(alg: MetricNilAlgebra, force) -> ClosednessReport:
     basis).  closed is max_residual <= 1e-12 max(1, max|F| max|c|), c the
     structure constants.  A LorentzForce computes its report once.
     """
-    return _as_force(alg, force)._closedness[0]
+    return _as_force(alg, force)._closedness
 
 
-def _closedness_report(c: np.ndarray, matrix: np.ndarray) -> tuple[ClosednessReport, bool]:
+def _bracket_images(c: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """(t, tol): t[i, j, k] = <F [e_i, e_j], e_k> = sum_m c[i, j, m] F[k, m], so P is
+    max|t| <= tol, and the bound tol = 1e-12 max(1, max|F| max|c|) on t and d omega."""
     d = c.shape[0]
+    t = (c.reshape(d * d, d) @ matrix.T).reshape(d, d, d)
+    return t, _CLOSED_TOL * max(1.0, float(np.abs(matrix).max()) * float(np.abs(c).max()))
+
+
+def _closedness_report(t: np.ndarray, tol: float) -> ClosednessReport:
+    d = t.shape[0]
     # d omega(e_i, e_j, e_k) = -omega([e_i,e_j], e_k) - omega([e_j,e_k], e_i)
     #                          - omega([e_k,e_i], e_j)
-    # with omega([e_i, e_j], e_k) = <F [e_i, e_j], e_k> = sum_m c[i,j,m] F[k,m]
-    # (its sign is immaterial: only |d omega| and its norm are reported)
-    t = (c.reshape(d * d, d) @ matrix.T).reshape(d, d, d)
+    # with omega([e_i, e_j], e_k) = t[i, j, k] (its sign is immaterial: only
+    # |d omega| and its norm are reported)
     resid = t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
     # argmax of the flat C-order array is the first worst triple in lexicographic order
     masked = np.abs(resid) * _strict_upper(d)
@@ -210,14 +228,12 @@ def _closedness_report(c: np.ndarray, matrix: np.ndarray) -> tuple[ClosednessRep
     max_res = float(masked.flat[flat])
     i, jk = divmod(flat, d * d)
     worst = (i, *divmod(jk, d)) if max_res > 0.0 else None
-    tol = _CLOSED_TOL * max(1.0, float(np.abs(matrix).max()) * float(np.abs(c).max()))
-    report = ClosednessReport(
+    return ClosednessReport(
         closed=bool(max_res <= tol),
         max_residual=max_res,
         worst_triple=worst,
         frobenius_residual=float(np.linalg.norm(resid)),
     )
-    return report, bool(np.abs(t).max() <= tol)  # P: t[i, j] = F [e_i, e_j] is 0
 
 
 def exactness_test(alg: MetricNilAlgebra, force) -> ExactnessResult:

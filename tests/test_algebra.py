@@ -141,9 +141,17 @@ def test_bracket_and_geodesic_term_match_einsum_definitions():
     """The matrix-product forms equal sum_ij x_i y_j c_ijk and sum_mi x_m x_i c_ikm.
 
     The bound is 1e-15 of the same sums taken over absolute values, the scale
-    any summation order's rounding is measured against.
+    any summation order's rounding is measured against.  Both tables are built
+    on first use, from a structure tensor that is, bit for bit, the raw one
+    antisymmetrised in its first two slots with only its v x v -> z block kept.
     """
     rng = np.random.default_rng(41)
+    raw = rng.normal(size=(5, 5, 5))
+    want = 0.5 * (raw - raw.transpose(1, 0, 2))
+    want[3:], want[:, 3:], want[:, :, :3] = 0.0, 0.0, 0.0
+    alg = MetricNilAlgebra(raw, 3, 2)
+    assert np.array_equal(alg.structure, want)
+    assert not {"_bracket_matrix", "_geodesic_matrix"} & set(vars(alg))
     a = rng.normal(size=(5, 5))
     generic = MetricNilAlgebra.from_structure(
         5, [(1, 2, 5, 1.0), (3, 4, 5, 1.0)], metric=a @ a.T + 5.0 * np.eye(5)
@@ -728,6 +736,10 @@ def test_from_structure_input_validation():
         MetricNilAlgebra.from_structure(
             3, [(1, 2, 3, 1.0)], metric=np.array([[1, 0.5, 0], [0, 1, 0], [0, 0, 1.0]])
         )
+    metric = np.eye(3)
+    metric[0, 0] = np.nan  # refused by name, not as a Gram-Schmidt rank loss
+    with pytest.raises(ValueError, match="metric must be finite"):
+        MetricNilAlgebra.from_structure(3, [(1, 2, 3, 1.0)], metric=metric)
     with pytest.raises(ValueError):
         h3().bracket(np.zeros(4), np.zeros(3))
     with pytest.raises(ValueError):

@@ -271,6 +271,25 @@ def test_trajectory_tol_flag_follows_the_scenario_rule(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+# a horizon at which the linear closed form overflows (t^3 / 6 is inf) to NaN positions
+FAR_H3 = {"algebra": "h3", "force": {"exact": {"Z": [0.7]}}, "initial": {"velocity": [0.9, -0.4, 0.5]},
+          "time": {"t_max": 1e200, "samples": 3}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow this test provokes
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_trajectory_refuses_non_finite_samples(tmp_path, capsys, fmt):
+    """Samples that overflowed to NaN are not written, neither as the bare token
+    NaN, which is not JSON, nor as a CSV row: the command exits 4 and says why."""
+    path = write_scenario(tmp_path, FAR_H3)
+    out = tmp_path / "out"
+    argv = ["trajectory", "--scenario", path, "--format", fmt] + (["--out", str(out)] if fmt == "csv" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == "" and not out.exists()
+    assert "not finite" in captured.err
+
+
 def test_trajectory_start_translation(tmp_path, capsys):
     """A start point left-translates the whole sampled curve."""
     doc_in = dict(EXACT_H3)
@@ -411,6 +430,29 @@ def test_periodicity_h5_certificate(tmp_path, capsys):
     assert doc["verify"]["ok"] is True
     assert doc["verify"]["residual"] < 1e-8
     assert abs(doc["drift"]) < 1e-12
+
+
+def test_periodicity_with_energy_builds_the_force_once(tmp_path, capsys, monkeypatch):
+    """periodicity with energy makes as many LorentzForce objects as
+    h5-periodic on the same scenario: the force is built once."""
+    from nilmag import lorentz
+
+    made = []
+    init = lorentz.LorentzForce.__init__
+
+    def counted(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(lorentz.LorentzForce, "__init__", counted)
+    path = write_scenario(tmp_path, {"algebra": "h5", "force": {"rates": [-1.0, 2.0]}, "energy": 3.0})
+    counts = {}
+    for command in ("periodicity", "h5-periodic"):
+        made.clear()
+        code, doc = run_json(capsys, [command, "--scenario", path])
+        assert code == 0 and doc["verify"]["ok"] is True
+        counts[command] = len(made)
+    assert counts["periodicity"] == counts["h5-periodic"]
 
 
 def test_h5_certificate_tolerance_is_the_bound_that_decided_ok(capsys):

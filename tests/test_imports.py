@@ -37,8 +37,10 @@ def _nilmag_modules_after(code: str) -> set[str]:
     return {m.removeprefix("nilmag.") for m in _modules_after(code, "nilmag.")}
 
 
-def _cli_runs(runs: list) -> str:
-    return f"from nilmag.cli import main\nassert [main(argv) for argv in {runs!r}] == [0] * {len(runs)}"
+def _cli_runs(runs: list, codes: list | None = None) -> str:
+    """Code that runs main on each argv and asserts its exit code (0 unless codes says)."""
+    codes = [0] * len(runs) if codes is None else codes
+    return f"from nilmag.cli import main\nassert [main(argv) for argv in {runs!r}] == {codes!r}"
 
 
 def test_import_loads_no_scipy():
@@ -186,14 +188,18 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     brackets = [[1, 2, 9, 1.0], [3, 4, 9, 1.0], [1, 3, 10, 1.0], [2, 4, 10, -1.0], [1, 2, 11, 1.0],
                 [5, 6, 9, 1.0], [7, 8, 9, 1.0]]
     (tmp_path / "v8.json").write_text(json.dumps({"algebra": {"dim": 11, "brackets": brackets}}))
-    # the flat-coupled force and an H3 curve on the dn branch, each with --oracle, and the
-    # periodicity of a rates force: the scenarios of the CI workflow's numpy-only step
+    # the flat-coupled force and an H3 curve on the dn branch, each with --oracle, the
+    # periodicity of a rates force, and a horizon past the linear closed form's range,
+    # refused with exit 4: the scenarios of the CI workflow's numpy-only step
     dn = {"algebra": "h3", "force": {"type2_U": [0.6, -0.8]}, "charge": 1.4,
           "initial": {"velocity": [0.5, -0.3, 6.0]}, "time": {"t_max": 12.0, "samples": 61}}
     rates = {"algebra": "heisenberg(2)", "force": {"rates": [1.0, 3.0]},
              "initial": {"velocity": [0.3, 0.2, -0.4, 0.1, 0.0]}}
+    far = {"algebra": "h3", "force": {"exact": {"Z": [0.7]}}, "initial": {"velocity": [0.9, -0.4, 0.5]},
+           "time": {"t_max": 1e200, "samples": 3}}
     for name, doc in (("type1.json", TYPE1), ("h3.json", H3), ("mixed.json", MIXED),
-                      ("coupled.json", FLAT_COUPLED), ("dn.json", dn), ("rates.json", rates)):
+                      ("coupled.json", FLAT_COUPLED), ("dn.json", dn), ("rates.json", rates),
+                      ("far.json", far)):
         (tmp_path / name).write_text(json.dumps(doc))
 
     def scenario(command, name, *extra):
@@ -211,9 +217,12 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
         scenario("trajectory", "coupled.json", "--oracle", "--format", "csv"),
         scenario("trajectory", "dn.json", "--oracle", "--format", "csv"),
         scenario("periodicity", "rates.json"),
+        scenario("trajectory", "far.json"),
     ]
     block = "sys.modules['scipy'] = None\n"
-    assert _modules_after(block + _cli_runs(runs), "scipy") == ["scipy"]  # the blocking entry only
+    codes = [0] * (len(runs) - 1) + [4]
+    assert _modules_after(block + _cli_runs(runs, codes), "scipy") == ["scipy"]  # the blocking entry only
+    assert not (tmp_path / "trajectory" / "far.json").exists()
     algebra = json.loads((tmp_path / "classify/v8.json/classify.json").read_text())["algebra"]
     assert (algebra["dim_v"], algebra["singularity"], algebra["singularity_exhaustive"]) == (8, "almost", True)
     for name, solver in (("coupled.json", "closed-form-type-1"), ("dn.json", "closed-form-type-2")):

@@ -124,7 +124,7 @@ def test_type1_closed_iff_vanishes_on_commutator():
         for _ in range(3):
             f = random_closed_type1(alg, rng)
             assert f.force_type() is ForceType.TYPE_I
-            assert check_closed(alg, f).closed and f._closedness[1]
+            assert check_closed(alg, f).closed and f._linear
             comm_res, kernel_res = _central_constraint_residuals(alg, f)
             assert comm_res <= 1e-14 and kernel_res <= 1e-14
             image = f.block_zz @ np.eye(alg.dim_z)
@@ -137,7 +137,7 @@ def test_type1_closed_iff_vanishes_on_commutator():
     m[2, 3], m[3, 2] = -1.0, 1.0  # e3 (commutator) <-> e4 (flat)
     fbad = LorentzForce(alg, m)
     assert fbad.force_type() is ForceType.TYPE_I
-    assert not check_closed(alg, fbad).closed and not fbad._closedness[1]
+    assert not check_closed(alg, fbad).closed and not fbad._linear
     comm_res, kernel_res = _central_constraint_residuals(alg, fbad)
     assert comm_res == 1.0 and kernel_res == 1.0
 
@@ -441,7 +441,8 @@ def test_p_is_closedness_on_type1_forces(name, scale):
     """P, F([n, n]) = 0, is read off the product F [e_i, e_j] that check_closed
     forms.  On a type-I force each cyclic sum over i < j < k is one entry of
     it, so P holds exactly when check_closed says closed, also next to the
-    tolerance; on any force P implies closed."""
+    tolerance, whether P is read before the report or after it; on any force
+    P implies closed."""
     alg = SCALED_ALGEBRAS[name]()
     rng = np.random.default_rng(23)
     dv = alg.dim_v
@@ -451,10 +452,14 @@ def test_p_is_closedness_on_type1_forces(name, scale):
     for _ in range(3):
         closed = random_closed_type1(alg, rng, scale=scale).matrix
         for eps in (0.0, 1e-13, 1e-12, 1e-11, 1.0):
-            f = LorentzForce(alg, closed + eps * scale * not_closed)
-            assert f.force_type() is ForceType.TYPE_I
-            assert f._closedness[1] is check_closed(alg, f).closed
-            verdicts.add(f._closedness[1])
+            m = closed + eps * scale * not_closed
+            p_first, report_first = LorentzForce(alg, m), LorentzForce(alg, m)
+            assert p_first.force_type() is ForceType.TYPE_I
+            p = p_first._linear
+            assert "_closedness" not in vars(p_first)
+            assert p is check_closed(alg, p_first).closed
+            assert check_closed(alg, report_first).closed is report_first._linear is p
+            verdicts.add(p)
     assert verdicts == {True, False}
     # a force with [n, n] projected out of its rows and columns, v-z blocks and all
     comm = alg.commutator_z_basis()
@@ -462,14 +467,17 @@ def test_p_is_closedness_on_type1_forces(name, scale):
     p = np.eye(alg.dim) - c.T @ c
     for _ in range(3):
         f = LorentzForce(alg, scale * p @ _skew(rng, alg.dim) @ p)
-        assert f._closedness[1] and check_closed(alg, f).closed
+        assert f._linear and check_closed(alg, f).closed
 
 
 def test_force_holds_its_classification(monkeypatch):
     """The force matrix and a report's z_tilde are read-only; force_type, the
-    closedness report and the exactness fit are computed once per force, so
-    classifying and then solving with solve_type1 and solve_exact runs each
-    worker once; a fresh force of the same matrix gives equal reports."""
+    product t = F [e_i, e_j], the closedness report and the exactness fit are
+    computed once per force, so classifying and then solving with solve_type1
+    and solve_exact runs each worker once.  Solving first forms t alone: the
+    linear route builds no report and reads no type, and a later check_closed
+    builds the report from the same t.  A fresh force of the same matrix gives
+    equal reports."""
     from nilmag import lorentz
     from nilmag.closedform import InitialCondition, solve_exact, solve_type1
 
@@ -477,7 +485,7 @@ def test_force_holds_its_classification(monkeypatch):
     m = np.zeros((7, 7))
     m[:4, :4] = alg.j_map(np.array([0.5, 0.2, -0.9]))
     calls = []
-    for worker in ("_closedness_report", "_exactness_fit"):
+    for worker in ("_bracket_images", "_closedness_report", "_exactness_fit"):
         def counted(*args, _f=getattr(lorentz, worker), _name=worker):
             calls.append(_name)
             return _f(*args)
@@ -491,10 +499,19 @@ def test_force_holds_its_classification(monkeypatch):
     ic = InitialCondition.from_velocity(alg, np.linspace(-1.0, 1.0, 7), 0.7)
     solve_type1(alg, force, ic)
     solve_exact(alg, force, ic)
-    assert sorted(calls) == ["_closedness_report", "_exactness_fit"]
+    assert sorted(calls) == ["_bracket_images", "_closedness_report", "_exactness_fit"]
     assert check_closed(alg, force) is closed and exactness_test(alg, force) is exact
     with pytest.raises(ValueError):
         exact.z_tilde[4] = 0.0
+
+    calls.clear()
+    first = LorentzForce(alg, m)
+    lorentz.solve(alg, first, 0.7, np.linspace(-1.0, 1.0, 7))
+    solve_type1(alg, first, ic)
+    assert calls == ["_bracket_images"]
+    assert "_closedness" not in vars(first) and "_type" not in vars(first)
+    assert check_closed(alg, first) == closed and first.force_type() is ForceType.TYPE_I
+    assert calls == ["_bracket_images", "_closedness_report"]
 
     again = LorentzForce(alg, m)
     assert check_closed(alg, again) == closed
