@@ -145,11 +145,6 @@ def _aligned_orthonormal(cand: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _input_matrix(m: np.ndarray | None, dim: int) -> np.ndarray:
-    """m as a float matrix, or the (dim, dim) identity when it is None."""
-    return np.eye(dim) if m is None else np.asarray(m, float)
-
-
 class MetricNilAlgebra:
     """A 2-step nilpotent Lie algebra with inner product, adapted basis.
 
@@ -158,11 +153,12 @@ class MetricNilAlgebra:
     arrays of length `dim` in the internal adapted orthonormal basis
     (v-coordinates first, then z-coordinates).
 
-    Construction keeps only the structure tensor.  The tables derived from
-    it are built when first read and then kept: the bracket and geodesic
+    Construction keeps the structure tensor and the change of basis back to
+    the user's coordinates (input_basis, input_metric; the identity unless
+    from_structure gave them).  The tables derived from the structure tensor
+    are built when first read and then kept: the bracket and geodesic
     matrices (read by bracket, geodesic_term and group_mul, so by the oracle
-    and the group law), input_basis and input_metric (the identity unless
-    from_structure gave them), and the SVD of the bracket map.
+    and the group law) and the SVD of the bracket map.
     """
 
     def __init__(
@@ -187,16 +183,14 @@ class MetricNilAlgebra:
         self.structure = np.zeros((dim, dim, dim))
         block = structure[:dim_v, :dim_v, dim_v:]
         self.structure[:dim_v, :dim_v, dim_v:] = 0.5 * (block - block.transpose(1, 0, 2))
-        self._input = (input_basis, input_metric)
+        # change of basis back to the user's coordinates (identity for presets)
+        self.input_basis = np.eye(dim) if input_basis is None else np.asarray(input_basis, float)
+        self.input_metric = np.eye(dim) if input_metric is None else np.asarray(input_metric, float)
 
     # bracket and geodesic drift as (dim, dim^2) matrices on outer(x, y).ravel(),
     # for the oracle and the group law
     _bracket_matrix = cached_property(lambda self: self.structure.transpose(2, 0, 1).reshape(self.dim, -1))
     _geodesic_matrix = cached_property(lambda self: self.structure.transpose(1, 2, 0).reshape(self.dim, -1))
-
-    # change of basis back to the user's coordinates (identity for presets)
-    input_basis = cached_property(lambda self: _input_matrix(self._input[0], self.dim))
-    input_metric = cached_property(lambda self: _input_matrix(self._input[1], self.dim))
 
     # ------------------------------------------------------------------
     # constructors

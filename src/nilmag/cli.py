@@ -352,11 +352,18 @@ class _NonFiniteOutput(ArithmeticError):
     """A result holds a NaN or an infinity, so it is not written (exit 4)."""
 
 
-def _emit_json(doc: dict, out_dir: str | None, filename: str) -> None:
+def _json_text(doc: dict, filename: str) -> str:
     try:
-        text = json.dumps(doc, indent=2, default=_json_default, allow_nan=False)
+        return json.dumps(doc, indent=2, default=_json_default, allow_nan=False)
     except ValueError as exc:  # JSON has no token for a NaN or an infinity
         raise _NonFiniteOutput(f"{filename} not written, the result is not finite: {exc}") from None
+
+
+def _emit_json(doc: dict, out_dir: str | None, filename: str) -> None:
+    _write_text(_json_text(doc, filename), out_dir, filename)
+
+
+def _write_text(text: str, out_dir: str | None, filename: str) -> None:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, filename)
@@ -463,8 +470,9 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     if args.format == "csv":
         if not args.out:
             raise InputError("--format csv needs --out to hold the output files")
+        meta_text = _json_text(meta, "metadata.json")  # refused before either file is written
         _write_csv(args.out, "trajectory.csv", samples.t, xi, speeds)
-        _emit_json(meta, args.out, "metadata.json")
+        _write_text(meta_text, args.out, "metadata.json")
     else:
         doc = {
             "metadata": meta,
@@ -506,7 +514,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "singularity_exhaustive": bool(sing.exhaustive),
             "h_type": bool(alg.is_h_type()),
             "j_injective_on_commutator": bool(injective),
-            "j_injective_sigma": float(sigma),
+            # null on an algebra with no commutator, where the map has no singular value
+            "j_injective_sigma": float(sigma) if np.isfinite(sigma) else None,
         },
     }
     if scn.force_spec is not None:
@@ -530,16 +539,20 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- periodicity ---------------------------------------------------------------
 
 
-def _h5_force(scn: Scenario, force: LorentzForce | None = None) -> H5Force:
-    """The scenario's H5 force (built here unless given) with its charge folded in:
-    a trajectory of (F, charge) is one of (charge F, 1), the charge periodic_at_energy uses."""
-    from .h5_type1 import H5Force
-
+def _require_h5_certificate(scn: Scenario) -> None:
+    """Refuse a scenario that cannot have a periodic-orbit certificate."""
     if not scn.algebra.same_structure(MetricNilAlgebra.heisenberg(2)):
         raise UnsupportedForceError("periodic-orbit certificates need the 5-dim Heisenberg group")
     if scn.energy is None:
         raise InputError("a periodic-orbit certificate needs an 'energy' field in the scenario")
-    return H5Force.from_matrix(scn.charge * (force or _build_force(scn)).matrix)
+
+
+def _h5_force(scn: Scenario, force: LorentzForce) -> H5Force:
+    """The scenario's force as an H5Force with its charge folded in: a trajectory
+    of (F, charge) is one of (charge F, 1), the charge periodic_at_energy uses."""
+    from .h5_type1 import H5Force
+
+    return H5Force.from_matrix(scn.charge * force.matrix)
 
 
 def _h5_certificate_doc(force: H5Force, energy: float) -> tuple[dict, int]:
@@ -568,6 +581,7 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
     scn = _load_scenario(args.scenario)
     force = _build_force(scn)
     if scn.energy is not None and force.force_type() is ForceType.TYPE_I:
+        _require_h5_certificate(scn)
         doc, status = _h5_certificate_doc(_h5_force(scn, force), scn.energy)
         doc["scenario"] = scn.canonical()
         _emit_json(doc, args.out, "periodicity.json")
@@ -597,7 +611,8 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
 def cmd_h5_periodic(args: argparse.Namespace) -> int:
     if args.scenario:
         scn = _load_scenario(args.scenario)
-        force, energy = _h5_force(scn), scn.energy
+        _require_h5_certificate(scn)
+        force, energy = _h5_force(scn, _build_force(scn)), scn.energy
     elif args.rates is None or args.energy is None:
         raise InputError("h5-periodic needs either --scenario or --rates and --energy")
     else:

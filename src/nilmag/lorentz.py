@@ -20,8 +20,8 @@ solve(alg, force, charge, x0), the one place that picks a solver, routes there.
 
 A LorentzForce computes each verdict on demand and keeps it.  P and the
 ClosednessReport are both read off one product t[i, j, k] = <F [e_i, e_j], e_k>,
-formed at most once per force; a force that P routes to the linear closed form
-builds neither the report nor its type.
+formed at most once per force and dropped once the report is built; a force
+that P routes to the linear closed form builds neither the report nor its type.
 """
 
 from __future__ import annotations
@@ -95,6 +95,10 @@ class LorentzForce:
     product t = F [e_i, e_j] with P (see solve), the closedness report built
     from that t (check_closed, or a refusal by solve_type1), and the
     exactness fit (exactness_test).
+
+    t holds dim^3 floats, as many as the structure tensor, and is dropped
+    once the report is built.  A force that was solved and not yet checked
+    keeps it, so that a later check_closed does not form it again.
     """
 
     def __init__(self, alg: MetricNilAlgebra, matrix: np.ndarray):
@@ -146,10 +150,17 @@ class LorentzForce:
             return ForceType.TYPE_II
         return ForceType.MIXED
 
-    # (t, its bound), P: whether F maps every bracket [x, y] to 0, and the ClosednessReport
+    # (t, its bound) and P: whether F maps every bracket [x, y] to 0
     _images = cached_property(lambda self: _bracket_images(self.alg.structure, self.matrix))
     _linear = cached_property(lambda self: bool(np.abs(self._images[0]).max() <= self._images[1]))
-    _closedness = cached_property(lambda self: _closedness_report(*self._images))
+
+    @cached_property
+    def _closedness(self) -> ClosednessReport:
+        self._linear  # read P off t before t is dropped
+        report = _closedness_report(*self._images)
+        del self._images  # both verdicts are kept, so t is not needed again
+        return report
+
     _exactness = cached_property(lambda self: _exactness_fit(self.alg, self.matrix))
 
 

@@ -290,6 +290,23 @@ def test_trajectory_refuses_non_finite_samples(tmp_path, capsys, fmt):
     assert "not finite" in captured.err
 
 
+def test_trajectory_csv_refuses_non_finite_metadata_before_writing(tmp_path, capsys, monkeypatch):
+    """Finite samples with a NaN in the metadata (here an oracle deviation, from
+    an oracle that returns a NaN velocity) write neither CSV nor metadata."""
+    import dataclasses
+
+    from nilmag import oracle
+
+    real = oracle.reconstruct_group
+    monkeypatch.setattr(oracle, "reconstruct_group",
+                        lambda *a: dataclasses.replace(real(*a), velocity=np.full((3, 3), np.nan)))
+    path = write_scenario(tmp_path, {**EXACT_H3, "time": {"t_max": 1.0, "samples": 3}})
+    out = tmp_path / "out"
+    code = main(["trajectory", "--scenario", path, "--oracle", "--format", "csv", "--out", str(out)])
+    assert code == 4 and not out.exists()
+    assert "metadata.json not written, the result is not finite" in capsys.readouterr().err
+
+
 def test_trajectory_start_translation(tmp_path, capsys):
     """A start point left-translates the whole sampled curve."""
     doc_in = dict(EXACT_H3)
@@ -328,7 +345,15 @@ def test_classify_quaternionic(tmp_path, capsys):
 
 
 def test_classify_reports_j_injectivity_flag(tmp_path, capsys, monkeypatch):
-    """The injectivity field is the flag of the (flag, sigma) pair, not its truth value."""
+    """The injectivity field is the flag of the (flag, sigma) pair, not its truth
+    value.  An abelian algebra has no commutator, so the map Z -> j(Z) on it is
+    vacuously injective and has no smallest singular value: sigma is null."""
+    abelian = write_scenario(tmp_path, {"algebra": {"dim": 3, "brackets": []}}, name="abelian.json")
+    code, doc = run_json(capsys, ["classify", "--scenario", abelian])
+    assert code == 0 and doc["algebra"]["commutator_dim"] == 0
+    assert doc["algebra"]["j_injective_on_commutator"] is True
+    assert doc["algebra"]["j_injective_sigma"] is None
+
     path = write_scenario(tmp_path, {"algebra": "heisenberg(1)"})
     code, doc = run_json(capsys, ["classify", "--scenario", path])
     assert code == 0

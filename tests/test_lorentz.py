@@ -476,8 +476,8 @@ def test_force_holds_its_classification(monkeypatch):
     computed once per force, so classifying and then solving with solve_type1
     and solve_exact runs each worker once.  Solving first forms t alone: the
     linear route builds no report and reads no type, and a later check_closed
-    builds the report from the same t.  A fresh force of the same matrix gives
-    equal reports."""
+    builds the report from the same t.  t is dropped once the report is built,
+    P being kept.  A fresh force of the same matrix gives equal reports."""
     from nilmag import lorentz
     from nilmag.closedform import InitialCondition, solve_exact, solve_type1
 
@@ -500,6 +500,7 @@ def test_force_holds_its_classification(monkeypatch):
     solve_type1(alg, force, ic)
     solve_exact(alg, force, ic)
     assert sorted(calls) == ["_bracket_images", "_closedness_report", "_exactness_fit"]
+    assert "_images" not in vars(force) and force._linear is True
     assert check_closed(alg, force) is closed and exactness_test(alg, force) is exact
     with pytest.raises(ValueError):
         exact.z_tilde[4] = 0.0
@@ -512,6 +513,7 @@ def test_force_holds_its_classification(monkeypatch):
     assert "_closedness" not in vars(first) and "_type" not in vars(first)
     assert check_closed(alg, first) == closed and first.force_type() is ForceType.TYPE_I
     assert calls == ["_bracket_images", "_closedness_report"]
+    assert "_images" not in vars(first)
 
     again = LorentzForce(alg, m)
     assert check_closed(alg, again) == closed
