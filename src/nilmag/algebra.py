@@ -26,9 +26,9 @@ Left-invariant Levi-Civita connection on constant vector fields:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ class SingularityKind(Enum):
     SINGULAR = "singular"              # no j(Z) is invertible
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(NamedTuple):
     """Outcome of classify_singularity.
 
     exhaustive is True when the verdict is a proof: the certified

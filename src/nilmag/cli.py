@@ -55,14 +55,11 @@ NILMAG_LOG=DEBUG|INFO|... for diagnostics.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
-import logging
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
@@ -98,7 +95,7 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NUMERIC = 4
 
-log = logging.getLogger("nilmag")
+_INFO, _WARNING = 20, 30  # logging's levels, which _log reads without importing it
 
 # Output names of h3_type2.Branch and samples.PeriodicityKind, by enum value.
 _BRANCH_NAMES = {
@@ -120,8 +117,7 @@ _PRESET_ALIASES = {"h3": "heisenberg(1)", "h5": "heisenberg(2)"}
 # -- scenario ------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """Parsed, validated scenario with its canonical JSON form."""
 
     algebra: MetricNilAlgebra
@@ -369,7 +365,7 @@ def _write_text(text: str, out_dir: str | None, filename: str) -> None:
         path = os.path.join(out_dir, filename)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        log.info("wrote %s", path)
+        _log(_INFO, "wrote %s", path)
     else:
         print(text)
 
@@ -379,13 +375,12 @@ def _write_csv(out_dir: str, filename: str, ts, xi, speeds) -> None:
         raise _NonFiniteOutput(f"{filename} not written, the samples are not finite")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
-    dim = xi.shape[1]
+    header = ["t"] + [f"xi_{i + 1}" for i in range(xi.shape[1])] + ["speed"]
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"  # as csv.writer wrote it, with CRLF line ends
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"xi_{i + 1}" for i in range(dim)] + ["speed"])
-        for t, row, s in zip(ts, xi, speeds):
-            writer.writerow([f"{t:.17g}"] + [f"{x:.17g}" for x in row] + [f"{s:.17g}"])
-    log.info("wrote %s", path)
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(row % tuple(r) for r in np.column_stack([ts, xi, speeds]).tolist()))
+    _log(_INFO, "wrote %s", path)
 
 
 # -- trajectory ----------------------------------------------------------------
@@ -394,9 +389,9 @@ def _write_csv(out_dir: str, filename: str, ts, xi, speeds) -> None:
 def cmd_trajectory(args: argparse.Namespace) -> int:
     scn = _load_scenario(args.scenario)
     if args.oracle:
-        scn.oracle = True
+        scn = scn._replace(oracle=True)
     if args.tol is not None:
-        scn.tolerance = _tolerance(args.tol, "--tol")
+        scn = scn._replace(tolerance=_tolerance(args.tol, "--tol"))
     if scn.velocity0 is None:
         raise InputError("trajectory needs an 'initial' field")
     alg = scn.algebra
@@ -427,7 +422,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
             "no closed-form solver covers this force class; "
             "the curve was integrated numerically"
         )
-        log.warning("%s", meta["warning"])
+        _log(_WARNING, "%s", meta["warning"])
         meta["integrator"] = _integrator_meta(traj.config, samples.stats)
 
     speeds = np.linalg.norm(samples.velocity, axis=1)
@@ -490,7 +485,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 def _integrator_meta(cfg: IntegratorConfig, stats: IntegratorStats) -> dict[str, Any]:
     """Scheme, step control and work counts of one oracle run."""
     tol = cfg.tolerance if cfg.scheme == "dopri45" else None
-    return {"scheme": cfg.scheme, "tolerance": tol, "dt": cfg.dt, **dataclasses.asdict(stats)}
+    return {"scheme": cfg.scheme, "tolerance": tol, "dt": cfg.dt, **stats._asdict()}
 
 
 # -- classify ------------------------------------------------------------------
@@ -769,14 +764,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging() -> None:
+def _log(level: int, msg: str, *args: Any) -> None:
+    """Log msg on the "nilmag" logger, set up from NILMAG_LOG (default WARNING).  logging
+    is imported only for a record at WARNING or above or at a level NILMAG_LOG enables."""
     level_name = os.environ.get("NILMAG_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    if level < {"INFO": _INFO, "DEBUG": 10, "NOTSET": 0}.get(level_name, _WARNING):
+        return
+    import logging
+
+    logging.basicConfig(level=getattr(logging, level_name, logging.WARNING),
+                        format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("nilmag").log(level, msg, *args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -60,8 +60,8 @@ equals a geodesic velocity minus q Z~, the position picks up -t q Z~).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +88,7 @@ _DENOMINATORS = range(1, 65)
 _W_SERIES = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(7, -1, -1))
 
 
-@dataclass(frozen=True)
-class InitialCondition:
+class InitialCondition(NamedTuple):
     """Initial velocity split into v and central components, plus the charge."""
 
     v0: np.ndarray
@@ -111,12 +110,11 @@ class InitialCondition:
                 f"initial condition needs shapes ({alg.dim_v},) and ({alg.dim_z},),"
                 f" got {v0.shape} and {z0.shape}"
             )
-        if not (np.isfinite(v0).all() and np.isfinite(z0).all() and math.isfinite(self.charge)):
-            raise InputError("initial condition contains non-finite entries")
+        if not (math.isfinite(math.hypot(*v0, *z0)) and math.isfinite(self.charge)):
+            raise InputError("initial condition contains non-finite entries, or its norm overflows")
 
 
-@dataclass(frozen=True)
-class InvariantPlane:
+class InvariantPlane(NamedTuple):
     """An invariant subspace of a skew map with a single rotation rate.
 
     basis rows span the subspace orthonormally; rate is the positive
@@ -127,8 +125,7 @@ class InvariantPlane:
     basis: np.ndarray
 
 
-@dataclass(frozen=True)
-class SkewSpectrum:
+class SkewSpectrum(NamedTuple):
     """Kernel plus rotation subspaces of a skew matrix.
 
     Merges rates that agree to 1e-9 relative into one subspace (the
@@ -159,9 +156,14 @@ def _eigen_groups(j_matrix: np.ndarray):
     edges[p]:edges[p + 1].  Rates (square roots of the eigenvalues) below 1e-9
     of the largest are the kernel, group 0 of rate 0 (maybe empty); a new group
     starts wherever consecutive ascending rates part by more than that, and
-    has the mean of its rates."""
+    has the mean of its rates.  Where J^T J would overflow, J is first scaled
+    exactly, by a power of two, to max|J| in [1/2, 1)."""
+    exp = 0
+    if not math.isfinite(np.vdot(j_matrix, j_matrix)):  # the trace of J^T J; vdot does not warn
+        exp = math.frexp(float(np.abs(j_matrix).max()))[1]
+        j_matrix = np.ldexp(j_matrix, -exp)
     w, vecs = np.linalg.eigh(j_matrix.T @ j_matrix)  # eigh reads one triangle
-    r = [math.sqrt(e) if e > 0.0 else 0.0 for e in w.tolist()]
+    r = [math.ldexp(math.sqrt(e), exp) if e > 0.0 else 0.0 for e in w.tolist()]
     tol = _MERGE_TOL * max(r, default=0.0)
     n, k = len(r), sum(e <= tol for e in r)  # the kernel, then a group at every gap above tol
     edges = [0] + [i for i in range(k, n) if i == k or r[i] - r[i - 1] > tol] + [n]
@@ -221,10 +223,11 @@ class TypeISolution(Trajectory):
         self.matrix = a = ic.charge * force.matrix
         a[:dv, :dv] += alg.j_map(x[dv:])
         self._groups = rate, vecs, edges = _eigen_groups(a)
-        # the component x_p = V_p V_p^T x of x(0) on group p, kept where |V_p^T x| > 1e-14 |x|
+        # the component x_p = V_p V_p^T x of x(0) on group p, kept where |V_p^T x| > 1e-14
+        # max(1, |x|); hypot squares no entry, so no norm of a finite |x| overflows
         y = x @ vecs
-        cut, sq = 1e-14 * max(1.0, math.sqrt(x @ x)), (y * y).tolist()
-        kept = [(r, lo, hi) for r, lo, hi in zip(rate, edges, edges[1:]) if math.sqrt(sum(sq[lo:hi])) > cut]
+        cut, yl = 1e-14 * max(1.0, math.hypot(*x.tolist())), y.tolist()
+        kept = [(r, lo, hi) for r, lo, hi in zip(rate, edges, edges[1:]) if math.hypot(*yl[lo:hi]) > cut]
         th, n = [r for r, _, _ in kept], len(kept)
         inv = np.array([1.0 / r for r in th if r > 0.0])
         self.rates, self._coef = np.array(th), np.array([inv, 2.0 * inv**2, inv**3])
@@ -343,7 +346,6 @@ class TypeISolution(Trajectory):
         return float(b)
 
 
-@dataclass
 class ExactShiftSolution:
     """An exact force trajectory viewed as a shifted geodesic.
 
@@ -355,8 +357,8 @@ class ExactShiftSolution:
         position(t) = geodesic position(t) - t * shift
     """
 
-    solution: TypeISolution
-    shift: np.ndarray
+    def __init__(self, solution: TypeISolution, shift: np.ndarray):
+        self.solution, self.shift = solution, shift
 
     @cached_property
     def geodesic(self) -> TypeISolution:

@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .algebra import MetricNilAlgebra
-from .errors import DegenerateForceError
+from .errors import DegenerateForceError, InputError
 from .lorentz import _direction
 from .samples import CurveSamples, PeriodicityKind, PeriodicityReport, Trajectory, lambda_periodicity
 from .specfun import _descent_table, _elliptic_f, _jacobi_zeta, sech
@@ -95,7 +95,8 @@ class Type2TrajectoryH3(Trajectory):
     r^T.  sample(ts) evaluates that map once per grid.  alg is heisenberg(1).
 
     u has shape (2,) or (3,) with a zero central part (InvalidForceError
-    otherwise); u, charge finite and charge u nonzero (DegenerateForceError).
+    otherwise); u, charge finite and charge u nonzero (DegenerateForceError);
+    initial data whose position table overflows is refused (InputError).
     period and time_scale are in this trajectory's own time.  Every other
     attribute (branch, disc, amplitude, modulus, rate, phase, and x0/y0/z0,
     the canonical initial velocity) and phi_image() describe the canonical
@@ -122,6 +123,16 @@ class Type2TrajectoryH3(Trajectory):
         self.time_scale = q = 1.0 / rho
         canonical_v = q * (rot @ x0[:2])
         self.x0, self.y0, self.z0 = float(canonical_v[0]), float(canonical_v[1]), float(q * x0[2])
+        self._canonical_branch()
+        try:  # past the float range a cube in _means raises, or an entry is not finite
+            finite = np.isfinite(self._position_matrix).all()
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InputError("the initial velocity is out of the H3 closed form's range: its position table overflows")
+
+    def _canonical_branch(self) -> None:
+        """The branch of (x0, y0, z0) and its amplitude, modulus, rate, period and phase."""
         self.y1 = self.y0 + 1.0
         self.v1_norm = math.hypot(self.x0, self.y1)  # S above
         s = self.v1_norm
@@ -173,7 +184,7 @@ class Type2TrajectoryH3(Trajectory):
             self.modulus = a / (2.0 * math.sqrt(s))
             self._complement = root_disc / (2.0 * math.sqrt(s))  # k'
             self.rate = math.sqrt(s)
-            self.period = q * (4.0 * self._descent.big_k / self.rate)
+            self.period = self.time_scale * (4.0 * self._descent.big_k / self.rate)
             # the amplitude of cn = z0 / a, sn = sqrt(2 (S - y1)) / a
             c0 = _elliptic_f(math.sqrt(2.0) * self._r_minus, z0, self._descent)
             self.phase = c0 if self.x0 >= 0.0 else -c0
@@ -184,7 +195,7 @@ class Type2TrajectoryH3(Trajectory):
         self.modulus = 2.0 * math.sqrt(s) / a
         self._complement = root_disc / a  # k'
         self.rate = 0.5 * a
-        self.period = q * (4.0 * self._descent.big_k / a)
+        self.period = self.time_scale * (4.0 * self._descent.big_k / a)
         self.sign = 1.0 if z0 > 0 else -1.0
         # the amplitude of dn = |z0| / a: sn^2 = (S - y1)/(2S), cn^2 = (S + y1)/(2S)
         c1 = _elliptic_f(self._r_minus, r_plus, self._descent)

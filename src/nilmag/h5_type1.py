@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +75,7 @@ def _h5_algebra() -> MetricNilAlgebra:
     return MetricNilAlgebra.heisenberg(2)
 
 
-@dataclass(frozen=True)
-class H5Force:
+class H5Force(NamedTuple):
     """A j-commuting closed force on H5 in diagonalized form.
 
     rates are (mu1, mu2) with mu1 <= mu2; frame is the orthogonal map S with
@@ -179,8 +178,7 @@ def solve_h5(force: H5Force, v0, z0: float, charge: float = 1.0) -> H5Trajectory
     return H5Trajectory(force, v0, z0, charge)
 
 
-@dataclass(frozen=True)
-class PeriodicCertificate:
+class PeriodicCertificate(NamedTuple):
     """Constructive witness of a periodic orbit at a prescribed energy.
 
     The trajectory solve_h5(force, v0, z0) has the stated period, zero

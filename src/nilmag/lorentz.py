@@ -26,9 +26,9 @@ that P routes to the linear closed form builds neither the report nor its type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ class ForceType(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class ClosednessReport:
+class ClosednessReport(NamedTuple):
     """Result of the exterior-derivative check on all basis triples."""
 
     closed: bool
@@ -71,8 +70,7 @@ class ClosednessReport:
     frobenius_residual: float  # basis-independent norm of the full 3-tensor
 
 
-@dataclass(frozen=True)
-class ExactnessResult:
+class ExactnessResult(NamedTuple):
     """Best approximation of F by a central-derivative force j(Z~) on v.
 
     is_exact is True when F equals j(Z~) (+) 0 for some commutator vector Z~

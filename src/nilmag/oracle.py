@@ -21,8 +21,6 @@ error norm, step controller and initial step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import MetricNilAlgebra
@@ -55,7 +53,6 @@ _DOPRI_P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
 
-@dataclass(frozen=True)
 class IntegratorConfig:
     """Integrator selection: scheme is "dopri45" (adaptive) or "rk4" (fixed step).
 
@@ -65,19 +62,14 @@ class IntegratorConfig:
     sample times are hit exactly).
     """
 
-    scheme: str = "dopri45"
-    tolerance: float = 1e-11
-    dt: float | None = None
-
-    def __post_init__(self):
-        if self.scheme not in ("dopri45", "rk4"):
-            raise ValueError(f"unknown scheme {self.scheme!r}; use 'dopri45' or 'rk4'")
-        if not _TOL_RANGE[0] < self.tolerance < _TOL_RANGE[1]:
-            raise ValueError(
-                f"tolerance must lie in ({_TOL_RANGE[0]}, {_TOL_RANGE[1]}), got {self.tolerance}"
-            )
-        if self.scheme == "rk4" and (self.dt is None or not np.isfinite(self.dt) or self.dt <= 0.0):
+    def __init__(self, scheme: str = "dopri45", tolerance: float = 1e-11, dt: float | None = None):
+        if scheme not in ("dopri45", "rk4"):
+            raise ValueError(f"unknown scheme {scheme!r}; use 'dopri45' or 'rk4'")
+        if not _TOL_RANGE[0] < tolerance < _TOL_RANGE[1]:
+            raise ValueError(f"tolerance must lie in ({_TOL_RANGE[0]}, {_TOL_RANGE[1]}), got {tolerance}")
+        if scheme == "rk4" and (dt is None or not np.isfinite(dt) or dt <= 0.0):
             raise ValueError("rk4 needs a positive fixed step dt")
+        self.scheme, self.tolerance, self.dt = scheme, tolerance, dt
 
 
 def _rhs_velocity(alg: MetricNilAlgebra, fmat: np.ndarray, q: float):

@@ -16,7 +16,7 @@ checks the identity on one sample grid.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ _N_CHECKS = 10
 _CHECK_GRID = np.concatenate(([1.0], np.linspace(0.0, 2.0, _N_CHECKS), np.linspace(1.0, 3.0, _N_CHECKS)))
 
 
-@dataclass(frozen=True)
-class IntegratorStats:
+class IntegratorStats(NamedTuple):
     """Work of one integration: right-hand-side evaluations and steps taken."""
 
     nfev: int
@@ -42,8 +41,7 @@ class IntegratorStats:
     rejected_steps: int
 
 
-@dataclass
-class CurveSamples:
+class CurveSamples(NamedTuple):
     """A trajectory sampled on a time grid.
 
     velocity rows are the left-trivialized velocity x(t); xi rows are the
@@ -90,8 +88,7 @@ class PeriodicityKind(enum.Enum):
     NON_PERIODIC = "non-periodic"
 
 
-@dataclass(frozen=True)
-class PeriodicityReport:
+class PeriodicityReport(NamedTuple):
     """Trichotomy certificate for a trajectory.
 
     For kinds other than NON_PERIODIC, sigma(t + omega) = translation *

@@ -243,6 +243,23 @@ def test_trajectory_csv_round_trip(tmp_path, capsys):
             assert float(got) == want
 
 
+def test_trajectory_csv_bytes(tmp_path, capsys):
+    """trajectory.csv is a header and one row per sample, comma-separated with CRLF
+    line ends, every float in %.17g: 0.1 reads 0.10000000000000001."""
+    doc = {"algebra": {"dim": 2, "brackets": []}, "force": {"matrix": [[0.0, 0.0], [0.0, 0.0]]},
+           "initial": {"velocity": [0.5, -3.0]}, "time": {"t_max": 0.2, "samples": 3}}
+    out = tmp_path / "out"
+    assert main(["trajectory", "--scenario", write_scenario(tmp_path, doc), "--format", "csv",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "trajectory.csv").read_bytes() == (
+        b"t,xi_1,xi_2,speed\r\n"
+        b"0,0,0,3.0413812651491097\r\n"
+        b"0.10000000000000001,0.050000000000000003,-0.30000000000000004,3.0413812651491097\r\n"
+        b"0.20000000000000001,0.10000000000000001,-0.60000000000000009,3.0413812651491097\r\n"
+    )
+
+
 def test_trajectory_csv_needs_out(tmp_path, capsys):
     path = write_scenario(tmp_path, TYPE2_H3)
     code = main(["trajectory", "--scenario", path, "--format", "csv"])
@@ -290,16 +307,35 @@ def test_trajectory_refuses_non_finite_samples(tmp_path, capsys, fmt):
     assert "not finite" in captured.err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the speed's square overflows at 1e155
+@pytest.mark.parametrize("force, z0, code", [
+    ({"exact": {"Z": [0.7]}}, 1e150, 0), ({"exact": {"Z": [0.7]}}, 1e155, 4),
+    ({"type2_U": [0.6, -0.8]}, 1e150, 2), ({"type2_U": [0.6, -0.8]}, 1e155, 2)])
+def test_trajectory_huge_central_velocity(tmp_path, capsys, force, z0, code):
+    """The linear closed form answers the straight line t x0, which the CLI writes
+    while its speed squared, the energy, is finite (exit 4 at 1e155, not a zero
+    curve); the H3 elliptic closed form, whose position table overflows, refuses
+    with exit 2 (not an OverflowError)."""
+    doc = {"algebra": "h3", "force": force, "initial": {"velocity": [0.0, 0.0, z0]},
+           "time": {"t_max": 2.0, "samples": 3}}
+    assert main(["trajectory", "--scenario", write_scenario(tmp_path, doc)]) == code
+    captured = capsys.readouterr()
+    if code:
+        message = "not finite" if code == 4 else "out of the H3 closed form's range"
+        assert captured.out == "" and message in captured.err
+    else:
+        positions = json.loads(captured.out)["samples"]["position"]
+        assert positions == [[0.0, 0.0, t * z0] for t in (0.0, 1.0, 2.0)]
+
+
 def test_trajectory_csv_refuses_non_finite_metadata_before_writing(tmp_path, capsys, monkeypatch):
     """Finite samples with a NaN in the metadata (here an oracle deviation, from
     an oracle that returns a NaN velocity) write neither CSV nor metadata."""
-    import dataclasses
-
     from nilmag import oracle
 
     real = oracle.reconstruct_group
     monkeypatch.setattr(oracle, "reconstruct_group",
-                        lambda *a: dataclasses.replace(real(*a), velocity=np.full((3, 3), np.nan)))
+                        lambda *a: real(*a)._replace(velocity=np.full((3, 3), np.nan)))
     path = write_scenario(tmp_path, {**EXACT_H3, "time": {"t_max": 1.0, "samples": 3}})
     out = tmp_path / "out"
     code = main(["trajectory", "--scenario", path, "--oracle", "--format", "csv", "--out", str(out)])

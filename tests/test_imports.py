@@ -3,7 +3,8 @@
 The package runs on numpy alone: no module under `nilmag` imports scipy, and
 every CLI command runs with scipy imports made to fail.  `import nilmag` loads
 no submodule, and each CLI command loads only the solver modules it
-dispatches to.  Each check runs in a fresh interpreter.
+dispatches to.  No CLI run loads dataclasses, and only one that logs a record
+loads logging.  Each check runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(nilmag.__file__)))
 SOLVER_MODULES = {"closedform", "h3_type2", "h5_type1", "oracle", "specfun"}
 
 
-def _modules_after(code: str, prefix: str) -> list[str]:
-    """The loaded modules whose names start with prefix after running code."""
+def _modules_after(code: str, prefix: str | tuple[str, ...]) -> list[str]:
+    """The loaded modules whose names start with prefix (or one of them) after
+    running code with NILMAG_LOG unset."""
     env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("NILMAG_LOG", None)
     loaded = f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     res = subprocess.run(
         [sys.executable, "-c", f"import json, sys\n{code}\n{loaded}"],
@@ -37,10 +40,13 @@ def _nilmag_modules_after(code: str) -> set[str]:
     return {m.removeprefix("nilmag.") for m in _modules_after(code, "nilmag.")}
 
 
-def _cli_runs(runs: list, codes: list | None = None) -> str:
-    """Code that runs main on each argv and asserts its exit code (0 unless codes says)."""
+def _cli_runs(runs: list, codes: list | None = None, warns: bool = False) -> str:
+    """Code that runs main on each argv and asserts its exit code (0 unless codes says),
+    then that no run loaded dataclasses, and logging only if one warns: with NILMAG_LOG
+    unset, only the oracle fallback's warning is logged."""
     codes = [0] * len(runs) if codes is None else codes
-    return f"from nilmag.cli import main\nassert [main(argv) for argv in {runs!r}] == {codes!r}"
+    return (f"from nilmag.cli import main\nassert [main(argv) for argv in {runs!r}] == {codes!r}\n"
+            f"assert 'dataclasses' not in sys.modules and ('logging' in sys.modules) is {warns!r}")
 
 
 def test_import_loads_no_scipy():
@@ -49,6 +55,22 @@ def test_import_loads_no_scipy():
 
 def test_import_loads_no_submodule():
     assert _nilmag_modules_after("import nilmag") == set()
+
+
+def test_cli_import_loads_no_dataclasses_or_logging():
+    assert _modules_after("import nilmag.cli", ("dataclasses", "logging")) == []
+
+
+def test_info_log_names_each_file_written(tmp_path):
+    """NILMAG_LOG=INFO logs every file a command writes on stderr."""
+    _write_scenarios(tmp_path)
+    env = dict(os.environ, PYTHONPATH=SRC, NILMAG_LOG="INFO")
+    out = tmp_path / "out"
+    argv = ["trajectory", "--scenario", str(tmp_path / "type1.json"), "--format", "csv", "--out", str(out)]
+    res = subprocess.run([sys.executable, "-m", "nilmag.cli", *argv],
+                         capture_output=True, text=True, env=env, check=True, timeout=120)
+    wrote = [f"INFO nilmag: wrote {out / name}" for name in ("trajectory.csv", "metadata.json")]
+    assert res.stderr.splitlines() == wrote
 
 
 TYPE1 = {
@@ -83,6 +105,26 @@ FLAT_COUPLED = {
     "time": {"t_max": 10.0, "samples": 51},
 }
 
+# dim v = 8, dim z = 3: classify takes the sampling route
+V8 = {"algebra": {"dim": 11, "brackets": [[1, 2, 9, 1.0], [3, 4, 9, 1.0], [1, 3, 10, 1.0], [2, 4, 10, -1.0],
+                                          [1, 2, 11, 1.0], [5, 6, 9, 1.0], [7, 8, 9, 1.0]]}}
+# an H3 curve on the dn branch, the periodicity of a rates force, and a horizon
+# past the linear closed form's range, which trajectory refuses with exit 4
+DN = {"algebra": "h3", "force": {"type2_U": [0.6, -0.8]}, "charge": 1.4,
+      "initial": {"velocity": [0.5, -0.3, 6.0]}, "time": {"t_max": 12.0, "samples": 61}}
+RATES = {"algebra": "heisenberg(2)", "force": {"rates": [1.0, 3.0]},
+         "initial": {"velocity": [0.3, 0.2, -0.4, 0.1, 0.0]}}
+FAR = {"algebra": "h3", "force": {"exact": {"Z": [0.7]}}, "initial": {"velocity": [0.9, -0.4, 0.5]},
+       "time": {"t_max": 1e200, "samples": 3}}
+SCENARIOS = {"q1.json": {"algebra": "quaternionic(1)"}, "v8.json": V8, "type1.json": TYPE1, "h3.json": H3,
+             "mixed.json": MIXED, "coupled.json": FLAT_COUPLED, "dn.json": DN, "rates.json": RATES,
+             "far.json": FAR}
+
+
+def _write_scenarios(tmp_path) -> None:
+    for name, doc in SCENARIOS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+
 
 def test_solve_loads_each_solver_module_when_called():
     """nilmag.solve resolves without loading a solver module, and a call loads
@@ -100,9 +142,7 @@ def test_solve_loads_each_solver_module_when_called():
 
 
 def test_each_command_loads_only_its_solvers(tmp_path):
-    (tmp_path / "q1.json").write_text(json.dumps({"algebra": "quaternionic(1)"}))
-    (tmp_path / "type1.json").write_text(json.dumps(TYPE1))
-    (tmp_path / "h3.json").write_text(json.dumps(H3))
+    _write_scenarios(tmp_path)
 
     def scenario(command, name):
         return [command, "--scenario", str(tmp_path / name), "--out", str(tmp_path / command / name)]
@@ -115,25 +155,21 @@ def test_each_command_loads_only_its_solvers(tmp_path):
     h3 = [scenario("trajectory", "h3.json"), scenario("periodicity", "h3.json")]
     loaded = _nilmag_modules_after(_cli_runs(h3))
     assert "h3_type2" in loaded and loaded & {"closedform", "h5_type1", "oracle"} == set()
-    (tmp_path / "coupled.json").write_text(json.dumps(FLAT_COUPLED))
     loaded = _nilmag_modules_after(_cli_runs([scenario("trajectory", "coupled.json")]))
     assert "closedform" in loaded and loaded & {"specfun", "h3_type2", "h5_type1", "oracle"} == set()
     h5 = [["h5-periodic", "--rates", "-1.3", "0.7", "--energy", "2.0", "--out", str(tmp_path / "h5")]]
     loaded = _nilmag_modules_after(_cli_runs(h5))
     assert "h5_type1" in loaded and loaded & {"specfun", "h3_type2", "oracle"} == set()
     # the mixed H3 force falls back to the oracle, and --oracle asks for it
-    (tmp_path / "mixed.json").write_text(json.dumps(MIXED))
     for extra in ([], ["--oracle"]):
         run = scenario("trajectory", "mixed.json") + extra
-        assert "oracle" in _nilmag_modules_after(_cli_runs([run]))
+        assert "oracle" in _nilmag_modules_after(_cli_runs([run], warns=True))
     run = scenario("trajectory", "type1.json") + ["--oracle"]
     assert "oracle" in _nilmag_modules_after(_cli_runs([run]))
 
 
 def test_closed_form_cli_runs_load_no_scipy(tmp_path):
-    (tmp_path / "type1.json").write_text(json.dumps(TYPE1))
-    (tmp_path / "q1.json").write_text(json.dumps({"algebra": "quaternionic(1)"}))
-    (tmp_path / "h3.json").write_text(json.dumps(H3))
+    _write_scenarios(tmp_path)
     runs = [
         ["trajectory", "--scenario", str(tmp_path / "type1.json"), "--out", str(tmp_path / "a")],
         ["classify", "--scenario", str(tmp_path / "q1.json"), "--out", str(tmp_path / "b")],
@@ -149,7 +185,7 @@ def test_closed_form_cli_runs_load_no_scipy(tmp_path):
 
 
 def test_oracle_runs_load_no_scipy(tmp_path):
-    (tmp_path / "mixed.json").write_text(json.dumps(MIXED))
+    _write_scenarios(tmp_path)
     runs = [
         ["trajectory", "--scenario", str(tmp_path / "mixed.json"), "--out", str(tmp_path / "a")],
         ["trajectory", "--scenario", str(tmp_path / "mixed.json"), "--oracle", "--out", str(tmp_path / "b")],
@@ -160,7 +196,7 @@ def test_oracle_runs_load_no_scipy(tmp_path):
         "for cfg in (IntegratorConfig(), IntegratorConfig(scheme='rk4', dt=0.1)):\n"
         "    reconstruct_group(MetricNilAlgebra.heisenberg(1), np.zeros((3, 3)), 1.0,"
         " np.array([1.0, 0.0, 0.2]), np.linspace(0.0, 1.0, 3), cfg)\n"
-        + _cli_runs(runs)
+        + _cli_runs(runs, warns=True)
     )
     assert _modules_after(code, "scipy") == []
     for name in ("a", "b"):
@@ -183,24 +219,10 @@ def test_package_source_imports_no_scipy():
 
 
 def test_cli_runs_with_scipy_blocked(tmp_path):
-    """A None entry in sys.modules makes every scipy import raise ImportError."""
-    # dim v = 8, dim z = 3: classify takes the sampling route
-    brackets = [[1, 2, 9, 1.0], [3, 4, 9, 1.0], [1, 3, 10, 1.0], [2, 4, 10, -1.0], [1, 2, 11, 1.0],
-                [5, 6, 9, 1.0], [7, 8, 9, 1.0]]
-    (tmp_path / "v8.json").write_text(json.dumps({"algebra": {"dim": 11, "brackets": brackets}}))
-    # the flat-coupled force and an H3 curve on the dn branch, each with --oracle, the
-    # periodicity of a rates force, and a horizon past the linear closed form's range,
-    # refused with exit 4: the scenarios of the CI workflow's numpy-only step
-    dn = {"algebra": "h3", "force": {"type2_U": [0.6, -0.8]}, "charge": 1.4,
-          "initial": {"velocity": [0.5, -0.3, 6.0]}, "time": {"t_max": 12.0, "samples": 61}}
-    rates = {"algebra": "heisenberg(2)", "force": {"rates": [1.0, 3.0]},
-             "initial": {"velocity": [0.3, 0.2, -0.4, 0.1, 0.0]}}
-    far = {"algebra": "h3", "force": {"exact": {"Z": [0.7]}}, "initial": {"velocity": [0.9, -0.4, 0.5]},
-           "time": {"t_max": 1e200, "samples": 3}}
-    for name, doc in (("type1.json", TYPE1), ("h3.json", H3), ("mixed.json", MIXED),
-                      ("coupled.json", FLAT_COUPLED), ("dn.json", dn), ("rates.json", rates),
-                      ("far.json", far)):
-        (tmp_path / name).write_text(json.dumps(doc))
+    """A None entry in sys.modules makes every scipy import raise ImportError.  The
+    flat-coupled and dn runs with --oracle, the rates periodicity and the refused far
+    horizon are the scenarios of the CI workflow's numpy-only step."""
+    _write_scenarios(tmp_path)
 
     def scenario(command, name, *extra):
         return [command, "--scenario", str(tmp_path / name), *extra, "--out", str(tmp_path / command / name)]
@@ -210,7 +232,6 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
         scenario("classify", "v8.json"),
         scenario("trajectory", "type1.json"),
         scenario("trajectory", "h3.json"),
-        scenario("trajectory", "mixed.json"),
         scenario("trajectory", "type1.json", "--oracle"),
         scenario("periodicity", "h3.json"),
         ["h5-periodic", "--rates", "-1.3", "0.7", "--energy", "2.0", "--out", str(tmp_path / "h5")],
@@ -222,6 +243,8 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     block = "sys.modules['scipy'] = None\n"
     codes = [0] * (len(runs) - 1) + [4]
     assert _modules_after(block + _cli_runs(runs, codes), "scipy") == ["scipy"]  # the blocking entry only
+    mixed = [scenario("trajectory", "mixed.json")]
+    assert _modules_after(block + _cli_runs(mixed, warns=True), "scipy") == ["scipy"]
     assert not (tmp_path / "trajectory" / "far.json").exists()
     algebra = json.loads((tmp_path / "classify/v8.json/classify.json").read_text())["algebra"]
     assert (algebra["dim_v"], algebra["singularity"], algebra["singularity_exhaustive"]) == (8, "almost", True)

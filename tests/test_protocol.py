@@ -18,7 +18,7 @@ import nilmag
 from nilmag import h3_type2
 from nilmag.algebra import MetricNilAlgebra
 from nilmag.closedform import InitialCondition, TypeISolution, solve_type1
-from nilmag.errors import InvalidForceError
+from nilmag.errors import InputError, InvalidForceError
 from nilmag.h3_type2 import Type2TrajectoryH3, solve_type2_general
 from nilmag.h5_type1 import H5Force, periodic_at_energy, solve_h5, verify_periodic
 from nilmag.lorentz import LorentzForce, random_closed_type1, solve, type2_from_vector
@@ -116,6 +116,28 @@ def test_solve_rejects_bad_initial_data_on_every_route(route, charge, x0):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             solve(H3, force[route], charge, x0)
+
+
+@pytest.mark.parametrize("route", ["type1", "h3"])
+@pytest.mark.parametrize("z0", [1e150, 1e155])
+def test_solve_answers_or_refuses_a_huge_initial_velocity_on_every_closed_form(route, z0):
+    """A huge central velocity gets an answer or an InputError from solve itself,
+    never a zero curve, an OverflowError or a warning.  Along the centre the
+    linear closed form's tables hold x0 alone, so it answers the straight line
+    t x0, and refuses an x0 whose norm overflows; the H3 position table
+    holds the cube of the amplitude |z0|, so it refuses."""
+    force = {"type1": np.pad(H3.j_map([0.7]), (0, 1)), "h3": type2_from_vector(H3, [0.6, -0.8])}
+    x0, ts = np.array([0.0, 0.0, z0]), np.linspace(0.0, 2.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if route == "h3":
+            with pytest.raises(InputError, match="out of the H3 closed form's range"):
+                solve(H3, force[route], 1.0, x0)
+        else:
+            got = solve(H3, force[route], 1.0, x0).sample(ts)
+            assert np.array_equal(got.xi, ts[:, None] * x0) and np.array_equal(got.velocity, np.tile(x0, (5, 1)))
+            with pytest.raises(InputError, match="norm overflows"):  # |x0| past the float range
+                solve(H3, force[route], 1.0, [1.5e308, 1.5e308, 0.0])
 
 
 class CountingTrajectory:
