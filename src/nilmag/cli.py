@@ -8,11 +8,11 @@ trajectory    sample a magnetic trajectory from a scenario file by the solver
               numerical integrator (with a warning); optional oracle check.
 classify      report the algebra's singularity/H-type classification and the
               force's splitting type, closedness residual, and exactness.
-periodicity   lambda-periodicity trichotomy of the curve from 'initial' for
-              every closed form (the numerical fallback exits 3); with
-              'energy', a type-I force gets the constructive periodic
-              certificate at that energy on the 5-dimensional Heisenberg
-              group itself (a rescaled or re-metricised copy exits 3).
+periodicity   with 'energy', the periodic-orbit certificate at that energy of
+              a j-commuting force on the 5-dimensional Heisenberg group itself
+              (else exit 3; an exact force, rates mu = mu, has one exactly for
+              0 < energy < mu^2/2, exit 2 above); without it, the lambda-periodicity
+              trichotomy of the curve from 'initial' (the numerical fallback exits 3).
 h5-periodic   the same certificate, from a scenario or directly from a pair
               of rotation rates.
 selftest      structural identity suite on randomized inputs.
@@ -31,7 +31,7 @@ Scenario files are JSON:
                  optional "start": [...] group point (curve is left-translated),
       "time":    {"t_max": 10.0, "samples": 201},
       "checks":  {"oracle": false, "tolerance": 1e-6},
-      "energy":  10.0                              # H5 certificate of a type-I force
+      "energy":  10.0                              # asks periodicity for the H5 certificate
     }
 
 Scenario vectors and matrices (initial, X0/Z0, start, the force matrix, exact
@@ -72,7 +72,6 @@ from .errors import (
     UnsupportedForceError,
 )
 from .lorentz import (
-    ForceType,
     LorentzForce,
     check_closed,
     exactness_test,
@@ -534,20 +533,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- periodicity ---------------------------------------------------------------
 
 
-def _require_h5_certificate(scn: Scenario) -> None:
-    """Refuse a scenario that cannot have a periodic-orbit certificate."""
+def _h5_force(scn: Scenario) -> H5Force:
+    """The scenario's force as an H5Force for a periodic-orbit certificate, with its
+    charge folded in: a trajectory of (F, charge) is one of (charge F, 1), the charge
+    periodic_at_energy uses.  H5Force.from_matrix refuses a force the construction
+    cannot take."""
     if not scn.algebra.same_structure(MetricNilAlgebra.heisenberg(2)):
         raise UnsupportedForceError("periodic-orbit certificates need the 5-dim Heisenberg group")
     if scn.energy is None:
         raise InputError("a periodic-orbit certificate needs an 'energy' field in the scenario")
-
-
-def _h5_force(scn: Scenario, force: LorentzForce) -> H5Force:
-    """The scenario's force as an H5Force with its charge folded in: a trajectory
-    of (F, charge) is one of (charge F, 1), the charge periodic_at_energy uses."""
     from .h5_type1 import H5Force
 
-    return H5Force.from_matrix(scn.charge * force.matrix)
+    return H5Force.from_matrix(scn.charge * _build_force(scn).matrix)
 
 
 def _h5_certificate_doc(force: H5Force, energy: float) -> tuple[dict, int]:
@@ -574,15 +571,14 @@ def _h5_certificate_doc(force: H5Force, energy: float) -> tuple[dict, int]:
 
 def cmd_periodicity(args: argparse.Namespace) -> int:
     scn = _load_scenario(args.scenario)
-    force = _build_force(scn)
-    if scn.energy is not None and force.force_type() is ForceType.TYPE_I:
-        _require_h5_certificate(scn)
-        doc, status = _h5_certificate_doc(_h5_force(scn, force), scn.energy)
+    if scn.energy is not None:
+        doc, status = _h5_certificate_doc(_h5_force(scn), scn.energy)
         doc["scenario"] = scn.canonical()
         _emit_json(doc, args.out, "periodicity.json")
         return status
+    force = _build_force(scn)
     if scn.velocity0 is None:
-        raise InputError("periodicity needs 'initial', or 'energy' for a type-I force on H5")
+        raise InputError("periodicity needs 'initial', or 'energy' for an H5 certificate")
     from .samples import lambda_periodicity
 
     traj = solve(scn.algebra, force, scn.charge, scn.velocity0)
@@ -606,8 +602,7 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
 def cmd_h5_periodic(args: argparse.Namespace) -> int:
     if args.scenario:
         scn = _load_scenario(args.scenario)
-        _require_h5_certificate(scn)
-        force, energy = _h5_force(scn, _build_force(scn)), scn.energy
+        force, energy = _h5_force(scn), scn.energy
     elif args.rates is None or args.energy is None:
         raise InputError("h5-periodic needs either --scenario or --rates and --energy")
     else:

@@ -224,9 +224,9 @@ class TypeISolution(Trajectory):
         a[:dv, :dv] += alg.j_map(x[dv:])
         self._groups = rate, vecs, edges = _eigen_groups(a)
         # the component x_p = V_p V_p^T x of x(0) on group p, kept where |V_p^T x| > 1e-14
-        # max(1, |x|); hypot squares no entry, so no norm of a finite |x| overflows
+        # |x|; hypot squares no entry, so no norm of a finite |x| overflows
         y = x @ vecs
-        cut, yl = 1e-14 * max(1.0, math.hypot(*x.tolist())), y.tolist()
+        cut, yl = 1e-14 * math.hypot(*x.tolist()), y.tolist()
         kept = [(r, lo, hi) for r, lo, hi in zip(rate, edges, edges[1:]) if math.hypot(*yl[lo:hi]) > cut]
         th, n = [r for r, _, _ in kept], len(kept)
         inv = np.array([1.0 / r for r in th if r > 0.0])

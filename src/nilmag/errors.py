@@ -24,7 +24,7 @@ class UnsupportedForceError(NilmagError):
 
 
 class ExactForceError(UnsupportedForceError):
-    """A construction requires two distinct rotation rates but got an exact force."""
+    """An exact H5 force (equal rates mu) has closed orbits at 0 < E < mu^2/2 only, not at this E."""
 
 
 class NoCertificateError(NilmagError, RuntimeError):

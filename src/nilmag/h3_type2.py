@@ -96,7 +96,7 @@ class Type2TrajectoryH3(Trajectory):
 
     u has shape (2,) or (3,) with a zero central part (InvalidForceError
     otherwise); u, charge finite and charge u nonzero (DegenerateForceError);
-    initial data whose position table overflows is refused (InputError).
+    initial data whose size or position table overflows is refused (InputError).
     period and time_scale are in this trajectory's own time.  Every other
     attribute (branch, disc, amplitude, modulus, rate, phase, and x0/y0/z0,
     the canonical initial velocity) and phi_image() describe the canonical
@@ -125,7 +125,8 @@ class Type2TrajectoryH3(Trajectory):
         self.x0, self.y0, self.z0 = float(canonical_v[0]), float(canonical_v[1]), float(q * x0[2])
         self._canonical_branch()
         try:  # past the float range a cube in _means raises, or an entry is not finite
-            finite = np.isfinite(self._position_matrix).all()
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(self._position_matrix).all()
         except OverflowError:
             finite = False
         if not finite:
@@ -142,6 +143,8 @@ class Type2TrajectoryH3(Trajectory):
         # squares x0 (x0^2 underflows for |x0| below about 1e-154).  The smaller
         # sum may underflow, and disc with it: the branch goes by d_minus below.
         big = s + abs(self.y1)
+        if not math.isfinite(big):  # as the linear closed form refuses an x(0) whose norm overflows
+            raise InputError("the initial velocity is out of the H3 closed form's range: its size overflows")
         root = abs(self.x0) / math.sqrt(big) if big > 0.0 else 0.0
         smaller, larger = (root * root, root), (big, math.sqrt(big))
         (self._s_minus_y1, self._r_minus), (s_plus_y1, r_plus) = (

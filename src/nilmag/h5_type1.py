@@ -6,7 +6,7 @@ is 1-dimensional, hence zero); the solvable class handled here is the one
 commuting with j(Z), i.e. complex-linear under (a, b, c, d) <-> (a+ib, c+id).
 Such an F_v is orthogonally conjugate, by a complex-unitary change of basis
 S that preserves j and the brackets, to diag(mu1 R, mu2 R) with real rates
-mu1 <= mu2.  The force is exact (a shifted geodesic) exactly when mu1 = mu2.
+mu1 <= mu2.  The force is exact (j(Z~) for a central Z~) exactly when mu1 = mu2.
 
 H5Trajectory is closedform's TypeISolution for this force: J = j(z0) +
 charge F_v is diag(nu_1 R, nu_2 R) in the S-coordinates, with frequencies
@@ -23,7 +23,7 @@ with resonant blocks (nu_i = 0) degenerating to straight lines that leave
 the center untouched.  The curve closes up (is genuinely periodic) when the
 central drift vanishes and the active frequencies are commensurate; from
 these two conditions a periodic orbit can be constructed AT EVERY ENERGY
-whenever the force is not exact:
+whenever the force is not exact, and at 0 < E < mu^2/2 when it is:
 
   * single mode i:  possible when mu_i^2 > 2 E, with
         z0 = -mu_i + sign(mu_i) sqrt(mu_i^2 - 2E),  period 2 pi / |nu_i|
@@ -34,7 +34,9 @@ whenever the force is not exact:
 
 periodic_at_energy tries the single modes first and then searches rational
 ratios ordered by (q, |p|); the ratio -1 is feasible at every sufficiently
-large energy, so the search succeeds on the whole energy range.
+large energy, so the search succeeds on the whole energy range of a non-exact
+force.  An exact force (mu1 = mu2 = mu) turns both blocks at nu = z0 + mu, and
+zero drift needs z0^2 + 2 mu z0 + 2E = 0, with no root at nu != 0 once 2E >= mu^2.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .closedform import _MERGE_TOL, InitialCondition, TypeISolution
 from .errors import ExactForceError, InputError, NoCertificateError, UnsupportedForceError
-from .lorentz import ForceType, LorentzForce
+from .lorentz import LorentzForce, exactness_test
 from .samples import _CHECK_GRID, _translation_residual
 
 __all__ = [
@@ -65,8 +67,6 @@ __all__ = [
 _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 _SEARCH_MAX_Q = 64
 _SEARCH_MAX_P = 64
-# relative rate gap |mu2 - mu1| at or below which a force counts as exact
-_EXACT_TOL = 1e-12
 _VERIFY_TOL = 1e-8  # the largest group gap verify_periodic accepts, relative to max(1, max |sigma|)
 
 
@@ -103,13 +103,13 @@ class H5Force(NamedTuple):
     def from_matrix(cls, matrix: np.ndarray) -> "H5Force":
         """Diagonalize a j-commuting force given as a full 5x5 matrix.
 
-        Raises UnsupportedForceError when the force is not splitting
-        preserving or its v-block does not commute with j(Z).
+        Raises UnsupportedForceError unless F maps [n, n] to 0 (P, the test
+        lorentz.solve routes on) and its v-block commutes with j(Z).
         """
         alg = _h5_algebra()
         f = LorentzForce(alg, np.asarray(matrix, dtype=float))
-        if f.force_type() is not ForceType.TYPE_I:
-            raise UnsupportedForceError("H5 solver needs a splitting-preserving force")
+        if not f._linear:
+            raise UnsupportedForceError("H5 certificates need a force that maps [n, n] to 0")
         fv = f.block_vv
         jz = alg.j_map(np.array([1.0]))
         scale = max(1.0, float(np.max(np.abs(fv))))
@@ -138,9 +138,8 @@ class H5Force(NamedTuple):
         return self.mu1, self.mu2
 
     def is_exact(self) -> bool:
-        """Exact forces are the shifted-geodesic ones: mu1 = mu2 (to 1e-12 relative)."""
-        scale = max(1.0, abs(self.mu1), abs(self.mu2))
-        return abs(self.mu2 - self.mu1) <= _EXACT_TOL * scale
+        """Whether the force is j(Z~), mu1 = mu2: lorentz.exactness_test's verdict."""
+        return exactness_test(_h5_algebra(), self.matrix).is_exact
 
 
 class H5Branch(enum.Enum):
@@ -240,23 +239,18 @@ def _two_mode(force: H5Force, energy: float) -> PeriodicCertificate | None:
 def periodic_at_energy(force: H5Force, energy: float) -> PeriodicCertificate:
     """Construct a periodic orbit of the given energy (charge 1).
 
-    Raises ExactForceError for exact forces (mu1 = mu2, which admit no
-    periodic orbits), InputError for negative energy, and
-    NoCertificateError if the rational search is exhausted.
+    Raises InputError for a negative energy; when no mode closes, ExactForceError
+    for an exact force (which has none: E >= mu^2/2, see the module docstring),
+    else NoCertificateError (the rational search is exhausted).
     """
     if not math.isfinite(energy) or energy < 0.0:
         raise InputError("energy must be a finite nonnegative number")
-    if force.is_exact():
-        raise ExactForceError(
-            "exact forces (equal rotation rates) admit no periodic orbits"
-        )
-    for idx in (0, 1):
-        cert = _single_mode(force, energy, idx)
-        if cert is not None:
-            return cert
-    cert = _two_mode(force, energy)
+    cert = _single_mode(force, energy, 0) or _single_mode(force, energy, 1) or _two_mode(force, energy)
     if cert is not None:
         return cert
+    if force.is_exact():
+        raise ExactForceError(f"an exact force (equal rates mu) has no periodic orbit at energy {energy:.6g} "
+                              ">= mu^2/2: zero drift needs z0^2 + 2 mu z0 + 2E = 0, with no root at z0 + mu != 0")
     raise NoCertificateError(
         f"no periodic orbit certificate found at energy {energy:.6g}"
     )

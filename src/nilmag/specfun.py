@@ -51,8 +51,10 @@ def sech(x):
 class _DescentTable(NamedTuple):
     """What the Landen recursions and the H3 period means need of a modulus
     0 <= k < 1, from one AGM run of (1, k') that stops at the first
-    c_N <= 1e-15 a_N (DLMF 19.8.1); the next c_{N+1} = c_N^2 / (4 a_{N+1})
-    is below 3e-31 a_N, so a_N is the limit M to rounding.
+    c_N <= 1e-15 a_N with N >= 1 (DLMF 19.8.1); the next c_{N+1} = c_N^2 /
+    (4 a_{N+1}) is below 3e-31 a_N, so a_N is the limit M to rounding.  A
+    modulus k <= 1e-15 takes one step too: 1 - M = c_1 = k^2 / (4 a_1), which
+    the H3 means multiply by |z0| ~ 1/k, so it may not read 0.
 
     ratios holds c_n / a_n and cs holds c_n for n = N, ..., 1, the order in
     which the descending phases are recovered; b_ratios holds b_n / a_n for
@@ -81,13 +83,13 @@ def _descent_table(k: float, kp: float | None = None) -> _DescentTable:
     b = math.sqrt((1.0 - k) * (1.0 + k)) if kp is None else kp
     a_seq, b_seq, c_seq = [a], [b], [c]
     for _ in range(_MAX_AGM_ITER):
-        if c <= _AGM_STOP * a:
-            break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         c = c * c / (4.0 * a)
         a_seq.append(a)
         b_seq.append(b)
         c_seq.append(c)
+        if c <= _AGM_STOP * a:
+            break
     ratios = tuple([c / a for a, c in zip(a_seq[:0:-1], c_seq[:0:-1])])
     b_ratios = tuple([b / a for a, b in zip(a_seq, b_seq[:-1])])
     return _DescentTable(k, b_seq[0], ratios, np.array(c_seq[:0:-1]), 2.0 ** len(ratios) * a, b_ratios,
@@ -137,7 +139,7 @@ def _elliptic_f(y: float, x: float, table: _DescentTable) -> float:
     angle is rounded before the end, and where a step is steep (theta near
     +-pi/2 while k' is small) theta is still known to a few ulp of its
     distance from +-pi/2; callers pass (y, x) = (sn, cn) up to a common
-    factor.  k = 0 has no step and gives F = phi.
+    factor.
     """
     r = math.hypot(y, x)
     j, s, c = 0, y / r, x / r

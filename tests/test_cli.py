@@ -328,6 +328,15 @@ def test_trajectory_huge_central_velocity(tmp_path, capsys, force, z0, code):
         assert positions == [[0.0, 0.0, t * z0] for t in (0.0, 1.0, 2.0)]
 
 
+def test_trajectory_huge_planar_velocity_on_h3(tmp_path, capsys):
+    """The H3 elliptic closed form refuses a velocity (1e308, 1e308, 0) with exit
+    2; its construction raised ZeroDivisionError, exit 1 with a traceback."""
+    doc = {"algebra": "h3", "force": {"type2_U": [0.0, 1.0]}, "initial": {"velocity": [1e308, 1e308, 0.0]}}
+    assert main(["trajectory", "--scenario", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "out of the H3 closed form's range" in captured.err
+
+
 def test_trajectory_csv_refuses_non_finite_metadata_before_writing(tmp_path, capsys, monkeypatch):
     """Finite samples with a NaN in the metadata (here an oracle deviation, from
     an oracle that returns a NaN velocity) write neither CSV nor metadata."""
@@ -694,10 +703,31 @@ def test_h5_periodic_writes_file(tmp_path, capsys):
 
 
 def test_h5_periodic_error_codes(capsys):
-    assert main(["h5-periodic", "--rates", "2", "2", "--energy", "1"]) == 2
+    """Equal rates 2 are an exact force: below mu^2/2 = 2 it has a verified
+    certificate, and from 2 on none, which exits 2 as a negative energy does."""
+    code, doc = run_json(capsys, ["h5-periodic", "--rates", "2", "2", "--energy", "1"])
+    assert code == 0 and doc["mode"] == "single-1" and doc["verify"]["ok"] is True
+    for energy in ("2", "2.5"):
+        assert main(["h5-periodic", "--rates", "2", "2", "--energy", energy]) == 2
+        assert "exact force" in capsys.readouterr().err
     assert main(["h5-periodic", "--rates", "-1", "2", "--energy", "-1"]) == 2
     assert main(["h5-periodic"]) == 2
     capsys.readouterr()
+
+
+def test_periodicity_energy_selects_the_certificate_route(tmp_path, capsys):
+    """'energy' alone asks periodicity for the H5 certificate: a force that the
+    construction cannot take, or another group, exits 3 even with 'initial',
+    and without 'energy' the same H3 scenario gets its lambda-periodicity report."""
+    h3 = {"algebra": "h3", "force": {"type2_U": [0.8, -0.6]}, "initial": {"velocity": [0.9, -0.4, 0.5]}}
+    coupled = [[0, 1, 0, 0, 0.5], [-1, 0, 0, 0, 0], [0, 0, 0, 2, 0], [0, 0, -2, 0, 0], [-0.5, 0, 0, 0, 0]]
+    mixed_h5 = {"algebra": "h5", "force": {"matrix": coupled}, "energy": 1.0,
+                "initial": {"velocity": [0.3, 0.2, -0.4, 0.1, 0.0]}}
+    for name, doc_in in (("h3.json", dict(h3, energy=1.0)), ("h5.json", mixed_h5)):
+        assert main(["periodicity", "--scenario", write_scenario(tmp_path, doc_in, name)]) == 3
+        assert "certificates need" in capsys.readouterr().err
+    code, doc = run_json(capsys, ["periodicity", "--scenario", write_scenario(tmp_path, h3, "plain.json")])
+    assert code == 0 and doc["branch"] == "Cn"
 
 
 def test_selftest(capsys):

@@ -992,6 +992,25 @@ def test_type1_positions_against_mpmath():
         assert np.abs(got - want).max() <= 1e-14 * scale, (name, np.abs(got - want).max() / scale)
 
 
+@pytest.mark.parametrize("scale", [1e-15, 1e-300])
+def test_tiny_velocity_keeps_its_components(scale):
+    """x0 = scale (1, 0, 1) on H3 with the exact force j(0.7): the kept components
+    of x(0) sum to x(0), and positions at t = 1 and 3.1 agree to 1e-14 of each
+    entry with the 30-digit reference and with the circle (sin(nu t) / nu,
+    (1 - cos(nu t)) / nu, t) scale, nu = 0.7 + scale.  The component cut was
+    1e-14 max(1, |x|), absolute below |x| = 1: it dropped both, the zero curve."""
+    alg = h3()
+    x0 = np.array([scale, 0.0, scale])
+    traj = solve(alg, np.pad(alg.j_map([0.7]), (0, 1)), 1.0, x0)
+    assert np.all(np.abs(traj.xi.sum(axis=0) - x0) <= 1e-14 * x0)
+    ts = np.array([1.0, 3.1])
+    got = traj.sample(ts).xi
+    nu = 0.7 + scale
+    circle = np.column_stack([np.sin(nu * ts) / nu, (1.0 - np.cos(nu * ts)) / nu, ts]) * scale
+    for want in (_mpmath_type1_positions(traj, ts), circle):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (got, want)
+
+
 # -- lambda-periodicity of type-I curves -----------------------------------------
 
 

@@ -420,11 +420,11 @@ def test_period_integrals_match_quadrature(branch, k):
     assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
-def _mpmath_position(traj, t: float) -> np.ndarray:
-    """40-digit position at t: I_m by mpmath quadrature of Phi^m from the same
+def _mpmath_position(traj, t: float, dps: int = 40) -> np.ndarray:
+    """dps-digit position at t: I_m by mpmath quadrature of Phi^m from the same
     phase, over whole velocity periods and the remainder on cn and dn, and over
     [0, t], split at the hump, on the separatrix; Phi = 0 on the straight line."""
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         x0, y0, z0 = (mpmath.mpf(v) for v in (traj.x0, traj.y0, traj.z0))
         y1 = y0 + 1
         s = mpmath.sqrt(x0**2 + y1**2)
@@ -506,6 +506,20 @@ def test_separatrix_and_line_positions_keep_their_digits(ic):
         want = _mpmath_position(traj, t)
         got = traj.position(t)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (ic, t, got - want)
+
+
+@pytest.mark.parametrize("z0", [1e15, 1e16, 1e18])
+def test_huge_central_velocity_keeps_its_positions(z0):
+    """Velocity (0, 0, z0) is a dn curve of modulus 2 / z0; at t = 30 / z0 each
+    position component agrees with a 70-digit reference to 1e-12 of itself.  A
+    modulus k <= 1e-15 once took no AGM step, so 1 - M read 0, not about k^2/4,
+    and the O(1) term z0 h was lost: from z0 = 1e16 on, xi_y read exactly 0 and
+    xi_z 29.0119684 instead of 30."""
+    traj = Type2TrajectoryH3((0.0, 0.0, z0))
+    assert traj.branch is Branch.DN
+    want = _mpmath_position(traj, 30.0 / z0, dps=70)
+    got = traj.position(30.0 / z0)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (got, want)
 
 
 START_GRID = [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nilmag.algebra import MetricNilAlgebra
-from nilmag.errors import ExactForceError, InputError, UnsupportedForceError
+from nilmag.errors import ExactForceError, InputError, NoCertificateError, UnsupportedForceError
 from nilmag.h5_type1 import (
     H5Branch,
     H5Force,
@@ -18,7 +19,7 @@ from nilmag.h5_type1 import (
     solve_h5,
     verify_periodic,
 )
-from nilmag.lorentz import LorentzForce
+from nilmag.lorentz import LorentzForce, exactness_test
 from nilmag.oracle import IntegratorConfig, reconstruct_group
 
 from fdcheck import max_ode_residual
@@ -144,20 +145,62 @@ def test_from_matrix_rejects_non_commuting():
 
 
 def test_from_matrix_rejects_coupling():
-    """A v-z coupling block is not splitting preserving."""
+    """A v-z coupling block means F[n, n] != 0 (F e5 != 0), alone or beside a
+    j-commuting v-block that from_matrix would diagonalize."""
     m = np.zeros((5, 5))
     m[0, 4] = 1.0
     m[4, 0] = -1.0
-    with pytest.raises(UnsupportedForceError):
-        H5Force.from_matrix(m)
+    for force in (m, m + H5Force.from_rates(-1.0, 2.0).matrix):
+        assert not LorentzForce(h5(), force)._linear
+        with pytest.raises(UnsupportedForceError):
+            H5Force.from_matrix(force)
 
 
 def test_exact_force_rejected():
-    """Equal rates mean an exact force, which has no periodic orbits."""
+    """Equal rates mean an exact force: below mu^2/2 = 1.125 it has a verified
+    single-mode orbit, and from mu^2/2 on it has none, which raises ExactForceError."""
     force = H5Force.from_rates(1.5, 1.5)
     assert force.is_exact()
-    with pytest.raises(ExactForceError):
-        periodic_at_energy(force, 1.0)
+    cert = periodic_at_energy(force, 1.0)
+    assert verify_periodic(solve_h5(force, cert.v0, cert.z0), cert.period)[0]
+    for energy in (1.125, 2.0):
+        with pytest.raises(ExactForceError):
+            periodic_at_energy(force, energy)
+
+
+@pytest.mark.parametrize("mu, energy", [(2.0, 1.0), (2.0, 1.99), (1.5, 1.0), (-1.5, 1.0)])
+def test_exact_force_certificates_below_half_mu_squared(mu, energy):
+    """An exact force (rates mu, mu) has a closed orbit at every energy below
+    mu^2/2: its single-mode certificate verifies, and a 1e-12 oracle run over
+    one period ends at the identity (|sigma(T)| measured 7.1e-12 at (2, 1),
+    6.3e-11 at (2, 1.99), 1.5e-11 at (1.5, 1)).  At mu^2/2 and above the drift
+    z0 + (2E - z0^2) / (2 (z0 + mu)) has no zero with z0 + mu != 0, and
+    periodic_at_energy raises ExactForceError."""
+    force = H5Force.from_rates(mu, mu)
+    cert = periodic_at_energy(force, energy)
+    traj = solve_h5(force, cert.v0, cert.z0)
+    assert cert.mode == "single-1" and abs(traj.energy() - energy) < 1e-12 and abs(traj.drift()) < 1e-12
+    assert verify_periodic(traj, cert.period)[0]
+    end = oracle_curve(force.matrix, 1.0, np.append(cert.v0, cert.z0), [0.0, cert.period], tol=1e-12).xi[-1]
+    assert np.linalg.norm(end) < 1e-9, end
+    for refused in (0.5 * mu * mu, 0.5 * mu * mu + 1e-9, 10.0 * mu * mu):
+        with pytest.raises(ExactForceError):
+            periodic_at_energy(force, refused)
+
+
+@pytest.mark.parametrize("gap", [1e-13, 1e-11, 1e-10, 1e-9])
+def test_is_exact_is_the_exactness_test_verdict(gap):
+    """H5Force.is_exact and lorentz.exactness_test give one verdict for rates
+    (1, 1 + gap): exact up to 1e-10 (a fit residual of gap / 2), not at 1e-9.
+    Above (1 + gap)^2 / 2 only that verdict raises ExactForceError; below it
+    both rates have a single-mode certificate."""
+    force = H5Force.from_rates(1.0, 1.0 + gap)
+    verdict = exactness_test(h5(), force.matrix).is_exact
+    assert force.is_exact() is verdict is (gap <= 1e-10)
+    with pytest.raises(ExactForceError) if verdict else contextlib.suppress(NoCertificateError):
+        periodic_at_energy(force, 0.6)
+    cert = periodic_at_energy(force, 0.4)
+    assert verify_periodic(solve_h5(force, cert.v0, cert.z0), cert.period)[0]
 
 
 def test_negative_energy_rejected():

@@ -220,8 +220,8 @@ def test_package_source_imports_no_scipy():
 
 def test_cli_runs_with_scipy_blocked(tmp_path):
     """A None entry in sys.modules makes every scipy import raise ImportError.  The
-    flat-coupled and dn runs with --oracle, the rates periodicity and the refused far
-    horizon are the scenarios of the CI workflow's numpy-only step."""
+    CI workflow's numpy-only step runs this test on the installed package, in a
+    virtual environment that has no scipy."""
     _write_scenarios(tmp_path)
 
     def scenario(command, name, *extra):

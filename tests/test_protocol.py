@@ -140,6 +140,18 @@ def test_solve_answers_or_refuses_a_huge_initial_velocity_on_every_closed_form(r
                 solve(H3, force[route], 1.0, [1.5e308, 1.5e308, 0.0])
 
 
+@pytest.mark.parametrize("x0", [(1e308, 1e308, 0.0), (-1e308, 1e308, 5.0), (1e308, 0.0, 0.0), (0.0, -1e308, 0.0)])
+def test_h3_refuses_a_huge_planar_velocity(x0):
+    """A planar velocity near the float range gets an InputError from solve on
+    H3 (u = e2), with no warning: at (1e308, 1e308, 0) the root of S + |y0 + 1|
+    overflowed and construction divided by zero, and at (1e308, 0, 0) the
+    position table overflowed with warnings before it was refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="out of the H3 closed form's range"):
+            solve(H3, type2_from_vector(H3, [0.0, 1.0]), 1.0, x0)
+
+
 class CountingTrajectory:
     """Forwards sample and position to a trajectory and records each call;
     velocity_period, alg and rates, which evaluate nothing, pass through."""

@@ -119,16 +119,22 @@ def test_table_c_sums_give_one_minus_E_over_K():
 
 def test_table_is_one_agm_run():
     """The descending ratios, the ascending ratios and the c_n list come from
-    one AGM run, cut at the first c_N <= 1e-15 a_N, and 4K is the period
-    2 pi / a_N that the descent reduces by."""
-    for k in [0.0, 1e-300, 1e-10, 0.5, 1.0 - 2.0**-53]:
+    one AGM run, cut at the first c_N <= 1e-15 a_N with N >= 1, and 4K is the
+    period 2 pi / a_N that the descent reduces by.  A modulus at or below 1e-15
+    takes that one step too, so 1 - M = c_1 = k^2 / (4 a_1) (it took none, and
+    read 1 - M = 0)."""
+    for k in [0.0, 1e-300, 1e-16, 1e-10, 0.5, 1.0 - 2.0**-53]:
         table = _descent_table(k)
         n = len(table.ratios)
-        assert len(table.b_ratios) == len(table.cs) == len(table.c_seq) - 1 == n
-        assert table.c_seq[-1] <= 1e-15 * table.mean and all(c > 1e-15 * table.mean for c in table.c_seq[:-1])
+        assert n >= 1 and len(table.b_ratios) == len(table.cs) == len(table.c_seq) - 1 == n
+        assert table.c_seq[-1] <= 1e-15 * table.mean and all(c > 1e-15 * table.mean for c in table.c_seq[1:-1])
         assert all(0.0 < rho <= 1.0 for rho in table.b_ratios)
         assert table.seed == 2.0**n * table.mean and 4.0 * table.big_k == 2.0 * math.pi / table.mean
-    assert _descent_table(0.0).b_ratios == () and _descent_table(0.0).seed == 1.0
+    for k in (0.0, 1e-300, 1e-16):
+        table = _descent_table(k)
+        assert len(table.ratios) == 1 and table.c_seq == (k, k * k / (4.0 * table.mean))
+    assert _descent_table(0.0).b_ratios == (1.0,) and _descent_table(0.0).seed == 2.0
+    assert 1.0 - _descent_table(1e-16).mean == 0.0 < _descent_table(1e-16).c_seq[1]  # M rounds to 1, c_1 keeps 1 - M
 
 
 def test_modulus_domain_errors():
