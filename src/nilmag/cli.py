@@ -11,8 +11,8 @@ classify      report the algebra's singularity/H-type classification and the
 periodicity   with 'energy', the periodic-orbit certificate at that energy of
               a j-commuting force on the 5-dimensional Heisenberg group itself
               (else exit 3; an exact force, rates mu = mu, has one exactly for
-              0 < energy < mu^2/2, exit 2 above); without it, the lambda-periodicity
-              trichotomy of the curve from 'initial' (the numerical fallback exits 3).
+              0 < energy < mu^2/2, exit 2 above); without it, the lambda-periodicity trichotomy
+              of the curve from 'initial' and its tolerance (the numerical fallback exits 3).
 h5-periodic   the same certificate, from a scenario or directly from a pair
               of rotation rates.
 selftest      structural identity suite on randomized inputs.
@@ -552,9 +552,9 @@ def _h5_certificate_doc(force: H5Force, energy: float) -> tuple[dict, int]:
 
     cert = periodic_at_energy(force, energy)
     traj = solve_h5(force, cert.v0, cert.z0)
-    ok, residual, bound = _periodic_check(traj, cert.period)
+    ok, residual, bound, kind = _periodic_check(traj, cert.period)
     doc = {
-        "kind": "Periodic",
+        "kind": "Periodic" if ok else _KIND_NAMES[kind.value],
         "mode": cert.mode,
         "energy": cert.energy,
         "rates": [force.mu1, force.mu2],
@@ -589,7 +589,7 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
     if h3:
         doc["branch"] = _BRANCH_NAMES[traj.branch.value]
     doc.update(omega=report.omega, translation=None if lam is None else [float(x) for x in lam],
-               residual=report.residual)
+               residual=report.residual, tolerance=report.tolerance)
     if h3 and lam is not None:
         from .h3_type2 import lambda_kernel_check
 

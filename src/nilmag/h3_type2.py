@@ -95,8 +95,9 @@ class Type2TrajectoryH3(Trajectory):
     r^T.  sample(ts) evaluates that map once per grid.  alg is heisenberg(1).
 
     u has shape (2,) or (3,) with a zero central part (InvalidForceError
-    otherwise); u, charge finite and charge u nonzero (DegenerateForceError);
-    initial data whose size or position table overflows is refused (InputError).
+    otherwise); u finite and charge u nonzero (DegenerateForceError); an x0
+    that is not three finite numbers, a charge that is not finite, and initial
+    data whose size or position table overflows are refused (InputError).
     period and time_scale are in this trajectory's own time.  Every other
     attribute (branch, disc, amplitude, modulus, rate, phase, and x0/y0/z0,
     the canonical initial velocity) and phi_image() describe the canonical
@@ -108,12 +109,8 @@ class Type2TrajectoryH3(Trajectory):
 
     def __init__(self, x0, u=(0.0, 1.0), charge: float = 1.0):
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (3,):
-            raise ValueError("initial velocity must have shape (3,)")
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("initial velocity contains non-finite entries")
-        if not math.isfinite(charge):  # before charge * u, where inf * 0 would warn
-            raise DegenerateForceError("vector-type force needs a finite charge")
+        if x0.shape != (3,) or not (np.isfinite(x0).all() and math.isfinite(charge)):  # before inf * 0 in charge u
+            raise InputError("the H3 closed form needs a finite (3,) initial velocity and a finite charge")
         w = float(charge) * _direction(u)
         rho = float(np.linalg.norm(w))
         if not math.isfinite(rho) or rho < 1e-14:

@@ -52,7 +52,7 @@ from .algebra import MetricNilAlgebra
 from .closedform import _MERGE_TOL, InitialCondition, TypeISolution
 from .errors import ExactForceError, InputError, NoCertificateError, UnsupportedForceError
 from .lorentz import LorentzForce, exactness_test
-from .samples import _CHECK_GRID, _translation_residual
+from .samples import PeriodicityKind, _translation_residual, lambda_periodicity
 
 __all__ = [
     "H5Force",
@@ -67,7 +67,6 @@ __all__ = [
 _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 _SEARCH_MAX_Q = 64
 _SEARCH_MAX_P = 64
-_VERIFY_TOL = 1e-8  # the largest group gap verify_periodic accepts, relative to max(1, max |sigma|)
 
 
 @lru_cache(maxsize=1)
@@ -262,28 +261,27 @@ def verify_periodic(traj: H5Trajectory, period: float) -> tuple[bool, float]:
     period must be a whole multiple m, to _MERGE_TOL, of omega =
     traj.velocity_period() (any time when the velocity is constant, m = period / omega then):
     sigma(t + period) = lam^m sigma(t) = (m lam) sigma(t) with lam = sigma(omega),
-    so the residual is max(m |lam|, the residual of lambda_periodicity's check
-    on its grid), and ok says that it is at most _VERIFY_TOL max(1, max |sigma|)
-    there, as positions grow with the energy and the period.  Any other period
-    is not one of the velocity: not ok, with the residual of sigma(t + period)
-    = sigma(t) itself.  A period that is not finite and positive raises InputError.
+    so the residual is max(m |lam|, the residual of lambda_periodicity's check),
+    and ok says that it is at most lambda_periodicity's tolerance, the one closure
+    bound 1e-8 max |sigma| over its check times, as positions grow with the energy
+    and the period.  Any other period is not one of the velocity: not ok, with the
+    residual of sigma(t + period) = sigma(t) itself.  A period that is not finite
+    and positive raises InputError.
     """
     return _periodic_check(traj, period)[:2]
 
 
-def _periodic_check(traj: H5Trajectory, period: float) -> tuple[bool, float, float | None]:
-    """verify_periodic's (ok, residual) and the absolute bound that decided ok:
-    ok is residual <= bound, and bound is None for a period that is not one of
-    the velocity."""
+def _periodic_check(traj: H5Trajectory, period: float) -> tuple[bool, float, float | None, PeriodicityKind]:
+    """verify_periodic's (ok, residual), the absolute bound that decided ok, and
+    the kind lambda_periodicity gives the curve: ok is residual <= bound, and
+    bound is None for a period that is not one of the velocity."""
     if not (math.isfinite(period) and period > 0.0):
         raise InputError("period must be a finite positive number")
-    omega = traj.velocity_period()
-    m = None if omega is None else period / omega
+    report = lambda_periodicity(traj)
+    m = None if report.omega is None else period / report.omega
     if m is not None and traj.rates.any():  # a turning velocity repeats at whole multiples only
         m = round(m) if abs(m - round(m)) <= _MERGE_TOL * m else None
     if not m:
-        return False, _translation_residual(traj, np.zeros(traj.alg.dim), period), None
-    xi = traj.sample(omega * _CHECK_GRID).xi  # lam = sigma(omega), then the check times
-    worst = max(m * float(np.linalg.norm(xi[0])), _translation_residual(traj, xi[0], omega, rows=xi[1:]))
-    bound = _VERIFY_TOL * max(1.0, float(np.max(np.abs(xi))))
-    return worst <= bound, worst, bound
+        return False, _translation_residual(traj, np.zeros(traj.alg.dim), period), None, report.kind
+    worst = max(m * float(np.linalg.norm(report.translation)), report.residual)
+    return worst <= report.tolerance, worst, report.tolerance, report.kind

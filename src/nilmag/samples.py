@@ -9,8 +9,8 @@ velocity with period omega makes the group curve lambda-periodic:
 sigma(t + omega) = lam * sigma(t) with lam = sigma(omega), because both
 sides share the same left-trivialized velocity and the same value at t = 0.
 The curve is genuinely periodic exactly when lam is the identity.  Each
-solver states omega by velocity_period(); lambda_periodicity reads lam and
-checks the identity on one sample grid.
+solver states omega by velocity_period(); lambda_periodicity reads lam, checks
+the identity and decides closure, relative to the curve, on one sample grid.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .errors import UnsupportedForceError
 __all__ = ["IntegratorStats", "CurveSamples", "Trajectory", "PeriodicityKind", "PeriodicityReport",
            "lambda_periodicity"]
 
-# |sigma(omega)| at or below which a curve counts as periodic
-_PERIODIC_TOL = 1e-9
+# |sigma(omega)| at or below this times max |sigma| over _CHECK_GRID counts as closed
+_PERIODIC_TOL = 1e-8
 # times in [0, 2 omega] on which lambda_periodicity verifies the translation
 _N_CHECKS = 10
 # in units of omega: the period itself, the check times ts, then ts + omega
@@ -93,14 +93,16 @@ class PeriodicityReport(NamedTuple):
 
     For kinds other than NON_PERIODIC, sigma(t + omega) = translation *
     sigma(t) for all t; residual is the worst verification error of that
-    identity on sample times.  PERIODIC means the translation is the
-    identity to tolerance.
+    identity on sample times.  PERIODIC means |translation| <= tolerance,
+    the absolute bound _PERIODIC_TOL max |sigma| over the sample times that
+    decided kind (None for NON_PERIODIC).
     """
 
     kind: PeriodicityKind
     omega: float | None
     translation: np.ndarray | None
     residual: float | None
+    tolerance: float | None
 
 
 def _translation_residual(traj: Trajectory, lam: np.ndarray, omega: float, start=None, rows=None) -> float:
@@ -120,19 +122,22 @@ def lambda_periodicity(traj: Trajectory, start=None) -> PeriodicityReport:
     with the translation element.
 
     The translation is sigma(omega) where omega = traj.velocity_period(), and
-    PERIODIC means |sigma(omega)| <= 1e-9.  With a group point start, the
-    report is for the curve start * sigma(t), translated by start lam start^-1
-    = lam + [start, lam]; the kind does not depend on it.  One sample call on
+    PERIODIC means |sigma(omega)| <= tolerance = _PERIODIC_TOL max |sigma| over
+    the sample times, relative to the curve and with no floor, so a rest point
+    (lam = 0) is PERIODIC.  With a group point start, the report is for the
+    curve start * sigma(t), translated by start lam start^-1 = lam + [start, lam];
+    the kind and the tolerance do not depend on it.  One sample call on
     omega and the check times gives the translation and its residual.
     UnsupportedForceError propagates from a solver that states no period.
     """
     omega = traj.velocity_period()
     if omega is None:
-        return PeriodicityReport(PeriodicityKind.NON_PERIODIC, None, None, None)
+        return PeriodicityReport(PeriodicityKind.NON_PERIODIC, None, None, None, None)
     xi = traj.sample(omega * _CHECK_GRID).xi
     lam = xi[0]
-    kind = PeriodicityKind.PERIODIC if np.linalg.norm(lam) <= _PERIODIC_TOL else PeriodicityKind.LAMBDA_PERIODIC
+    tolerance = _PERIODIC_TOL * float(np.max(np.abs(xi)))
+    kind = PeriodicityKind.PERIODIC if np.linalg.norm(lam) <= tolerance else PeriodicityKind.LAMBDA_PERIODIC
     if start is not None:
         lam = lam + traj.alg.bracket(start, lam)
     residual = _translation_residual(traj, lam, omega, start, xi[1:])
-    return PeriodicityReport(kind=kind, omega=omega, translation=lam, residual=residual)
+    return PeriodicityReport(kind, omega, lam, residual, tolerance)

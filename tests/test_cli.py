@@ -527,8 +527,8 @@ def test_periodicity_with_energy_builds_the_force_once(tmp_path, capsys, monkeyp
 
 def test_h5_certificate_tolerance_is_the_bound_that_decided_ok(capsys):
     """verify.tolerance is the absolute bound verify_periodic applied, 1e-8 of
-    max(1, max |sigma|), so ok holds exactly when residual <= tolerance: here a
-    residual of about 1e-6 passes (the fixed 1e-8 was printed before)."""
+    max |sigma| over the check times, so ok holds exactly when residual <= tolerance:
+    here a residual of about 1e-6 passes (the fixed 1e-8 was printed before)."""
     argv = ["h5-periodic", "--rates", "0.06180203129424319", "0.06969662823489138",
             "--energy", "731.0379722620145"]
     code, doc = run_json(capsys, argv)
@@ -591,7 +591,7 @@ def test_periodicity_type1_from_initial(tmp_path, capsys):
               "initial": {"velocity": [0.3, 0.2, -0.4, 0.1, 0.0]}}
     code, doc = run_json(capsys, ["periodicity", "--scenario", write_scenario(tmp_path, doc_in)])
     assert code == 0
-    assert set(doc) == {"scenario", "kind", "omega", "translation", "residual"}
+    assert set(doc) == {"scenario", "kind", "omega", "translation", "residual", "tolerance"}
     assert doc["kind"] == "LambdaPeriodic"
     assert doc["omega"] == pytest.approx(2.0 * math.pi, rel=1e-14)
     assert np.allclose(doc["translation"], [0, 0, 0, 0, 0.5864306], atol=1e-7)
@@ -715,6 +715,21 @@ def test_h5_periodic_error_codes(capsys):
     capsys.readouterr()
 
 
+def test_h5_certificate_kind_is_the_verdict(tmp_path, capsys):
+    """A certificate is written Periodic only when it verifies; else its kind is
+    lambda_periodicity's.  At rates 1 and 1.0001, energy 0.6, the residual
+    1.1e-3 exceeds the tolerance 2.0e-4: exit 4, LambdaPeriodic.  A certificate
+    that verifies is Periodic to periodicity too, by the same tolerance."""
+    code, doc = run_json(capsys, ["h5-periodic", "--rates", "1", "1.0001", "--energy", "0.6"])
+    assert code == 4 and doc["verify"]["ok"] is False and doc["kind"] == "LambdaPeriodic"
+    rates = [-1.236412581957445, -1.2328298650991105]
+    code, cert = run_json(capsys, ["h5-periodic", "--rates", *map(str, rates), "--energy", "2.2687615073035166"])
+    assert code == 0 and cert["kind"] == "Periodic" and cert["verify"]["ok"] is True
+    doc_in = {"algebra": "h5", "force": {"rates": rates}, "initial": {"velocity": [*cert["v0"], cert["z0"]]}}
+    code, doc = run_json(capsys, ["periodicity", "--scenario", write_scenario(tmp_path, doc_in)])
+    assert code == 0 and doc["kind"] == "Periodic" and doc["tolerance"] == cert["verify"]["tolerance"]
+
+
 def test_periodicity_energy_selects_the_certificate_route(tmp_path, capsys):
     """'energy' alone asks periodicity for the H5 certificate: a force that the
     construction cannot take, or another group, exits 3 even with 'initial',
@@ -788,6 +803,32 @@ def test_input_error_paths(tmp_path, capsys):
     )
     assert main(["trajectory", "--scenario", noinit]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, doc, code, field", [
+    ("classify", {"algebra": "h7"}, 2, "unknown algebra preset 'h7'"),
+    ("classify", {"algebra": "heisenberg(0)"}, 2, "preset index must be a positive integer"),
+    ("classify", {"algebra": 3}, 2, "algebra must be a preset name or an inline definition object"),
+    ("classify", {"algebra": "h3", "force": {"rates": [1.0, 2.0]}}, 3, "rate-pair forces"),
+    ("classify", {"algebra": "h3", "force": {"exact": {"Z": [1.0]}, "type2_U": [0.0, 1.0]}}, 2,
+     "force must be an object with exactly one of"),
+    ("classify", {"algebra": "h3", "force": []}, 2, "force must be an object with exactly one of"),
+    ("classify", {"algebra": "h3", "force": {"vector": [0.0, 1.0]}}, 2, "unknown force kind 'vector'"),
+    ("classify", {"charge": 1.0}, 2, "scenario needs an 'algebra' field"),
+    ("classify", {"algebra": "h3", "charge": float("nan")}, 2, "charge must be finite"),
+    ("classify", {"algebra": "h3", "time": {"t_max": 0.0}}, 2, "time.t_max must be positive"),
+    ("classify", {"algebra": "h3", "time": {"samples": 1}}, 2, "time.samples must be at least 2"),
+    ("classify", {"algebra": "h3", "energy": float("inf")}, 2, "energy must be finite"),
+    ("trajectory", {"algebra": "h3", "initial": {"velocity": [1.0, 0.0, 0.0]}}, 2, "needs a 'force' field"),
+    ("h5-periodic", {"algebra": "h5", "force": {"rates": [-1.0, 2.0]}}, 2, "needs an 'energy' field"),
+], ids=["unknown-preset", "preset-index", "algebra-type", "rates-off-h5", "force-two-kinds", "force-list",
+        "force-kind", "no-algebra", "charge-nan", "t_max-zero", "samples-one", "energy-inf",
+        "trajectory-no-force", "h5-periodic-no-energy"])
+def test_scenario_refusals_name_the_field(tmp_path, capsys, command, doc, code, field):
+    """Each refusal of a scenario exits with its code (2 for input, 3 for a
+    force the command cannot take) and says which field is at fault."""
+    assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == code
+    assert field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algebra, force, field", [

@@ -21,6 +21,7 @@ from nilmag.h5_type1 import (
 )
 from nilmag.lorentz import LorentzForce, exactness_test
 from nilmag.oracle import IntegratorConfig, reconstruct_group
+from nilmag.samples import PeriodicityKind, lambda_periodicity
 
 from fdcheck import max_ode_residual
 
@@ -339,7 +340,7 @@ def test_verify_periodic_rejects_a_wrong_period():
 
 
 def test_verify_periodic_bound_scales_with_the_curve():
-    """The bound is _VERIFY_TOL max(1, max |sigma|) over the check times, as
+    """The bound is lambda_periodicity's tolerance, 1e-8 max |sigma| over the check times, as
     positions grow with the energy and the period.  This two-mode certificate
     has period 1591.77 and max |sigma| = 1.37e4 on [0, 3T]: its group gap of
     1e-6 is 7e-11 of that, and it verifies (an absolute 1e-8 refused it).  A
@@ -352,6 +353,26 @@ def test_verify_periodic_bound_scales_with_the_curve():
     assert ok and 1e-8 < residual < 1e-5
     assert not verify_periodic(traj, (1.0 + 1e-7) * cert.period)[0]
     assert not verify_periodic(solve_h5(force, (1.0 + 1e-6) * cert.v0, cert.z0), cert.period)[0]
+
+
+def test_verify_periodic_and_lambda_periodicity_give_one_verdict():
+    """A certificate verifies exactly when lambda_periodicity calls its curve
+    PERIODIC with a residual within the report's tolerance, 1e-8 of max |sigma|
+    over the check times.  The first draw verifies (residual 3.7e-7, bound
+    1.3e-5), and an absolute 1e-9 on |lam| called its curve lambda-periodic."""
+    rng = np.random.default_rng(3)
+    draws = [(-1.236412581957445, -1.2328298650991105, 2.2687615073035166)]
+    draws += [(*rng.uniform(-3.0, 3.0, 2), 10.0 ** rng.uniform(-6.0, 1.3)) for _ in range(150)]
+    verdicts = []
+    for mu1, mu2, energy in draws:
+        force = H5Force.from_rates(mu1, mu2)
+        cert = periodic_at_energy(force, energy)
+        traj = solve_h5(force, cert.v0, cert.z0)
+        report = lambda_periodicity(traj)
+        closed = report.kind is PeriodicityKind.PERIODIC and report.residual <= report.tolerance
+        assert verify_periodic(traj, cert.period)[0] == closed, (mu1, mu2, energy)
+        verdicts.append(closed)
+    assert verdicts[0] and sum(verdicts) > 140
 
 
 def test_verify_periodic_residual_is_the_group_gap():

@@ -108,14 +108,26 @@ def test_solve_picks_the_solver_by_force_type_and_structure():
 @pytest.mark.parametrize("charge, x0", [
     (1.3, [0.4, -0.2]), (1.3, [0.4, np.nan, 0.7]), (np.nan, [0.4, -0.2, 0.7]), (np.inf, [0.4, -0.2, 0.7])])
 def test_solve_rejects_bad_initial_data_on_every_route(route, charge, x0):
-    """A short or non-finite x0 and a non-finite charge raise ValueError from
+    """A short or non-finite x0 and a non-finite charge raise InputError from
     solve itself on each route, not in a later sample, and with no warning
     first (on H3, u = e2 would give inf * 0 in charge * u)."""
     force = {"type1": np.zeros((3, 3)), "h3": type2_from_vector(H3, [0.0, 1.0]), "oracle": MIXED["force"]["matrix"]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             solve(H3, force[route], charge, x0)
+
+
+@pytest.mark.parametrize("route, x0", [("h3", [0.0, 3e-10, 0.0]), ("type1", [5e-10, 0.0, 0.0]),
+                                       ("h3", [0.0, 0.0, 0.0])])
+def test_closure_is_judged_relative_to_the_curve(route, x0):
+    """A straight line t x0 moves by |x0| omega each period however slow it is,
+    so it is lambda-periodic (an absolute 1e-9 on |lam| called these two periodic);
+    the rest point, lam = 0 and tolerance 0, stays periodic."""
+    force = {"type1": np.zeros((3, 3)), "h3": type2_from_vector(H3, [0.0, 1.0])}
+    report = lambda_periodicity(solve(H3, force[route], 1.0, x0))
+    assert report.kind.value == ("periodic" if not any(x0) else "lambda-periodic")
+    assert report.tolerance == pytest.approx(3e-8 * report.omega * max(x0), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("route", ["type1", "h3"])
