@@ -402,8 +402,10 @@ class MetricNilAlgebra:
         a and b are points (dim,) or stacks of points (n, dim); a single
         point is multiplied with every row of a stack.
         """
-        a = _as_vector(a, self.dim, "a", rows=True)
-        b = _as_vector(b, self.dim, "b", rows=True)
+        return self._group_mul(_as_vector(a, self.dim, "a", rows=True), _as_vector(b, self.dim, "b", rows=True))
+
+    def _group_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """group_mul's arithmetic without its input checks, for points a solver made."""
         ab = a[..., :, None] * b[..., None, :]
         return a + b + 0.5 * (ab.reshape(*ab.shape[:-2], -1) @ self._bracket_matrix.T)
 
@@ -548,15 +550,11 @@ class MetricNilAlgebra:
             comm = self.commutator_z_basis()
             if comm.size:
                 zdir = comm[0]
-            return SingularityReport(
-                SingularityKind.SINGULAR, True, "odd_dim_v", singular_direction=zdir
-            )
+            return SingularityReport(SingularityKind.SINGULAR, True, "odd_dim_v", singular_direction=zdir)
         if self.is_h_type():
             zdir = np.zeros(dz)
             zdir[0] = 1.0
-            return SingularityReport(
-                SingularityKind.NONSINGULAR, True, "h_type", regular_direction=zdir
-            )
+            return SingularityReport(SingularityKind.NONSINGULAR, True, "h_type", regular_direction=zdir)
         if dz <= 2:
             return self._classify_half_circle()
         if dv == 4:
@@ -731,9 +729,5 @@ class MetricNilAlgebra:
                 regular_direction=dirs[~singular_mask][0],
             )
         if n_sing == 0:
-            return SingularityReport(
-                SingularityKind.NONSINGULAR, False, "sampling", regular_direction=dirs[0]
-            )
-        return SingularityReport(
-            SingularityKind.SINGULAR, False, "sampling", singular_direction=dirs[0]
-        )
+            return SingularityReport(SingularityKind.NONSINGULAR, False, "sampling", regular_direction=dirs[0])
+        return SingularityReport(SingularityKind.SINGULAR, False, "sampling", singular_direction=dirs[0])

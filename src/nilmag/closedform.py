@@ -68,7 +68,7 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import InputError, InvalidForceError, UnsupportedForceError
 from .lorentz import ForceType, LorentzForce, _as_force, exactness_test
-from .samples import CurveSamples, Trajectory
+from .samples import CurveSamples, Trajectory, _time_grid
 
 __all__ = [
     "InitialCondition",
@@ -106,10 +106,8 @@ class InitialCondition(NamedTuple):
         v0 = np.asarray(self.v0, dtype=float)
         z0 = np.asarray(self.z0, dtype=float)
         if v0.shape != (alg.dim_v,) or z0.shape != (alg.dim_z,):
-            raise InputError(
-                f"initial condition needs shapes ({alg.dim_v},) and ({alg.dim_z},),"
-                f" got {v0.shape} and {z0.shape}"
-            )
+            raise InputError(f"initial condition needs shapes ({alg.dim_v},) and ({alg.dim_z},),"
+                             f" got {v0.shape} and {z0.shape}")
         if not (math.isfinite(math.hypot(*v0, *z0)) and math.isfinite(self.charge)):
             raise InputError("initial condition contains non-finite entries, or its norm overflows")
 
@@ -266,7 +264,7 @@ class TypeISolution(Trajectory):
     # -- evaluation ------------------------------------------------------
 
     def sample(self, ts: np.ndarray) -> CurveSamples:
-        ts = np.asarray(ts, dtype=float)
+        ts = _time_grid(ts)
         n_t, dim, dz = ts.shape[0], self.alg.dim, self.alg.dim_z
         u, w = _plane_functions(ts, self.rates, self._coef)
         quad = np.matmul(u[:, None, :], (u @ self._quad).reshape(n_t, u.shape[1], dz))[:, 0]  # u^T Q u

@@ -39,8 +39,9 @@ xi = (xi_x, xi_y, xi_z) the group curve from the identity,
 the last line obtained by integrating the reconstruction bracket by parts.
 With Phi = h + D about its mean h, I_m is linear in t and in three functions
 F of the phase u on every branch, so positions are one product of a (2, 4)
-matrix per trajectory with [t; F(phase) - F(u)] (see _position_matrix): no
-numerical integration, and no term of size |z0|^m cancels.
+matrix per trajectory with [t; F(phase) - F(u)] (see _position_rows): no
+numerical integration, and no term of size |z0|^m cancels.  Construction,
+the reduction and that matrix included, is arithmetic on Python floats.
 
 velocity_period() is the period on the cn and dn branches, so that
 samples.lambda_periodicity (re-exported here) classifies these curves as
@@ -58,7 +59,7 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import DegenerateForceError, InputError
 from .lorentz import _direction
-from .samples import CurveSamples, PeriodicityKind, PeriodicityReport, Trajectory, lambda_periodicity
+from .samples import CurveSamples, PeriodicityKind, PeriodicityReport, Trajectory, _time_grid, lambda_periodicity
 from .specfun import _descent_table, _elliptic_f, _jacobi_zeta, sech
 
 __all__ = ["Branch", "Type2TrajectoryH3", "solve_type2_general", "PeriodicityKind", "PeriodicityReport",
@@ -109,25 +110,27 @@ class Type2TrajectoryH3(Trajectory):
 
     def __init__(self, x0, u=(0.0, 1.0), charge: float = 1.0):
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (3,) or not (np.isfinite(x0).all() and math.isfinite(charge)):  # before inf * 0 in charge u
+        if x0.shape != (3,) or not all(map(math.isfinite, (*x0.tolist(), charge))):  # before inf * 0 in charge u
             raise InputError("the H3 closed form needs a finite (3,) initial velocity and a finite charge")
-        w = float(charge) * _direction(u)
-        rho = float(np.linalg.norm(w))
+        u1, u2 = _direction(u)
+        w1, w2 = float(charge) * u1, float(charge) * u2
+        rho = math.sqrt(w1 * w1 + w2 * w2)  # |w| as a sum of squares: it overflows and underflows as w does
         if not math.isfinite(rho) or rho < 1e-14:
             raise DegenerateForceError("vector-type force needs charge * u nonzero")
-        w_hat = w / rho
-        self.rotation = rot = np.array([[w_hat[1], -w_hat[0]], [w_hat[0], w_hat[1]]])
+        c, s = w2 / rho, w1 / rho
+        self.rotation = np.array([[c, -s], [s, c]])  # takes w / |w| = (s, c) to e2
         self.time_scale = q = 1.0 / rho
-        canonical_v = q * (rot @ x0[:2])
-        self.x0, self.y0, self.z0 = float(canonical_v[0]), float(canonical_v[1]), float(q * x0[2])
+        vx, vy, vz = x0.tolist()
+        self.x0, self.y0, self.z0 = q * (c * vx - s * vy), q * (s * vx + c * vy), q * vz
         self._canonical_branch()
         try:  # past the float range a cube in _means raises, or an entry is not finite
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.isfinite(self._position_matrix).all()
+            rows = self._position_rows()
+            finite = all(map(math.isfinite, rows[0] + rows[1]))
         except OverflowError:
             finite = False
         if not finite:
             raise InputError("the initial velocity is out of the H3 closed form's range: its position table overflows")
+        self._position_matrix = np.array(rows)
 
     def _canonical_branch(self) -> None:
         """The branch of (x0, y0, z0) and its amplitude, modulus, rate, period and phase."""
@@ -152,10 +155,7 @@ class Type2TrajectoryH3(Trajectory):
         d_minus, d_plus = math.sqrt(2.0) * r_plus - abs(z0), math.sqrt(2.0) * r_plus + abs(z0)
         self.boundary_margin = abs(disc) / max(1.0, s)
 
-        self.amplitude = 0.0
-        self.modulus = 0.0
-        self.rate = 0.0
-        self.phase = 0.0
+        self.amplitude = self.modulus = self.rate = self.phase = 0.0
         self.period: float | None = None
         self.sign = 1.0
 
@@ -219,7 +219,7 @@ class Type2TrajectoryH3(Trajectory):
         mapped back once.  The phases u = phase - rate t carry the start u = phase
         in front, so one pass (one _jacobi_zeta call on cn and dn) gives the
         branch functions F on the grid and at the start for _position_matrix."""
-        ts = np.asarray(ts, dtype=float)
+        ts = _time_grid(ts)
         q, z0, r, a, k = self.time_scale, self.z0, self.rate, self.amplitude, self.modulus
         t = ts / q
         u = self.phase - r * np.concatenate(([0.0], t))
@@ -266,9 +266,8 @@ class Type2TrajectoryH3(Trajectory):
         k' comes from disc, not from k, so it keeps its digits near k = 1."""
         return _descent_table(self.modulus, self._complement)
 
-    @cached_property
-    def _position_matrix(self) -> np.ndarray:
-        """The (2, 4) matrix P with (xi_y, xi_z + Phi xi_y / 2) = P [t; F(phase) - F(u)].
+    def _position_rows(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The rows of the (2, 4) matrix P with (xi_y, xi_z + Phi xi_y / 2) = P [t; F(phase) - F(u)].
 
         By the module docstring that vector is (y0, z0) t + C (I1, I2, I3), with
         C = [[z0, 1/2, 0], [y1, z0, 1/2]].  With Phi = h + D about its mean h,
@@ -286,19 +285,20 @@ class Type2TrajectoryH3(Trajectory):
           straight line: Phi = 0, and the F columns of sample are zero.
         Z(u) = E(am u) - (E/K) u, the Jacobi zeta function, is summed over the Landen
         phases (specfun._jacobi_zeta), free of the cancellation of O(1) terms as k -> 0.
+        In floats, with lift lower triangular and C binomial multiplied out.
         """
         h, mean2, mean3 = self._means
-        k, r, a, s = self.modulus, self.rate, self.amplitude, self.sign
+        k, r, a, s, z0, y1 = self.modulus, self.rate, self.amplitude, self.sign, self.z0, self.y1
         if self.branch is Branch.CN:
-            lift = [[2.0, 0.0, 0.0], [0.0, 4.0 * r, 0.0], [-4.0 * r * r * (1.0 - 2.0 * k * k), 0.0, 4.0 * r * r]]
+            l00, l10, l11, l20, l21, l22 = 2.0, 0.0, 4.0 * r, -4.0 * r * r * (1.0 - 2.0 * k * k), 0.0, 4.0 * r * r
         else:
             m = self._descent.mean if self.branch is Branch.DN else 0.0
-            lift = [[2.0 * s, 0.0, 0.0], [-4.0 * m * a, 2.0 * a, 0.0],
-                    [s * a * a * (2.0 - k * k + 6.0 * m * m), -6.0 * s * a * a * m, s * a * a * k * k]]
-        coupling = np.array([[self.z0, 0.5, 0.0], [self.y1, self.z0, 0.5]])
-        binomial = np.array([[1.0, 0.0, 0.0], [2.0 * h, 1.0, 0.0], [3.0 * h * h, 3.0 * h, 1.0]])
-        drift = np.array([self.y0, self.z0]) + coupling @ (h, mean2, mean3)
-        return np.column_stack((drift, coupling @ binomial @ lift))
+            l00, l10, l11 = 2.0 * s, -4.0 * m * a, 2.0 * a
+            l20, l21, l22 = s * a * a * (2.0 - k * k + 6.0 * m * m), -6.0 * s * a * a * m, s * a * a * k * k
+        drift = (self.y0 + (z0 * h + 0.5 * mean2), z0 + (y1 * h + z0 * mean2 + 0.5 * mean3))
+        cb = ((z0 + h, 0.5, 0.0), (y1 + z0 * (2.0 * h) + 0.5 * (3.0 * h * h), z0 + 0.5 * (3.0 * h), 0.5))
+        return tuple((d, c0 * l00 + c1 * l10 + c2 * l20, c1 * l11 + c2 * l21, c2 * l22)
+                     for d, (c0, c1, c2) in zip(drift, cb))
 
     @cached_property
     def _means(self) -> tuple[float, float, float]:
@@ -335,26 +335,18 @@ class Type2TrajectoryH3(Trajectory):
             gap = 2.0 * self._s_minus_y1 / (a + abs(self.z0)) - a * sum(cs[1:])
             h = self.sign * gap
             m2 = a * a * sum((1.5 - 2.0 ** (n - 1)) * sq[n] for n in range(1, len(sq)))
-            m3 = self.sign * 3.0 * mean * a**3 * sum(
-                (2.0 ** (n - 1) - 1.0) * sq[n] for n in range(2, len(sq))
-            )
+            m3 = self.sign * 3.0 * mean * a**3 * sum((2.0 ** (n - 1) - 1.0) * sq[n] for n in range(2, len(sq)))
         return h, m2 + h * h, m3 + 3.0 * h * m2 + h**3
 
     def phi_image(self) -> tuple[float, float]:
-        """Closure of the range of Phi."""
-        a, z0 = self.amplitude, self.z0
+        """Closure of the range of Phi = psi - z0: psi sweeps [-a, a] on cn,
+        sign [a k', a] on dn and sign [0, a] on the separatrix."""
+        a, z0, k = self.amplitude, self.z0, self.modulus
         if self.branch is Branch.LINEAR:
             return 0.0, 0.0
-        if self.branch is Branch.CN:
-            return -a - z0, a - z0
-        if self.branch is Branch.DN:
-            floor = a * math.sqrt((1.0 - self.modulus) * (1.0 + self.modulus))
-            if self.sign > 0:
-                return floor - z0, a - z0
-            return -a - z0, -floor - z0
-        if self.sign > 0:
-            return -z0, a - z0
-        return -a - z0, -z0
+        low = {Branch.CN: -a, Branch.DN: a * math.sqrt((1.0 - k) * (1.0 + k))}.get(self.branch, 0.0)
+        ends = sorted((self.sign * low, self.sign * a))
+        return ends[0] - z0, ends[1] - z0
 
 
 def solve_type2_general(u, charge: float, x0) -> Type2TrajectoryH3:
@@ -365,8 +357,7 @@ def solve_type2_general(u, charge: float, x0) -> Type2TrajectoryH3:
 def lambda_kernel_check(u, translation: np.ndarray) -> bool:
     """Whether the translation's v-component lies in ker F_u = span(u), to
     1e-12 relative; u is validated as in Type2TrajectoryH3."""
-    u = _direction(u)
-    lam_v = np.asarray(translation, dtype=float)[:2]
-    u_hat = u / np.linalg.norm(u)
-    residual = float(np.linalg.norm(lam_v - (lam_v @ u_hat) * u_hat))
-    return residual <= _KERNEL_TOL * max(1.0, float(np.linalg.norm(translation)))
+    u1, u2 = _direction(u)
+    lam, norm = np.asarray(translation, dtype=float).tolist(), math.hypot(u1, u2)
+    residual = abs(lam[0] * (u2 / norm) - lam[1] * (u1 / norm))  # |lam_v x u_hat|
+    return residual <= _KERNEL_TOL * max(1.0, math.hypot(*lam))

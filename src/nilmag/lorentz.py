@@ -26,6 +26,7 @@ that P routes to the linear closed form builds neither the report nor its type.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -102,9 +103,7 @@ class LorentzForce:
     def __init__(self, alg: MetricNilAlgebra, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (alg.dim, alg.dim):
-            raise InvalidForceError(
-                f"force matrix must be ({alg.dim}, {alg.dim}), got {matrix.shape}"
-            )
+            raise InvalidForceError(f"force matrix must be ({alg.dim}, {alg.dim}), got {matrix.shape}")
         scale = float(np.abs(matrix).max(initial=0.0))  # nan or inf at a non-finite entry
         if not np.isfinite(scale):
             raise InvalidForceError("force matrix contains non-finite entries")
@@ -237,12 +236,8 @@ def _closedness_report(t: np.ndarray, tol: float) -> ClosednessReport:
     max_res = float(masked.flat[flat])
     i, jk = divmod(flat, d * d)
     worst = (i, *divmod(jk, d)) if max_res > 0.0 else None
-    return ClosednessReport(
-        closed=bool(max_res <= tol),
-        max_residual=max_res,
-        worst_triple=worst,
-        frobenius_residual=float(np.linalg.norm(resid)),
-    )
+    return ClosednessReport(closed=bool(max_res <= tol), max_residual=max_res, worst_triple=worst,
+                            frobenius_residual=float(np.linalg.norm(resid)))
 
 
 def exactness_test(alg: MetricNilAlgebra, force) -> ExactnessResult:
@@ -267,11 +262,11 @@ def _exactness_fit(alg: MetricNilAlgebra, matrix: np.ndarray) -> ExactnessResult
     return ExactnessResult(is_exact=bool(rel <= _SKEW_TOL), z_tilde=z_tilde, residual=rel)
 
 
-def _direction(u) -> np.ndarray:
-    """The v-part (u1, u2) of an H3 force direction u given as (2,) or (3,).
+def _direction(u) -> tuple[float, float]:
+    """The v-part (u1, u2) of an H3 force direction u given as (2,) or (3,), as floats.
 
     A central part above 1e-14 or another shape raises InvalidForceError; a
-    zero or non-finite direction raises DegenerateForceError.
+    non-finite direction, or one whose squared norm is 0, raises DegenerateForceError.
     """
     u = np.asarray(u, dtype=float)
     if u.shape == (3,):
@@ -280,9 +275,10 @@ def _direction(u) -> np.ndarray:
         u = u[:2]
     if u.shape != (2,):
         raise InvalidForceError(f"direction vector must have shape (2,) or (3,), got {u.shape}")
-    if not np.all(np.isfinite(u)) or float(np.linalg.norm(u)) == 0.0:
+    u1, u2 = u.tolist()
+    if not (math.isfinite(u1) and math.isfinite(u2)) or u1 * u1 + u2 * u2 == 0.0:
         raise DegenerateForceError("type-II direction vector must be nonzero and finite")
-    return u
+    return u1, u2
 
 
 def type2_from_vector(alg: MetricNilAlgebra, u: np.ndarray) -> LorentzForce:
@@ -293,11 +289,9 @@ def type2_from_vector(alg: MetricNilAlgebra, u: np.ndarray) -> LorentzForce:
     Only defined on the 3-dimensional Heisenberg algebra.
     """
     if alg.dim != 3 or alg.dim_v != 2:
-        raise UnsupportedForceError(
-            "type-II direction forces are implemented on the 3-dim Heisenberg algebra only"
-        )
-    u = _direction(u)
-    return LorentzForce(alg, np.array([[0.0, 0.0, -u[1]], [0.0, 0.0, u[0]], [u[1], -u[0], 0.0]]))
+        raise UnsupportedForceError("type-II direction forces are implemented on the 3-dim Heisenberg algebra only")
+    u1, u2 = _direction(u)
+    return LorentzForce(alg, np.array([[0.0, 0.0, -u2], [0.0, 0.0, u1], [u2, -u1, 0.0]]))
 
 
 def random_closed_type1(

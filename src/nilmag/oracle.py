@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import MetricNilAlgebra
 from .errors import InputError, IntegrationError
 from .lorentz import _as_force
-from .samples import CurveSamples, IntegratorStats, Trajectory
+from .samples import CurveSamples, IntegratorStats, Trajectory, _time_grid
 
 __all__ = ["IntegratorConfig", "IntegratorStats", "CurveSamples", "integrate_velocity",
            "reconstruct_group", "OracleTrajectory"]
@@ -251,7 +251,7 @@ class OracleTrajectory(Trajectory):
             raise InputError(f"the oracle needs a finite ({alg.dim},) initial velocity and a finite charge")
 
     def sample(self, ts: np.ndarray) -> CurveSamples:
-        ts = np.asarray(ts, dtype=float)
+        ts = _time_grid(ts)
         grid, back = np.unique(np.append(ts, 0.0), return_inverse=True)
         grid = grid if grid.size > 1 else np.array([0.0, 1.0])
         curve = reconstruct_group(self.alg, self.force, self.charge, self.x0, grid, self.config)

@@ -16,11 +16,12 @@ the identity and decides closure, relative to the curve, on one sample grid.
 from __future__ import annotations
 
 import enum
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedForceError
+from .errors import InputError, UnsupportedForceError
 
 __all__ = ["IntegratorStats", "CurveSamples", "Trajectory", "PeriodicityKind", "PeriodicityReport",
            "lambda_periodicity"]
@@ -31,6 +32,9 @@ _PERIODIC_TOL = 1e-8
 _N_CHECKS = 10
 # in units of omega: the period itself, the check times ts, then ts + omega
 _CHECK_GRID = np.concatenate(([1.0], np.linspace(0.0, 2.0, _N_CHECKS), np.linspace(1.0, 3.0, _N_CHECKS)))
+# the largest |t| of a sample grid: t^3 / 6, the highest power of time that a
+# closed form forms (type I), overflows from |t| = 5.6e102
+_T_MAX = 1e100
 
 
 class IntegratorStats(NamedTuple):
@@ -53,6 +57,15 @@ class CurveSamples(NamedTuple):
     velocity: np.ndarray
     xi: np.ndarray | None = None
     stats: IntegratorStats | None = None
+
+
+def _time_grid(ts) -> np.ndarray:
+    """ts as a float array for every sample(ts); InputError for a time that is
+    NaN or above _T_MAX in size, where a closed form returned NaN or inf."""
+    ts = np.asarray(ts, dtype=float)
+    if not np.abs(ts).max(initial=0.0) <= _T_MAX:  # also false at a NaN
+        raise InputError(f"sample times must be finite and at most {_T_MAX:g} in size")
+    return ts
 
 
 class Trajectory:
@@ -109,12 +122,13 @@ def _translation_residual(traj: Trajectory, lam: np.ndarray, omega: float, start
     """Worst |sigma(t + omega) - lam * sigma(t)| over the _N_CHECKS times ts in
     [0, 2 omega], sigma the curve of traj left-translated by the group point
     start, if given; rows are the curve of traj on [ts, ts + omega], sampled
-    here in one call if not given."""
+    here in one call if not given.  lam sigma(t) is group_mul's unchecked arithmetic
+    on the solver's own points; start, the caller's point, is checked."""
     alg = traj.alg
     xi = traj.sample(omega * _CHECK_GRID[1:]).xi if rows is None else rows
     if start is not None:
         xi = alg.group_mul(start, xi)
-    return float(np.max(np.abs(xi[_N_CHECKS:] - alg.group_mul(lam, xi[:_N_CHECKS]))))
+    return float(np.max(np.abs(xi[_N_CHECKS:] - alg._group_mul(lam, xi[:_N_CHECKS]))))
 
 
 def lambda_periodicity(traj: Trajectory, start=None) -> PeriodicityReport:
@@ -136,7 +150,7 @@ def lambda_periodicity(traj: Trajectory, start=None) -> PeriodicityReport:
     xi = traj.sample(omega * _CHECK_GRID).xi
     lam = xi[0]
     tolerance = _PERIODIC_TOL * float(np.max(np.abs(xi)))
-    kind = PeriodicityKind.PERIODIC if np.linalg.norm(lam) <= tolerance else PeriodicityKind.LAMBDA_PERIODIC
+    kind = PeriodicityKind.PERIODIC if math.hypot(*lam.tolist()) <= tolerance else PeriodicityKind.LAMBDA_PERIODIC
     if start is not None:
         lam = lam + traj.alg.bracket(start, lam)
     residual = _translation_residual(traj, lam, omega, start, xi[1:])

@@ -288,16 +288,16 @@ def test_trajectory_tol_flag_follows_the_scenario_rule(tmp_path, capsys, tol):
     assert not out.exists()
 
 
-# a horizon at which the linear closed form overflows (t^3 / 6 is inf) to NaN positions
-FAR_H3 = {"algebra": "h3", "force": {"exact": {"Z": [0.7]}}, "initial": {"velocity": [0.9, -0.4, 0.5]},
-          "time": {"t_max": 1e200, "samples": 3}}
+# a curve whose central position, about 7e299 t, leaves the float range before t = 1e10
+FAR_H3 = {"algebra": "h3", "force": {"exact": {"Z": [0.7]}}, "initial": {"velocity": [1e150, 0.0, 0.0]},
+          "time": {"t_max": 1e10, "samples": 3}}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow this test provokes
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_trajectory_refuses_non_finite_samples(tmp_path, capsys, fmt):
-    """Samples that overflowed to NaN are not written, neither as the bare token
-    NaN, which is not JSON, nor as a CSV row: the command exits 4 and says why."""
+    """Samples that overflowed to inf are not written, neither as the bare token
+    Infinity, which is not JSON, nor as a CSV row: the command exits 4 and says why."""
     path = write_scenario(tmp_path, FAR_H3)
     out = tmp_path / "out"
     argv = ["trajectory", "--scenario", path, "--format", fmt] + (["--out", str(out)] if fmt == "csv" else [])

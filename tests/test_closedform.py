@@ -20,7 +20,7 @@ from nilmag.closedform import (
     solve_type1,
     spectral_decompose,
 )
-from nilmag.errors import InvalidForceError, UnsupportedForceError
+from nilmag.errors import InputError, InvalidForceError, UnsupportedForceError
 from nilmag.h5_type1 import H5Force, H5Trajectory
 from nilmag.lorentz import ForceType, LorentzForce, check_closed, random_closed_type1, solve, type2_from_vector
 from nilmag.oracle import IntegratorConfig, OracleTrajectory, reconstruct_group
@@ -1009,6 +1009,30 @@ def test_tiny_velocity_keeps_its_components(scale):
     circle = np.column_stack([np.sin(nu * ts) / nu, (1.0 - np.cos(nu * ts)) / nu, ts]) * scale
     for want in (_mpmath_type1_positions(traj, ts), circle):
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("t", [1e50, 1e103, 1e155, 1e200])
+def test_huge_times_are_answered_or_refused(t):
+    """The exact force j(0.7) on H3 from x0 = (0.9, -0.4, 0.5): at t = +-1e50
+    sample returns the finite curve, whose central position is t times the
+    linear coefficient to 1e-12, whose speed is |x0| and whose planar part stays
+    on its circle.  Past |t| = 1e100 it raises InputError: there t^3 / 6 once
+    overflowed to NaN positions (from 5.6e102) and t^2 / 2 to NaN velocities
+    (from 1.3e154), with only a RuntimeWarning."""
+    alg = h3()
+    x0 = np.array([0.9, -0.4, 0.5])
+    traj = solve(alg, np.pad(alg.j_map([0.7]), (0, 1)), 1.0, x0)
+    ts = np.array([0.0, t, -t])
+    if t > 1e100:
+        for grid in (ts, ts[:2], -ts[:2]):
+            with pytest.raises(InputError):
+                traj.sample(grid)
+        return
+    got = traj.sample(ts)
+    assert np.all(np.isfinite(got.xi)) and np.all(np.isfinite(got.velocity))
+    assert_allclose(got.xi[:, 2], ts * traj.linear_coefficient()[0], rtol=1e-12)
+    assert_allclose(np.linalg.norm(got.velocity, axis=1), np.linalg.norm(x0), rtol=1e-14)
+    assert np.all(np.abs(got.xi[:, :2]) <= 2.0 * np.linalg.norm(x0[:2]) / 1.2)  # rate 0.7 + 0.5
 
 
 # -- lambda-periodicity of type-I curves -----------------------------------------

@@ -9,12 +9,15 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import fdcheck
 from nilmag.algebra import MetricNilAlgebra
-from nilmag.errors import DegenerateForceError, InvalidForceError
+from nilmag.closedform import InitialCondition, solve_type1
+from nilmag.errors import DegenerateForceError, InputError, InvalidForceError
 from nilmag.h3_type2 import (
     Branch,
     PeriodicityKind,
@@ -23,6 +26,7 @@ from nilmag.h3_type2 import (
     Type2TrajectoryH3,
     solve_type2_general,
 )
+from nilmag.h5_type1 import H5Force, periodic_at_energy, solve_h5
 from nilmag.lorentz import type2_from_vector
 from nilmag.oracle import IntegratorConfig, reconstruct_group
 from nilmag.samples import _translation_residual
@@ -190,6 +194,70 @@ def test_batched_rows_are_the_pointwise_values(name):
         want_xi, want_vel = traj.position(t), traj.velocity(t)
         assert np.max(np.abs(xi - want_xi)) <= 1e-14 * max(1.0, np.max(np.abs(want_xi))), (t, xi - want_xi)
         assert np.max(np.abs(vel - want_vel)) <= 1e-14 * max(1.0, np.max(np.abs(want_vel))), (t, vel - want_vel)
+
+
+@pytest.mark.parametrize("name", list(SIX_BRANCHES))
+def test_times_that_are_not_finite_are_refused(name):
+    """A NaN or infinite time raises InputError on every branch, in a grid and
+    alone, where the closed form returned NaN or inf rows without a word."""
+    traj = SIX_BRANCHES[name]()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError):
+            traj.sample(np.array([0.0, 1.0, bad]))
+        with pytest.raises(InputError):
+            traj.position(bad)
+
+
+def _canonical_velocity(branch: str, k: float, frac: float, side: float) -> tuple[float, float, float]:
+    """A canonical initial velocity on the branch: modulus k and the angle of
+    (x0, y0 + 1) at the fraction frac of its range, S = |(x0, y0 + 1)| = 1.2;
+    side is the sign of x0 (and of z0 on cn)."""
+    s = 1.2
+    if branch == "linear":
+        return 0.0, side * frac, 0.0
+    theta = frac * {"cn": math.acos(1.0 - 2.0 * k * k), "dn+": math.pi, "dn-": math.pi}.get(branch, 0.85 * math.pi)
+    y1 = s * math.cos(theta)
+    if branch == "cn":
+        z0 = side * math.sqrt(4.0 * s * k * k - 2.0 * s + 2.0 * y1)
+    elif branch.startswith("dn"):
+        z0 = math.sqrt(4.0 * s / (k * k) - 2.0 * s + 2.0 * y1)
+    else:
+        z0 = math.sqrt(2.0 * s + 2.0 * y1)
+    return side * s * math.sin(theta), y1 - 1.0, -z0 if branch in ("dn-", "sech-") else z0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(branch=st.sampled_from(["cn", "dn+", "dn-", "sech+", "sech-", "linear"]),
+       k=st.floats(0.3, 0.8), frac=st.floats(0.1, 0.9), side=st.sampled_from([-1.0, 1.0]),
+       angle=st.floats(0.0, 2.0 * math.pi), axis=st.integers(0, 3), size=st.floats(-3.0, 3.0),
+       u_norm=st.floats(0.5, 2.0), charge_sign=st.sampled_from([-1.0, 1.0]), central=st.booleans())
+def test_frame_map_is_the_canonical_curve_mapped_back(branch, k, frac, side, angle, axis, size, u_norm,
+                                                      charge_sign, central):
+    """The rows of sample(ts) are, to 1e-14 of their largest entry, the
+    canonical trajectory at ts / q with planar parts turned by r^T and
+    velocities divided by q (r the rotation, q the time scale), for |charge u|
+    from 1e-3 to 1e3, both charge signs and u of shape (2,) or (3,).  The
+    straight line needs a u along an axis, where the rotation is exact."""
+    rho = 10.0 ** size
+    if branch == "linear":
+        w_hat = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][axis]
+    else:
+        w_hat = (math.cos(angle), math.sin(angle))
+    u = charge_sign * u_norm * np.array(w_hat + (0.0,) * central)
+    charge = charge_sign * rho / u_norm
+    cx, cy, cz = _canonical_velocity(branch, k, frac, side)
+    s_, c_ = w_hat  # r = [[c, -s], [s, c]] takes w_hat = (s, c) to e2, and x0_v = rho r^T canonical_v
+    traj = solve_type2_general(u, charge, rho * np.array([c_ * cx + s_ * cy, c_ * cy - s_ * cx, cz]))
+    assert traj.branch.value == (branch[:2] if branch.startswith("dn") else branch)
+    q, r = traj.time_scale, traj.rotation
+    ts = q * np.array([0.0, 0.3, -1.7, 2.9, 7.4, -11.0, 25.0])
+    got = traj.sample(ts)
+    canonical = Type2TrajectoryH3((traj.x0, traj.y0, traj.z0)).sample(ts / q)
+    want_xi, want_vel = canonical.xi.copy(), canonical.velocity / q
+    want_xi[:, :2] = want_xi[:, :2] @ r
+    want_vel[:, :2] = want_vel[:, :2] @ r
+    for g, w in ((got.xi, want_xi), (got.velocity, want_vel)):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (branch, np.max(np.abs(g - w)) / np.max(np.abs(w)))
 
 
 @pytest.mark.parametrize("ic", [(0.0, 0.0, 2.0), (0.0, 0.0, -2.0), (0.75, 0.0, -math.sqrt(4.5))])
@@ -366,16 +434,43 @@ def periodic_trajectories():
 
 
 def test_translation_residual_is_the_pointwise_definition():
-    """The batched residual is max |sigma(t + omega) - lam sigma(t)| over the check times."""
-    alg = h3()
-    for traj in periodic_trajectories():
-        report = lambda_periodicity(traj)
-        omega, lam = report.omega, report.translation
-        want = max(
-            float(np.max(np.abs(traj.position(t + omega) - alg.group_mul(lam, traj.position(t)))))
-            for t in np.linspace(0.0, 2.0 * omega, 10)
-        )
-        assert abs(report.residual - want) <= 1e-12, (traj.branch, report.residual, want)
+    """The batched residual is max |sigma(t + omega) - lam sigma(t)| over the
+    check times, the product taken pointwise by the checked group_mul: on every
+    periodic H3 curve, on a type-I curve with rates 1 : 3 and on an H5
+    certificate, for the curve and for it started at a group point g."""
+    h5_force = H5Force.from_rates(-1.3, 0.7)
+    cert = periodic_at_energy(h5_force, 2.0)
+    rates_1_3 = H5Force.from_rates(1.0, 3.0).matrix
+    h5_alg = MetricNilAlgebra.heisenberg(2)
+    curves = periodic_trajectories() + [
+        solve_type1(h5_alg, rates_1_3, InitialCondition.from_velocity(h5_alg, [0.3, 0.2, -0.4, 0.1, 0.0])),
+        solve_h5(h5_force, cert.v0, cert.z0),
+    ]
+    for traj in curves:
+        alg = traj.alg
+        for start in (None, np.linspace(-0.7, 1.1, alg.dim)):
+            report = lambda_periodicity(traj, start)
+            omega, lam = report.omega, report.translation
+
+            def sigma(t, start=start):
+                return traj.position(t) if start is None else alg.group_mul(start, traj.position(t))
+
+            want = max(
+                float(np.max(np.abs(sigma(t + omega) - alg.group_mul(lam, sigma(t)))))
+                for t in np.linspace(0.0, 2.0 * omega, 10)
+            )
+            assert abs(report.residual - want) <= 1e-12, (traj.solver, start, report.residual, want)
+
+
+def test_group_mul_checks_its_input():
+    """The public group law refuses non-finite and misshaped points with
+    ValueError; only the translation check skips that, on rows a solver made."""
+    alg, good = h3(), np.array([0.3, -0.2, 0.5])
+    for bad in (np.array([np.nan, 0.0, 0.0]), np.array([0.0, np.inf, 0.0]), np.zeros(2), np.zeros((2, 4)),
+                np.zeros((2, 2, 3)), np.array([[0.0, 0.0, -np.inf]])):
+        for args in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError):
+                alg.group_mul(*args)
 
 
 def test_perturbed_translation_fails_the_check():

@@ -108,14 +108,14 @@ FLAT_COUPLED = {
 # dim v = 8, dim z = 3: classify takes the sampling route
 V8 = {"algebra": {"dim": 11, "brackets": [[1, 2, 9, 1.0], [3, 4, 9, 1.0], [1, 3, 10, 1.0], [2, 4, 10, -1.0],
                                           [1, 2, 11, 1.0], [5, 6, 9, 1.0], [7, 8, 9, 1.0]]}}
-# an H3 curve on the dn branch, the periodicity of a rates force, and a horizon
-# past the linear closed form's range, which trajectory refuses with exit 4
+# an H3 curve on the dn branch, the periodicity of a rates force, and a curve
+# whose positions leave the float range, which trajectory refuses with exit 4
 DN = {"algebra": "h3", "force": {"type2_U": [0.6, -0.8]}, "charge": 1.4,
       "initial": {"velocity": [0.5, -0.3, 6.0]}, "time": {"t_max": 12.0, "samples": 61}}
 RATES = {"algebra": "heisenberg(2)", "force": {"rates": [1.0, 3.0]},
          "initial": {"velocity": [0.3, 0.2, -0.4, 0.1, 0.0]}}
-FAR = {"algebra": "h3", "force": {"exact": {"Z": [0.7]}}, "initial": {"velocity": [0.9, -0.4, 0.5]},
-       "time": {"t_max": 1e200, "samples": 3}}
+FAR = {"algebra": "h3", "force": {"exact": {"Z": [0.7]}}, "initial": {"velocity": [1e150, 0.0, 0.0]},
+       "time": {"t_max": 1e10, "samples": 3}}
 SCENARIOS = {"q1.json": {"algebra": "quaternionic(1)"}, "v8.json": V8, "type1.json": TYPE1, "h3.json": H3,
              "mixed.json": MIXED, "coupled.json": FLAT_COUPLED, "dn.json": DN, "rates.json": RATES,
              "far.json": FAR}
