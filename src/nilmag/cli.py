@@ -677,6 +677,22 @@ def _rotating_pairs(alg: MetricNilAlgebra, rng: np.random.Generator) -> float:
     return float(np.max(residuals))
 
 
+def _h3_momentum(alg: MetricNilAlgebra, rng: np.random.Generator) -> float:
+    """Drift of the momentum of left translations, J_Y = <x, Y - [xi, Y]> + q (<F Y, xi> -
+    <F [xi, Y], xi> / 2) for Y = e2, e3, along an H3 elliptic curve, over max(1, |xi|, |x|)."""
+    from .h3_type2 import Type2TrajectoryH3
+
+    u, q = rng.standard_normal(2), rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 3.0)
+    f = type2_from_vector(alg, u).matrix
+    got = Type2TrajectoryH3(rng.standard_normal(3), u, q).sample(np.linspace(0.0, 50.0, 401))
+    xi, x, drift = got.xi, got.velocity, 0.0
+    for y in np.eye(3)[1:]:
+        ad = xi @ np.array([alg.bracket(e, y) for e in np.eye(3)])  # rows [xi, Y]
+        j = np.sum(x * (y - ad), axis=1) + q * (xi @ (f @ y) - 0.5 * np.sum(ad @ f.T * xi, axis=1))
+        drift = max(drift, float(np.max(np.abs(j - j[0]))))
+    return drift / max(1.0, float(np.max(np.abs(xi))), float(np.max(np.abs(x))))
+
+
 # name, the selftest algebras it runs on (heisenberg(1), heisenberg(2),
 # quaternionic(1), H3 x R^2), draws per algebra, the residual of one draw
 _SELFTEST_CHECKS = (
@@ -687,6 +703,7 @@ _SELFTEST_CHECKS = (
     ("group multiplication associativity", slice(None), 1, _associativity),
     ("all basis 2-forms closed on the 3-dim Heisenberg group", slice(0, 1), 1, _basis_2forms_closed),
     ("rotating-pair bracket invariants constant in time", slice(1, 3), 5, _rotating_pairs),
+    ("H3 elliptic curves conserve the magnetic momentum map", slice(0, 1), 5, _h3_momentum),
 )
 
 

@@ -29,19 +29,24 @@ psi = Phi + z0:
 plus the degenerate straight line Phi == 0 exactly when x0 = 0 and
 z0 y1 = 0.  Phases C0, C1, C2 are pinned by psi(0) = z0 and the sign of x0.
 
-Positions need the running integrals I_m(t) of Phi^m, m = 1, 2, 3: with
-xi = (xi_x, xi_y, xi_z) the group curve from the identity,
+Positions come from two conservation laws, with no running integral of
+Phi^m.  With xi the group curve from the identity, xi_x = Phi, and the
+y-velocity y0 + (psi^2 - z0^2) / 2 integrates to
 
-    xi_x = Phi(t)
-    xi_y = y0 t + z0 I1 + I2 / 2
-    xi_z = z0 t + y1 I1 + z0 I2 + I3 / 2 - Phi(t) xi_y(t) / 2,
+    xi_y = drift t + c (F(phase) - F(u)),   drift = y0 + z0 h + <Phi^2> / 2,
 
-the last line obtained by integrating the reconstruction bracket by parts.
-With Phi = h + D about its mean h, I_m is linear in t and in three functions
-F of the phase u on every branch, so positions are one product of a (2, 4)
-matrix per trajectory with [t; F(phase) - F(u)] (see _position_rows): no
-numerical integration, and no term of size |z0|^m cancels.  Construction,
-the reduction and that matrix included, is arithmetic on Python floats.
+with h and <Phi^2> the period means of Phi and Phi^2, u = phase - rate t,
+and F one function of the phase: the Jacobi zeta function on cn (c = 2 rate)
+and dn (c = a), tanh on the separatrix (c = a), none on the straight line.
+The magnetic momentum of the left translations along e1 (integrate
+Phi'' = -(y + 1) psi, y the y-velocity) gives
+
+    xi_z = Phi'(0) - Phi'(t) - (z0 + Phi(t) / 2) xi_y(t),
+
+so sample needs F and Phi' on its grid and the one scalar drift, set at
+construction with the rest of the reduction in Python floats; there is no
+numerical integration.  xi_z is a difference of terms of size |Phi'| and
+|z0 xi_y|, and its error is a few ulp of those.
 
 velocity_period() is the period on the cn and dn branches, so that
 samples.lambda_periodicity (re-exported here) classifies these curves as
@@ -98,12 +103,13 @@ class Type2TrajectoryH3(Trajectory):
     u has shape (2,) or (3,) with a zero central part (InvalidForceError
     otherwise); u finite and charge u nonzero (DegenerateForceError); an x0
     that is not three finite numbers, a charge that is not finite, and initial
-    data whose size or position table overflows are refused (InputError).
+    data whose size or mean y-velocity overflows are refused (InputError).
     period and time_scale are in this trajectory's own time.  Every other
     attribute (branch, disc, amplitude, modulus, rate, phase, and x0/y0/z0,
     the canonical initial velocity) and phi_image() describe the canonical
     trajectory.  For the default (e2, 1) the rotation is the identity and
-    q = 1, so the two frames coincide.
+    q = 1, so the two frames coincide.  Positions take the canonical mean
+    y-velocity, drift, and the two laws of the module docstring.
     """
 
     solver = "closed-form-type-2"
@@ -123,14 +129,10 @@ class Type2TrajectoryH3(Trajectory):
         vx, vy, vz = x0.tolist()
         self.x0, self.y0, self.z0 = q * (c * vx - s * vy), q * (s * vx + c * vy), q * vz
         self._canonical_branch()
-        try:  # past the float range a cube in _means raises, or an entry is not finite
-            rows = self._position_rows()
-            finite = all(map(math.isfinite, rows[0] + rows[1]))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise InputError("the initial velocity is out of the H3 closed form's range: its position table overflows")
-        self._position_matrix = np.array(rows)
+        h, mean2 = self._means
+        self._drift = self.y0 + (self.z0 * h + 0.5 * mean2)  # the mean y-velocity
+        if not math.isfinite(self._drift):  # past the float range the amplitude's square is not finite
+            raise InputError("the initial velocity is out of the H3 closed form's range: its mean y-velocity overflows")
 
     def _canonical_branch(self) -> None:
         """The branch of (x0, y0, z0) and its amplitude, modulus, rate, period and phase."""
@@ -199,10 +201,7 @@ class Type2TrajectoryH3(Trajectory):
         self.sign = 1.0 if z0 > 0 else -1.0
         # the amplitude of dn = |z0| / a: sn^2 = (S - y1)/(2S), cn^2 = (S + y1)/(2S)
         c1 = _elliptic_f(self._r_minus, r_plus, self._descent)
-        if self.sign > 0:
-            self.phase = c1 if self.x0 >= 0.0 else -c1
-        else:
-            self.phase = c1 if self.x0 <= 0.0 else -c1
+        self.phase = c1 if self.sign * self.x0 >= 0.0 else -c1
 
     @property
     def alg(self) -> MetricNilAlgebra:
@@ -214,47 +213,38 @@ class Type2TrajectoryH3(Trajectory):
         return self.time_scale if self.branch is Branch.LINEAR else self.period
 
     def sample(self, ts: np.ndarray) -> CurveSamples:
-        """Velocity and group curve (exponential coordinates, position(0) = 0)
-        on the grid ts: the canonical curve at t = ts / q as array expressions,
-        mapped back once.  The phases u = phase - rate t carry the start u = phase
-        in front, so one pass (one _jacobi_zeta call on cn and dn) gives the
-        branch functions F on the grid and at the start for _position_matrix."""
+        """Velocity and group curve (exponential coordinates, position(0) = 0 exactly)
+        on the grid ts: the canonical curve at t = ts / q, mapped back once.  The
+        phases u = phase - rate t carry the start phase in front, so one pass (one
+        _jacobi_zeta call on cn and dn) gives F and Phi' on the grid and at the start."""
         ts = _time_grid(ts)
         q, z0, r, a, k = self.time_scale, self.z0, self.rate, self.amplitude, self.modulus
         t = ts / q
         u = self.phase - r * np.concatenate(([0.0], t))
+        c = 2.0 * r if self.branch is Branch.CN else a
         if self.branch is Branch.LINEAR:
-            f, phi = np.zeros((3, u.size)), np.zeros(t.size)
-            psi, dpsi = phi + z0, phi
+            f = dpsi = np.zeros(u.size)
+            phi, psi = dpsi[1:], dpsi[1:] + z0
         elif self.branch is Branch.CN or self.branch is Branch.DN:
-            sn, cn, dn, zeta = _jacobi_zeta(u, self._descent)
+            sn, cn, dn, f = _jacobi_zeta(u, self._descent)
             if self.branch is Branch.CN:
-                f = (np.arcsin(k * sn), zeta, k * sn * dn)
-                psi, dpsi = a * cn[1:], a * r * sn[1:] * dn[1:]
+                psi, dpsi = a * cn[1:], a * r * sn * dn
                 phi = psi - z0
             else:
-                # am u - M u (M = pi/(2K), the mean of dn) at u_r = u - 2K j, |u_r| <= K,
-                # where (sn, cn)(u_r) = (-1)^j (sn, cn)(u) and am u_r = atan2 of those
-                big_k, mean = self._descent.big_k, self._descent.mean
-                j = np.floor(u / (2.0 * big_k) + 0.5)
-                flip = 1.0 - 2.0 * (j % 2.0)  # (-1)^j
-                f = (np.arctan2(flip * sn, flip * cn) - mean * (u - 2.0 * big_k * j), zeta, sn * cn)
-                sn, cn, dn, k2 = sn[1:], cn[1:], dn[1:], k * k
-                psi, dpsi = self.sign * a * dn, self.sign * a * r * k2 * sn * cn
+                k2 = k * k
+                psi, dpsi = self.sign * a * dn[1:], self.sign * a * r * k2 * sn * cn
                 # Phi = sign (a dn - |z0|) without cancellation at large |z0|:
                 # a - |z0| = 2 (S - y1) / (a + |z0|) and 1 - dn = k^2 sn^2 / (1 + dn)
                 gap = 2.0 * self._s_minus_y1 / (a + abs(z0))
-                phi = self.sign * (gap - a * k2 * sn * sn / (1.0 + dn))
+                phi = self.sign * (gap - a * k2 * sn[1:] * sn[1:] / (1.0 + dn[1:]))
         else:
-            sech_u, tanh_u = sech(u), np.tanh(u)
-            f = (2.0 * np.arctan(np.tanh(0.5 * u)), tanh_u, sech_u * tanh_u)  # gd u first
+            sech_u, f = sech(u), np.tanh(u)
             psi = self.sign * a * sech_u[1:]
-            dpsi = self.sign * a * r * sech_u[1:] * tanh_u[1:]
+            dpsi = self.sign * a * r * sech_u * f
             phi = psi - z0
-        f = np.asarray(f)
-        xi_y, xi_z = self._position_matrix @ np.vstack((t, f[:, :1] - f[:, 1:]))
-        xi = np.stack((phi, xi_y, xi_z - 0.5 * phi * xi_y), axis=1)
-        vel = np.stack((dpsi, self.y0 + z0 * phi + 0.5 * phi * phi, psi), axis=1) / q
+        xi_y = self._drift * t + c * (f[0] - f[1:])
+        xi = np.stack((phi, xi_y, dpsi[0] - dpsi[1:] - (z0 + 0.5 * phi) * xi_y), axis=1)
+        vel = np.stack((dpsi[1:], self.y0 + z0 * phi + 0.5 * phi * phi, psi), axis=1) / q
         vel[:, :2] = vel[:, :2] @ self.rotation
         xi[:, :2] = xi[:, :2] @ self.rotation
         return CurveSamples(t=ts.copy(), velocity=vel, xi=xi)
@@ -266,77 +256,35 @@ class Type2TrajectoryH3(Trajectory):
         k' comes from disc, not from k, so it keeps its digits near k = 1."""
         return _descent_table(self.modulus, self._complement)
 
-    def _position_rows(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The rows of the (2, 4) matrix P with (xi_y, xi_z + Phi xi_y / 2) = P [t; F(phase) - F(u)].
+    @property
+    def _means(self) -> tuple[float, float]:
+        """Means (h, <Phi^2>) of Phi over a period on cn and dn, (-z0, z0^2) on
+        the separatrix, whose psi = Phi + z0 decays, and 0 on the straight line.
 
-        By the module docstring that vector is (y0, z0) t + C (I1, I2, I3), with
-        C = [[z0, 1/2, 0], [y1, z0, 1/2]].  With Phi = h + D about its mean h,
-            I1 = h t + J1,  I2 = <Phi^2> t + 2 h J1 + J2,  I3 = <Phi^3> t + 3 h^2 J1 + 3 h J2 + J3,
-        where J_j, the integral of D^j - <D^j> over [0, t], is row j of
-        L (F(phase) - F(u)) / rate.  lift below is L / rate, from DLMF 22.16.32,
-        22.14(iv) and Byrd & Friedman 312, 314:
-          cn, D = a cn with a = 2 k rate: F = (arcsin(k sn), Z, k sn dn), as
-            int cn = arcsin(k sn)/k,  k^2 int (cn^2 - <cn^2>) = Z,
-            2 k^2 int cn^3 = sn dn - (1 - 2k^2) arcsin(k sn)/k;
-          dn, D = sign a (dn - M), rate = a/2: F = (am u - M u, Z, sn cn), as
-            int dn = am,  int (dn^2 - E/K) = Z,  int dn^3 = (k^2 sn cn + (2 - k^2) am)/2;
-          separatrix, D = sign a sech, rate = a/2: dn's limit k = 1, M = 0, where
-            F = (gd, tanh, sech tanh), the Gudermannian gd = am;
-          straight line: Phi = 0, and the F columns of sample are zero.
-        Z(u) = E(am u) - (E/K) u, the Jacobi zeta function, is summed over the Landen
-        phases (specfun._jacobi_zeta), free of the cancellation of O(1) terms as k -> 0.
-        In floats, with lift lower triangular and C binomial multiplied out.
-        """
-        h, mean2, mean3 = self._means
-        k, r, a, s, z0, y1 = self.modulus, self.rate, self.amplitude, self.sign, self.z0, self.y1
-        if self.branch is Branch.CN:
-            l00, l10, l11, l20, l21, l22 = 2.0, 0.0, 4.0 * r, -4.0 * r * r * (1.0 - 2.0 * k * k), 0.0, 4.0 * r * r
-        else:
-            m = self._descent.mean if self.branch is Branch.DN else 0.0
-            l00, l10, l11 = 2.0 * s, -4.0 * m * a, 2.0 * a
-            l20, l21, l22 = s * a * a * (2.0 - k * k + 6.0 * m * m), -6.0 * s * a * a * m, s * a * a * k * k
-        drift = (self.y0 + (z0 * h + 0.5 * mean2), z0 + (y1 * h + z0 * mean2 + 0.5 * mean3))
-        cb = ((z0 + h, 0.5, 0.0), (y1 + z0 * (2.0 * h) + 0.5 * (3.0 * h * h), z0 + 0.5 * (3.0 * h), 0.5))
-        return tuple((d, c0 * l00 + c1 * l10 + c2 * l20, c1 * l11 + c2 * l21, c2 * l22)
-                     for d, (c0, c1, c2) in zip(drift, cb))
-
-    @cached_property
-    def _means(self) -> tuple[float, float, float]:
-        """Means (h, <Phi^2>, <Phi^3>) of Phi, in closed form: over a period on
-        cn and dn, (-z0, z0^2, -z0^3) on the separatrix, whose D = Phi + z0
-        decays, and 0 on the straight line.
-
-        Phi is expanded about its period mean h, <Phi^2> = m2 + h^2 and
-        <Phi^3> = m3 + 3 h m2 + h^3, with m2, m3 the central moments of psi,
-        so that no terms of size |z0|^m cancel when |z0| >> sqrt(S).  The
-        moments come from the integrals of cn^j over 4K (4K, 0,
-        4(E - k'^2 K)/k^2, 0) and of dn^j over 2K (2K, pi, 2E, pi(2 - k^2)/2),
-        DLMF 22.14(iv), Byrd & Friedman 312, 314.  Written with the AGM
-        sequence (M, c_n) of the modulus's table, where K = pi/(2M), they
-        are free of cancellation:
+        <Phi^2> = m2 + h^2, m2 the variance of psi, so that no terms of size
+        |z0|^2 cancel when |z0| >> sqrt(S).  From the integrals of cn^j over 4K
+        (4K, 0, 4(E - k'^2 K)/k^2) and of dn^j over 2K (2K, pi, 2E), DLMF
+        22.14(iv), written with the AGM sequence (M, c_n) of the modulus's
+        table, where K = pi/(2M), free of cancellation:
             <cn^2> = 1/2 - sum_{n>=1} 2^(n-1) c_n^2 / k^2,
             <dn> = M = 1 - sum_{n>=1} c_n,
-            <(dn - M)^2> = sum_{n>=1} (3/2 - 2^(n-1)) c_n^2,
-            <(dn - M)^3> = 3 M sum_{n>=2} (2^(n-1) - 1) c_n^2.
+            <(dn - M)^2> = sum_{n>=1} (3/2 - 2^(n-1)) c_n^2.
         """
         if self.branch is not Branch.CN and self.branch is not Branch.DN:
             h = 0.0 if self.branch is Branch.LINEAR else -self.z0
-            return h, h * h, h**3
-        a = self.amplitude
-        mean, cs = self._descent.mean, self._descent.c_seq
+            return h, h * h
+        a, r, cs = self.amplitude, self.rate, self._descent.c_seq
         sq = [c * c for c in cs]
         if self.branch is Branch.CN:
             # a = 2 k rate, so a^2 <cn^2> = a^2/2 - 4 rate^2 sum_{n>=1} 2^(n-1) c_n^2
             tail = sum(2.0 ** (n - 1) * sq[n] for n in range(1, len(sq)))
-            h, m2, m3 = -self.z0, 0.5 * a * a - 4.0 * self.rate**2 * tail, 0.0
+            h, m2 = -self.z0, 0.5 * a * a - 4.0 * r * r * tail
         else:
             # h = sign (a M - |z0|) = sign ((a - |z0|) - a (1 - M)), where
             # a - |z0| = 2 (S - y1) / (a + |z0|) and 1 - M = sum_{n>=1} c_n
-            gap = 2.0 * self._s_minus_y1 / (a + abs(self.z0)) - a * sum(cs[1:])
-            h = self.sign * gap
+            h = self.sign * (2.0 * self._s_minus_y1 / (a + abs(self.z0)) - a * sum(cs[1:]))
             m2 = a * a * sum((1.5 - 2.0 ** (n - 1)) * sq[n] for n in range(1, len(sq)))
-            m3 = self.sign * 3.0 * mean * a**3 * sum((2.0 ** (n - 1) - 1.0) * sq[n] for n in range(2, len(sq)))
-        return h, m2 + h * h, m3 + 3.0 * h * m2 + h**3
+        return h, m2 + h * h
 
     def phi_image(self) -> tuple[float, float]:
         """Closure of the range of Phi = psi - z0: psi sweeps [-a, a] on cn,

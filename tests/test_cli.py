@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nilmag.cli import main, parse_scenario
 from nilmag.h5_type1 import H5Force
 from nilmag.lorentz import solve, type2_from_vector
 from nilmag.oracle import IntegratorConfig, reconstruct_group
+from test_h3_type2 import _mpmath_position
 from test_imports import FLAT_COUPLED, MIXED, TYPE1
 
 
@@ -310,22 +312,32 @@ def test_trajectory_refuses_non_finite_samples(tmp_path, capsys, fmt):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the speed's square overflows at 1e155
 @pytest.mark.parametrize("force, z0, code", [
     ({"exact": {"Z": [0.7]}}, 1e150, 0), ({"exact": {"Z": [0.7]}}, 1e155, 4),
-    ({"type2_U": [0.6, -0.8]}, 1e150, 2), ({"type2_U": [0.6, -0.8]}, 1e155, 2)])
+    ({"type2_U": [0.6, -0.8]}, 1e150, 0), ({"type2_U": [0.6, -0.8]}, 1e155, 2)])
 def test_trajectory_huge_central_velocity(tmp_path, capsys, force, z0, code):
     """The linear closed form answers the straight line t x0, which the CLI writes
     while its speed squared, the energy, is finite (exit 4 at 1e155, not a zero
-    curve); the H3 elliptic closed form, whose position table overflows, refuses
-    with exit 2 (not an OverflowError)."""
+    curve).  The H3 elliptic closed form answers 1e150 with no warning, each
+    position component to 1e-12 of itself against the mpmath reference, and
+    refuses 1e155, where the square of its amplitude overflows, with exit 2 (not
+    an OverflowError)."""
     doc = {"algebra": "h3", "force": force, "initial": {"velocity": [0.0, 0.0, z0]},
            "time": {"t_max": 2.0, "samples": 3}}
-    assert main(["trajectory", "--scenario", write_scenario(tmp_path, doc)]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["trajectory", "--scenario", write_scenario(tmp_path, doc)]) == code
     captured = capsys.readouterr()
     if code:
         message = "not finite" if code == 4 else "out of the H3 closed form's range"
         assert captured.out == "" and message in captured.err
-    else:
+    elif "exact" in force:
         positions = json.loads(captured.out)["samples"]["position"]
         assert positions == [[0.0, 0.0, t * z0] for t in (0.0, 1.0, 2.0)]
+    else:
+        positions = np.array(json.loads(captured.out)["samples"]["position"])
+        h3 = MetricNilAlgebra.heisenberg(1)
+        traj = solve(h3, type2_from_vector(h3, force["type2_U"]), 1.0, [0.0, 0.0, z0])
+        want = np.array([_mpmath_position(traj, t) for t in (0.0, 1.0, 2.0)])
+        assert caught == [] and np.all(np.abs(positions - want) <= 1e-12 * np.abs(want)), (positions, want)
 
 
 def test_trajectory_huge_planar_velocity_on_h3(tmp_path, capsys):
@@ -762,6 +774,7 @@ SELFTEST_CHECKS = [
     "group multiplication associativity",
     "all basis 2-forms closed on the 3-dim Heisenberg group",
     "rotating-pair bracket invariants constant in time",
+    "H3 elliptic curves conserve the magnetic momentum map",
 ]
 
 

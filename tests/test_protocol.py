@@ -24,6 +24,7 @@ from nilmag.h5_type1 import H5Force, periodic_at_energy, solve_h5, verify_period
 from nilmag.lorentz import LorentzForce, random_closed_type1, solve, type2_from_vector
 from nilmag.oracle import OracleTrajectory
 from nilmag.samples import lambda_periodicity
+from test_h3_type2 import _mpmath_position
 from test_imports import FLAT_COUPLED, MIXED
 
 
@@ -136,15 +137,21 @@ def test_solve_answers_or_refuses_a_huge_initial_velocity_on_every_closed_form(r
     """A huge central velocity gets an answer or an InputError from solve itself,
     never a zero curve, an OverflowError or a warning.  Along the centre the
     linear closed form's tables hold x0 alone, so it answers the straight line
-    t x0, and refuses an x0 whose norm overflows; the H3 position table
-    holds the cube of the amplitude |z0|, so it refuses."""
+    t x0, and refuses an x0 whose norm overflows.  The H3 closed form answers
+    1e150, each position component to 1e-12 of itself against the mpmath
+    reference, and refuses 1e155, where the square of the amplitude |z0| in
+    its mean y-velocity overflows."""
     force = {"type1": np.pad(H3.j_map([0.7]), (0, 1)), "h3": type2_from_vector(H3, [0.6, -0.8])}
     x0, ts = np.array([0.0, 0.0, z0]), np.linspace(0.0, 2.0, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if route == "h3":
+        if route == "h3" and z0 > 1e154:
             with pytest.raises(InputError, match="out of the H3 closed form's range"):
                 solve(H3, force[route], 1.0, x0)
+        elif route == "h3":
+            traj = solve(H3, force[route], 1.0, x0)
+            got, want = traj.sample(ts).xi, np.array([_mpmath_position(traj, t) for t in ts])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (got, want)
         else:
             got = solve(H3, force[route], 1.0, x0).sample(ts)
             assert np.array_equal(got.xi, ts[:, None] * x0) and np.array_equal(got.velocity, np.tile(x0, (5, 1)))
